@@ -145,16 +145,17 @@ class OrthogonalBasis:
         return self._p[:, start : self.dim].T @ np.asarray(y, dtype=float)
 
     def evaluate(self, coefficients: np.ndarray) -> np.ndarray:
-        """Signal whose weighted image is ``images @ coefficients``.
+        """Signal whose weighted image is ``images[:, :k] @ coefficients``.
 
-        ``coefficients`` must cover all ``dim`` columns.  With no weight the
+        ``coefficients`` is a (k,) vector or a (k, K) block with ``k <= dim``:
+        the leading k columns are the basis as it stood after k additions,
+        with the leading k x k block of R as their link.  With no weight the
         fit coordinates are the representation coordinates themselves.
         """
         c = np.asarray(coefficients, dtype=float)
-        if c.shape[0] != self.dim:
-            raise ValueError(f"{c.shape[0]} coefficients for a basis of dimension {self.dim}")
-        if self.dim == 0:
-            return np.zeros(self.n)
+        k = c.shape[0]
+        if k > self.dim:
+            raise ValueError(f"{k} coefficients for a basis of dimension {self.dim}")
         if self.weight is None:
-            return self.basis @ c
-        return self.basis @ np.linalg.solve(self._r[: self.dim, : self.dim], c)
+            return self._u[:, :k] @ c
+        return self._u[:, :k] @ np.linalg.solve(self._r[:k, :k], c)

@@ -16,9 +16,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import Signal, ShiftSet, frobenius_tol
-from .orthogonalize import ADDED, DEPENDENT, INVISIBLE, OrthogonalBasis
-from .spaces import krylov_subspace
+from .graphs import ShiftSet, frobenius_tol
+from .orthogonalize import DEPENDENT, INVISIBLE
+from .spaces import KrylovChain, _gen_values, krylov_subspace
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -35,12 +35,6 @@ __all__ = [
     "reconstruct_krylov",
     "degenerate_dimension_check",
 ]
-
-
-def _values(x) -> np.ndarray:
-    if isinstance(x, Signal):
-        return np.asarray(x.values, dtype=float)
-    return np.asarray(x, dtype=float).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ class SamplingScheme:
         return self.matrix.shape[1]
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ _values(x)
+        return self.matrix @ _gen_values(x)
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ class Observation:
     noise: dict | None = None
 
     def __post_init__(self):
-        v = np.array(_values(self.values))
+        v = np.array(_gen_values(self.values))
         if v.shape[0] != self.scheme.n_samples:
             raise ValueError(
                 f"{v.shape[0]} observed values for a scheme with "
@@ -101,13 +95,14 @@ class Observation:
 def _observed(y) -> np.ndarray:
     if isinstance(y, Observation):
         return np.asarray(y.values, dtype=float)
-    return _values(y)
+    return _gen_values(y)
 
 
 def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
     """Scheme that reads the signal at a sorted set of vertices."""
-    idx = sorted({int(i) for i in vertices})
-    if len(idx) != len(list(vertices)):
+    vertices = [int(i) for i in vertices]
+    idx = sorted(set(vertices))
+    if len(idx) != len(vertices):
         raise ValueError("sampling vertices contain repeats")
     if not idx:
         raise ValueError("at least one sampling vertex is required")
@@ -134,9 +129,7 @@ def dynamic_sampler(
     n = decomp.n_vertices
     if d_mat.shape != (n, n):
         raise ValueError(f"state matrix of shape {d_mat.shape} on {n} vertices")
-    rotated = decomp.basis.T @ d_mat @ decomp.basis
-    if np.linalg.norm(rotated - np.diag(np.diag(rotated))) > frobenius_tol(d_mat, 1e-8):
-        raise ValueError("state matrix is not diagonalized by the decomposition basis")
+    _dynamic_eigenvalues(decomp, d_mat)  # raises unless the basis diagonalizes it
     if not 0 <= initial_vertex < n:
         raise ValueError(f"initial vertex {initial_vertex} out of range")
     if n_snapshots < 1:
@@ -318,13 +311,11 @@ def reconstruct_krylov(
 ) -> ReconstructionResult:
     """Reconstruct a signal from samples by growing the generated span.
 
-    Level 0 orthonormalizes the generators under the sampling-weighted
-    form ``<x1, x2> = (A x1).(A x2)`` and projects the observations.
-    Each later level applies every shift to the directions added at the
-    previous level, orthonormalizes the candidates in shift-then-vector
-    order, and adds the projection of the current residual onto the new
-    directions. The loop stops when no candidate survives, when the
-    residual norm reaches ``delta``, or at ``max_level``.
+    Grows the :class:`~gsis.spaces.KrylovChain` of the generators under the
+    sampling-weighted form ``<x1, x2> = (A x1).(A x2)``, adding at each
+    level the projection of the current residual onto the new directions.
+    It stops when no candidate survives, when the residual norm reaches
+    ``delta``, or at ``max_level``.
 
     Parameters
     ----------
@@ -358,79 +349,36 @@ def reconstruct_krylov(
         raise ValueError("sampling scheme and shifts disagree on the vertex count")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    n = shifts.n_vertices
-    top_level = n - 1 if max_level is None else int(max_level)
+    top_level = shifts.n_vertices - 1 if max_level is None else int(max_level)
     if top_level < 0:
         raise ValueError("max_level must be nonnegative")
-    basis = OrthogonalBasis(n, scheme.matrix, drop_rel=drop_rel)
 
     def handle_drop(status: str, what: str) -> None:
-        if status == INVISIBLE:
-            if require_injective:
-                raise DegenerateInnerProductError(
-                    f"{what} is invisible to the sampling scheme; "
-                    "sampling is not injective on the generated space"
-                )
-            return
+        if status == INVISIBLE and require_injective:
+            raise DegenerateInnerProductError(
+                f"{what} is invisible to the sampling scheme; "
+                "sampling is not injective on the generated space"
+            )
         if status == DEPENDENT and what.startswith("generator"):
-            warnings.warn(f"dependent {what} dropped", stacklevel=3)
+            warnings.warn(f"dependent {what} dropped", stacklevel=5)
 
-    gens = [_values(g) for g in generators]
-    if not gens:
-        raise ValueError("at least one generator is required")
-    new = []
-    for k, g in enumerate(gens):
-        if g.shape[0] != n:
-            raise ValueError(f"generator of length {g.shape[0]} on {n} vertices")
-        before = basis.dim
-        status = basis.try_add(g)
-        if status == ADDED:
-            new.append(before)
-        else:
-            handle_drop(status, f"generator {k}")
-
-    fit = basis.expansion_coefficients(obs)
-    x = basis.evaluate(fit)
-    e = obs - basis.images @ fit
-    depth = 0
-    dims_trace = [basis.dim]
-    residual_trace = [float(np.linalg.norm(e))]
-    signal_trace = [x.copy()] if keep_iterates else None
-
-    for level in range(1, top_level + 1):
-        if not new or residual_trace[-1] <= delta:
-            break
-        added = []
-        for s in shifts:
-            for idx in new:
-                before = basis.dim
-                status = basis.try_add(s.matrix @ basis.basis[:, idx])
-                if status == ADDED:
-                    added.append(before)
-                else:
-                    handle_drop(status, "shifted candidate")
-        if not added:
-            new = []
-            break
-        first = added[0]
-        coeffs = basis.expansion_coefficients(e, start=first)
-        fit = np.concatenate([fit, coeffs])
-        e = e - basis.images[:, first:] @ coeffs
-        x = basis.evaluate(fit)
-        new = added
-        depth = level
-        dims_trace.append(basis.dim)
-        residual_trace.append(float(np.linalg.norm(e)))
-        if keep_iterates:
-            signal_trace.append(x.copy())
-
+    matrices = [s.matrix for s in shifts]
+    chain = KrylovChain(matrices, generators, scheme.matrix, drop_rel=drop_rel, on_drop=handle_drop)
+    fit = chain.fit(obs[:, None], [top_level], delta)
+    depth = int(fit.depths[0])
+    dims = chain.dims[: depth + 1]
+    signal = fit.signals[:, 0]
+    signal_trace = None
+    if keep_iterates:
+        signal_trace = tuple(chain.evaluate(fit.coefficients[:d, 0]) for d in dims)
+        signal = signal_trace[-1]
     return ReconstructionResult(
-        signal=x,
-        residual=e,
+        signal=signal,
+        residual=fit.residuals[:, 0],
         depth=depth,
-        dims_trace=tuple(dims_trace),
-        residual_trace=tuple(residual_trace),
-        signal_trace=None if signal_trace is None else tuple(signal_trace),
+        dims_trace=tuple(dims),
+        residual_trace=tuple(float(r) for r in fit.residual_norms[: depth + 1, 0]),
+        signal_trace=signal_trace,
     )
 
 
@@ -467,11 +415,5 @@ def degenerate_dimension_check(
         ):
             raise ValueError("the scheme's normal matrix does not commute with the shift")
     _, dims = krylov_subspace(shifts, [phi0], shifts.n_vertices, weight=weight)
-    steps = np.diff(dims)
-    if np.any((steps != 0) & (steps != 1)):
-        return False
-    nonzero = np.flatnonzero(steps == 0)
-    if nonzero.size == 0:
-        return True
-    first_stall = int(nonzero[0])
-    return bool(np.all(steps[first_stall:] == 0))
+    # a stalled chain never grows again, so the staircase needs only unit steps
+    return bool(np.all(np.diff(dims) <= 1))

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DistinctnessError
 from .graphs import Signal, ShiftSet, frobenius_tol
 from .orthogonalize import ADDED, OrthogonalBasis
-from .spectral import SpectralDecomposition, graded_multi_indices
+from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter, graded_multi_indices
 
 __all__ = [
     "SignalSpace",
@@ -200,6 +200,95 @@ def gsis_from_generators(
     )
 
 
+class ChainFit(NamedTuple):
+    signals: np.ndarray
+    residuals: np.ndarray
+    coefficients: np.ndarray
+    depths: np.ndarray
+    residual_norms: np.ndarray
+
+
+class KrylovChain(OrthogonalBasis):
+    """Orthogonal basis of a shifted-generator span, grown level by level.
+
+    Level 0 holds the generators; level n applies every matrix, in order,
+    to the directions added at level n - 1.  Each level's basis is a column
+    prefix of every deeper one, so one chain serves every depth: ``dims[n]``
+    is the dimension after level n, for n = 0 .. ``depth``.  The first level
+    that adds nothing stalls the chain for good.  ``on_drop(status, what)``
+    is called for every rejected candidate (``what`` is ``"generator k"`` or
+    ``"shifted candidate"``) and may raise to abort the growth.
+    """
+
+    def __init__(self, matrices, generators, weight=None, *, drop_rel=1e-10, on_drop=None):
+        self._matrices = list(matrices)
+        super().__init__(self._matrices[0].shape[0], weight, drop_rel=drop_rel)
+        gens = [_gen_values(g) for g in generators]
+        if not gens:
+            raise ValueError("at least one generator is required")
+        self._on_drop = on_drop
+        for k, g in enumerate(gens):
+            if g.shape[0] != self.n:
+                raise ValueError(f"generator of length {g.shape[0]} on {self.n} vertices")
+            self._offer(g, f"generator {k}")
+        self.dims = [self.dim]
+        self.stalled = False
+
+    @property
+    def depth(self) -> int:
+        return len(self.dims) - 1
+
+    def _offer(self, v: np.ndarray, what: str) -> None:
+        status = self.try_add(v)
+        if status != ADDED and self._on_drop is not None:
+            self._on_drop(status, what)
+
+    def grow_to(self, level: int) -> bool:
+        """Grow until ``depth`` reaches ``level``; False if the chain stalls first."""
+        while self.depth < level and not self.stalled:
+            lo, hi = (self.dims[-2] if self.depth else 0), self.dims[-1]
+            for s in self._matrices:
+                for j in range(lo, hi):
+                    self._offer(s @ self.basis[:, j], "shifted candidate")
+            self.stalled = self.dim == hi
+            if not self.stalled:
+                self.dims.append(self.dim)
+        return self.depth >= level
+
+    def fit(self, y: np.ndarray, caps: Sequence[int], delta: float = 0.0) -> ChainFit:
+        """Least-squares fit of each column of the (M, K) block y, level by level.
+
+        Column j goes one level deeper while its residual norm exceeds
+        ``delta``, its level is below ``caps[j]`` and the chain still
+        grows, staying optimal over the span reached.  It stops at level
+        ``depths[j]`` and is evaluated there once; its ``coefficients`` are
+        zero past that level's dimension and ``residual_norms[k, j]`` is
+        its residual norm after level k (NaN past ``depths[j]``).  The
+        chain grows only as deep as some column needs.
+        """
+        e = np.array(y, dtype=float)
+        caps = np.asarray(caps, dtype=int)
+        k = e.shape[1]
+        blocks, norms = [], []
+        depths = np.zeros(k, dtype=int)
+        active = np.ones(k, dtype=bool)
+        level = 0
+        while active.any() and self.grow_to(level):
+            cols = np.flatnonzero(active)
+            new = self.images[:, (self.dims[level - 1] if level else 0) : self.dims[level]]
+            block = np.zeros((new.shape[1], k))
+            block[:, cols] = new.T @ e[:, cols]
+            e[:, cols] = e[:, cols] - new @ block[:, cols]
+            blocks.append(block)
+            norms.append(np.full(k, np.nan))
+            norms[-1][cols] = np.linalg.norm(e[:, cols], axis=0)
+            depths[cols] = level
+            active[cols] = (caps[cols] > level) & (norms[-1][cols] > delta)
+            level += 1
+        coefficients = np.concatenate(blocks)
+        return ChainFit(self.evaluate(coefficients), e, coefficients, depths, np.array(norms))
+
+
 def krylov_subspace(
     shifts: ShiftSet,
     generators: Sequence,
@@ -209,10 +298,9 @@ def krylov_subspace(
 ) -> tuple[np.ndarray, list[int]]:
     """Orthonormal basis of the shifted-generator span up to a given level.
 
-    Level n spans all ``S_1^a1 ... S_L^aL phi`` with total degree at most n.
-    Each level applies every shift (in index order) to the vectors newly
-    added at the previous level and orthogonalizes, so the basis grows
-    monotonically and stalls exactly when the span stops growing.
+    Level n spans all ``S_1^a1 ... S_L^aL phi`` with total degree at most n,
+    grown by :class:`KrylovChain`, so the basis grows monotonically and
+    stalls exactly when the span stops growing.
 
     Parameters
     ----------
@@ -230,32 +318,9 @@ def krylov_subspace(
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    gens = [_gen_values(g) for g in generators]
-    if not gens:
-        raise ValueError("at least one generator is required")
-    n = shifts.n_vertices
-    basis = OrthogonalBasis(n, weight, drop_rel=drop_rel)
-    new = []
-    for g in gens:
-        if g.shape[0] != n:
-            raise ValueError(f"generator of length {g.shape[0]} on {n} vertices")
-        before = basis.dim
-        if basis.try_add(g) == ADDED:
-            new.append(before)
-    dims = [basis.dim]
-    for _ in range(level):
-        if not new:
-            dims.append(basis.dim)
-            continue
-        added = []
-        for s in shifts:
-            for idx in new:
-                before = basis.dim
-                if basis.try_add(s.matrix @ basis.basis[:, idx]) == ADDED:
-                    added.append(before)
-        new = added
-        dims.append(basis.dim)
-    return basis.basis.copy(), dims
+    chain = KrylovChain([s.matrix for s in shifts], generators, weight, drop_rel=drop_rel)
+    chain.grow_to(level)
+    return chain.basis.copy(), chain.dims + chain.dims[-1:] * (level - chain.depth)
 
 
 class CanonicalGenerator(NamedTuple):
@@ -294,14 +359,11 @@ def canonical_generator(
     if idx[0] < 0 or idx[-1] >= n:
         raise ValueError(f"omega indices must lie in [0, {n})")
     points = decomp.joint_spectrum[idx]
-    if len(idx) > 1:
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        iu = np.triu_indices(len(idx), k=1)
-        if dist[iu].min() <= gap_rel * max(dist[iu].max(), 1e-300):
-            raise DistinctnessError(
-                "joint eigenvalues repeat on omega; no single-generator description exists"
-            )
+    gap, diameter = _pairwise_gap_and_diameter(points)
+    if gap <= gap_rel * max(diameter, 1e-300):
+        raise DistinctnessError(
+            "joint eigenvalues repeat on omega; no single-generator description exists"
+        )
     phi0 = decomp.basis[:, idx] @ np.ones(len(idx))
     mats = decomp.shifts.matrices()
     rng = np.random.default_rng(seed)
@@ -309,21 +371,14 @@ def canonical_generator(
     for _ in range(max_retries):
         d = rng.standard_normal(mats.shape[0])
         d /= np.linalg.norm(d)
-        scal = points @ d
-        if m > 1:
-            gaps = np.abs(scal[:, None] - scal[None, :])[np.triu_indices(m, k=1)]
-            if gaps.min() <= gap_rel * max(gaps.max(), 1e-300):
-                continue
+        gap, diameter = _pairwise_gap_and_diameter((points @ d)[:, None])
+        if gap <= gap_rel * max(diameter, 1e-300):
+            continue
         t_mat = np.tensordot(d, mats, axes=1)
         # Stable rank check of {T^k phi0 : k < m} through an orthogonal chain.
-        chain = OrthogonalBasis(n)
-        chain.try_add(phi0)
-        ok = chain.dim == 1
-        for _ in range(m - 1):
-            if not ok:
-                break
-            ok = chain.try_add(t_mat @ chain.basis[:, chain.dim - 1]) == ADDED
-        if ok and chain.dim == m:
+        chain = KrylovChain([t_mat], [phi0])
+        chain.grow_to(m - 1)
+        if chain.dims[-1] == m:
             return CanonicalGenerator(phi0, t_mat, d)
     raise DistinctnessError(
         f"no direction made the scalar eigenvalues distinct on omega "

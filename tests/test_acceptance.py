@@ -302,7 +302,7 @@ def test_acceptance_09_circulant_experiment(capsys):
     _passed(
         capsys,
         9,
-        f"noisy grid mean at (6,16) = {table.re_raw[i, j]:.4f} in [0.03, 0.14]; "
+        f"noisy grid mean at (6,16) = {table.re_raw[table.cell(6, 16)]:.4f} in [0.03, 0.14]; "
         f"noiseless plateaus exact ({elapsed:.0f}s)",
     )
 

@@ -126,6 +126,43 @@ def test_experiment_noiseless_monotone():
         assert max(settled) - min(settled) <= 1e-8
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_experiment_block_fit_matches_single_fits(delta):
+    # radius 1 sees only symmetric signals on three vertices, so its chain
+    # drops invisible candidates; delta > 0 stops some cells below their cap
+    config = gsis.ExperimentConfig(
+        n_vertices=40, trials=2, p_values=(1, 4, 9), levels=(0, 1, 3, 6, 12), seed=5, delta=delta
+    )
+    table = gsis.run_circulant_experiment(config)
+    n, center = config.n_vertices, config.n_vertices // 2
+    _, shifts = gsis.build_circulant(n, config.offsets)
+    x0 = gsis.damped_cosine_signal(n, config.amplitude, config.decay, config.frequency)
+    phi0 = np.zeros(n)
+    phi0[center] = 1.0
+    stopped_by_delta = 0
+    for p in config.p_values:
+        window = list(range(center - p, center + p + 1))
+        scheme = gsis.subset_sampler(n, window)
+        if p == 1:
+            with pytest.raises(gsis.DegenerateInnerProductError):
+                gsis.reconstruct_krylov(shifts, [phi0], scheme, x0[window], max_level=12)
+        for level in config.levels:
+            il, ip = table.cell(level, p)
+            for trial in range(config.trials):
+                rng = np.random.default_rng([config.seed, level, p, trial])
+                y = x0[window] + rng.uniform(-config.sigma, config.sigma, size=len(window))
+                single = gsis.reconstruct_krylov(
+                    shifts, [phi0], scheme, y, delta=delta, max_level=level, require_injective=False
+                )
+                stopped_by_delta += single.depth < level and single.residual_trace[-1] <= delta
+                diff = single.signal - x0
+                re = np.abs(diff).max() / np.abs(x0).max()
+                se = np.abs(diff[window]).max() / np.abs(x0[window]).max()
+                assert abs(table.re_trials[il, ip, trial] - re) <= 1e-12
+                assert abs(table.se_trials[il, ip, trial] - se) <= 1e-12
+    assert (stopped_by_delta > 0) == (delta > 0)
+
+
 # ---------------------------------------------------------------------------
 # approximation error per level
 
@@ -246,6 +283,28 @@ def test_model_comparison_nonadaptive_shares_vertices():
         shifts, decomp, dataset, rule="nonadaptive", n_generators=2, levels=[0]
     )
     assert len(set(auto.generator_vertices)) == 1
+
+
+@pytest.mark.parametrize("rule", ["adaptive", "nonadaptive"])
+def test_model_comparison_matches_per_level_reconstructions(rule):
+    rng = np.random.default_rng(64)
+    n = 40
+    _, shifts = gsis.build_circulant(n, [1, 3])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    dataset = [0.1 * rng.standard_normal(n) for _ in range(3)]
+    for x in dataset[:2]:
+        x[rng.choice(n, size=3, replace=False)] += 3.0
+    dataset.append(np.zeros(n))
+    dataset[-1][[3, 17, 30]] = [1.0, -2.0, 4.0]  # in the level-0 span: stops at level 0
+    levels = range(0, 7)
+    cmp = gsis.run_model_comparison(shifts, decomp, dataset, rule=rule, levels=levels)
+    identity = gsis.subset_sampler(n, range(n))
+    for si, x in enumerate(dataset):
+        gens = [np.eye(n)[i] for i in cmp.generator_vertices[si]]
+        for li, level in enumerate(levels):
+            single = gsis.reconstruct_krylov(shifts, gens, identity, x, max_level=level)
+            assert cmp.dims[si, li] == single.dims_trace[-1]
+            assert abs(cmp.f_krylov[si, li] - np.abs(single.signal - x).max()) <= 1e-12
 
 
 def test_model_comparison_validation():

@@ -23,6 +23,15 @@ def test_subset_sampler_rows():
     assert np.array_equal(scheme.apply(np.arange(5.0)), [0.0, 3.0])
 
 
+def test_subset_sampler_accepts_iterators():
+    from_generator = gsis.subset_sampler(10, (i for i in range(3)))
+    from_range = gsis.subset_sampler(10, range(3))
+    assert from_generator.vertices == from_range.vertices == (0, 1, 2)
+    assert np.array_equal(from_generator.matrix, from_range.matrix)
+    with pytest.raises(ValueError, match="repeats"):
+        gsis.subset_sampler(10, iter([4, 4]))
+
+
 def test_subset_sampler_validation():
     with pytest.raises(ValueError):
         gsis.subset_sampler(5, [1, 1])
