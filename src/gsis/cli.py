@@ -235,7 +235,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     graph, shifts = _build_graph_shifts(args)
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+    # only direct reconstruction and the dynamic scheme read the eigenbasis
+    decomp = None
+    if args.reconstruct_cmd == "direct" or args.w is None:
+        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     scheme = _load_scheme(args, shifts, decomp)
     y = np.asarray(io.load_matrix_csv(args.y), dtype=float).reshape(-1)
     out = Path(args.out)

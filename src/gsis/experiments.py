@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Signal, ShiftSet, build_circulant
-from .sampling import reconstruct_krylov, subset_sampler
+from .graphs import Graph, Signal, ShiftSet, _vector, build_circulant
+from .sampling import subset_sampler
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition
 
@@ -227,7 +227,7 @@ def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
     ValueError
         If ``x0`` is identically zero.
     """
-    vals = np.asarray(x0.values if isinstance(x0, Signal) else x0, dtype=float).reshape(-1)
+    vals = _vector(x0)
     scale = float(np.abs(vals).max(initial=0.0))
     if scale == 0.0:
         raise ValueError("the target signal is identically zero")
@@ -288,15 +288,15 @@ def run_model_comparison(
     ``rule = "adaptive"`` places delta generators at each signal's
     ``n_generators`` largest-magnitude vertices; ``"nonadaptive"`` uses
     one shared set, either ``vertices`` or the largest entries of the
-    dataset's mean magnitude. For each level n the signal is
-    reconstructed by the sampled-span routine with the identity scheme
-    capped at n, every level from one chain per signal, and the
-    bandlimited error uses the matched dimension.
+    dataset's mean magnitude. For each level n the signal is approximated
+    by its least-squares projection onto the level-n span of its
+    generators; one unweighted chain per signal serves every level, and
+    the bandlimited error uses the matched dimension.
     """
     n = shifts.n_vertices
     signals = []
     for s in dataset:
-        v = np.asarray(s.values if isinstance(s, Signal) else s, dtype=float).reshape(-1)
+        v = _vector(s)
         if v.shape[0] != n:
             raise ValueError(f"signal of length {v.shape[0]} on {n} vertices")
         signals.append(v)
@@ -312,7 +312,7 @@ def run_model_comparison(
             shared = sorted(int(i) for i in vertices)
         else:
             shared = _top_k_vertices(np.mean(np.abs(np.stack(signals)), axis=0), n_generators)
-    identity = subset_sampler(n, range(n))
+    matrices = [s.matrix for s in shifts]
     freq_order = np.argsort(decomp.eigenvalues[0], kind="stable")
 
     chosen: list[tuple[int, ...]] = []
@@ -322,20 +322,13 @@ def run_model_comparison(
     for si, x in enumerate(signals):
         verts = shared if rule == "nonadaptive" else _top_k_vertices(x, n_generators)
         chosen.append(tuple(verts))
-        gens = []
-        for i in verts:
-            g = np.zeros(n)
-            g[i] = 1.0
-            gens.append(g)
-        # a run capped at level n is the deepest run's trace up to n
-        result = reconstruct_krylov(
-            shifts, gens, identity, x, max_level=max(levels), keep_iterates=True
-        )
-        for li, level in enumerate(levels):
-            k = min(level, result.depth)
-            dim = result.dims_trace[k]
-            dims[si, li] = dim
-            f_k[si, li] = float(np.abs(result.signal_trace[k] - x).max())
+        gens = np.zeros((len(verts), n))
+        gens[np.arange(len(verts)), verts] = 1.0
+        chain = KrylovChain(matrices, gens)
+        fit = chain.fit(np.repeat(x[:, None], len(levels), axis=1), levels)
+        dims[si] = np.asarray(chain.dims)[fit.depths]
+        f_k[si] = np.abs(fit.signals - x[:, None]).max(axis=0)
+        for li, dim in enumerate(dims[si]):
             u_b = decomp.basis[:, freq_order[:dim]]
             f_b[si, li] = float(np.abs(x - u_b @ (u_b.T @ x)).max())
     return ModelComparison(

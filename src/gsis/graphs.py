@@ -26,7 +26,6 @@ __all__ = [
     "build_standard_shifts",
     "build_circulant",
     "check_commutative",
-    "validate_shift",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -42,6 +41,16 @@ SHIFT_KINDS = ("adjacency", "laplacian", "normalized_laplacian")
 def frobenius_tol(matrix: np.ndarray, rel: float = 1e-10) -> float:
     """Default absolute tolerance for matrix checks: ``rel * max(1, ||M||_F)``."""
     return rel * max(1.0, float(np.linalg.norm(matrix)))
+
+
+def _values(x) -> np.ndarray:
+    """Float array of a signal-like input: a Signal's or Observation's ``values``, else ``x``."""
+    return np.asarray(getattr(x, "values", x), dtype=float)
+
+
+def _vector(x) -> np.ndarray:
+    """:func:`_values` flattened to one vector."""
+    return _values(x).reshape(-1)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -276,28 +285,6 @@ class ShiftSet:
 
     def __getitem__(self, k: int) -> ShiftMatrix:
         return self.shifts[k]
-
-
-def validate_shift(matrix: np.ndarray, graph: Graph, tol: float | None = None) -> bool:
-    """Check symmetry and edge-pattern support without constructing a ShiftMatrix.
-
-    Raises
-    ------
-    ValueError
-        If the matrix shape does not match the graph order.
-    """
-    s = np.asarray(matrix, dtype=float)
-    n = graph.n_vertices
-    if s.shape != (n, n):
-        raise ValueError(f"matrix of shape {s.shape} on a graph with {n} vertices")
-    if tol is None:
-        tol = frobenius_tol(s)
-    if np.abs(s - s.T).max() > tol:
-        return False
-    off = ~graph.edge_mask()
-    if off.any() and np.abs(s[off]).max() > tol:
-        return False
-    return True
 
 
 def build_standard_shifts(graph: Graph, kind: str) -> ShiftMatrix:

@@ -51,15 +51,12 @@ def save_json(path: str | Path, payload: dict) -> Path:
     return path
 
 
-_write_json = save_json
-
-
 def save_decomposition(
     decomp: SpectralDecomposition, outdir: str | Path, stem: str = "decomposition"
 ) -> list[Path]:
     outdir = Path(outdir)
     basis = save_matrix_csv(outdir / f"{stem}_basis.csv", decomp.basis)
-    meta = _write_json(
+    meta = save_json(
         outdir / f"{stem}.json",
         {
             "n_vertices": decomp.n_vertices,
@@ -77,7 +74,7 @@ def save_decomposition(
 def save_space(space: SignalSpace, outdir: str | Path, stem: str = "space") -> list[Path]:
     outdir = Path(outdir)
     basis = save_matrix_csv(outdir / f"{stem}_basis.csv", space.basis)
-    meta = _write_json(
+    meta = save_json(
         outdir / f"{stem}.json",
         {
             "omega": list(space.omega),
@@ -95,7 +92,7 @@ def save_kernel(
 ) -> list[Path]:
     outdir = Path(outdir)
     matrix = save_matrix_csv(outdir / f"{stem}_matrix.csv", kernel.matrix)
-    meta = _write_json(
+    meta = save_json(
         outdir / f"{stem}.json",
         {
             "family": kernel.family,
@@ -113,7 +110,7 @@ def save_scheme(
 ) -> list[Path]:
     outdir = Path(outdir)
     matrix = save_matrix_csv(outdir / f"{stem}_matrix.csv", scheme.matrix)
-    meta = _write_json(
+    meta = save_json(
         outdir / f"{stem}.json",
         {
             "provenance": scheme.provenance,
@@ -133,7 +130,7 @@ def save_observation(
 ) -> list[Path]:
     outdir = Path(outdir)
     values = save_matrix_csv(outdir / f"{stem}_values.csv", obs.values)
-    meta = _write_json(
+    meta = save_json(
         outdir / f"{stem}.json",
         {
             "n_samples": int(obs.values.shape[0]),
@@ -150,7 +147,7 @@ def save_reconstruction(
 ) -> list[Path]:
     outdir = Path(outdir)
     signal = save_matrix_csv(outdir / f"{stem}_signal.csv", result.signal)
-    meta = _write_json(
+    meta = save_json(
         outdir / f"{stem}.json",
         {
             "depth": result.depth,
@@ -181,7 +178,7 @@ def save_metrics(table: MetricsTable, outdir: str | Path) -> list[Path]:
                 lines.append(f"{level},{p},{name},{grid[il, ip]:.17g}")
     csv_path.write_text("\n".join(lines) + "\n")
     cfg = table.config
-    meta = _write_json(
+    meta = save_json(
         outdir / "metrics.json",
         {
             "config": {
@@ -213,7 +210,7 @@ def save_model_comparison(comp: ModelComparison, outdir: str | Path) -> list[Pat
         lines.append(f"{level},f_krylov_mean,{comp.mean_krylov[li]:.17g}")
         lines.append(f"{level},f_bandlimited_mean,{comp.mean_bandlimited[li]:.17g}")
     csv_path.write_text("\n".join(lines) + "\n")
-    meta = _write_json(
+    meta = save_json(
         outdir / "model_comparison.json",
         {
             "levels": list(comp.levels),

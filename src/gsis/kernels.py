@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Signal, ShiftMatrix, ShiftSet, frobenius_tol
+from .graphs import ShiftMatrix, ShiftSet, _values, frobenius_tol
 from .spaces import SignalSpace
 from .spectral import SpectralDecomposition
-
-
-def _signal_values(x) -> np.ndarray:
-    if isinstance(x, Signal):
-        return np.asarray(x.values, dtype=float)
-    return np.asarray(x, dtype=float)
 
 __all__ = [
     "ShiftInvariantKernel",
@@ -33,7 +27,6 @@ __all__ = [
     "is_shift_invariant_kernel",
     "gsis_to_rkhs_kernel",
     "kernel_for_metric",
-    "metric_for_kernel",
     "is_reproducing_metric",
     "rkhs_inner_product",
     "evaluation_bound",
@@ -89,15 +82,6 @@ def _kernel_from_spectrum(
     return ShiftInvariantKernel(mat, values, omega, decomp, family, params)
 
 
-def _base_eigenvalues(decomp: SpectralDecomposition, base_shift: ShiftMatrix | np.ndarray) -> np.ndarray:
-    mat = base_shift.matrix if isinstance(base_shift, ShiftMatrix) else np.asarray(base_shift, dtype=float)
-    rotated = decomp.basis.T @ mat @ decomp.basis
-    lam = np.diag(rotated).copy()
-    if np.linalg.norm(rotated - np.diag(lam)) > frobenius_tol(mat, 1e-8):
-        raise ValueError("base shift is not diagonalized by the decomposition basis")
-    return lam
-
-
 def make_kernel(
     decomp: SpectralDecomposition,
     base_shift: ShiftMatrix | np.ndarray,
@@ -124,7 +108,7 @@ def make_kernel(
         decomposition does not diagonalize, or a profile that turns
         negative on the base spectrum.
     """
-    lam = _base_eigenvalues(decomp, base_shift)
+    lam = decomp.eigenvalues_of(base_shift, "base shift")
     unknown = set(params) - {"sigma", "a", "p", "alpha"}
     if unknown:
         raise TypeError(f"unknown kernel parameters {sorted(unknown)}")
@@ -237,10 +221,6 @@ class RkhsMetric:
         return cls(values)
 
 
-def metric_for_kernel(kernel: ShiftInvariantKernel) -> RkhsMetric:
-    return RkhsMetric.from_kernel(kernel)
-
-
 def kernel_for_metric(decomp: SpectralDecomposition, metric: RkhsMetric) -> ShiftInvariantKernel:
     """Kernel reproducing a diagonal metric: pseudo-inverse spectral values."""
     b = metric.values
@@ -275,8 +255,8 @@ def is_reproducing_metric(
 
 def rkhs_inner_product(decomp: SpectralDecomposition, metric: RkhsMetric, x, y) -> float:
     """Evaluate ``x_hat.T diag(metric) y_hat``."""
-    xh = decomp.basis.T @ _signal_values(x)
-    yh = decomp.basis.T @ _signal_values(y)
+    xh = decomp.basis.T @ _values(x)
+    yh = decomp.basis.T @ _values(y)
     return float(np.sum(xh * metric.values * yh))
 
 

@@ -16,10 +16,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftSet, frobenius_tol
+from .graphs import ShiftSet, _vector, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
-from .spaces import KrylovChain, _gen_values, krylov_subspace
-from .spectral import SpectralDecomposition
+from .spaces import KrylovChain, krylov_subspace
+from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter
 
 __all__ = [
     "SamplingScheme",
@@ -70,7 +70,7 @@ class SamplingScheme:
         return self.matrix.shape[1]
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ _gen_values(x)
+        return self.matrix @ _vector(x)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class Observation:
     noise: dict | None = None
 
     def __post_init__(self):
-        v = np.array(_gen_values(self.values))
+        v = np.array(_vector(self.values))
         if v.shape[0] != self.scheme.n_samples:
             raise ValueError(
                 f"{v.shape[0]} observed values for a scheme with "
@@ -90,12 +90,6 @@ class Observation:
             )
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-
-def _observed(y) -> np.ndarray:
-    if isinstance(y, Observation):
-        return np.asarray(y.values, dtype=float)
-    return _gen_values(y)
 
 
 def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
@@ -129,7 +123,7 @@ def dynamic_sampler(
     n = decomp.n_vertices
     if d_mat.shape != (n, n):
         raise ValueError(f"state matrix of shape {d_mat.shape} on {n} vertices")
-    _dynamic_eigenvalues(decomp, d_mat)  # raises unless the basis diagonalizes it
+    decomp.eigenvalues_of(d_mat, "state matrix")  # raises unless the basis diagonalizes it
     if not 0 <= initial_vertex < n:
         raise ValueError(f"initial vertex {initial_vertex} out of range")
     if n_snapshots < 1:
@@ -202,15 +196,14 @@ def check_dynamic_injective(
     idx = sorted({int(k) for k in omega})
     if not idx:
         return DynamicInjectivity(True, "injective")
-    lam = _dynamic_eigenvalues(decomp, state_matrix)
+    lam = decomp.eigenvalues_of(state_matrix, "state matrix")
     if n_snapshots < len(idx):
         return DynamicInjectivity(
             False, f"insufficient snapshots ({n_snapshots} < {len(idx)})"
         )
-    sub = lam[idx]
     scale = max(float(np.abs(lam).max()), 1e-300)
-    gaps = np.abs(sub[:, None] - sub[None, :])[np.triu_indices(len(idx), k=1)]
-    if len(idx) > 1 and gaps.min() <= gap_rel * scale:
+    gap, _ = _pairwise_gap_and_diameter(lam[idx, None])
+    if gap <= gap_rel * scale:
         return DynamicInjectivity(False, "repeated state eigenvalues on omega")
     row = decomp.basis[initial_vertex, idx]
     if np.abs(row).min() <= gap_rel:
@@ -218,15 +211,6 @@ def check_dynamic_injective(
             False, f"eigenvector entry vanishes at vertex {initial_vertex}"
         )
     return DynamicInjectivity(True, "injective")
-
-
-def _dynamic_eigenvalues(decomp: SpectralDecomposition, state_matrix: np.ndarray) -> np.ndarray:
-    d_mat = np.asarray(state_matrix, dtype=float)
-    rotated = decomp.basis.T @ d_mat @ decomp.basis
-    lam = np.diag(rotated).copy()
-    if np.linalg.norm(rotated - np.diag(lam)) > frobenius_tol(d_mat, 1e-8):
-        raise ValueError("state matrix is not diagonalized by the decomposition basis")
-    return lam
 
 
 def reconstruct_direct(
@@ -238,33 +222,33 @@ def reconstruct_direct(
     """Least-squares reconstruction on a bandlimited space.
 
     Solves ``min ||y - A x||_2`` over signals spanned by the eigenvectors
-    at ``omega`` through the normal equations on the coefficient side.
+    at ``omega`` through one SVD of the sampled basis ``A U_omega``, which
+    both gates and solves, so the conditioning is not squared.
 
     Raises
     ------
     NonInjectiveSamplingError
         When the sampled basis loses column rank (smallest singular
         value below 1e-12 times the scheme's operator norm) or its Gram
-        matrix is singular beyond condition number 1e12, i.e. the scheme
-        does not determine the space.
+        matrix has condition number ``(s_max / s_min)^2`` above 1e12,
+        i.e. the scheme does not determine the space.
     """
     idx = sorted({int(k) for k in omega})
-    obs = _observed(y)
+    obs = _vector(y)
     if obs.shape[0] != scheme.n_samples:
         raise ValueError(f"{obs.shape[0]} observations for {scheme.n_samples} samples")
     if not idx:
         return np.zeros(decomp.n_vertices)
     sampled = scheme.matrix @ decomp.basis[:, idx]
-    sv = np.linalg.svd(sampled, compute_uv=False)
-    smin = float(sv[len(idx) - 1]) if sv.size >= len(idx) else 0.0
+    left, sv, right = np.linalg.svd(sampled, full_matrices=False)
+    smin = float(sv[-1]) if sv.size == len(idx) else 0.0
     scale = max(float(np.linalg.norm(scheme.matrix, 2)), 1.0)
-    gram = sampled.T @ sampled
-    cond = np.linalg.cond(gram)
-    if smin <= 1e-12 * scale or not np.isfinite(cond) or cond > 1e12:
+    cond = (float(sv[0]) / smin) ** 2 if smin > 0.0 else np.inf
+    if smin <= 1e-12 * scale or cond > 1e12:
         raise NonInjectiveSamplingError(
             f"sampling scheme does not determine the space (condition {cond:.3e})"
         )
-    coeffs = np.linalg.solve(gram, sampled.T @ obs)
+    coeffs = right.T @ ((left.T @ obs) / sv)
     return decomp.basis[:, idx] @ coeffs
 
 
@@ -342,7 +326,7 @@ def reconstruct_krylov(
     DegenerateInnerProductError
         See ``require_injective``.
     """
-    obs = _observed(y)
+    obs = _vector(y)
     if obs.shape[0] != scheme.n_samples:
         raise ValueError(f"{obs.shape[0]} observations for {scheme.n_samples} samples")
     if scheme.n_vertices != shifts.n_vertices:

@@ -15,9 +15,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import Signal, ShiftSet, frobenius_tol
+from .graphs import ShiftSet, _vector, frobenius_tol
 from .orthogonalize import ADDED, OrthogonalBasis
-from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter, graded_multi_indices
+from .spectral import (
+    SpectralDecomposition,
+    _pairwise_distances,
+    _pairwise_gap_and_diameter,
+    graded_multi_indices,
+)
 
 __all__ = [
     "SignalSpace",
@@ -34,11 +39,6 @@ __all__ = [
     "is_shift_invariant",
     "joint_eigenvalue_clusters",
 ]
-
-
-def _gen_values(g) -> np.ndarray:
-    v = np.asarray(g.values if isinstance(g, Signal) else g, dtype=float).reshape(-1)
-    return v
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,12 @@ class SignalSpace:
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection onto the space."""
-        v = _gen_values(x)
+        v = _vector(x)
         return self.basis @ (self.basis.T @ v)
 
     def contains(self, x, tol: float = 1e-8) -> bool:
         """Membership test: projection residual at most ``tol * ||x||_2``."""
-        v = _gen_values(x)
+        v = _vector(x)
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return True
@@ -109,14 +109,9 @@ def joint_eigenvalue_clusters(decomp: SpectralDecomposition, rel: float = 1e-8) 
     Returns the groups sorted by smallest member; under pairwise-distinct
     joint eigenvalues every group is a singleton.
     """
-    pts = decomp.joint_spectrum
-    n = pts.shape[0]
-    if n == 1:
-        return [[0]]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    threshold = rel * float(dist.max())
-    close = dist <= threshold
+    dist = _pairwise_distances(decomp.joint_spectrum)
+    n = dist.shape[0]
+    close = dist <= rel * float(dist.max())
     seen = np.zeros(n, dtype=bool)
     groups = []
     for start in range(n):
@@ -155,7 +150,7 @@ def gsis_from_generators(
         If a generator is identically zero or has the wrong length.
     """
     n = decomp.n_vertices
-    gens = [_gen_values(g) for g in generators]
+    gens = [_vector(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator is required")
     for g in gens:
@@ -223,7 +218,7 @@ class KrylovChain(OrthogonalBasis):
     def __init__(self, matrices, generators, weight=None, *, drop_rel=1e-10, on_drop=None):
         self._matrices = list(matrices)
         super().__init__(self._matrices[0].shape[0], weight, drop_rel=drop_rel)
-        gens = [_gen_values(g) for g in generators]
+        gens = [_vector(g) for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
         self._on_drop = on_drop
@@ -407,13 +402,8 @@ def riesz_bounds(
         basis, or the generator's spectral support does not equal ``omega``.
     """
     idx = sorted({int(k) for k in omega})
-    t_mat = np.asarray(combined_shift, dtype=float)
-    rotated = decomp.basis.T @ t_mat @ decomp.basis
-    lam_t = np.diag(rotated).copy()
-    off = rotated - np.diag(lam_t)
-    if np.linalg.norm(off) > frobenius_tol(t_mat, 1e-8):
-        raise ValueError("combined shift is not diagonalized by the decomposition basis")
-    phat = decomp.basis.T @ _gen_values(phi0)
+    lam_t = decomp.eigenvalues_of(combined_shift, "combined shift")
+    phat = decomp.basis.T @ _vector(phi0)
     scale = float(np.linalg.norm(phat))
     if scale == 0.0:
         raise ValueError("generator is identically zero")
@@ -444,7 +434,7 @@ def frame_bounds(
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    phat = decomp.basis.T @ _gen_values(phi0)
+    phat = decomp.basis.T @ _vector(phi0)
     if not np.any(phat):
         raise ValueError("generator is identically zero")
     alphas = graded_multi_indices(decomp.n_shifts, level - 1)
@@ -533,7 +523,7 @@ def uncertainty_check(
     and replaced by the (larger) max-entry bound otherwise, which only
     weakens the right-hand side.
     """
-    v = _gen_values(phi0)
+    v = _vector(phi0)
     scale = float(np.linalg.norm(v))
     if scale == 0.0:
         raise ValueError("generator is identically zero")

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import Signal, ShiftMatrix, ShiftSet
+from .graphs import ShiftMatrix, ShiftSet, _values, frobenius_tol
 
 __all__ = [
     "SpectralDecomposition",
@@ -31,15 +31,14 @@ __all__ = [
 ]
 
 
-def _signal_values(x) -> np.ndarray:
-    if isinstance(x, Signal):
-        return np.asarray(x.values, dtype=float)
-    return np.asarray(x, dtype=float)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Common eigenstructure of a commuting shift family.
+
+    :meth:`eigenvalues_of` is the one way to read the spectrum of another
+    matrix that commutes with the family (a combined shift, a state matrix,
+    a kernel base): it checks that the basis diagonalizes the matrix and
+    returns its eigenvalue on each column.
 
     Attributes
     ----------
@@ -56,8 +55,8 @@ class SpectralDecomposition:
         Smallest pairwise distance between joint eigenvalue vectors
         (``inf`` for N = 1).
     max_residual : float
-        Largest relative off-diagonal residual
-        ``||U.T S_l U - diag||_F / ||S_l||_F`` over the shifts.
+        Largest relative residual ``||S_l U - U diag(lambda_l)||_F / ||S_l||_F``
+        over the shifts (equal to the off-diagonal norm of ``U.T S_l U``).
     shifts : ShiftSet
         The family that was decomposed.
     """
@@ -82,11 +81,31 @@ class SpectralDecomposition:
         """(N, L) array whose row n is the joint eigenvalue vector of column n."""
         return self.eigenvalues.T
 
-    def gft(self, x) -> np.ndarray:
-        return gft(self, x)
+    def eigenvalues_of(self, matrix: ShiftMatrix | np.ndarray, what: str) -> np.ndarray:
+        """Eigenvalue of ``matrix`` on each basis column.
 
-    def igft(self, x_hat) -> np.ndarray:
-        return igft(self, x_hat)
+        Raises
+        ------
+        ValueError
+            If the residual ``||M U - U diag(lambda)||_F`` exceeds
+            ``frobenius_tol(M, 1e-8)``; the message names ``what``.
+        """
+        mat = matrix.matrix if isinstance(matrix, ShiftMatrix) else np.asarray(matrix, dtype=float)
+        lam, residual = _diagonal_in(self.basis, mat)
+        if residual > frobenius_tol(mat, 1e-8):
+            raise ValueError(f"{what} is not diagonalized by the decomposition basis")
+        return lam
+
+
+def _diagonal_in(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Diagonal of ``U.T S U`` and the residual ``||S U - U diag||_F``.
+
+    For orthogonal U the residual equals the off-diagonal Frobenius norm of
+    ``U.T S U``, at the cost of one product with S instead of two.
+    """
+    su = s @ u
+    lam = np.einsum("ij,ij->j", u, su)
+    return lam, float(np.linalg.norm(su - u * lam))
 
 
 def _sign_normalize(u: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
@@ -100,15 +119,18 @@ def _sign_normalize(u: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     return u
 
 
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) matrix of euclidean distances between the rows of ``points``."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 def _pairwise_gap_and_diameter(points: np.ndarray) -> tuple[float, float]:
     """Min and max pairwise euclidean distance among rows (inf/0 for a single row)."""
     n = points.shape[0]
     if n < 2:
         return np.inf, 0.0
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    iu = np.triu_indices(n, k=1)
-    vals = dist[iu]
+    vals = _pairwise_distances(points)[np.triu_indices(n, k=1)]
     return float(vals.min()), float(vals.max())
 
 
@@ -122,10 +144,10 @@ def diagonalize_simultaneously(
     """Find one orthonormal basis diagonalizing every shift in the set.
 
     A random unit combination ``T = sum_l d_l S_l`` is eigendecomposed and
-    the candidate basis accepted when every per-shift off-diagonal residual
-    is at most ``tol * ||S_l||_F``. A draw of d that accidentally merges
-    distinct joint eigenvalues fails that check and is redrawn, up to
-    ``max_retries`` fresh draws.
+    the candidate basis accepted when every per-shift residual
+    ``||S_l U - U diag||_F`` is at most ``tol * ||S_l||_F``. A draw of d
+    that accidentally merges distinct joint eigenvalues fails that check
+    and is redrawn, up to ``max_retries`` fresh draws.
 
     Raises
     ------
@@ -137,7 +159,7 @@ def diagonalize_simultaneously(
     if not isinstance(shifts, ShiftSet):
         shifts = ShiftSet(tuple(shifts))
     mats = shifts.matrices()
-    n_shifts, n = mats.shape[0], mats.shape[1]
+    n_shifts = mats.shape[0]
     norms = np.linalg.norm(mats, axis=(1, 2))
     rng = np.random.default_rng(seed)
     worst_seen = np.inf
@@ -149,10 +171,7 @@ def diagonalize_simultaneously(
             d /= np.linalg.norm(d)
             combo = np.tensordot(d, mats, axes=1)
         _, u = np.linalg.eigh(combo)
-        rotated = np.einsum("in,lij,jm->lnm", u, mats, u, optimize=True)
-        lams = np.einsum("lnn->ln", rotated)
-        off = rotated - lams[:, :, None] * np.eye(n)
-        residuals = np.linalg.norm(off, axis=(1, 2))
+        lams, residuals = map(np.array, zip(*(_diagonal_in(u, m) for m in mats)))
         rel = residuals / np.where(norms > 0, norms, 1.0)
         worst_seen = min(worst_seen, float(rel.max()))
         if np.all(residuals <= tol * norms):
@@ -160,7 +179,7 @@ def diagonalize_simultaneously(
             u = _sign_normalize(u[:, order])
             lams = np.ascontiguousarray(lams[:, order])
             gap, diameter = _pairwise_gap_and_diameter(lams.T)
-            assumption1 = bool(gap > 1e-8 * diameter) and n >= 1 and gap > 0.0
+            assumption1 = bool(gap > 1e-8 * diameter) and gap > 0.0
             u.flags.writeable = False
             lams.flags.writeable = False
             return SpectralDecomposition(
@@ -181,7 +200,7 @@ def diagonalize_simultaneously(
 
 def gft(decomp: SpectralDecomposition, x) -> np.ndarray:
     """Graph Fourier transform ``x_hat = U.T x`` (accepts (N,) or (N, K))."""
-    return decomp.basis.T @ _signal_values(x)
+    return decomp.basis.T @ _values(x)
 
 
 def igft(decomp: SpectralDecomposition, x_hat) -> np.ndarray:
@@ -242,7 +261,7 @@ def apply_polynomial_filter(
     monomials otherwise); with ``decomp`` it is evaluated spectrally as a
     multiplier on the transform.
     """
-    vals = _signal_values(x)
+    vals = _values(x)
     cmap = _normalize_coeffs(coeffs, shifts.n_shifts)
     if decomp is not None:
         mult = np.zeros(decomp.n_vertices)

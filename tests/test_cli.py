@@ -324,6 +324,26 @@ def test_reconstruct_direct_roundtrip(tmp_path):
     assert obs["n_samples"] == 7
 
 
+def test_reconstruct_diagonalizes_only_when_the_scheme_needs_it(tmp_path, monkeypatch):
+    calls = []
+    real = gsis.cli.diagonalize_simultaneously
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", counted)
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.linspace(-1.0, 1.0, 7))
+    common = ["--circulant", "12", "--q", "1", "--w", "0:6", "--y", str(y_file)]
+    krylov = ["--delta-gen", "3", "--max-level", "2", "--out", str(tmp_path / "krylov")]
+    assert _run("reconstruct", "krylov", *common, *krylov) == 0
+    assert len(calls) == 0
+    direct = ["--omega", "0:2", "--out", str(tmp_path / "direct")]
+    assert _run("reconstruct", "direct", *common, *direct) == 0
+    assert len(calls) == 1
+
+
 def test_reconstruct_krylov_roundtrip(tmp_path):
     _, shifts = gsis.build_circulant(12, [1])
     decomp = gsis.diagonalize_simultaneously(shifts, seed=0)

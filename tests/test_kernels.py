@@ -88,7 +88,7 @@ def test_is_shift_invariant_kernel_rejects_noncommuting(p5):
 def test_kernel_metric_duality(p5):
     _, shifts, decomp = p5
     k = gsis.make_kernel(decomp, shifts[0], "random_walk", a=4.0, p=2)
-    metric = gsis.metric_for_kernel(k)
+    metric = gsis.RkhsMetric.from_kernel(k)
     assert gsis.is_reproducing_metric(k, metric)
     k2 = gsis.kernel_for_metric(decomp, metric)
     assert np.allclose(k2.matrix, k.matrix, atol=1e-10)
@@ -100,7 +100,7 @@ def test_kernel_metric_duality(p5):
 def test_reproducing_property(p5):
     _, shifts, decomp = p5
     k = gsis.make_kernel(decomp, shifts[0], "regularization", sigma=0.6)
-    metric = gsis.metric_for_kernel(k)
+    metric = gsis.RkhsMetric.from_kernel(k)
     rng = np.random.default_rng(8)
     x = decomp.basis[:, k.omega] @ rng.standard_normal(len(k.omega))
     for j in range(5):
@@ -113,7 +113,7 @@ def test_reproducing_property_random_rank2(p3):
     _, _, decomp = p3
     values = np.array([0.0, 2.0, 0.5])
     k = gsis.kernel_for_metric(decomp, gsis.RkhsMetric(1 / np.where(values > 0, values, np.inf)))
-    metric = gsis.metric_for_kernel(k)
+    metric = gsis.RkhsMetric.from_kernel(k)
     rng = np.random.default_rng(1)
     x = k.matrix @ rng.standard_normal(3)  # x in range(K)
     for j in range(3):
@@ -147,7 +147,7 @@ def test_gsis_to_rkhs_kernel_rejects_adapted_basis():
 def test_evaluation_bound(p5):
     _, shifts, decomp = p5
     k = gsis.make_kernel(decomp, shifts[0], "random_walk", a=5.0, p=1)
-    metric = gsis.metric_for_kernel(k)
+    metric = gsis.RkhsMetric.from_kernel(k)
     c = gsis.evaluation_bound(metric)
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -169,5 +169,5 @@ def test_kernel_base_must_match_decomposition():
     decomp = gsis.diagonalize_simultaneously(laplacian_shift_set(g))
     other = random_connected_graph(6, np.random.default_rng(99))
     stranger = gsis.build_standard_shifts(other, "laplacian")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="base shift is not diagonalized"):
         gsis.make_kernel(decomp, stranger, "diffusion", sigma=0.5)

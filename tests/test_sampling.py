@@ -80,7 +80,7 @@ def test_dynamic_sampler_validation(p3):
     with pytest.raises(ValueError):
         gsis.dynamic_sampler(decomp, state, 0, 0)
     crooked = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state matrix is not diagonalized"):
         gsis.dynamic_sampler(decomp, crooked, 0, 2)
 
 
@@ -230,6 +230,24 @@ def test_reconstruct_direct_accepts_observation(p3):
     obs = gsis.Observation(scheme.apply(x), scheme)
     out = gsis.reconstruct_direct(decomp, [0, 2], scheme, obs)
     assert np.allclose(out, x, atol=1e-12)
+
+
+@pytest.mark.parametrize("ratio, injective", [(0.9e6, True), (1.1e6, False)])
+def test_reconstruct_direct_condition_gate_boundary(ratio, injective):
+    # A = diag(s) U_omega.T makes the sampled basis diag(s), whose Gram
+    # matrix has condition number ratio^2 against the 1e12 gate
+    graph = gsis.path_graph(8)
+    decomp = gsis.diagonalize_simultaneously(laplacian_shift_set(graph))
+    omega = [0, 1, 2, 3]
+    u = decomp.basis[:, omega]
+    scheme = gsis.SamplingScheme(np.diag([1.0, 30.0, 1000.0, ratio]) @ u.T)
+    x = u @ np.array([0.7, -1.3, 2.1, 0.4])
+    if injective:
+        out = gsis.reconstruct_direct(decomp, omega, scheme, scheme.apply(x))
+        assert np.allclose(out, x, atol=1e-10)
+    else:
+        with pytest.raises(gsis.NonInjectiveSamplingError, match="condition 1.210e\\+12"):
+            gsis.reconstruct_direct(decomp, omega, scheme, scheme.apply(x))
 
 
 # ---------------------------------------------------------------------------

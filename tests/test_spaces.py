@@ -197,7 +197,7 @@ def test_riesz_sandwich_random():
 def test_riesz_rejects_wrong_shift(p3):
     _, _, decomp = p3
     t = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="combined shift is not diagonalized"):
         gsis.riesz_bounds(decomp, t, decomp.basis[:, 0] + decomp.basis[:, 2], [0, 2])
 
 

@@ -25,7 +25,7 @@ def test_p3_laplacian_eigenstructure(p3):
 
 def test_p3_delta_gft(p3):
     _, _, decomp = p3
-    xhat = decomp.gft(np.array([0.0, 1.0, 0.0]))
+    xhat = gsis.gft(decomp, np.array([0.0, 1.0, 0.0]))
     assert np.allclose(xhat, [1 / SQ3, 0.0, -2 / SQ6], atol=1e-12)
 
 
@@ -37,11 +37,11 @@ def test_parseval_many_graphs():
         shifts = laplacian_shift_set(g, rng=rng)
         decomp = gsis.diagonalize_simultaneously(shifts)
         x = rng.standard_normal((n, 100))
-        xhat = decomp.gft(x)
+        xhat = gsis.gft(decomp, x)
         assert np.allclose(
             np.linalg.norm(xhat, axis=0), np.linalg.norm(x, axis=0), rtol=1e-10
         )
-        assert np.allclose(decomp.igft(xhat), x, atol=1e-10)
+        assert np.allclose(gsis.igft(decomp, xhat), x, atol=1e-10)
 
 
 def test_diagonalization_residuals_and_multipliers():
@@ -55,7 +55,7 @@ def test_diagonalization_residuals_and_multipliers():
         # shift acts as a spectral multiplier
         x = rng.standard_normal(12)
         assert np.allclose(
-            decomp.gft(s.matrix @ x), decomp.eigenvalues[l] * decomp.gft(x), atol=1e-9
+            gsis.gft(decomp, s.matrix @ x), decomp.eigenvalues[l] * gsis.gft(decomp, x), atol=1e-9
         )
 
 
@@ -110,6 +110,30 @@ def test_non_commuting_input_rejected():
     # list input takes the same validation path
     with pytest.raises((ValueError, DiagonalizationError)):
         gsis.diagonalize_simultaneously([s1, s2])
+
+
+@pytest.mark.parametrize("kind", ["circulant", "path"])
+def test_eigenvalues_of_reads_each_shift(kind):
+    if kind == "circulant":
+        _, shifts = gsis.build_circulant(12, [1, 3])
+    else:
+        shifts = laplacian_shift_set(gsis.path_graph(7), rng=np.random.default_rng(2))
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    for l, s in enumerate(shifts):
+        tol = 1e-12 * max(1.0, np.linalg.norm(s.matrix))
+        for matrix in (s, s.matrix):
+            lam = decomp.eigenvalues_of(matrix, "shift")
+            assert np.abs(lam - decomp.eigenvalues[l]).max() <= tol
+
+
+def test_eigenvalues_of_rejects_non_commuting(p3):
+    _, shifts, decomp = p3
+    crooked = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="crooked matrix is not diagonalized"):
+        decomp.eigenvalues_of(crooked, "crooked matrix")
+    # a 1e-6 nudge is far above the 1e-8 relative tolerance
+    with pytest.raises(ValueError, match="nudged shift"):
+        decomp.eigenvalues_of(shifts[0].matrix + 1e-6 * crooked, "nudged shift")
 
 
 def test_gft_accepts_signals_and_batches(p3):
