@@ -94,16 +94,14 @@ def _build_graph_shifts(args: argparse.Namespace) -> tuple[Graph, ShiftSet]:
 
 
 def _load_generators(args: argparse.Namespace, n: int) -> list[np.ndarray]:
-    vertices = getattr(args, "delta_gen", None)
-    if vertices is None:
-        delta = getattr(args, "delta", None)
-        vertices = delta if isinstance(delta, list) else None
     gens: list[np.ndarray] = []
-    for vertex in vertices or []:
+    for vertex in args.delta_gen or []:
+        if not 0 <= vertex < n:
+            raise ValueError(f"generator vertex {vertex} must lie in [0, {n})")
         g = np.zeros(n)
         g[vertex] = 1.0
         gens.append(g)
-    if getattr(args, "generator", None):
+    if args.generator:
         rows = io.load_matrix_csv(args.generator)
         gens.extend(np.asarray(row, dtype=float) for row in rows)
     if not gens:
@@ -152,7 +150,7 @@ def _cmd_space(args) -> int:
         return 0
     if args.space_cmd == "gsis":
         gens = _load_generators(args, graph.n_vertices)
-        space = gsis_from_generators(shifts, decomp, gens)
+        space = gsis_from_generators(decomp, gens)
         io.save_space(space, out)
         print(f"wrote {space.provenance} space of dim {space.dim} to {out}")
         return 0
@@ -162,7 +160,7 @@ def _cmd_space(args) -> int:
             phi0 = np.asarray(rows[0], dtype=float)
             omega = args.omega
             if omega is None:
-                space = gsis_from_generators(shifts, decomp, [phi0])
+                space = gsis_from_generators(decomp, [phi0])
                 omega = list(space.omega)
             gen = canonical_generator(decomp, omega, seed=args.seed)
             t_mat = gen.combined_shift
@@ -259,7 +257,6 @@ def _cmd_reconstruct(args) -> int:
         delta=args.delta,
         max_level=args.max_level,
         require_injective=not args.allow_degenerate,
-        drop_rel=args.tol,
     )
     io.save_reconstruction(result, out)
     io.save_observation(Observation(y, scheme), out)
@@ -334,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--omega", type=_parse_range, default=None, metavar="LIST")
         if name in ("gsis", "bounds", "uncertainty"):
             sp.add_argument("--generator", metavar="FILE", default=None)
-            sp.add_argument("--delta", type=_parse_int_list, default=None, metavar="VERTS")
+            # one dest with reconstruct krylov's --delta-gen: both name generator vertices
+            sp.add_argument("--delta", dest="delta_gen", type=_parse_int_list, metavar="VERTS")
         if name == "bounds":
             sp.add_argument("--frame-level", type=int, default=8, help="shifted-generator levels in the frame family")
         sp.set_defaults(func=_cmd_space)
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_subset = sample_sub.add_parser("subset")
     _add_graph_arguments(p_subset)
     p_subset.add_argument("--w", type=_parse_range, required=True, metavar="LIST")
-    p_subset.add_argument("--seed", type=int, default=0)
     p_subset.add_argument("--out", default="gsis-out")
     p_subset.set_defaults(func=_cmd_sample)
     p_dynamic = sample_sub.add_parser("dynamic")
@@ -383,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
             rp.add_argument("--generator", metavar="FILE", default=None)
             rp.add_argument("--delta-gen", dest="delta_gen", type=_parse_int_list, default=None)
             rp.add_argument("--delta", type=float, default=0.0, help="residual stopping threshold")
-            rp.add_argument("--tol", type=float, default=1e-10, help="dependence drop tolerance")
             rp.add_argument("--max-level", type=int, default=None)
             rp.add_argument(
                 "--allow-degenerate",
@@ -428,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GsisError, ValueError, TypeError, OSError) as exc:
+    except (GsisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

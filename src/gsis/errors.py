@@ -7,6 +7,7 @@ __all__ = [
     "DistinctnessError",
     "NonInjectiveSamplingError",
     "DegenerateInnerProductError",
+    "KernelParameterError",
 ]
 
 
@@ -32,3 +33,7 @@ class NonInjectiveSamplingError(GsisError):
 
 class DegenerateInnerProductError(GsisError):
     """The sampling-weighted form vanished on a candidate far from zero."""
+
+
+class KernelParameterError(GsisError, TypeError):
+    """A kernel family was given a parameter it does not take, or lacks one it needs."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,13 +33,16 @@ __all__ = [
     "write_edge_list",
     "frobenius_tol",
     "SHIFT_KINDS",
+    "MATRIX_REL",
 ]
 
 SHIFT_KINDS = ("adjacency", "laplacian", "normalized_laplacian")
 
+MATRIX_REL = 1e-10  # relative tolerance of symmetry, edge support, commutation and invariance
 
-def frobenius_tol(matrix: np.ndarray, rel: float = 1e-10) -> float:
-    """Default absolute tolerance for matrix checks: ``rel * max(1, ||M||_F)``."""
+
+def frobenius_tol(matrix: np.ndarray, rel: float = MATRIX_REL) -> float:
+    """Absolute tolerance for matrix checks: ``rel * max(1, ||M||_F)``."""
     return rel * max(1.0, float(np.linalg.norm(matrix)))
 
 
@@ -166,7 +169,8 @@ class ShiftMatrix:
     """Symmetric matrix supported on the diagonal and the edges of a graph.
 
     The stored matrix is exactly symmetric: the input is checked against
-    ``tol`` and then symmetrized as ``(S + S.T) / 2``.
+    ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) and then symmetrized
+    as ``(S + S.T) / 2``.
 
     Raises
     ------
@@ -178,17 +182,15 @@ class ShiftMatrix:
 
     matrix: np.ndarray
     graph: Graph
-    tol: InitVar[float | None] = None
 
-    def __post_init__(self, tol: float | None):
+    def __post_init__(self):
         s = np.asarray(self.matrix, dtype=float)
         n = self.graph.n_vertices
         if s.shape != (n, n):
             raise ValueError(f"shift of shape {s.shape} on a graph with {n} vertices")
         if not np.all(np.isfinite(s)):
             raise ValueError("shift entries must be finite")
-        if tol is None:
-            tol = frobenius_tol(s)
+        tol = frobenius_tol(s)
         if np.abs(s - s.T).max() > tol:
             raise ValueError("shift matrix is not symmetric within tolerance")
         off = ~self.graph.edge_mask()
@@ -210,21 +212,18 @@ class CommutativityCheck(NamedTuple):
     residual: float
 
 
-def check_commutative(
-    shifts: Sequence[ShiftMatrix] | "ShiftSet", tol: float | None = None
-) -> CommutativityCheck:
+def check_commutative(shifts: Sequence[ShiftMatrix] | "ShiftSet") -> CommutativityCheck:
     """Test whether a family of shift matrices pairwise commutes.
 
     Returns
     -------
     CommutativityCheck
         ``ok`` plus the largest Frobenius norm ``||S_l S_k - S_k S_l||_F``
-        over all pairs. ``tol`` defaults to
-        ``1e-10 * max(1, max_l ||S_l||_F)``.
+        over all pairs; ``ok`` when it is at most
+        ``MATRIX_REL * max(1, max_l ||S_l||_F)``.
     """
     mats = [s.matrix for s in shifts]
-    if tol is None:
-        tol = max(frobenius_tol(m) for m in mats) if mats else 1e-10
+    tol = max((frobenius_tol(m) for m in mats), default=MATRIX_REL)
     worst = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
@@ -237,15 +236,15 @@ def check_commutative(
 class ShiftSet:
     """Ordered family of pairwise commuting shifts on one graph.
 
-    Construction verifies that all shifts share the graph and commute within
-    ``tol``; the largest commutator residual found is stored.
+    Construction verifies that all shifts share the graph and commute (see
+    :func:`check_commutative`); the largest commutator residual found is
+    stored.
     """
 
     shifts: tuple[ShiftMatrix, ...]
-    tol: InitVar[float | None] = None
     commutativity_residual: float = field(init=False)
 
-    def __post_init__(self, tol: float | None):
+    def __post_init__(self):
         shifts = tuple(self.shifts)
         if not shifts:
             raise ValueError("a shift set needs at least one shift")
@@ -253,7 +252,7 @@ class ShiftSet:
         for s in shifts[1:]:
             if s.graph != g:
                 raise ValueError("all shifts in a set must share one graph")
-        ok, residual = check_commutative(shifts, tol)
+        ok, residual = check_commutative(shifts)
         if not ok:
             raise ValueError(
                 f"shifts do not commute: largest commutator residual {residual:.3e}"

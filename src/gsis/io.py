@@ -135,7 +135,6 @@ def save_observation(
         {
             "n_samples": int(obs.values.shape[0]),
             "scheme_provenance": obs.scheme.provenance,
-            "noise": obs.noise,
             "values_file": values.name,
         },
     )

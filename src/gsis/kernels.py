@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import KernelParameterError
 from .graphs import ShiftMatrix, ShiftSet, _values, frobenius_tol
 from .spaces import SignalSpace
 from .spectral import SpectralDecomposition
@@ -30,11 +31,15 @@ __all__ = [
     "is_reproducing_metric",
     "rkhs_inner_product",
     "evaluation_bound",
+    "KERNEL_REL",
+    "METRIC_REL",
 ]
 
 KERNEL_FAMILIES = ("diffusion", "random_walk", "regularization", "spline")
 
 _RANK_CUTOFF = 1e-12
+KERNEL_REL = 1e-8  # relative tolerance of is_shift_invariant_kernel's three tests
+METRIC_REL = 1e-10  # relative tolerance of is_reproducing_metric
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,14 @@ def make_kernel(
         Unknown family, parameters out of range, a base shift the
         decomposition does not diagonalize, or a profile that turns
         negative on the base spectrum.
+    KernelParameterError
+        A parameter the family needs is missing, or one it does not take
+        is given (a ``TypeError``, as for a bad keyword argument).
     """
     lam = decomp.eigenvalues_of(base_shift, "base shift")
     unknown = set(params) - {"sigma", "a", "p", "alpha"}
     if unknown:
-        raise TypeError(f"unknown kernel parameters {sorted(unknown)}")
+        raise KernelParameterError(f"unknown kernel parameters {sorted(unknown)}")
     given = dict(params)
     if family == "diffusion":
         sigma = float(_take(params, "sigma", family))
@@ -147,7 +155,7 @@ def make_kernel(
     else:
         raise ValueError(f"unknown kernel family {family!r}; expected one of {KERNEL_FAMILIES}")
     if params:
-        raise TypeError(f"{family} kernel got unexpected parameters {sorted(params)}")
+        raise KernelParameterError(f"{family} kernel got unexpected parameters {sorted(params)}")
     return _kernel_from_spectrum(decomp, values, family, given)
 
 
@@ -155,19 +163,16 @@ def _take(params: dict, name: str, family: str):
     try:
         return params.pop(name)
     except KeyError:
-        raise TypeError(f"{family} kernel requires parameter {name!r}") from None
+        raise KernelParameterError(f"{family} kernel requires parameter {name!r}") from None
 
 
-def is_shift_invariant_kernel(
-    k_matrix: np.ndarray, shifts: ShiftSet, tol: float | None = None
-) -> bool:
-    """Symmetric, positive semidefinite, and commuting with every shift."""
+def is_shift_invariant_kernel(k_matrix: np.ndarray, shifts: ShiftSet) -> bool:
+    """Symmetric, positive semidefinite and commuting with every shift, within ``KERNEL_REL``."""
     k = np.asarray(k_matrix, dtype=float)
     n = shifts.n_vertices
     if k.shape != (n, n):
         raise ValueError(f"kernel of shape {k.shape} on {n} vertices")
-    if tol is None:
-        tol = frobenius_tol(k, 1e-8)
+    tol = frobenius_tol(k, KERNEL_REL)
     if np.abs(k - k.T).max() > tol:
         return False
     if np.linalg.eigvalsh((k + k.T) / 2.0).min() < -tol:
@@ -233,14 +238,12 @@ def kernel_for_metric(decomp: SpectralDecomposition, metric: RkhsMetric) -> Shif
     return _kernel_from_spectrum(decomp, values)
 
 
-def is_reproducing_metric(
-    kernel: ShiftInvariantKernel, metric: RkhsMetric, tol: float = 1e-10
-) -> bool:
+def is_reproducing_metric(kernel: ShiftInvariantKernel, metric: RkhsMetric) -> bool:
     """Whether the metric reproduces the kernel on the kernel's range.
 
     True exactly when the metric agrees with the pseudo-inverse of the
-    kernel's spectral values on the kernel's frequencies; off those
-    frequencies the metric is unconstrained.
+    kernel's spectral values on the kernel's frequencies, within
+    :data:`METRIC_REL`; off those frequencies the metric is unconstrained.
     """
     b = metric.values
     if b.shape[0] != kernel.spectral_values.shape[0]:
@@ -250,7 +253,7 @@ def is_reproducing_metric(
         return True
     want = 1.0 / kernel.spectral_values[idx]
     scale = max(1.0, float(np.abs(want).max()))
-    return bool(np.abs(b[idx] - want).max() <= tol * scale)
+    return bool(np.abs(b[idx] - want).max() <= METRIC_REL * scale)
 
 
 def rkhs_inner_product(decomp: SpectralDecomposition, metric: RkhsMetric, x, y) -> float:

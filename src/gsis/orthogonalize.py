@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["OrthogonalBasis", "ADDED", "DEPENDENT", "INVISIBLE"]
+__all__ = ["OrthogonalBasis", "ADDED", "DEPENDENT", "INVISIBLE", "DROP_REL", "INVISIBLE_REL"]
 
 ADDED = "added"
 DEPENDENT = "dependent"
 INVISIBLE = "invisible"
+
+DROP_REL = 1e-10  # dependent: orthogonalized weighted norm <= DROP_REL * largest raw one
+INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_REL * largest norm
 
 
 class OrthogonalBasis:
@@ -38,24 +41,12 @@ class OrthogonalBasis:
         Ambient dimension of the vectors.
     weight : (M, N) ndarray, optional
         Weight matrix defining the inner product; None means euclidean.
-    drop_rel : float
-        A candidate is dependent when its post-orthogonalization weighted
-        norm is at most ``drop_rel`` times the largest raw weighted norm
-        seen so far.
-    invisible_rel : float
-        A dropped candidate is flagged invisible when its euclidean
-        distance to the span still exceeds ``invisible_rel`` times the
-        largest raw euclidean norm seen so far.
+
+    Candidates are classified by the thresholds :data:`DROP_REL` and
+    :data:`INVISIBLE_REL`.
     """
 
-    def __init__(
-        self,
-        n: int,
-        weight: np.ndarray | None = None,
-        *,
-        drop_rel: float = 1e-10,
-        invisible_rel: float = 1e-6,
-    ):
+    def __init__(self, n: int, weight: np.ndarray | None = None):
         self.n = int(n)
         self.weight = None if weight is None else np.asarray(weight, dtype=float)
         m = self.n if self.weight is None else self.weight.shape[0]
@@ -63,8 +54,6 @@ class OrthogonalBasis:
         self._p = self._u if self.weight is None else np.empty((m, 8))
         self._r = None if self.weight is None else np.zeros((8, 8))
         self.dim = 0
-        self.drop_rel = float(drop_rel)
-        self.invisible_rel = float(invisible_rel)
         self._max_weighted = 0.0
         self._max_euclid = 0.0
 
@@ -103,7 +92,7 @@ class OrthogonalBasis:
                 for _ in range(2):
                     v -= u @ (u.T @ v)
             norm_v = float(np.linalg.norm(v))
-            if norm_v <= self.drop_rel * self._max_weighted:
+            if norm_v <= DROP_REL * self._max_weighted:
                 return DEPENDENT
             self._grow()
             self._u[:, self.dim] = v / norm_v
@@ -125,8 +114,8 @@ class OrthogonalBasis:
                 v -= u @ c
                 alpha += c
         norm_w = float(np.linalg.norm(w))
-        if norm_w <= self.drop_rel * self._max_weighted:
-            if float(np.linalg.norm(v)) > self.invisible_rel * max(self._max_euclid, 1e-300):
+        if norm_w <= DROP_REL * self._max_weighted:
+            if float(np.linalg.norm(v)) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
                 return INVISIBLE
             return DEPENDENT
         # a weighted-independent candidate is euclidean-independent, since

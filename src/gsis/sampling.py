@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
 from .graphs import ShiftSet, _vector, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
-from .spaces import KrylovChain, krylov_subspace
+from .spaces import KrylovChain, _index_set, krylov_subspace
 from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter
 
 __all__ = [
@@ -34,7 +34,10 @@ __all__ = [
     "reconstruct_direct",
     "reconstruct_krylov",
     "degenerate_dimension_check",
+    "STATE_GAP_REL",
 ]
+
+STATE_GAP_REL = 1e-10  # relative state-eigenvalue gap and eigenvector entry dynamic sampling needs
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,6 @@ class Observation:
 
     values: np.ndarray
     scheme: SamplingScheme
-    noise: dict | None = None
 
     def __post_init__(self):
         v = np.array(_vector(self.values))
@@ -94,14 +96,12 @@ class Observation:
 
 def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
     """Scheme that reads the signal at a sorted set of vertices."""
-    vertices = [int(i) for i in vertices]
-    idx = sorted(set(vertices))
+    vertices = list(vertices)
+    idx = _index_set(vertices, n_vertices, "sampling vertices")
     if len(idx) != len(vertices):
         raise ValueError("sampling vertices contain repeats")
     if not idx:
         raise ValueError("at least one sampling vertex is required")
-    if idx[0] < 0 or idx[-1] >= n_vertices:
-        raise ValueError(f"sampling vertices must lie in [0, {n_vertices})")
     a = np.zeros((len(idx), n_vertices))
     a[np.arange(len(idx)), idx] = 1.0
     return SamplingScheme(a, "subset", vertices=tuple(idx))
@@ -139,20 +139,17 @@ def dynamic_sampler(
     )
 
 
-def check_injective(
-    scheme: SamplingScheme, space_matrix: np.ndarray, tol: float | None = None
-) -> bool:
+def check_injective(scheme: SamplingScheme, space_matrix: np.ndarray) -> bool:
     """Whether the scheme separates points of ``span(space_matrix)``.
 
     Tested as ``rank(F) == rank(A F)`` for a matrix F whose columns span
-    the space; ``tol`` is passed to the rank computation.
+    the space, each rank with numpy's default cutoff
+    ``s_max * max(rows, cols) * eps``.
     """
     f = np.asarray(space_matrix, dtype=float)
     if f.ndim != 2 or f.shape[0] != scheme.n_vertices:
         raise ValueError(f"space matrix of shape {f.shape} under a scheme on {scheme.n_vertices} vertices")
-    return int(np.linalg.matrix_rank(f, tol=tol)) == int(
-        np.linalg.matrix_rank(scheme.matrix @ f, tol=tol)
-    )
+    return int(np.linalg.matrix_rank(f)) == int(np.linalg.matrix_rank(scheme.matrix @ f))
 
 
 def check_bandlimited_injective(
@@ -164,8 +161,9 @@ def check_bandlimited_injective(
     when the submatrix ``u_n(i)`` (rows W, columns omega) has full column
     rank.
     """
-    idx = sorted({int(k) for k in omega})
-    w = sorted({int(i) for i in vertices})
+    n = decomp.n_vertices
+    idx = _index_set(omega, n, "omega indices")
+    w = _index_set(vertices, n, "sampling vertices")
     if not idx:
         return True
     sub = decomp.basis[np.ix_(w, idx)]
@@ -183,17 +181,17 @@ def check_dynamic_injective(
     state_matrix: np.ndarray,
     initial_vertex: int,
     n_snapshots: int,
-    *,
-    gap_rel: float = 1e-10,
 ) -> DynamicInjectivity:
     """Dynamic-sampling injectivity on a bandlimited space, by criterion.
 
     Injective exactly when there are at least as many snapshots as
     frequencies, the state eigenvalues are pairwise distinct on omega,
     and the observed vertex has a nonzero entry in every eigenvector of
-    omega. The returned reason names the first failed condition.
+    omega, both in the sense of :data:`STATE_GAP_REL`. The returned reason
+    names the first failed condition.
     """
-    idx = sorted({int(k) for k in omega})
+    idx = _index_set(omega, decomp.n_vertices, "omega indices")
+    _index_set([initial_vertex], decomp.n_vertices, "initial_vertex")
     if not idx:
         return DynamicInjectivity(True, "injective")
     lam = decomp.eigenvalues_of(state_matrix, "state matrix")
@@ -203,10 +201,10 @@ def check_dynamic_injective(
         )
     scale = max(float(np.abs(lam).max()), 1e-300)
     gap, _ = _pairwise_gap_and_diameter(lam[idx, None])
-    if gap <= gap_rel * scale:
+    if gap <= STATE_GAP_REL * scale:
         return DynamicInjectivity(False, "repeated state eigenvalues on omega")
     row = decomp.basis[initial_vertex, idx]
-    if np.abs(row).min() <= gap_rel:
+    if np.abs(row).min() <= STATE_GAP_REL:
         return DynamicInjectivity(
             False, f"eigenvector entry vanishes at vertex {initial_vertex}"
         )
@@ -233,7 +231,7 @@ def reconstruct_direct(
         matrix has condition number ``(s_max / s_min)^2`` above 1e12,
         i.e. the scheme does not determine the space.
     """
-    idx = sorted({int(k) for k in omega})
+    idx = _index_set(omega, decomp.n_vertices, "omega indices")
     obs = _vector(y)
     if obs.shape[0] != scheme.n_samples:
         raise ValueError(f"{obs.shape[0]} observations for {scheme.n_samples} samples")
@@ -291,14 +289,14 @@ def reconstruct_krylov(
     max_level: int | None = None,
     require_injective: bool = True,
     keep_iterates: bool = False,
-    drop_rel: float = 1e-10,
 ) -> ReconstructionResult:
     """Reconstruct a signal from samples by growing the generated span.
 
     Grows the :class:`~gsis.spaces.KrylovChain` of the generators under the
     sampling-weighted form ``<x1, x2> = (A x1).(A x2)``, adding at each
     level the projection of the current residual onto the new directions.
-    It stops when no candidate survives, when the residual norm reaches
+    It stops when no candidate survives (see
+    :data:`~gsis.orthogonalize.DROP_REL`), when the residual norm reaches
     ``delta``, or at ``max_level``.
 
     Parameters
@@ -347,7 +345,7 @@ def reconstruct_krylov(
             warnings.warn(f"dependent {what} dropped", stacklevel=5)
 
     matrices = [s.matrix for s in shifts]
-    chain = KrylovChain(matrices, generators, scheme.matrix, drop_rel=drop_rel, on_drop=handle_drop)
+    chain = KrylovChain(matrices, generators, scheme.matrix, on_drop=handle_drop)
     fit = chain.fit(obs[:, None], [top_level], delta)
     depth = int(fit.depths[0])
     dims = chain.dims[: depth + 1]

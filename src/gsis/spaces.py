@@ -18,6 +18,7 @@ from .errors import DistinctnessError
 from .graphs import ShiftSet, _vector, frobenius_tol
 from .orthogonalize import ADDED, OrthogonalBasis
 from .spectral import (
+    DISTINCT_REL,
     SpectralDecomposition,
     _pairwise_distances,
     _pairwise_gap_and_diameter,
@@ -38,7 +39,20 @@ __all__ = [
     "uncertainty_check",
     "is_shift_invariant",
     "joint_eigenvalue_clusters",
+    "SUPPORT_REL",
+    "SCALARIZATION_DRAWS",
 ]
+
+SUPPORT_REL = 1e-10  # an entry is in a generator's support above this times its norm
+SCALARIZATION_DRAWS = 32  # random directions canonical_generator tries before giving up
+
+
+def _index_set(indices, n: int, what: str) -> list[int]:
+    """Sorted distinct integer indices, each checked to lie in ``[0, n)``."""
+    idx = sorted({int(k) for k in indices})
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -92,26 +106,25 @@ class SignalSpace:
 
 def bandlimited_space(decomp: SpectralDecomposition, omega: Sequence[int]) -> SignalSpace:
     """Span of the eigenvector columns with indices in ``omega``."""
-    n = decomp.n_vertices
-    idx = sorted({int(k) for k in omega})
-    if len(idx) != len(list(omega)):
+    omega = list(omega)
+    idx = _index_set(omega, decomp.n_vertices, "omega indices")
+    if len(idx) != len(omega):
         raise ValueError("omega contains repeated indices")
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError(f"omega indices must lie in [0, {n})")
     basis = decomp.basis[:, idx].copy()
     return SignalSpace(tuple(idx), basis, decomp, "bandlimited")
 
 
-def joint_eigenvalue_clusters(decomp: SpectralDecomposition, rel: float = 1e-8) -> list[list[int]]:
+def joint_eigenvalue_clusters(decomp: SpectralDecomposition) -> list[list[int]]:
     """Group frequency indices whose joint eigenvalue vectors coincide.
 
-    Vectors closer than ``rel`` times the spectrum diameter count as equal.
-    Returns the groups sorted by smallest member; under pairwise-distinct
-    joint eigenvalues every group is a singleton.
+    Vectors within :data:`~gsis.spectral.DISTINCT_REL` times the spectrum
+    diameter of each other count as equal. Returns the groups sorted by
+    smallest member; under pairwise-distinct joint eigenvalues every group
+    is a singleton.
     """
     dist = _pairwise_distances(decomp.joint_spectrum)
     n = dist.shape[0]
-    close = dist <= rel * float(dist.max())
+    close = dist <= DISTINCT_REL * float(dist.max())
     seen = np.zeros(n, dtype=bool)
     groups = []
     for start in range(n):
@@ -129,20 +142,15 @@ def joint_eigenvalue_clusters(decomp: SpectralDecomposition, rel: float = 1e-8) 
     return groups
 
 
-def gsis_from_generators(
-    shifts: ShiftSet,
-    decomp: SpectralDecomposition,
-    generators: Sequence,
-    support_tol: float = 1e-10,
-) -> SignalSpace:
+def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) -> SignalSpace:
     """Smallest shift-invariant space containing the given generators.
 
-    With pairwise-distinct joint eigenvalues the space is bandlimited to
-    the union of the generators' spectral supports (entries above
-    ``support_tol`` times each transform's norm). When joint eigenvalues
-    repeat, the span inside each repeated eigenspace is the span of the
-    generators' projections, so the basis is adapted eigenspace by
-    eigenspace and ``omega`` holds representative indices.
+    On simple joint eigenvalues the space is bandlimited to the union of
+    the generators' spectral supports (entries above :data:`SUPPORT_REL`
+    times each transform's norm). When joint eigenvalues repeat, the span
+    inside each repeated eigenspace is the span of the generators'
+    projections, so the basis is adapted eigenspace by eigenspace and
+    ``omega`` holds representative indices.
 
     Raises
     ------
@@ -162,34 +170,24 @@ def gsis_from_generators(
     scales = np.linalg.norm(ghat, axis=0)
     provenance = "pgsis" if len(gens) == 1 else "gsis"
     stored = tuple(g.copy() for g in gens)
-
-    if decomp.assumption1_holds:
-        support = np.abs(ghat) > support_tol * scales[None, :]
-        omega = np.flatnonzero(support.any(axis=1))
-        basis = decomp.basis[:, omega].copy()
-        return SignalSpace(tuple(int(k) for k in omega), basis, decomp, provenance, stored)
-
-    # Repeated joint eigenvalues: the generators' projections pick out the
-    # relevant directions inside each repeated eigenspace.
     max_scale = float(scales.max())
     omega: list[int] = []
     cols: list[np.ndarray] = []
     for group in joint_eigenvalue_clusters(decomp):
         sub = ghat[group, :]
         if len(group) == 1:
-            if np.any(np.abs(sub[0]) > support_tol * scales):
+            if np.any(np.abs(sub[0]) > SUPPORT_REL * scales):
                 omega.append(group[0])
                 cols.append(decomp.basis[:, group[0]])
             continue
         left, svals, _ = np.linalg.svd(sub, full_matrices=False)
-        rank = int(np.sum(svals > support_tol * max_scale))
+        rank = int(np.sum(svals > SUPPORT_REL * max_scale))
         for r in range(rank):
             omega.append(group[r])
             cols.append(decomp.basis[:, group] @ left[:, r])
+    # never empty: some group carries at least 1/sqrt(N) of a generator's energy
     order = np.argsort(omega)
-    basis = (
-        np.column_stack([cols[k] for k in order]) if omega else np.zeros((n, 0))
-    )
+    basis = np.column_stack([cols[k] for k in order])
     return SignalSpace(
         tuple(int(omega[k]) for k in order), basis, decomp, provenance, stored
     )
@@ -215,9 +213,9 @@ class KrylovChain(OrthogonalBasis):
     ``"shifted candidate"``) and may raise to abort the growth.
     """
 
-    def __init__(self, matrices, generators, weight=None, *, drop_rel=1e-10, on_drop=None):
+    def __init__(self, matrices, generators, weight=None, *, on_drop=None):
         self._matrices = list(matrices)
-        super().__init__(self._matrices[0].shape[0], weight, drop_rel=drop_rel)
+        super().__init__(self._matrices[0].shape[0], weight)
         gens = [_vector(g) for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
@@ -289,7 +287,6 @@ def krylov_subspace(
     generators: Sequence,
     level: int,
     weight: np.ndarray | None = None,
-    drop_rel: float = 1e-10,
 ) -> tuple[np.ndarray, list[int]]:
     """Orthonormal basis of the shifted-generator span up to a given level.
 
@@ -313,7 +310,7 @@ def krylov_subspace(
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    chain = KrylovChain([s.matrix for s in shifts], generators, weight, drop_rel=drop_rel)
+    chain = KrylovChain([s.matrix for s in shifts], generators, weight)
     chain.grow_to(level)
     return chain.basis.copy(), chain.dims + chain.dims[-1:] * (level - chain.depth)
 
@@ -329,33 +326,28 @@ def canonical_generator(
     omega: Sequence[int],
     *,
     seed: int = 0,
-    max_retries: int = 32,
-    gap_rel: float = 1e-8,
 ) -> CanonicalGenerator:
     """Single generator and scalarizing shift for a bandlimited space.
 
     The generator is the inverse transform of the indicator of ``omega``.
     A random unit direction d turns the shift family into the single
     matrix ``T = sum_l d_l S_l``; d is redrawn until the scalar
-    eigenvalues ``d . lambda(n)`` are pairwise distinct over ``omega``,
-    and the powers ``T^m generator`` for m < #omega are verified to span
-    the space.
+    eigenvalues ``d . lambda(n)`` are pairwise distinct over ``omega``
+    (in the sense of :data:`~gsis.spectral.DISTINCT_REL`), and the powers
+    ``T^m generator`` for m < #omega are verified to span the space.
 
     Raises
     ------
     DistinctnessError
         If the joint eigenvalues repeat on ``omega``, or no accepted
-        direction is found within ``max_retries`` draws.
+        direction is found within :data:`SCALARIZATION_DRAWS` draws.
     """
-    idx = sorted({int(k) for k in omega})
+    idx = _index_set(omega, decomp.n_vertices, "omega indices")
     if not idx:
         raise ValueError("omega must be nonempty")
-    n = decomp.n_vertices
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"omega indices must lie in [0, {n})")
     points = decomp.joint_spectrum[idx]
     gap, diameter = _pairwise_gap_and_diameter(points)
-    if gap <= gap_rel * max(diameter, 1e-300):
+    if gap <= DISTINCT_REL * max(diameter, 1e-300):
         raise DistinctnessError(
             "joint eigenvalues repeat on omega; no single-generator description exists"
         )
@@ -363,11 +355,11 @@ def canonical_generator(
     mats = decomp.shifts.matrices()
     rng = np.random.default_rng(seed)
     m = len(idx)
-    for _ in range(max_retries):
+    for _ in range(SCALARIZATION_DRAWS):
         d = rng.standard_normal(mats.shape[0])
         d /= np.linalg.norm(d)
         gap, diameter = _pairwise_gap_and_diameter((points @ d)[:, None])
-        if gap <= gap_rel * max(diameter, 1e-300):
+        if gap <= DISTINCT_REL * max(diameter, 1e-300):
             continue
         t_mat = np.tensordot(d, mats, axes=1)
         # Stable rank check of {T^k phi0 : k < m} through an orthogonal chain.
@@ -377,7 +369,7 @@ def canonical_generator(
             return CanonicalGenerator(phi0, t_mat, d)
     raise DistinctnessError(
         f"no direction made the scalar eigenvalues distinct on omega "
-        f"within {max_retries} draws"
+        f"within {SCALARIZATION_DRAWS} draws"
     )
 
 
@@ -401,7 +393,7 @@ def riesz_bounds(
         If ``combined_shift`` is not diagonalized by the decomposition
         basis, or the generator's spectral support does not equal ``omega``.
     """
-    idx = sorted({int(k) for k in omega})
+    idx = _index_set(omega, decomp.n_vertices, "omega indices")
     lam_t = decomp.eigenvalues_of(combined_shift, "combined shift")
     phat = decomp.basis.T @ _vector(phi0)
     scale = float(np.linalg.norm(phat))
@@ -512,23 +504,20 @@ class UncertaintyReport:
     holds: bool
 
 
-def uncertainty_check(
-    decomp: SpectralDecomposition,
-    phi0,
-    support_tol: float = 1e-10,
-) -> UncertaintyReport:
+def uncertainty_check(decomp: SpectralDecomposition, phi0) -> UncertaintyReport:
     """Check ``#support(phi0) * dim H(phi0) >= localization^{-2}``.
 
-    The localization constant is computed exactly for up to 12 vertices
-    and replaced by the (larger) max-entry bound otherwise, which only
-    weakens the right-hand side.
+    The support counts the vertices where ``|phi0|`` exceeds
+    :data:`SUPPORT_REL` times ``||phi0||_2``. The localization constant is
+    computed exactly for up to 12 vertices and replaced by the (larger)
+    max-entry bound otherwise, which only weakens the right-hand side.
     """
     v = _vector(phi0)
     scale = float(np.linalg.norm(v))
     if scale == 0.0:
         raise ValueError("generator is identically zero")
-    support_size = int(np.sum(np.abs(v) > support_tol * scale))
-    space = gsis_from_generators(decomp.shifts, decomp, [v], support_tol)
+    support_size = int(np.sum(np.abs(v) > SUPPORT_REL * scale))
+    space = gsis_from_generators(decomp, [v])
     mode = "exact" if decomp.n_vertices <= 12 else "infinity_bound"
     loc = uniform_norm_star(decomp.basis, mode)
     bound = loc**-2
@@ -542,14 +531,12 @@ def uncertainty_check(
     )
 
 
-def is_shift_invariant(
-    space: SignalSpace, shifts: ShiftSet, tol: float | None = None
-) -> bool:
+def is_shift_invariant(space: SignalSpace, shifts: ShiftSet) -> bool:
     """True when every shift maps the space into itself.
 
     Each basis column b is shifted and projected back; the residual must
-    stay within ``tol`` (default ``1e-10 * max(1, ||S_l||_F)`` per shift)
-    times ``||b||_2 = 1``.
+    stay within ``frobenius_tol(S_l)``, i.e. ``MATRIX_REL * max(1,
+    ||S_l||_F)``, times ``||b||_2 = 1``.
     """
     b = space.basis
     if b.shape[1] == 0:
@@ -557,7 +544,6 @@ def is_shift_invariant(
     for s in shifts:
         shifted = s.matrix @ b
         residual = shifted - b @ (b.T @ shifted)
-        bound = frobenius_tol(s.matrix) if tol is None else tol
-        if np.linalg.norm(residual, axis=0).max() > bound:
+        if np.linalg.norm(residual, axis=0).max() > frobenius_tol(s.matrix):
             return False
     return True

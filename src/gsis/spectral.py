@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import ShiftMatrix, ShiftSet, _values, frobenius_tol
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _values, frobenius_tol
 
 __all__ = [
     "SpectralDecomposition",
@@ -28,7 +28,14 @@ __all__ = [
     "is_polynomial_filter",
     "lagrange_projector",
     "graded_multi_indices",
+    "DIAGONALIZATION_REL",
+    "DIAGONALIZATION_DRAWS",
+    "DISTINCT_REL",
 ]
+
+DIAGONALIZATION_REL = 1e-9  # accepted residual ||S U - U diag||_F / ||S||_F per shift
+DIAGONALIZATION_DRAWS = 8  # random combinations tried before giving up
+DISTINCT_REL = 1e-8  # eigenvalues are distinct when farther apart than this times the diameter
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class SpectralDecomposition:
         ``eigenvalues[l, n]`` is the eigenvalue of shift l on column n.
     assumption1_holds : bool
         True when the N joint eigenvalue vectors are pairwise distinct
-        (separation above ``1e-8 *`` their diameter).
+        (separation above :data:`DISTINCT_REL` times their diameter).
     min_spectral_gap : float
         Smallest pairwise distance between joint eigenvalue vectors
         (``inf`` for N = 1).
@@ -134,20 +141,15 @@ def _pairwise_gap_and_diameter(points: np.ndarray) -> tuple[float, float]:
     return float(vals.min()), float(vals.max())
 
 
-def diagonalize_simultaneously(
-    shifts: ShiftSet,
-    *,
-    tol: float = 1e-9,
-    seed: int = 0,
-    max_retries: int = 8,
-) -> SpectralDecomposition:
+def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDecomposition:
     """Find one orthonormal basis diagonalizing every shift in the set.
 
     A random unit combination ``T = sum_l d_l S_l`` is eigendecomposed and
     the candidate basis accepted when every per-shift residual
-    ``||S_l U - U diag||_F`` is at most ``tol * ||S_l||_F``. A draw of d
-    that accidentally merges distinct joint eigenvalues fails that check
-    and is redrawn, up to ``max_retries`` fresh draws.
+    ``||S_l U - U diag||_F`` is at most :data:`DIAGONALIZATION_REL` times
+    ``||S_l||_F``. A draw of d that accidentally merges distinct joint
+    eigenvalues fails that check and is redrawn, up to
+    :data:`DIAGONALIZATION_DRAWS` draws.
 
     Raises
     ------
@@ -163,7 +165,7 @@ def diagonalize_simultaneously(
     norms = np.linalg.norm(mats, axis=(1, 2))
     rng = np.random.default_rng(seed)
     worst_seen = np.inf
-    for attempt in range(max_retries):
+    for _ in range(DIAGONALIZATION_DRAWS):
         if n_shifts == 1:
             combo = mats[0]
         else:
@@ -174,12 +176,12 @@ def diagonalize_simultaneously(
         lams, residuals = map(np.array, zip(*(_diagonal_in(u, m) for m in mats)))
         rel = residuals / np.where(norms > 0, norms, 1.0)
         worst_seen = min(worst_seen, float(rel.max()))
-        if np.all(residuals <= tol * norms):
+        if np.all(residuals <= DIAGONALIZATION_REL * norms):
             order = np.lexsort(tuple(lams[l] for l in range(n_shifts - 1, -1, -1)))
             u = _sign_normalize(u[:, order])
             lams = np.ascontiguousarray(lams[:, order])
             gap, diameter = _pairwise_gap_and_diameter(lams.T)
-            assumption1 = bool(gap > 1e-8 * diameter) and gap > 0.0
+            assumption1 = bool(gap > DISTINCT_REL * diameter) and gap > 0.0
             u.flags.writeable = False
             lams.flags.writeable = False
             return SpectralDecomposition(
@@ -193,7 +195,8 @@ def diagonalize_simultaneously(
         if n_shifts == 1:
             break
     raise DiagonalizationError(
-        f"no common eigenbasis within tolerance {tol:.1e} after {max_retries} draws "
+        f"no common eigenbasis within tolerance {DIAGONALIZATION_REL:.1e} "
+        f"after {DIAGONALIZATION_DRAWS} draws "
         f"(best relative residual {worst_seen:.3e})"
     )
 
@@ -289,28 +292,24 @@ def apply_polynomial_filter(
     return out
 
 
-def polynomial_filter_matrix(
-    shifts: ShiftSet,
-    coeffs: Mapping,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
-    """Dense matrix of the polynomial filter with the given coefficients."""
-    eye = np.eye(shifts.n_vertices)
-    return apply_polynomial_filter(shifts, coeffs, eye, decomp)
+def polynomial_filter_matrix(shifts: ShiftSet, coeffs: Mapping) -> np.ndarray:
+    """Dense matrix of the polynomial filter, built by shift application."""
+    return apply_polynomial_filter(shifts, coeffs, np.eye(shifts.n_vertices))
 
 
 def is_polynomial_filter(
     h_matrix: np.ndarray,
     shifts: ShiftSet,
-    tol: float | None = None,
     decomp: SpectralDecomposition | None = None,
 ) -> bool:
     """Test whether a matrix commutes with every shift in the set.
 
-    When the joint eigenvalue vectors are pairwise distinct this is
-    equivalent to H being a polynomial in the shifts; if ``decomp`` is
-    supplied and that distinctness fails, a warning notes that commuting
-    matrices may then fall outside the polynomial algebra.
+    Each commutator ``||H S_l - S_l H||_F`` must be at most
+    ``MATRIX_REL * max(1, ||H||_F * max(1, max_l ||S_l||_F))``.  When the
+    joint eigenvalue vectors are pairwise distinct this is equivalent to H
+    being a polynomial in the shifts; if ``decomp`` is supplied and that
+    distinctness fails, a warning notes that commuting matrices may then
+    fall outside the polynomial algebra.
     """
     h = np.asarray(h_matrix, dtype=float)
     n = shifts.n_vertices
@@ -322,9 +321,8 @@ def is_polynomial_filter(
             "need not be a polynomial in the shifts",
             stacklevel=2,
         )
-    if tol is None:
-        scale = max(float(np.linalg.norm(s.matrix)) for s in shifts)
-        tol = 1e-10 * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
+    scale = max(float(np.linalg.norm(s.matrix)) for s in shifts)
+    tol = MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
     return all(
         np.linalg.norm(h @ s.matrix - s.matrix @ h) <= tol for s in shifts
     )

@@ -69,7 +69,7 @@ def test_acceptance_02_generated_space_dimension(capsys):
         graph, shifts, decomp = _assumption1_instance(rng, 3, 11)
         n = graph.n_vertices
         gens = [rng.standard_normal(n) for _ in range(int(rng.integers(1, 4)))]
-        space = gsis.gsis_from_generators(shifts, decomp, gens)
+        space = gsis.gsis_from_generators(decomp, gens)
         _, dims = gsis.krylov_subspace(shifts, gens, n)
         assert dims[-1] == space.dim == len(space.omega)
         assert gsis.is_shift_invariant(space, shifts)
@@ -92,7 +92,7 @@ def test_acceptance_04_delta_space_dimension(capsys):
         decomp = gsis.diagonalize_simultaneously(shifts)
         phi = np.zeros(n)
         phi[n // 2] = 1.0
-        space = gsis.gsis_from_generators(shifts, decomp, [phi])
+        space = gsis.gsis_from_generators(decomp, [phi])
         assert space.dim == n // 2 + 1
     _passed(capsys, 4, "delta generates a floor(N/2)+1 dimensional space for four cycle sizes")
 
@@ -160,7 +160,7 @@ def test_acceptance_06_riesz_frame_sandwich(capsys):
                     w = shifts[l].matrix @ w
             family.append(w)
         f = np.array(family)
-        space = gsis.gsis_from_generators(shifts, decomp, [gen.generator])
+        space = gsis.gsis_from_generators(decomp, [gen.generator])
         for _ in range(100):
             c = rng.standard_normal(m)
             r = np.linalg.norm(v @ c) / np.linalg.norm(c)

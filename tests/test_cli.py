@@ -349,7 +349,7 @@ def test_reconstruct_krylov_roundtrip(tmp_path):
     decomp = gsis.diagonalize_simultaneously(shifts, seed=0)
     phi = np.zeros(12)
     phi[6] = 1.0
-    space = gsis.gsis_from_generators(shifts, decomp, [phi])
+    space = gsis.gsis_from_generators(decomp, [phi])
     rng = np.random.default_rng(72)
     x = space.basis @ rng.standard_normal(space.dim)
     window = list(range(0, 7))
@@ -485,6 +485,40 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         str(tmp_path),
     )
     assert code == 2
+
+
+def test_out_of_range_indices_exit_2(tmp_path, capsys):
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.ones(3))
+    c12 = ["--circulant", "12", "--q", "1", "--out", str(tmp_path)]
+    code = _run("reconstruct", "direct", *c12, "--omega", "20", "--w", "0:2", "--y", str(y_file))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: omega indices must lie in [0, 12)")
+    assert _run("space", "gsis", *c12, "--delta", "20") == 2
+    assert capsys.readouterr().err.startswith("error: generator vertex 20")
+
+
+def test_type_error_inside_a_verb_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error, not a user error")
+
+    monkeypatch.setattr("gsis.cli.bandlimited_space", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        _run("space", "bandlimited", "--circulant", "10", "--q", "1", "--omega", "0", "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "krylov", "--y", "y.csv", "--tol", "1e-8"],
+        ["sample", "subset", "--w", "0", "--seed", "1"],
+    ],
+)
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_gsis_to_rkhs_kernel_rejects_adapted_basis():
     decomp = gsis.diagonalize_simultaneously(shifts)
     phi = np.zeros(12)
     phi[6] = 1.0
-    space = gsis.gsis_from_generators(shifts, decomp, [phi])
+    space = gsis.gsis_from_generators(decomp, [phi])
     with pytest.raises(ValueError):
         gsis.gsis_to_rkhs_kernel(space)
 

@@ -444,3 +444,40 @@ def test_degenerate_dimension_check_preconditions(p3):
     skew = gsis.subset_sampler(3, [1])
     with pytest.raises(ValueError, match="commute"):
         gsis.degenerate_dimension_check(shifts, np.ones(3), skew)
+
+
+# ---------------------------------------------------------------------------
+# index validation
+
+INDEX_CALLS = {
+    "reconstruct_direct omega": (
+        "omega", lambda d, s, b: gsis.reconstruct_direct(d, [0, b], gsis.subset_sampler(3, [0, 1, 2]), np.ones(3))
+    ),
+    "check_bandlimited_injective omega": (
+        "omega", lambda d, s, b: gsis.check_bandlimited_injective(d, [0, b], [0, 1])
+    ),
+    "check_bandlimited_injective vertices": (
+        "sampling vertices", lambda d, s, b: gsis.check_bandlimited_injective(d, [0], [0, b])
+    ),
+    "check_dynamic_injective omega": (
+        "omega", lambda d, s, b: gsis.check_dynamic_injective(d, [0, b], s, 0, 3)
+    ),
+    "check_dynamic_injective initial_vertex": (
+        "initial_vertex", lambda d, s, b: gsis.check_dynamic_injective(d, [0], s, b, 3)
+    ),
+    "riesz_bounds omega": (
+        "omega", lambda d, s, b: gsis.riesz_bounds(d, s, d.basis[:, 0], [0, b])
+    ),
+    "bandlimited_space omega": ("omega", lambda d, s, b: gsis.bandlimited_space(d, [0, b])),
+    "canonical_generator omega": ("omega", lambda d, s, b: gsis.canonical_generator(d, [0, b])),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+def test_indices_outside_the_vertex_range_raise(p3, call, bad):
+    # -1 used to wrap around to the last index and 3 to escape as an IndexError
+    _, shifts, decomp = p3
+    name, run = INDEX_CALLS[call]
+    with pytest.raises(ValueError, match=rf"{name}.* must lie in \[0, 3\)"):
+        run(decomp, shifts[0].matrix, bad)

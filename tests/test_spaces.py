@@ -27,7 +27,7 @@ def test_bandlimited_space_basics(p3):
 
 def test_eigenvector_generator_gives_singleton(p3):
     _, shifts, decomp = p3
-    space = gsis.gsis_from_generators(shifts, decomp, [decomp.basis[:, 1]])
+    space = gsis.gsis_from_generators(decomp, [decomp.basis[:, 1]])
     assert space.dim == 1 and sorted(space.omega) == [1]
     assert space.provenance == "pgsis"
 
@@ -35,7 +35,7 @@ def test_eigenvector_generator_gives_singleton(p3):
 def test_p3_delta_generator_dim_two(p3):
     _, shifts, decomp = p3
     delta1 = np.array([0.0, 1.0, 0.0])
-    space = gsis.gsis_from_generators(shifts, decomp, [delta1])
+    space = gsis.gsis_from_generators(decomp, [delta1])
     assert space.dim == 2
     assert sorted(space.omega) == [0, 2]
     # span{(0,1,0), (-1,2,-1)} spelled out
@@ -47,7 +47,7 @@ def test_p3_delta_generator_dim_two(p3):
 def test_zero_generator_rejected(p3):
     _, shifts, decomp = p3
     with pytest.raises(ValueError):
-        gsis.gsis_from_generators(shifts, decomp, [np.zeros(3)])
+        gsis.gsis_from_generators(decomp, [np.zeros(3)])
 
 
 def test_circulant_delta_dimension_rule():
@@ -56,7 +56,7 @@ def test_circulant_delta_dimension_rule():
         decomp = gsis.diagonalize_simultaneously(shifts)
         phi = np.zeros(n)
         phi[n // 2] = 1.0
-        space = gsis.gsis_from_generators(shifts, decomp, [phi])
+        space = gsis.gsis_from_generators(decomp, [phi])
         assert space.dim == n // 2 + 1
         # the space is exactly the signals symmetric around the center
         rng = np.random.default_rng(n)
@@ -80,7 +80,7 @@ def test_generated_space_characterization_random_families():
         if not decomp.assumption1_holds:
             continue
         gens = [rng.standard_normal(n) for _ in range(int(rng.integers(1, 3)))]
-        space = gsis.gsis_from_generators(shifts, decomp, gens)
+        space = gsis.gsis_from_generators(decomp, gens)
         _, dims = gsis.krylov_subspace(shifts, gens, n)
         assert dims[-1] == space.dim == len(space.omega)
         assert gsis.is_shift_invariant(space, shifts)
@@ -93,7 +93,7 @@ def test_bandlimited_space_regenerated_from_indicator():
     decomp = gsis.diagonalize_simultaneously(shifts)
     omega = [1, 4, 6]
     chi = decomp.basis[:, omega].sum(axis=1)  # igft of the indicator
-    space = gsis.gsis_from_generators(shifts, decomp, [chi])
+    space = gsis.gsis_from_generators(decomp, [chi])
     assert sorted(space.omega) == omega
 
 
@@ -227,7 +227,7 @@ def test_frame_sandwich_circulant():
     level = 4
     lo, hi = gsis.frame_bounds(decomp, phi, level)
     assert 0 < lo <= hi
-    space = gsis.gsis_from_generators(shifts, decomp, [phi])
+    space = gsis.gsis_from_generators(decomp, [phi])
     family = []
     for alpha in gsis.graded_multi_indices(2, level - 1):
         v = phi.copy()
