@@ -105,7 +105,8 @@ def _load_generators(args: argparse.Namespace, n: int) -> list[np.ndarray]:
         rows = io.load_matrix_csv(args.generator)
         gens.extend(np.asarray(row, dtype=float) for row in rows)
     if not gens:
-        raise SystemExit("a generator is required: pass --delta VERTS or --generator FILE")
+        flag = "--delta-gen" if args.command == "reconstruct" else "--delta"
+        raise ValueError(f"a generator is required: pass {flag} VERTS or --generator FILE")
     return gens
 
 

@@ -152,7 +152,7 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
             for level, trial in cells
         ])
         # candidates invisible to the window are dropped, as with require_injective=False
-        chain = KrylovChain([s.matrix for s in shifts], [phi0], scheme.matrix)
+        chain = KrylovChain(shifts, [phi0], scheme.matrix)
         diff = chain.fit(y, caps, config.delta).signals - x0[:, None]
         re_trials[:, ip] = (np.abs(diff).max(axis=0) / x0_scale).reshape(shape[0], -1)
         se_trials[:, ip] = (np.abs(diff[window]).max(axis=0) / clean_scale).reshape(shape[0], -1)
@@ -312,7 +312,6 @@ def run_model_comparison(
             shared = sorted(int(i) for i in vertices)
         else:
             shared = _top_k_vertices(np.mean(np.abs(np.stack(signals)), axis=0), n_generators)
-    matrices = [s.matrix for s in shifts]
     freq_order = np.argsort(decomp.eigenvalues[0], kind="stable")
 
     chosen: list[tuple[int, ...]] = []
@@ -324,7 +323,7 @@ def run_model_comparison(
         chosen.append(tuple(verts))
         gens = np.zeros((len(verts), n))
         gens[np.arange(len(verts)), verts] = 1.0
-        chain = KrylovChain(matrices, gens)
+        chain = KrylovChain(shifts, gens)
         fit = chain.fit(np.repeat(x[:, None], len(levels), axis=1), levels)
         dims[si] = np.asarray(chain.dims)[fit.depths]
         f_k[si] = np.abs(fit.signals - x[:, None]).max(axis=0)

@@ -7,9 +7,11 @@ commute share a common eigenbasis and are grouped in a :class:`ShiftSet`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,6 +56,25 @@ def _values(x) -> np.ndarray:
 def _vector(x) -> np.ndarray:
     """:func:`_values` flattened to one vector."""
     return _values(x).reshape(-1)
+
+
+def _index(k, what: str) -> int:
+    """``k`` as an int; integral floats such as ``2.0`` pass, ``1.7`` raises."""
+    try:
+        i = int(k)
+    except (ValueError, OverflowError):
+        i = None
+    if i is None or i != k:
+        raise ValueError(f"{what} must be integers, got {k!r}")
+    return i
+
+
+def _index_set(indices, n: int, what: str) -> list[int]:
+    """Sorted distinct integer indices, each checked to be integral and to lie in ``[0, n)``."""
+    idx = sorted({_index(k, what) for k in indices})
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return idx
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -116,22 +137,33 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge endpoint arrays ``(i, j)`` with ``i < j``, in the order of ``edges``."""
+        ij = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        return ij[:, 0], ij[:, 1]
+
+    def _find(self, i: int, j: int) -> int:
+        """Position of edge (i, j) in ``edges``, or -1 if absent (binary search)."""
+        key = (min(i, j), max(i, j))
+        k = bisect.bisect_left(self.edges, key)
+        return k if k < len(self.edges) and self.edges[k] == key else -1
+
     def weight_of(self, i: int, j: int) -> float:
         """Weight of edge (i, j); raises KeyError if absent."""
-        key = (min(i, j), max(i, j))
-        for k, pair in enumerate(self.edges):
-            if pair == key:
-                return self.weights[k]
-        raise KeyError(f"no edge ({i}, {j})")
+        k = self._find(i, j)
+        if k < 0:
+            raise KeyError(f"no edge ({i}, {j})")
+        return self.weights[k]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
+        return self._find(i, j) >= 0
 
     def adjacency(self) -> np.ndarray:
         """Weighted adjacency matrix as a dense symmetric array."""
         a = np.zeros((self.n_vertices, self.n_vertices))
-        for (i, j), w in zip(self.edges, self.weights):
-            a[i, j] = a[j, i] = w
+        i, j = self._endpoints
+        a[i, j] = a[j, i] = self.weights
         return a
 
     def degrees(self) -> np.ndarray:
@@ -141,8 +173,8 @@ class Graph:
     def edge_mask(self) -> np.ndarray:
         """Boolean matrix marking positions allowed to be nonzero in a shift."""
         m = np.eye(self.n_vertices, dtype=bool)
-        for i, j in self.edges:
-            m[i, j] = m[j, i] = True
+        i, j = self._endpoints
+        m[i, j] = m[j, i] = True
         return m
 
 
@@ -168,9 +200,19 @@ class Signal:
 class ShiftMatrix:
     """Symmetric matrix supported on the diagonal and the edges of a graph.
 
-    The stored matrix is exactly symmetric: the input is checked against
-    ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) and then symmetrized
-    as ``(S + S.T) / 2``.
+    The input is checked against ``frobenius_tol(S)`` (relative
+    :data:`MATRIX_REL`) for symmetry and for its support.  The stored
+    matrix is exactly symmetric: each edge entry is ``(S_ij + S_ji) / 2``,
+    the diagonal is kept, and every other entry is exactly zero, so
+    sub-tolerance noise outside the edge set is dropped.
+
+    The shift is also kept as an edge list: its nonzero entries as
+    ``(rows, cols, weights)``, both orientations of each edge and then the
+    diagonal.  ``S @ x`` on a vector is ``bincount(rows, weights *
+    x[cols])``, which costs O(N + 2|E|) instead of O(N^2) and equals
+    ``diag * x + bincount`` over the off-diagonal entries alone; a 2-D
+    operand takes the dense product with ``matrix``.  Both forms hold the
+    same numbers.
 
     Raises
     ------
@@ -182,6 +224,9 @@ class ShiftMatrix:
 
     matrix: np.ndarray
     graph: Graph
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.matrix, dtype=float)
@@ -193,18 +238,50 @@ class ShiftMatrix:
         tol = frobenius_tol(s)
         if np.abs(s - s.T).max() > tol:
             raise ValueError("shift matrix is not symmetric within tolerance")
-        off = ~self.graph.edge_mask()
-        if off.any() and np.abs(s[off]).max() > tol:
-            i, j = np.unravel_index(np.abs(np.where(off, s, 0.0)).argmax(), s.shape)
-            raise ValueError(f"nonzero entry at ({i}, {j}) outside the graph's edge set")
-        object.__setattr__(self, "matrix", _as_readonly((s + s.T) / 2.0))
+        i, j = self.graph._endpoints
+        off = np.abs(s)
+        off[i, j] = off[j, i] = 0.0
+        np.fill_diagonal(off, 0.0)
+        worst = int(off.argmax())
+        if off.flat[worst] > tol:
+            r, c = np.unravel_index(worst, s.shape)
+            raise ValueError(f"nonzero entry at ({r}, {c}) outside the graph's edge set")
+        w = (s[i, j] + s[j, i]) / 2.0
+        m = np.zeros((n, n))
+        m[i, j] = m[j, i] = w
+        np.fill_diagonal(m, s.diagonal())
+        # bincount adds in input order: each row sums its edge terms, then adds
+        # S_kk x_k, which rounds exactly like diag * x + (the edge sum).
+        k = np.arange(n)
+        rows, cols = np.concatenate([i, j, k]), np.concatenate([j, i, k])
+        weights = np.concatenate([w, w, s.diagonal()])
+        nonzero = weights != 0.0
+        for name, value in (
+            ("matrix", m),
+            ("_rows", rows[nonzero]),
+            ("_cols", cols[nonzero]),
+            ("_weights", weights[nonzero]),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_vertices(self) -> int:
         return self.graph.n_vertices
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.matrix @ other
+        """``S @ x``: edge-list apply for a vector, dense product otherwise."""
+        x = np.asarray(other)
+        if x.ndim != 1:
+            return self.matrix @ x
+        n = self.n_vertices
+        if x.shape[0] != n:
+            raise ValueError(f"vector of length {x.shape[0]} for a shift on {n} vertices")
+        return np.bincount(self._rows, self._weights * x[self._cols], minlength=n)
 
 
 class CommutativityCheck(NamedTuple):
@@ -214,6 +291,9 @@ class CommutativityCheck(NamedTuple):
 
 def check_commutative(shifts: Sequence[ShiftMatrix] | "ShiftSet") -> CommutativityCheck:
     """Test whether a family of shift matrices pairwise commutes.
+
+    Stored shifts are exactly symmetric, so ``S_k S_l = (S_l S_k)^T`` and
+    each pair costs one product ``P = S_l S_k`` and the norm of ``P - P^T``.
 
     Returns
     -------
@@ -227,8 +307,8 @@ def check_commutative(shifts: Sequence[ShiftMatrix] | "ShiftSet") -> Commutativi
     worst = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            c = mats[a] @ mats[b] - mats[b] @ mats[a]
-            worst = max(worst, float(np.linalg.norm(c)))
+            p = mats[a] @ mats[b]
+            worst = max(worst, float(np.linalg.norm(p - p.T)))
     return CommutativityCheck(worst <= tol, worst)
 
 
@@ -359,11 +439,11 @@ def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, Shi
     edges = sorted({(min(i, (i + q) % n), max(i, (i + q) % n)) for q in qs for i in range(n)})
     graph = Graph(n, edges)
     shifts = []
+    vertices = np.arange(n)
     for q in qs:
         s = np.eye(n)
-        for i in range(n):
-            s[i, (i + q) % n] = -0.5
-            s[i, (i - q) % n] = -0.5
+        s[vertices, (vertices + q) % n] = -0.5
+        s[vertices, (vertices - q) % n] = -0.5
         shifts.append(ShiftMatrix(s, graph))
     return graph, ShiftSet(tuple(shifts))
 

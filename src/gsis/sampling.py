@@ -16,9 +16,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftSet, _vector, frobenius_tol
+from .graphs import ShiftSet, _index_set, _vector, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
-from .spaces import KrylovChain, _index_set, krylov_subspace
+from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter
 
 __all__ = [
@@ -124,8 +124,7 @@ def dynamic_sampler(
     if d_mat.shape != (n, n):
         raise ValueError(f"state matrix of shape {d_mat.shape} on {n} vertices")
     decomp.eigenvalues_of(d_mat, "state matrix")  # raises unless the basis diagonalizes it
-    if not 0 <= initial_vertex < n:
-        raise ValueError(f"initial vertex {initial_vertex} out of range")
+    (initial_vertex,) = _index_set([initial_vertex], n, "initial_vertex")
     if n_snapshots < 1:
         raise ValueError("at least one snapshot is required")
     rows = np.empty((n_snapshots, n))
@@ -135,7 +134,7 @@ def dynamic_sampler(
         rows[m] = row
         row = d_mat.T @ row
     return SamplingScheme(
-        rows, "dynamic", initial_vertex=int(initial_vertex), n_snapshots=int(n_snapshots)
+        rows, "dynamic", initial_vertex=initial_vertex, n_snapshots=int(n_snapshots)
     )
 
 
@@ -191,7 +190,7 @@ def check_dynamic_injective(
     names the first failed condition.
     """
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
-    _index_set([initial_vertex], decomp.n_vertices, "initial_vertex")
+    (initial_vertex,) = _index_set([initial_vertex], decomp.n_vertices, "initial_vertex")
     if not idx:
         return DynamicInjectivity(True, "injective")
     lam = decomp.eigenvalues_of(state_matrix, "state matrix")
@@ -344,8 +343,7 @@ def reconstruct_krylov(
         if status == DEPENDENT and what.startswith("generator"):
             warnings.warn(f"dependent {what} dropped", stacklevel=5)
 
-    matrices = [s.matrix for s in shifts]
-    chain = KrylovChain(matrices, generators, scheme.matrix, on_drop=handle_drop)
+    chain = KrylovChain(shifts, generators, scheme.matrix, on_drop=handle_drop)
     fit = chain.fit(obs[:, None], [top_level], delta)
     depth = int(fit.depths[0])
     dims = chain.dims[: depth + 1]

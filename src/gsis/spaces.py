@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import ShiftSet, _vector, frobenius_tol
+from .graphs import ShiftSet, _index_set, _vector, frobenius_tol
 from .orthogonalize import ADDED, OrthogonalBasis
 from .spectral import (
     DISTINCT_REL,
@@ -45,14 +45,6 @@ __all__ = [
 
 SUPPORT_REL = 1e-10  # an entry is in a generator's support above this times its norm
 SCALARIZATION_DRAWS = 32  # random directions canonical_generator tries before giving up
-
-
-def _index_set(indices, n: int, what: str) -> list[int]:
-    """Sorted distinct integer indices, each checked to lie in ``[0, n)``."""
-    idx = sorted({int(k) for k in indices})
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError(f"{what} must lie in [0, {n})")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -211,6 +203,10 @@ class KrylovChain(OrthogonalBasis):
     that adds nothing stalls the chain for good.  ``on_drop(status, what)``
     is called for every rejected candidate (``what`` is ``"generator k"`` or
     ``"shifted candidate"``) and may raise to abort the growth.
+
+    ``matrices`` are applied as ``S @ v``: a :class:`~gsis.graphs.ShiftMatrix`
+    (or a :class:`~gsis.graphs.ShiftSet`) through its edge list, so each
+    candidate costs O(N + 2|E|), and a dense ``(N, N)`` array in O(N^2).
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
@@ -310,7 +306,7 @@ def krylov_subspace(
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    chain = KrylovChain([s.matrix for s in shifts], generators, weight)
+    chain = KrylovChain(shifts, generators, weight)
     chain.grow_to(level)
     return chain.basis.copy(), chain.dims + chain.dims[-1:] * (level - chain.depth)
 

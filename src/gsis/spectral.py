@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _values, frobenius_tol
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index_set, _values, frobenius_tol
 
 __all__ = [
     "SpectralDecomposition",
@@ -336,8 +336,7 @@ def lagrange_projector(decomp: SpectralDecomposition, n: int) -> np.ndarray:
     elsewhere; without distinctness it is still a valid projector but has
     no polynomial representation.
     """
-    if not 0 <= n < decomp.n_vertices:
-        raise ValueError(f"eigenvector index {n} out of range")
+    (n,) = _index_set([n], decomp.n_vertices, "eigenvector index")
     u = decomp.basis[:, n]
     return np.outer(u, u)
 

@@ -406,7 +406,7 @@ def test_reconstruct_krylov_delta_is_a_threshold(tmp_path):
     assert meta["depth"] == 0
 
 
-def test_reconstruct_requires_scheme_and_generator(tmp_path):
+def test_reconstruct_requires_scheme_and_generator(tmp_path, capsys):
     y_file = tmp_path / "y.csv"
     save_matrix_csv(y_file, np.ones(3))
     with pytest.raises(SystemExit):
@@ -422,19 +422,21 @@ def test_reconstruct_requires_scheme_and_generator(tmp_path):
             "--y",
             str(y_file),
         )
-    with pytest.raises(SystemExit):
-        _run(
-            "reconstruct",
-            "krylov",
-            "--circulant",
-            "12",
-            "--q",
-            "1",
-            "--w",
-            "0:2",
-            "--y",
-            str(y_file),
-        )
+    code = _run(
+        "reconstruct",
+        "krylov",
+        "--circulant",
+        "12",
+        "--q",
+        "1",
+        "--w",
+        "0:2",
+        "--y",
+        str(y_file),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pass --delta-gen VERTS or --generator FILE" in err
     with pytest.raises(SystemExit):
         _run(
             "reconstruct",
@@ -496,6 +498,14 @@ def test_out_of_range_indices_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: omega indices must lie in [0, 12)")
     assert _run("space", "gsis", *c12, "--delta", "20") == 2
     assert capsys.readouterr().err.startswith("error: generator vertex 20")
+
+
+def test_missing_generator_names_the_space_verbs_flag(tmp_path, capsys):
+    # under space the generator-vertex flag is --delta; reconstruct krylov's is --delta-gen
+    assert _run("space", "uncertainty", "--circulant", "12", "--q", "1", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: a generator is required: pass --delta VERTS or --generator FILE"
+    )
 
 
 def test_type_error_inside_a_verb_propagates(tmp_path, monkeypatch):

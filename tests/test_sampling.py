@@ -470,6 +470,9 @@ INDEX_CALLS = {
     ),
     "bandlimited_space omega": ("omega", lambda d, s, b: gsis.bandlimited_space(d, [0, b])),
     "canonical_generator omega": ("omega", lambda d, s, b: gsis.canonical_generator(d, [0, b])),
+    "lagrange_projector index": ("eigenvector index", lambda d, s, b: gsis.lagrange_projector(d, b)),
+    "dynamic_sampler initial_vertex": ("initial_vertex", lambda d, s, b: gsis.dynamic_sampler(d, s, b, 3)),
+    "subset_sampler vertices": ("sampling vertices", lambda d, s, b: gsis.subset_sampler(3, [0, b])),
 }
 
 
@@ -481,3 +484,24 @@ def test_indices_outside_the_vertex_range_raise(p3, call, bad):
     name, run = INDEX_CALLS[call]
     with pytest.raises(ValueError, match=rf"{name}.* must lie in \[0, 3\)"):
         run(decomp, shifts[0].matrix, bad)
+
+
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+def test_fractional_indices_raise_and_integral_ones_pass(p3, call):
+    # 1.7 used to be truncated to index 1 without a word
+    _, shifts, decomp = p3
+    name, run = INDEX_CALLS[call]
+    with pytest.raises(ValueError, match=rf"{name}.* must be integers, got 1.7"):
+        run(decomp, shifts[0].matrix, 1.7)
+    expected = _value_error(run, decomp, shifts[0].matrix, 2)
+    for integral in (2.0, np.int64(2), np.float64(2.0)):
+        assert _value_error(run, decomp, shifts[0].matrix, integral) == expected
+
+
+def _value_error(run, *args):
+    """Message of the ValueError ``run(*args)`` raises, or None."""
+    try:
+        run(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
