@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Signal, ShiftSet, _vector, build_circulant
+from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _vector, build_circulant
 from .sampling import subset_sampler
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition
@@ -152,7 +152,7 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
             for level, trial in cells
         ])
         # candidates invisible to the window are dropped, as with require_injective=False
-        chain = KrylovChain(shifts, [phi0], scheme.matrix)
+        chain = KrylovChain(shifts, [phi0], scheme)
         diff = chain.fit(y, caps, config.delta).signals - x0[:, None]
         re_trials[:, ip] = (np.abs(diff).max(axis=0) / x0_scale).reshape(shape[0], -1)
         se_trials[:, ip] = (np.abs(diff[window]).max(axis=0) / clean_scale).reshape(shape[0], -1)
@@ -309,7 +309,7 @@ def run_model_comparison(
         raise ValueError("levels must be a nonempty sequence of nonnegative integers")
     if rule == "nonadaptive":
         if vertices is not None:
-            shared = sorted(int(i) for i in vertices)
+            shared = _distinct_index_set(vertices, n, "generator vertices")
         else:
             shared = _top_k_vertices(np.mean(np.abs(np.stack(signals)), axis=0), n_generators)
     freq_order = np.argsort(decomp.eigenvalues[0], kind="stable")

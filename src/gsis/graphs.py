@@ -77,6 +77,15 @@ def _index_set(indices, n: int, what: str) -> list[int]:
     return idx
 
 
+def _distinct_index_set(indices, n: int, what: str) -> list[int]:
+    """:func:`_index_set` of indices that must not repeat."""
+    indices = list(indices)
+    idx = _index_set(indices, n, what)
+    if len(idx) != len(indices):
+        raise ValueError(f"{what} contain repeats")
+    return idx
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False

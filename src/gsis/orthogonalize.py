@@ -39,15 +39,23 @@ class OrthogonalBasis:
     ----------
     n : int
         Ambient dimension of the vectors.
-    weight : (M, N) ndarray, optional
-        Weight matrix defining the inner product; None means euclidean.
+    weight : (M, N) ndarray or SamplingScheme, optional
+        Weight matrix defining the inner product, or a sampling scheme whose
+        ``matrix`` is that weight; None means euclidean. A subset scheme's
+        weight is applied as the gather ``v[scheme.vertices]``, which equals
+        the product with its 0/1 rows bit for bit; any other weight is a
+        dense product.
 
     Candidates are classified by the thresholds :data:`DROP_REL` and
     :data:`INVISIBLE_REL`.
     """
 
-    def __init__(self, n: int, weight: np.ndarray | None = None):
+    def __init__(self, n: int, weight=None):
         self.n = int(n)
+        self._rows = None
+        if getattr(weight, "provenance", None) == "subset":
+            self._rows = np.array(weight.vertices)
+        weight = getattr(weight, "matrix", weight)
         self.weight = None if weight is None else np.asarray(weight, dtype=float)
         m = self.n if self.weight is None else self.weight.shape[0]
         self._u = np.empty((self.n, 8))
@@ -99,7 +107,7 @@ class OrthogonalBasis:
             self.dim += 1
             return ADDED
 
-        w = self.weight @ v
+        w = self.weight @ v if self._rows is None else v[self._rows]
         self._max_weighted = max(self._max_weighted, float(np.linalg.norm(w)))
         k = self.dim
         gamma = np.zeros(k)

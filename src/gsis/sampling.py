@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftSet, _index_set, _vector, frobenius_tol
+from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter
@@ -45,7 +45,8 @@ class SamplingScheme:
     """Linear observation map ``y = A x``.
 
     ``provenance`` records how the matrix was built: ``"subset"`` (rows
-    are vertex indicators), ``"dynamic"`` (one vertex observed under
+    are the indicators of ``vertices``, so applying the scheme is the
+    gather ``x[vertices]``), ``"dynamic"`` (one vertex observed under
     repeated state evolution) or ``"custom"``.
     """
 
@@ -61,6 +62,15 @@ class SamplingScheme:
             raise ValueError("sampling matrix must be two-dimensional")
         if not np.all(np.isfinite(m)):
             raise ValueError("sampling matrix entries must be finite")
+        if self.provenance == "subset":
+            v = np.array(self.vertices if self.vertices is not None else (), dtype=int)
+            if not (
+                v.shape == (m.shape[0],)
+                and np.all((v >= 0) & (v < m.shape[1]))
+                and np.all(m[np.arange(v.size), v] == 1.0)
+                and np.count_nonzero(m) == v.size
+            ):
+                raise ValueError("a subset scheme's rows must be the indicators of its vertices")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -73,7 +83,12 @@ class SamplingScheme:
         return self.matrix.shape[1]
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ _vector(x)
+        v = _vector(x)
+        if v.shape[0] != self.n_vertices:
+            raise ValueError(f"signal of length {v.shape[0]} under a scheme on {self.n_vertices} vertices")
+        if self.provenance == "subset":
+            return v[list(self.vertices)]
+        return self.matrix @ v
 
 
 @dataclass(frozen=True)
@@ -96,10 +111,7 @@ class Observation:
 
 def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
     """Scheme that reads the signal at a sorted set of vertices."""
-    vertices = list(vertices)
-    idx = _index_set(vertices, n_vertices, "sampling vertices")
-    if len(idx) != len(vertices):
-        raise ValueError("sampling vertices contain repeats")
+    idx = _distinct_index_set(vertices, n_vertices, "sampling vertices")
     if not idx:
         raise ValueError("at least one sampling vertex is required")
     a = np.zeros((len(idx), n_vertices))
@@ -343,7 +355,7 @@ def reconstruct_krylov(
         if status == DEPENDENT and what.startswith("generator"):
             warnings.warn(f"dependent {what} dropped", stacklevel=5)
 
-    chain = KrylovChain(shifts, generators, scheme.matrix, on_drop=handle_drop)
+    chain = KrylovChain(shifts, generators, scheme, on_drop=handle_drop)
     fit = chain.fit(obs[:, None], [top_level], delta)
     depth = int(fit.depths[0])
     dims = chain.dims[: depth + 1]
@@ -385,15 +397,13 @@ def degenerate_dimension_check(
         raise ValueError(
             f"the one-dimension-per-level law needs a single shift, got {shifts.n_shifts}"
         )
-    weight = None
     if scheme is not None:
-        weight = scheme.matrix
-        normal = weight.T @ weight
+        normal = scheme.matrix.T @ scheme.matrix
         s = shifts[0].matrix
         if np.linalg.norm(normal @ s - s @ normal) > frobenius_tol(s, 1e-8) * max(
             1.0, float(np.linalg.norm(normal))
         ):
             raise ValueError("the scheme's normal matrix does not commute with the shift")
-    _, dims = krylov_subspace(shifts, [phi0], shifts.n_vertices, weight=weight)
+    _, dims = krylov_subspace(shifts, [phi0], shifts.n_vertices, weight=scheme)
     # a stalled chain never grows again, so the staircase needs only unit steps
     return bool(np.all(np.diff(dims) <= 1))

@@ -15,8 +15,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import ShiftSet, _index_set, _vector, frobenius_tol
-from .orthogonalize import ADDED, OrthogonalBasis
+from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
+from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
 from .spectral import (
     DISTINCT_REL,
     SpectralDecomposition,
@@ -98,10 +98,7 @@ class SignalSpace:
 
 def bandlimited_space(decomp: SpectralDecomposition, omega: Sequence[int]) -> SignalSpace:
     """Span of the eigenvector columns with indices in ``omega``."""
-    omega = list(omega)
-    idx = _index_set(omega, decomp.n_vertices, "omega indices")
-    if len(idx) != len(omega):
-        raise ValueError("omega contains repeated indices")
+    idx = _distinct_index_set(omega, decomp.n_vertices, "omega indices")
     basis = decomp.basis[:, idx].copy()
     return SignalSpace(tuple(idx), basis, decomp, "bandlimited")
 
@@ -196,13 +193,39 @@ class ChainFit(NamedTuple):
 class KrylovChain(OrthogonalBasis):
     """Orthogonal basis of a shifted-generator span, grown level by level.
 
-    Level 0 holds the generators; level n applies every matrix, in order,
+    Level 0 holds the generators; level n applies the matrices, in order,
     to the directions added at level n - 1.  Each level's basis is a column
     prefix of every deeper one, so one chain serves every depth: ``dims[n]``
     is the dimension after level n, for n = 0 .. ``depth``.  The first level
     that adds nothing stalls the chain for good.  ``on_drop(status, what)``
     is called for every rejected candidate (``what`` is ``"generator k"`` or
-    ``"shifted candidate"``) and may raise to abort the growth.
+    ``"shifted candidate"``), a level's candidates once the whole level has
+    been offered, and may raise to abort the growth.  ``weight`` is as for
+    :class:`~gsis.orthogonalize.OrthogonalBasis`.
+
+    Staircase rule: each column is tagged with the 1-based index of the
+    matrix that produced it (generators get 0), and matrix t is applied
+    only to the previous level's columns with tag <= t.  In exact
+    arithmetic this keeps every level's span.  By induction on the level
+    n, the level-n columns with tag <= t span, together with the level
+    n - 1 span, every degree-n monomial ``S_t1 ... S_tn g`` with
+    ``t1 <= ... <= tn <= t``: the Gram-Schmidt prefix up to tag t spans
+    what was offered up to tag t, a dropped candidate lies in the span of
+    the columns before it, and ``S_t`` maps the level n - 2 span into the
+    level n - 1 span.  Since the matrices commute, every degree-(n + 1)
+    monomial is ``S_t`` applied to such a sorted monomial with last index
+    <= t, which is exactly what the rule offers.  The step "a dropped
+    candidate lies in the span" fails for an ``INVISIBLE`` drop: the
+    weight cannot see it although it is outside the span.  So the first
+    invisible drop in a pruned level is not reported; the chain restores
+    its state at the start of that level (dimension, largest offered
+    norms, tags), regrows the level with every candidate, and never
+    prunes again.
+
+    :data:`~gsis.orthogonalize.DROP_REL` and
+    :data:`~gsis.orthogonalize.INVISIBLE_REL` are relative to the largest
+    candidate offered so far, so skipping candidates could in principle
+    move a borderline decision.
 
     ``matrices`` are applied as ``S @ v``: a :class:`~gsis.graphs.ShiftMatrix`
     (or a :class:`~gsis.graphs.ShiftSet`) through its edge list, so each
@@ -215,11 +238,15 @@ class KrylovChain(OrthogonalBasis):
         gens = [_vector(g) for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
-        self._on_drop = on_drop
+        self._on_drop = on_drop if on_drop is not None else lambda status, what: None
         for k, g in enumerate(gens):
             if g.shape[0] != self.n:
                 raise ValueError(f"generator of length {g.shape[0]} on {self.n} vertices")
-            self._offer(g, f"generator {k}")
+            status = self.try_add(g)
+            if status != ADDED:
+                self._on_drop(status, f"generator {k}")
+        self._tags = [0] * self.dim
+        self._prune = True
         self.dims = [self.dim]
         self.stalled = False
 
@@ -227,18 +254,34 @@ class KrylovChain(OrthogonalBasis):
     def depth(self) -> int:
         return len(self.dims) - 1
 
-    def _offer(self, v: np.ndarray, what: str) -> None:
-        status = self.try_add(v)
-        if status != ADDED and self._on_drop is not None:
-            self._on_drop(status, what)
+    def _grow_level(self, lo: int, hi: int) -> bool:
+        """Offer one level's candidates; False, with the level undone, on a pruned invisible drop."""
+        start = self.dim, self._max_weighted, self._max_euclid
+        drops = []
+        for t, s in enumerate(self._matrices, start=1):
+            for j in range(lo, hi):
+                if self._prune and self._tags[j] > t:
+                    continue
+                status = self.try_add(s @ self.basis[:, j])
+                if status == INVISIBLE and self._prune:
+                    self.dim, self._max_weighted, self._max_euclid = start
+                    del self._tags[self.dim :]
+                    return False
+                if status == ADDED:
+                    self._tags.append(t)
+                else:
+                    drops.append(status)
+        for status in drops:
+            self._on_drop(status, "shifted candidate")
+        return True
 
     def grow_to(self, level: int) -> bool:
         """Grow until ``depth`` reaches ``level``; False if the chain stalls first."""
         while self.depth < level and not self.stalled:
             lo, hi = (self.dims[-2] if self.depth else 0), self.dims[-1]
-            for s in self._matrices:
-                for j in range(lo, hi):
-                    self._offer(s @ self.basis[:, j], "shifted candidate")
+            if not self._grow_level(lo, hi):
+                self._prune = False
+                self._grow_level(lo, hi)
             self.stalled = self.dim == hi
             if not self.stalled:
                 self.dims.append(self.dim)
@@ -282,7 +325,7 @@ def krylov_subspace(
     shifts: ShiftSet,
     generators: Sequence,
     level: int,
-    weight: np.ndarray | None = None,
+    weight=None,
 ) -> tuple[np.ndarray, list[int]]:
     """Orthonormal basis of the shifted-generator span up to a given level.
 
@@ -292,10 +335,10 @@ def krylov_subspace(
 
     Parameters
     ----------
-    weight : (M, N) ndarray, optional
-        Sampling matrix; when given, the dependence test uses the weighted
-        form ``(W x) . (W y)``, so directions the weight cannot separate do
-        not enlarge the span.
+    weight : (M, N) ndarray or SamplingScheme, optional
+        Sampling matrix, or the scheme that holds it; when given, the
+        dependence test uses the weighted form ``(W x) . (W y)``, so
+        directions the weight cannot separate do not enlarge the span.
 
     Returns
     -------

@@ -5,6 +5,22 @@ import pytest
 
 import gsis
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    settings = None
+else:
+    # Fixed examples, so a property test cannot make the suite flaky; a failure
+    # prints the blob that replays it under @reproduce_failure.
+    settings.register_profile("gsis", derandomize=True, print_blob=True)
+    settings.load_profile("gsis")
+
+
+def pytest_configure(config):
+    # derandomize would override the seed, so a seeded run draws fresh examples
+    if settings is not None and config.getoption("--hypothesis-seed", None) is not None:
+        settings.load_profile("default")
+
 
 def random_connected_graph(n, rng, extra_edges=None):
     """Path backbone plus random extra edges, random positive weights."""

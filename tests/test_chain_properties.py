@@ -1,13 +1,20 @@
-"""Property tests of the chain engine on random circulants and sampling windows."""
+"""Property tests of the chain engine on random commuting families and sampling sets."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gsis
+from conftest import random_connected_graph
+from gsis.orthogonalize import DROP_REL, INVISIBLE, INVISIBLE_REL, OrthogonalBasis
 from gsis.spaces import KrylovChain
+
+CLEAR = 1e3  # a rank or drop decision is unambiguous this factor away from its threshold
+INJECTIVE_SMIN = 1e-3  # an injective weight keeps this much of every unit vector of the span
+MONOMIAL_SPAN_TOL = 1e-7  # chain versus SVD span: about eps / (DROP_REL * CLEAR), with room
+ROUNDOFF = 100.0  # pruned versus unpruned spans: within ROUNDOFF * eps * cond(words)
 
 
 @st.composite
@@ -91,3 +98,197 @@ def test_chain_dims_are_monotone_and_stall_once(case, weighted):
     assert not chain.grow_to(n)
     assert chain.stalled and chain.depth == stalls[0] and chain.dims == dims[: chain.depth + 1]
     assert not chain.grow_to(chain.depth + 1) and chain.dims == dims[: chain.depth + 1]
+
+
+# ---------------------------------------------------------------------------
+# the staircase rule on random commuting families
+
+
+def _cycle_laplacian(n):
+    eye = np.eye(n)
+    return 2.0 * eye - np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)
+
+
+@st.composite
+def commuting_families(draw):
+    """Commuting shifts (each applied as ``S @ v``), 1-3 generators and a subset or no weight.
+
+    The families are polynomials of a random weighted Laplacian, 3-offset
+    circulants, and the Kronecker-sum shifts of a cycle times a path in
+    either order.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["laplacian polynomials", "circulant", "cycle x path"]))
+    if kind == "laplacian polynomials":
+        n = draw(st.integers(6, 14))
+        lap = gsis.build_standard_shifts(random_connected_graph(n, rng), "laplacian").matrix
+        lap = lap / np.linalg.norm(lap, 2)
+        mats = [c0 * np.eye(n) + c1 * lap + c2 * lap @ lap for c0, c1, c2 in rng.uniform(-1, 1, (2, 3))]
+    elif kind == "circulant":
+        n = draw(st.integers(7, 16))
+        # offset 1 keeps the cycle connected
+        offsets = [1] + draw(st.lists(st.integers(2, (n - 1) // 2), min_size=2, max_size=2, unique=True))
+        mats = list(gsis.build_circulant(n, offsets)[1])
+    else:
+        a, b = draw(st.integers(3, 6)), draw(st.integers(2, 4))
+        n = a * b
+        path = gsis.build_standard_shifts(gsis.path_graph(b), "laplacian").matrix
+        mats = [np.kron(_cycle_laplacian(a), np.eye(b)), np.kron(np.eye(a), path)]
+        if draw(st.booleans()):
+            mats.reverse()
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            gens.append(np.eye(n)[draw(st.integers(0, n - 1))])
+        else:
+            gens.append(rng.standard_normal(n))
+    scheme = None
+    if draw(st.booleans()):
+        scheme = gsis.subset_sampler(n, draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return mats, gens, scheme
+
+
+def _unpruned_chain(mats, gens, scheme, top):
+    """Reference chain: every matrix applied to every column a level added.
+
+    Besides the basis, its dims and each candidate's status, returns each
+    decision's distance from its threshold as a factor: the candidate's
+    orthogonalized weighted norm over the largest weighted norm offered so
+    far, against ``DROP_REL``, and for a dropped candidate its euclidean
+    remainder over the largest euclidean norm, against ``INVISIBLE_REL``.
+    """
+    basis = OrthogonalBasis(gens[0].shape[0], scheme)
+    statuses, margins, largest = [], [], np.zeros(2)
+
+    def offer(v):
+        parts = [v.copy(), v.copy() if scheme is None else scheme.apply(v)]
+        largest[:] = np.maximum(largest, [np.linalg.norm(x) for x in parts])
+        for x, q in zip(parts, (basis.basis, basis.images)):
+            for _ in range(2):
+                x -= q @ (q.T @ x)
+        ratios = np.array([np.linalg.norm(x) for x in parts]) / np.maximum(largest, 1e-300)
+        euclid, weighted = np.maximum(ratios, 1e-300)
+        margins.append(abs(np.log10(weighted / DROP_REL)))
+        if weighted <= DROP_REL:
+            margins.append(abs(np.log10(euclid / INVISIBLE_REL)))
+        statuses.append(basis.try_add(v))
+
+    for g in gens:
+        offer(g)
+    dims = [basis.dim]
+    while len(dims) <= top:
+        lo, hi = (dims[-2] if len(dims) > 1 else 0), dims[-1]
+        for s in mats:
+            for j in range(lo, hi):
+                offer(s @ basis.basis[:, j])
+        if basis.dim == hi:
+            break
+        dims.append(basis.dim)
+    return basis, dims, statuses, 10.0 ** min(margins)
+
+
+def _span_distance(a, b):
+    """Spectral-norm distance of the orthogonal projectors onto two orthonormal column sets."""
+    if a.shape[1] + b.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(a @ a.T - b @ b.T, 2))
+
+
+def _monomial_spans(mats, gens, top):
+    """Span of all words of length <= n in the matrices, for n = 0 .. top.
+
+    Each word is applied in its own order, so the reference does not rely
+    on the matrices commuting. Columns are normalized before the SVD and
+    its rank is taken at ``DROP_REL``, which must be unambiguous. Returns
+    per level an orthonormal basis and the condition number of the words.
+    """
+    words, cols, spans = list(gens), [], []
+    for _ in range(top + 1):
+        cols += [w / np.linalg.norm(w) for w in words if np.linalg.norm(w) > 0]
+        u, sv, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+        rel = sv / sv[0]
+        assume(not np.any((rel > DROP_REL / CLEAR) & (rel < DROP_REL * CLEAR)))
+        rank = int(np.sum(rel > DROP_REL))
+        spans.append((u[:, :rank], 1.0 / rel[rank - 1]))
+        words = [s @ w for w in words for s in mats]
+    return spans
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=commuting_families(), top=st.integers(1, 2))
+def test_pruned_chain_spans_all_monomials(family, top):
+    mats, gens, scheme = family
+    spans = [q for q, _ in _monomial_spans(mats, gens, top)]
+    if scheme is not None:
+        sv = np.linalg.svd(scheme.matrix @ spans[-1], compute_uv=False)
+        assume(sv.size == spans[-1].shape[1] and sv[-1] >= INJECTIVE_SMIN)
+    chain = KrylovChain(mats, gens, scheme)
+    chain.grow_to(top)
+    dims = chain.dims + chain.dims[-1:] * (top - chain.depth)
+    assert dims == [q.shape[1] for q in spans]
+    for d, q in zip(dims, spans):
+        assert _span_distance(chain.basis[:, :d], q) <= MONOMIAL_SPAN_TOL
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=commuting_families(), top=st.integers(1, 4))
+def test_pruned_chain_matches_unpruned_chain(family, top):
+    mats, gens, scheme = family
+    _, kappa = _monomial_spans(mats, gens, top)[-1]
+    ref, dims, statuses, margin = _unpruned_chain(mats, gens, scheme, top)
+    # skipping candidates lowers the largest offered norm, which could flip
+    # a decision that sits within a factor CLEAR of its threshold
+    assume(margin >= CLEAR)
+    reported = []
+    chain = KrylovChain(mats, gens, scheme, on_drop=lambda status, what: reported.append(status))
+    chain.grow_to(top)
+    assert chain.dims == dims
+    # the pruned pass reports no invisible drop of its own: the level it
+    # met one in is regrown in full, which meets and reports the same ones
+    assert reported.count(INVISIBLE) == statuses.count(INVISIBLE)
+    # both chains orthogonalize different but equivalent candidates, so their
+    # spans agree to roundoff amplified by the conditioning of the words
+    tol = ROUNDOFF * np.finfo(float).eps * kappa
+    assert _span_distance(chain.images, ref.images) <= tol
+    if INVISIBLE not in statuses:
+        # the basis maps back from the images through the weight restricted to the span
+        smin = 1.0
+        if scheme is not None and ref.dim:
+            sv = np.linalg.svd(scheme.matrix @ ref.basis, compute_uv=False)
+            smin = sv[-1] if sv.size == ref.dim else 0.0
+        assert smin == 0.0 or _span_distance(chain.basis, ref.basis) <= tol / smin
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=commuting_families())
+def test_subset_gather_is_bit_identical_to_the_product(family):
+    mats, gens, scheme = family
+    assume(scheme is not None)
+    custom = gsis.SamplingScheme(scheme.matrix)
+    y = np.random.default_rng(0).standard_normal((scheme.n_samples, 3))
+    chains = [KrylovChain(mats, gens, s) for s in (scheme, custom)]
+    fits = [chain.fit(y, [0, 2, 4]) for chain in chains]
+    assert chains[0].dims == chains[1].dims
+    assert np.array_equal(chains[0].basis, chains[1].basis)
+    assert np.array_equal(chains[0].images, chains[1].images)
+    for a, b in zip(*fits):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("radius, invisible", [(8, True), (9, False)])
+def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invisible(radius, invisible):
+    n, center, level = 24, 12, 3
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
+    phi = np.eye(n)[center]
+    _, dims, statuses, _ = _unpruned_chain(list(shifts), [phi], scheme, level)
+    assert (INVISIBLE in statuses) is invisible
+    y = scheme.apply(np.random.default_rng(0).standard_normal(n))
+    if invisible:
+        with pytest.raises(gsis.DegenerateInnerProductError):
+            gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=level)
+    else:
+        result = gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=level)
+        assert list(result.dims_trace) == dims
+    dropped = gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=level, require_injective=False)
+    assert list(dropped.dims_trace) == dims

@@ -285,6 +285,19 @@ def test_model_comparison_nonadaptive_shares_vertices():
     assert len(set(auto.generator_vertices)) == 1
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [([-1, 4], "must lie in"), ([4.7, 9], "must be integers"), ([4, 4, 9], "contain repeats"), ([30], "must lie in")],
+)
+def test_model_comparison_rejects_bad_generator_vertices(vertices, message):
+    graph, shifts, decomp = _comparison_instance(30)
+    x = np.random.default_rng(65).standard_normal(30)
+    with pytest.raises(ValueError, match=f"generator vertices {message}"):
+        gsis.run_model_comparison(
+            shifts, decomp, [x], rule="nonadaptive", vertices=vertices, levels=[0, 1]
+        )
+
+
 @pytest.mark.parametrize("rule", ["adaptive", "nonadaptive"])
 def test_model_comparison_matches_per_level_reconstructions(rule):
     rng = np.random.default_rng(64)

@@ -53,6 +53,26 @@ def test_sampling_scheme_validation():
         scheme.matrix[0, 0] = 5.0
 
 
+def test_subset_scheme_applies_as_a_gather():
+    scheme = gsis.subset_sampler(9, [7, 2, 4])
+    x = np.random.default_rng(5).standard_normal(9)
+    assert np.array_equal(scheme.apply(x), scheme.matrix @ x)
+    assert np.array_equal(scheme.apply(x), gsis.SamplingScheme(scheme.matrix).apply(x))
+    with pytest.raises(ValueError, match="length 8"):
+        scheme.apply(x[:8])
+
+
+@pytest.mark.parametrize("vertices", [None, (0, 1), (2,), (5,)])
+def test_subset_scheme_rows_must_match_its_vertices(vertices):
+    # rows are the indicators of vertices 0 and 2 of a 5-vertex graph
+    matrix = gsis.subset_sampler(5, [0, 2]).matrix
+    with pytest.raises(ValueError, match="indicators"):
+        gsis.SamplingScheme(matrix, "subset", vertices=vertices)
+    with pytest.raises(ValueError, match="indicators"):
+        gsis.SamplingScheme(2.0 * matrix, "subset", vertices=(0, 2))
+    assert gsis.SamplingScheme(matrix, "subset", vertices=(0, 2)).vertices == (0, 2)
+
+
 def test_observation_length_checked():
     scheme = gsis.subset_sampler(4, [0, 2])
     obs = gsis.Observation(np.array([1.0, 2.0]), scheme)
