@@ -81,13 +81,13 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _build_graph_shifts(args: argparse.Namespace) -> tuple[Graph, ShiftSet]:
     if args.graph is not None and args.circulant is not None:
-        raise SystemExit("use either --graph or --circulant, not both")
+        raise ValueError("use either --graph or --circulant, not both")
     if args.circulant is not None:
         if not args.q:
-            raise SystemExit("--circulant requires --q with at least one offset")
+            raise ValueError("--circulant requires --q with at least one offset")
         return build_circulant(args.circulant, args.q)
     if args.graph is None:
-        raise SystemExit("a graph is required: pass --graph FILE or --circulant N --q LIST")
+        raise ValueError("a graph is required: pass --graph FILE or --circulant N --q LIST")
     graph = read_edge_list(args.graph)
     shift = build_standard_shifts(graph, args.shift_kind)
     return graph, ShiftSet((shift,))
@@ -115,9 +115,9 @@ def _load_scheme(args: argparse.Namespace, shifts: ShiftSet, decomp):
         return subset_sampler(shifts.n_vertices, args.w)
     if args.i0 is not None:
         if args.k is None:
-            raise SystemExit("dynamic sampling needs --k snapshots")
+            raise ValueError("dynamic sampling needs --k snapshots")
         return dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
-    raise SystemExit("a sampling scheme is required: pass --w LIST or --i0 V --k K")
+    raise ValueError("a sampling scheme is required: pass --w LIST or --i0 V --k K")
 
 
 def _print_json(payload: dict) -> None:
@@ -127,9 +127,7 @@ def _print_json(payload: dict) -> None:
 def _cmd_graph_export(args) -> int:
     graph, shifts = _build_graph_shifts(args)
     out = Path(args.out)
-    files = []
-    for k, shift in enumerate(shifts):
-        files.append(io.save_matrix_csv(out / f"shift_{k}.csv", shift.matrix))
+    files = [io.save_matrix_csv(out / f"shift_{k}.csv", s.matrix) for k, s in enumerate(shifts)]
     decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     files.extend(io.save_decomposition(decomp, out))
     print(
@@ -167,7 +165,7 @@ def _cmd_space(args) -> int:
             t_mat = gen.combined_shift
         else:
             if args.omega is None:
-                raise SystemExit("space bounds needs --omega (or --generator)")
+                raise ValueError("space bounds needs --omega (or --generator)")
             omega = args.omega
             gen = canonical_generator(decomp, omega, seed=args.seed)
             phi0, t_mat = gen.generator, gen.combined_shift
@@ -196,7 +194,7 @@ def _cmd_space(args) -> int:
         io.save_json(out / "uncertainty.json", payload)
         _print_json(payload)
         return 0
-    raise SystemExit(f"unknown space command {args.space_cmd!r}")
+    raise ValueError(f"unknown space command {args.space_cmd!r}")
 
 
 def _cmd_kernel_make(args) -> int:
@@ -205,7 +203,7 @@ def _cmd_kernel_make(args) -> int:
     params: dict[str, float] = {}
     for item in args.param or []:
         if "=" not in item:
-            raise SystemExit(f"--param expects name=value, got {item!r}")
+            raise ValueError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
         params[name.strip()] = float(value)
     base = shifts[args.base_index]
@@ -243,7 +241,7 @@ def _cmd_reconstruct(args) -> int:
     out = Path(args.out)
     if args.reconstruct_cmd == "direct":
         if args.omega is None:
-            raise SystemExit("reconstruct direct needs --omega")
+            raise ValueError("reconstruct direct needs --omega")
         x = reconstruct_direct(decomp, args.omega, scheme, y)
         io.save_matrix_csv(out / "reconstruction_signal.csv", x)
         io.save_observation(Observation(y, scheme), out)
@@ -294,10 +292,10 @@ def _cmd_model_compare(args) -> int:
     decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     dataset = ingest_signals_csv(args.signals, graph)
     if not dataset:
-        raise SystemExit(f"{args.signals}: no signals found")
+        raise ValueError(f"{args.signals}: no signals found")
     rule, _, k_text = args.generators.partition(":")
     if rule not in ("adaptive", "nonadaptive") or not k_text.isdigit():
-        raise SystemExit("--generators expects adaptive:K or nonadaptive:K")
+        raise ValueError("--generators expects adaptive:K or nonadaptive:K")
     comp = run_model_comparison(
         shifts, decomp, dataset, rule=rule, n_generators=int(k_text), levels=args.levels
     )

@@ -32,6 +32,13 @@ DROP_REL = 1e-10  # dependent: orthogonalized weighted norm <= DROP_REL * larges
 INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_REL * largest norm
 
 
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """Column-major copy of ``a`` with twice its columns, the new ones unset."""
+    out = np.empty((a.shape[0], 2 * a.shape[1]), order="F")
+    out[:, : a.shape[1]] = a
+    return out
+
+
 class OrthogonalBasis:
     """Growing orthonormal basis with vectorized two-pass reorthogonalization.
 
@@ -48,18 +55,21 @@ class OrthogonalBasis:
 
     Candidates are classified by the thresholds :data:`DROP_REL` and
     :data:`INVISIBLE_REL`.
+
+    Both streams are stored column-major, so ``basis`` and ``images`` are
+    contiguous blocks that every projection reads with unit stride; row-major
+    storage would stride each row by the buffer's capacity.
     """
 
     def __init__(self, n: int, weight=None):
         self.n = int(n)
-        self._rows = None
-        if getattr(weight, "provenance", None) == "subset":
-            self._rows = np.array(weight.vertices)
+        subset = getattr(weight, "provenance", None) == "subset"
+        self._rows = np.array(weight.vertices) if subset else None
         weight = getattr(weight, "matrix", weight)
         self.weight = None if weight is None else np.asarray(weight, dtype=float)
         m = self.n if self.weight is None else self.weight.shape[0]
-        self._u = np.empty((self.n, 8))
-        self._p = self._u if self.weight is None else np.empty((m, 8))
+        self._u = np.empty((self.n, 8), order="F")
+        self._p = self._u if self.weight is None else np.empty((m, 8), order="F")
         self._r = None if self.weight is None else np.zeros((8, 8))
         self.dim = 0
         self._max_weighted = 0.0
@@ -77,14 +87,10 @@ class OrthogonalBasis:
 
     def _grow(self) -> None:
         if self.dim == self._u.shape[1]:
-            self._u = np.concatenate([self._u, np.empty_like(self._u)], axis=1)
-            if self.weight is None:
-                self._p = self._u
-            else:
-                self._p = np.concatenate([self._p, np.empty_like(self._p)], axis=1)
-                r = np.zeros((2 * self._r.shape[0],) * 2)
-                r[: self.dim, : self.dim] = self._r[: self.dim, : self.dim]
-                self._r = r
+            self._u = _doubled(self._u)
+            self._p = self._u if self.weight is None else _doubled(self._p)
+            if self._r is not None:
+                self._r = np.pad(self._r, (0, self.dim))
 
     def try_add(self, v: np.ndarray) -> str:
         """Orthogonalize v against the basis and add it if independent.
@@ -110,8 +116,7 @@ class OrthogonalBasis:
         w = self.weight @ v if self._rows is None else v[self._rows]
         self._max_weighted = max(self._max_weighted, float(np.linalg.norm(w)))
         k = self.dim
-        gamma = np.zeros(k)
-        alpha = np.zeros(k)
+        gamma, alpha = np.zeros(k), np.zeros(k)
         if k:
             u, p = self.basis, self.images
             for _ in range(2):

@@ -359,13 +359,13 @@ def reconstruct_krylov(
     fit = chain.fit(obs[:, None], [top_level], delta)
     depth = int(fit.depths[0])
     dims = chain.dims[: depth + 1]
-    signal = fit.signals[:, 0]
     signal_trace = None
     if keep_iterates:
-        signal_trace = tuple(chain.evaluate(fit.coefficients[:d, 0]) for d in dims)
-        signal = signal_trace[-1]
+        # R is upper triangular: a zero-padded prefix evaluates to its level's iterate
+        prefixes = np.where(np.arange(dims[-1])[:, None] < np.asarray(dims), fit.coefficients, 0.0)
+        signal_trace = tuple(np.ascontiguousarray(chain.evaluate(prefixes).T))
     return ReconstructionResult(
-        signal=signal,
+        signal=fit.signals[:, 0] if signal_trace is None else signal_trace[-1],
         residual=fit.residuals[:, 0],
         depth=depth,
         dims_trace=tuple(dims),

@@ -117,13 +117,9 @@ def _diagonal_in(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _sign_normalize(u: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     """Flip column signs so the first entry with magnitude > threshold is positive."""
-    u = u.copy()
     big = np.abs(u) > threshold
-    for n in range(u.shape[1]):
-        idx = np.flatnonzero(big[:, n])
-        if idx.size and u[idx[0], n] < 0:
-            u[:, n] = -u[:, n]
-    return u
+    first = u[big.argmax(axis=0), np.arange(u.shape[1])]
+    return np.where(big.any(axis=0) & (first < 0), -u, u)
 
 
 def _pairwise_distances(points: np.ndarray) -> np.ndarray:

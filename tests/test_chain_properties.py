@@ -275,6 +275,23 @@ def test_subset_gather_is_bit_identical_to_the_product(family):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_chain_bases_stay_column_major_through_every_growth(weighted):
+    # 66 columns outgrow the initial capacity of 8 four times
+    _, shifts = gsis.build_circulant(200, [1, 3])
+    phi = np.zeros(200)
+    phi[100] = 1.0
+    scheme = gsis.subset_sampler(200, range(20, 181)) if weighted else None
+    chain = KrylovChain(shifts, [phi], scheme)
+    chain.grow_to(2)
+    early_u, early_p = chain.basis[:, 5].copy(), chain.images[:, 5].copy()
+    chain.grow_to(22)
+    assert chain.dim == 66
+    assert chain.basis.flags.f_contiguous and chain.images.flags.f_contiguous
+    assert chain.basis[:, 5].tobytes() == early_u.tobytes()
+    assert chain.images[:, 5].tobytes() == early_p.tobytes()
+
+
 @pytest.mark.parametrize("radius, invisible", [(8, True), (9, False)])
 def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invisible(radius, invisible):
     n, center, level = 24, 12, 3

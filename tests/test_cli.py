@@ -19,6 +19,11 @@ def _json(path):
     return json.loads(path.read_text())
 
 
+def _exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 # ---------------------------------------------------------------------------
 # argument helpers
 
@@ -33,26 +38,21 @@ def test_parse_helpers():
         _parse_range("5:2")
 
 
-def test_graph_source_is_required(tmp_path):
-    with pytest.raises(SystemExit):
-        _run("graph", "export", "--out", str(tmp_path))
-    with pytest.raises(SystemExit):
-        _run("graph", "export", "--circulant", "10", "--out", str(tmp_path))
+def test_graph_source_is_required(tmp_path, capsys):
+    export = ["graph", "export", "--out", str(tmp_path)]
+    _exits_2(capsys, export, "a graph is required: pass --graph FILE")
+    _exits_2(
+        capsys,
+        [*export, "--circulant", "10"],
+        "--circulant requires --q with at least one offset",
+    )
     edge_file = tmp_path / "g.txt"
     gsis.write_edge_list(gsis.path_graph(3), edge_file)
-    with pytest.raises(SystemExit):
-        _run(
-            "graph",
-            "export",
-            "--graph",
-            str(edge_file),
-            "--circulant",
-            "10",
-            "--q",
-            "1",
-            "--out",
-            str(tmp_path),
-        )
+    _exits_2(
+        capsys,
+        [*export, "--graph", str(edge_file), "--circulant", "10", "--q", "1"],
+        "use either --graph or --circulant, not both",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +163,12 @@ def test_space_bounds_matches_library(tmp_path, capsys):
     assert '"riesz_bounds"' in capsys.readouterr().out
 
 
-def test_space_bounds_requires_omega_or_generator(tmp_path):
-    with pytest.raises(SystemExit):
-        _run("space", "bounds", "--circulant", "12", "--q", "1", "--out", str(tmp_path))
+def test_space_bounds_requires_omega_or_generator(tmp_path, capsys):
+    _exits_2(
+        capsys,
+        ["space", "bounds", "--circulant", "12", "--q", "1", "--out", str(tmp_path)],
+        "space bounds needs --omega (or --generator)",
+    )
 
 
 def test_space_uncertainty(tmp_path, capsys):
@@ -217,22 +220,13 @@ def test_kernel_make(tmp_path):
     assert np.all(np.linalg.eigvalsh(mat) > 0)
 
 
-def test_kernel_make_bad_param_syntax(tmp_path):
-    with pytest.raises(SystemExit):
-        _run(
-            "kernel",
-            "make",
-            "--circulant",
-            "10",
-            "--q",
-            "1",
-            "--family",
-            "diffusion",
-            "--param",
-            "sigma",
-            "--out",
-            str(tmp_path),
-        )
+def test_kernel_make_bad_param_syntax(tmp_path, capsys):
+    _exits_2(
+        capsys,
+        ["kernel", "make", "--circulant", "10", "--q", "1", "--family", "diffusion"]
+        + ["--param", "sigma", "--out", str(tmp_path)],
+        "--param expects name=value, got 'sigma'",
+    )
 
 
 def test_kernel_make_missing_param_exits_2(tmp_path):
@@ -409,19 +403,13 @@ def test_reconstruct_krylov_delta_is_a_threshold(tmp_path):
 def test_reconstruct_requires_scheme_and_generator(tmp_path, capsys):
     y_file = tmp_path / "y.csv"
     save_matrix_csv(y_file, np.ones(3))
-    with pytest.raises(SystemExit):
-        _run(
-            "reconstruct",
-            "krylov",
-            "--circulant",
-            "12",
-            "--q",
-            "1",
-            "--delta-gen",
-            "6",
-            "--y",
-            str(y_file),
-        )
+    krylov = ["reconstruct", "krylov", "--circulant", "12", "--q", "1", "--y", str(y_file)]
+    _exits_2(
+        capsys,
+        [*krylov, "--delta-gen", "6"],
+        "a sampling scheme is required: pass --w LIST or --i0 V --k K",
+    )
+    _exits_2(capsys, [*krylov, "--delta-gen", "6", "--i0", "0"], "dynamic sampling needs --k")
     code = _run(
         "reconstruct",
         "krylov",
@@ -437,19 +425,12 @@ def test_reconstruct_requires_scheme_and_generator(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pass --delta-gen VERTS or --generator FILE" in err
-    with pytest.raises(SystemExit):
-        _run(
-            "reconstruct",
-            "direct",
-            "--circulant",
-            "12",
-            "--q",
-            "1",
-            "--w",
-            "0:2",
-            "--y",
-            str(y_file),
-        )
+    _exits_2(
+        capsys,
+        ["reconstruct", "direct", "--circulant", "12", "--q", "1", "--w", "0:2"]
+        + ["--y", str(y_file)],
+        "reconstruct direct needs --omega",
+    )
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -599,34 +580,16 @@ def test_model_compare_cli(tmp_path):
     assert (out / "model_comparison.csv").exists()
 
 
-def test_model_compare_cli_validation(tmp_path):
+def test_model_compare_cli_validation(tmp_path, capsys):
     signals = tmp_path / "signals.csv"
     signals.write_text("")
-    with pytest.raises(SystemExit):
-        _run(
-            "model-compare",
-            "--circulant",
-            "12",
-            "--q",
-            "1",
-            "--signals",
-            str(signals),
-            "--out",
-            str(tmp_path),
-        )
+    compare = ["model-compare", "--circulant", "12", "--q", "1", "--signals", str(signals)]
+    compare += ["--out", str(tmp_path)]
+    _exits_2(capsys, compare, f"{signals}: no signals found")
     header = ",".join(str(i) for i in range(12))
     signals.write_text(f"{header}\n" + ",".join(["1.0"] * 12) + "\n")
-    with pytest.raises(SystemExit):
-        _run(
-            "model-compare",
-            "--circulant",
-            "12",
-            "--q",
-            "1",
-            "--signals",
-            str(signals),
-            "--generators",
-            "sideways:2",
-            "--out",
-            str(tmp_path),
-        )
+    _exits_2(
+        capsys,
+        [*compare, "--generators", "sideways:2"],
+        "--generators expects adaptive:K or nonadaptive:K",
+    )

@@ -5,6 +5,7 @@ import pytest
 
 import gsis
 from conftest import laplacian_shift_set, random_connected_graph
+from gsis.spaces import KrylovChain
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +340,39 @@ def test_reconstruct_krylov_per_level_optimality():
         optimum = np.linalg.norm(y - scheme.matrix @ (basis @ best))
         achieved = np.linalg.norm(y - scheme.matrix @ x_level)
         assert abs(achieved - optimum) <= 1e-8 * max(1.0, optimum)
+
+
+def _deep_window_case():
+    _, shifts = gsis.build_circulant(60, [1, 3])
+    phi = np.zeros(60)
+    phi[30] = 1.0
+    return shifts, phi, gsis.subset_sampler(60, range(18, 43))
+
+
+def _dynamic_case():
+    _, shifts = gsis.build_circulant(30, [1])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    phi = np.zeros(30)
+    phi[7] = 1.0
+    return shifts, phi, gsis.dynamic_sampler(decomp, shifts[0].matrix, 7, 12)
+
+
+@pytest.mark.parametrize("case", [_deep_window_case, _dynamic_case])
+def test_reconstruct_krylov_iterates_match_per_level_evaluation(case):
+    # every iterate comes from one block solve; check each against its own level's solve
+    shifts, phi, scheme = case()
+    y = np.random.default_rng(44).standard_normal(scheme.n_samples)
+    res = gsis.reconstruct_krylov(
+        shifts, [phi], scheme, y, max_level=12, require_injective=False, keep_iterates=True
+    )
+    assert len(res.dims_trace) > 3
+    chain = KrylovChain(shifts, [phi], scheme)
+    fit = chain.fit(y[:, None], [12])
+    assert tuple(chain.dims[: res.depth + 1]) == res.dims_trace
+    for d, iterate in zip(res.dims_trace, res.signal_trace):
+        level = chain.evaluate(fit.coefficients[:d, 0])
+        assert np.abs(iterate - level).max() <= 1e-13 * max(1.0, np.linalg.norm(level))
+    assert res.signal.tobytes() == res.signal_trace[-1].tobytes()
 
 
 def test_reconstruct_krylov_generator_span_depth_zero(p3):

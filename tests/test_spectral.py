@@ -89,6 +89,27 @@ def test_sign_convention():
         assert lead > 0
 
 
+def _sign_normalize_by_columns(u, threshold=1e-8):
+    u = u.copy()
+    for n in range(u.shape[1]):
+        idx = np.flatnonzero(np.abs(u[:, n]) > threshold)
+        if idx.size and u[idx[0], n] < 0:
+            u[:, n] = -u[:, n]
+    return u
+
+
+def test_sign_normalize_matches_the_column_loop():
+    rng = np.random.default_rng(9)
+    for shape in [(1, 1), (5, 3), (7, 12), (40, 40)]:
+        u = rng.standard_normal(shape)
+        u[rng.random(shape) < 0.5] *= 1e-9  # entries below the threshold, either sign
+        u[:, rng.random(shape[1]) < 0.3] *= 1e-9  # whole columns below it
+        u[:, 0] = 0.0
+        expected = _sign_normalize_by_columns(u)
+        got = gsis.spectral._sign_normalize(u)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_degenerate_clusters_still_diagonalize():
     # circulant joint spectra are doubly degenerate: Assumption 1 fails but
     # whole eigenvalue pairs are joint eigenspaces, so residuals stay tiny
