@@ -29,6 +29,7 @@ from .graphs import (
     SHIFT_KINDS,
     Graph,
     ShiftSet,
+    _index_set,
     build_circulant,
     build_standard_shifts,
     read_edge_list,
@@ -110,16 +111,6 @@ def _load_generators(args: argparse.Namespace, n: int) -> list[np.ndarray]:
     return gens
 
 
-def _load_scheme(args: argparse.Namespace, shifts: ShiftSet, decomp):
-    if args.w is not None:
-        return subset_sampler(shifts.n_vertices, args.w)
-    if args.i0 is not None:
-        if args.k is None:
-            raise ValueError("dynamic sampling needs --k snapshots")
-        return dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
-    raise ValueError("a sampling scheme is required: pass --w LIST or --i0 V --k K")
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -140,36 +131,33 @@ def _cmd_graph_export(args) -> int:
 
 def _cmd_space(args) -> int:
     graph, shifts = _build_graph_shifts(args)
+    cmd = args.space_cmd
+    # every input is read and checked before the eigendecomposition
+    gens = _load_generators(args, graph.n_vertices) if cmd in ("gsis", "uncertainty") else None
+    if cmd == "bounds" and args.generator:
+        gens = [np.asarray(io.load_matrix_csv(args.generator)[0], dtype=float)]
+    elif cmd in ("bandlimited", "bounds") and args.omega is None:
+        alternative = " (or --generator)" if cmd == "bounds" else ""
+        raise ValueError(f"space {cmd} needs --omega{alternative}")
     decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     out = Path(args.out)
-    if args.space_cmd == "bandlimited":
+    if cmd == "bandlimited":
         space = bandlimited_space(decomp, args.omega)
         io.save_space(space, out)
         print(f"wrote bandlimited space of dim {space.dim} to {out}")
         return 0
-    if args.space_cmd == "gsis":
-        gens = _load_generators(args, graph.n_vertices)
+    if cmd == "gsis":
         space = gsis_from_generators(decomp, gens)
         io.save_space(space, out)
         print(f"wrote {space.provenance} space of dim {space.dim} to {out}")
         return 0
-    if args.space_cmd == "bounds":
-        if args.generator:
-            rows = io.load_matrix_csv(args.generator)
-            phi0 = np.asarray(rows[0], dtype=float)
-            omega = args.omega
-            if omega is None:
-                space = gsis_from_generators(decomp, [phi0])
-                omega = list(space.omega)
-            gen = canonical_generator(decomp, omega, seed=args.seed)
-            t_mat = gen.combined_shift
-        else:
-            if args.omega is None:
-                raise ValueError("space bounds needs --omega (or --generator)")
-            omega = args.omega
-            gen = canonical_generator(decomp, omega, seed=args.seed)
-            phi0, t_mat = gen.generator, gen.combined_shift
-        r_lo, r_hi = riesz_bounds(decomp, t_mat, phi0, omega)
+    if cmd == "bounds":
+        omega = args.omega
+        if omega is None:
+            omega = list(gsis_from_generators(decomp, gens).omega)
+        gen = canonical_generator(decomp, omega, seed=args.seed)
+        phi0 = gens[0] if gens else gen.generator
+        r_lo, r_hi = riesz_bounds(decomp, gen.combined_shift, phi0, omega)
         f_lo, f_hi = frame_bounds(decomp, phi0, args.frame_level)
         payload = {
             "omega": sorted(int(k) for k in omega),
@@ -180,8 +168,7 @@ def _cmd_space(args) -> int:
         io.save_json(out / "bounds.json", payload)
         _print_json(payload)
         return 0
-    if args.space_cmd == "uncertainty":
-        gens = _load_generators(args, graph.n_vertices)
+    if cmd == "uncertainty":
         report = uncertainty_check(decomp, gens[0])
         payload = {
             "support_size": report.support_size,
@@ -194,19 +181,19 @@ def _cmd_space(args) -> int:
         io.save_json(out / "uncertainty.json", payload)
         _print_json(payload)
         return 0
-    raise ValueError(f"unknown space command {args.space_cmd!r}")
+    raise ValueError(f"unknown space command {cmd!r}")
 
 
 def _cmd_kernel_make(args) -> int:
     graph, shifts = _build_graph_shifts(args)
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     params: dict[str, float] = {}
     for item in args.param or []:
         if "=" not in item:
             raise ValueError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
         params[name.strip()] = float(value)
-    base = shifts[args.base_index]
+    base = shifts[_index_set([args.base_index], shifts.n_shifts, "--base-index")[0]]
+    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     kernel = make_kernel(decomp, base, args.family, **params)
     out = Path(args.out)
     io.save_kernel(kernel, out)
@@ -232,22 +219,29 @@ def _cmd_sample(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     graph, shifts = _build_graph_shifts(args)
-    # only direct reconstruction and the dynamic scheme read the eigenbasis
-    decomp = None
-    if args.reconstruct_cmd == "direct" or args.w is None:
-        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
-    scheme = _load_scheme(args, shifts, decomp)
+    direct = args.reconstruct_cmd == "direct"
+    # every input is read and checked before the eigendecomposition
+    if args.w is None and args.i0 is None:
+        raise ValueError("a sampling scheme is required: pass --w LIST or --i0 V --k K")
+    if args.w is None and args.k is None:
+        raise ValueError("dynamic sampling needs --k snapshots")
+    if direct and args.omega is None:
+        raise ValueError("reconstruct direct needs --omega")
     y = np.asarray(io.load_matrix_csv(args.y), dtype=float).reshape(-1)
+    gens = None if direct else _load_generators(args, graph.n_vertices)
+    # only direct reconstruction and the dynamic scheme read the eigenbasis
+    decomp = diagonalize_simultaneously(shifts, seed=args.seed) if direct or args.w is None else None
+    if args.w is not None:
+        scheme = subset_sampler(shifts.n_vertices, args.w)
+    else:
+        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
     out = Path(args.out)
-    if args.reconstruct_cmd == "direct":
-        if args.omega is None:
-            raise ValueError("reconstruct direct needs --omega")
+    if direct:
         x = reconstruct_direct(decomp, args.omega, scheme, y)
         io.save_matrix_csv(out / "reconstruction_signal.csv", x)
         io.save_observation(Observation(y, scheme), out)
         print(f"wrote direct reconstruction to {out}")
         return 0
-    gens = _load_generators(args, graph.n_vertices)
     result = reconstruct_krylov(
         shifts,
         gens,
@@ -289,13 +283,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_model_compare(args) -> int:
     graph, shifts = _build_graph_shifts(args)
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     dataset = ingest_signals_csv(args.signals, graph)
     if not dataset:
         raise ValueError(f"{args.signals}: no signals found")
     rule, _, k_text = args.generators.partition(":")
     if rule not in ("adaptive", "nonadaptive") or not k_text.isdigit():
         raise ValueError("--generators expects adaptive:K or nonadaptive:K")
+    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     comp = run_model_comparison(
         shifts, decomp, dataset, rule=rule, n_generators=int(k_text), levels=args.levels
     )

@@ -361,10 +361,6 @@ class ShiftSet:
     def n_shifts(self) -> int:
         return len(self.shifts)
 
-    def matrices(self) -> np.ndarray:
-        """All shift matrices stacked into one (L, N, N) array."""
-        return np.stack([s.matrix for s in self.shifts])
-
     def __len__(self) -> int:
         return len(self.shifts)
 

@@ -19,7 +19,7 @@ from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
 from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
 from .spaces import KrylovChain, krylov_subspace
-from .spectral import SpectralDecomposition, _pairwise_gap_and_diameter
+from .spectral import SpectralDecomposition, _min_gap
 
 __all__ = [
     "SamplingScheme",
@@ -211,8 +211,7 @@ def check_dynamic_injective(
             False, f"insufficient snapshots ({n_snapshots} < {len(idx)})"
         )
     scale = max(float(np.abs(lam).max()), 1e-300)
-    gap, _ = _pairwise_gap_and_diameter(lam[idx, None])
-    if gap <= STATE_GAP_REL * scale:
+    if _min_gap(lam[idx]) <= STATE_GAP_REL * scale:
         return DynamicInjectivity(False, "repeated state eigenvalues on omega")
     row = decomp.basis[initial_vertex, idx]
     if np.abs(row).min() <= STATE_GAP_REL:
@@ -365,7 +364,7 @@ def reconstruct_krylov(
         prefixes = np.where(np.arange(dims[-1])[:, None] < np.asarray(dims), fit.coefficients, 0.0)
         signal_trace = tuple(np.ascontiguousarray(chain.evaluate(prefixes).T))
     return ReconstructionResult(
-        signal=fit.signals[:, 0] if signal_trace is None else signal_trace[-1],
+        signal=signal_trace[-1] if keep_iterates else chain.evaluate(fit.coefficients)[:, 0],
         residual=fit.residuals[:, 0],
         depth=depth,
         dims_trace=tuple(dims),

@@ -17,13 +17,7 @@ import numpy as np
 from .errors import DistinctnessError
 from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
-from .spectral import (
-    DISTINCT_REL,
-    SpectralDecomposition,
-    _pairwise_distances,
-    _pairwise_gap_and_diameter,
-    graded_multi_indices,
-)
+from .spectral import DISTINCT_REL, SpectralDecomposition, _min_gap, graded_multi_indices
 
 __all__ = [
     "SignalSpace",
@@ -41,9 +35,11 @@ __all__ = [
     "joint_eigenvalue_clusters",
     "SUPPORT_REL",
     "SCALARIZATION_DRAWS",
+    "MEMBERSHIP_REL",
 ]
 
 SUPPORT_REL = 1e-10  # an entry is in a generator's support above this times its norm
+MEMBERSHIP_REL = 1e-8  # SignalSpace.contains: projection residual allowed, relative to the norm
 SCALARIZATION_DRAWS = 32  # random directions canonical_generator tries before giving up
 
 
@@ -87,13 +83,10 @@ class SignalSpace:
         v = _vector(x)
         return self.basis @ (self.basis.T @ v)
 
-    def contains(self, x, tol: float = 1e-8) -> bool:
-        """Membership test: projection residual at most ``tol * ||x||_2``."""
+    def contains(self, x) -> bool:
+        """Membership test: projection residual at most :data:`MEMBERSHIP_REL` times ``||x||``."""
         v = _vector(x)
-        scale = float(np.linalg.norm(v))
-        if scale == 0.0:
-            return True
-        return float(np.linalg.norm(v - self.project(v))) <= tol * scale
+        return float(np.linalg.norm(v - self.project(v))) <= MEMBERSHIP_REL * float(np.linalg.norm(v))
 
 
 def bandlimited_space(decomp: SpectralDecomposition, omega: Sequence[int]) -> SignalSpace:
@@ -104,31 +97,12 @@ def bandlimited_space(decomp: SpectralDecomposition, omega: Sequence[int]) -> Si
 
 
 def joint_eigenvalue_clusters(decomp: SpectralDecomposition) -> list[list[int]]:
-    """Group frequency indices whose joint eigenvalue vectors coincide.
+    """``decomp.groups`` as lists: runs of columns with tied joint eigenvalues.
 
-    Vectors within :data:`~gsis.spectral.DISTINCT_REL` times the spectrum
-    diameter of each other count as equal. Returns the groups sorted by
-    smallest member; under pairwise-distinct joint eigenvalues every group
-    is a singleton.
+    The tie rule is described on :class:`~gsis.spectral.SpectralDecomposition`;
+    under pairwise-distinct joint eigenvalues every group is a singleton.
     """
-    dist = _pairwise_distances(decomp.joint_spectrum)
-    n = dist.shape[0]
-    close = dist <= DISTINCT_REL * float(dist.max())
-    seen = np.zeros(n, dtype=bool)
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, members = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in np.flatnonzero(close[i] & ~seen):
-                seen[j] = True
-                stack.append(int(j))
-        groups.append(sorted(members))
-    return groups
+    return [list(group) for group in decomp.groups]
 
 
 def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) -> SignalSpace:
@@ -162,7 +136,7 @@ def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) ->
     max_scale = float(scales.max())
     omega: list[int] = []
     cols: list[np.ndarray] = []
-    for group in joint_eigenvalue_clusters(decomp):
+    for group in decomp.groups:
         sub = ghat[group, :]
         if len(group) == 1:
             if np.any(np.abs(sub[0]) > SUPPORT_REL * scales):
@@ -171,19 +145,14 @@ def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) ->
             continue
         left, svals, _ = np.linalg.svd(sub, full_matrices=False)
         rank = int(np.sum(svals > SUPPORT_REL * max_scale))
-        for r in range(rank):
-            omega.append(group[r])
-            cols.append(decomp.basis[:, group] @ left[:, r])
-    # never empty: some group carries at least 1/sqrt(N) of a generator's energy
-    order = np.argsort(omega)
-    basis = np.column_stack([cols[k] for k in order])
-    return SignalSpace(
-        tuple(int(omega[k]) for k in order), basis, decomp, provenance, stored
-    )
+        omega.extend(group[:rank])
+        cols.extend((decomp.basis[:, group] @ left[:, :rank]).T)
+    # never empty: some group carries at least 1/sqrt(N) of a generator's energy;
+    # groups are consecutive column runs, so omega is already ascending
+    return SignalSpace(tuple(omega), np.column_stack(cols), decomp, provenance, stored)
 
 
 class ChainFit(NamedTuple):
-    signals: np.ndarray
     residuals: np.ndarray
     coefficients: np.ndarray
     depths: np.ndarray
@@ -293,10 +262,11 @@ class KrylovChain(OrthogonalBasis):
         Column j goes one level deeper while its residual norm exceeds
         ``delta``, its level is below ``caps[j]`` and the chain still
         grows, staying optimal over the span reached.  It stops at level
-        ``depths[j]`` and is evaluated there once; its ``coefficients`` are
-        zero past that level's dimension and ``residual_norms[k, j]`` is
-        its residual norm after level k (NaN past ``depths[j]``).  The
-        chain grows only as deep as some column needs.
+        ``depths[j]``; its ``coefficients`` are zero past that level's
+        dimension, so ``evaluate(coefficients)`` gives every column's
+        signal, and ``residual_norms[k, j]`` is its residual norm after
+        level k (NaN past ``depths[j]``).  The chain grows only as deep as
+        some column needs.
         """
         e = np.array(y, dtype=float)
         caps = np.asarray(caps, dtype=int)
@@ -318,7 +288,7 @@ class KrylovChain(OrthogonalBasis):
             active[cols] = (caps[cols] > level) & (norms[-1][cols] > delta)
             level += 1
         coefficients = np.concatenate(blocks)
-        return ChainFit(self.evaluate(coefficients), e, coefficients, depths, np.array(norms))
+        return ChainFit(e, coefficients, depths, np.array(norms))
 
 
 def krylov_subspace(
@@ -372,35 +342,35 @@ def canonical_generator(
     A random unit direction d turns the shift family into the single
     matrix ``T = sum_l d_l S_l``; d is redrawn until the scalar
     eigenvalues ``d . lambda(n)`` are pairwise distinct over ``omega``
-    (in the sense of :data:`~gsis.spectral.DISTINCT_REL`), and the powers
-    ``T^m generator`` for m < #omega are verified to span the space.
+    (no gap at or below :data:`~gsis.spectral.DISTINCT_REL` times their
+    spread), and the powers ``T^m generator`` for m < #omega are verified
+    to span the space.
 
     Raises
     ------
     DistinctnessError
-        If the joint eigenvalues repeat on ``omega``, or no accepted
-        direction is found within :data:`SCALARIZATION_DRAWS` draws.
+        If ``omega`` holds two columns of one tied group of
+        ``decomp.groups``, or no accepted direction is found within
+        :data:`SCALARIZATION_DRAWS` draws.
     """
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
     if not idx:
         raise ValueError("omega must be nonempty")
-    points = decomp.joint_spectrum[idx]
-    gap, diameter = _pairwise_gap_and_diameter(points)
-    if gap <= DISTINCT_REL * max(diameter, 1e-300):
+    starts = [group.start for group in decomp.groups]
+    if len(set(np.searchsorted(starts, idx, side="right"))) < len(idx):
         raise DistinctnessError(
             "joint eigenvalues repeat on omega; no single-generator description exists"
         )
     phi0 = decomp.basis[:, idx] @ np.ones(len(idx))
-    mats = decomp.shifts.matrices()
     rng = np.random.default_rng(seed)
     m = len(idx)
     for _ in range(SCALARIZATION_DRAWS):
-        d = rng.standard_normal(mats.shape[0])
+        d = rng.standard_normal(decomp.n_shifts)
         d /= np.linalg.norm(d)
-        gap, diameter = _pairwise_gap_and_diameter((points @ d)[:, None])
-        if gap <= DISTINCT_REL * max(diameter, 1e-300):
+        scalar = decomp.joint_spectrum[idx] @ d
+        if _min_gap(scalar) <= DISTINCT_REL * max(float(np.ptp(scalar)), 1e-300):
             continue
-        t_mat = np.tensordot(d, mats, axes=1)
+        t_mat = sum(dl * s.matrix for dl, s in zip(d, decomp.shifts))
         # Stable rank check of {T^k phi0 : k < m} through an orthogonal chain.
         chain = KrylovChain([t_mat], [phi0])
         chain.grow_to(m - 1)

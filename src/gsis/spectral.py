@@ -3,7 +3,9 @@
 Commuting symmetric shifts share an orthonormal eigenbasis U.  The basis is
 found by eigendecomposing one random linear combination of the shifts and
 verifying that it diagonalizes every member; degenerate combinations are
-redrawn.  U defines the graph Fourier transform x_hat = U.T x, under which
+redrawn.  Tied joint eigenvalues are grouped once, and the basis inside each
+group is fixed by the shifts alone, so it does not depend on the draw.
+U defines the graph Fourier transform x_hat = U.T x, under which
 every shift acts as multiplication by its eigenvalue sequence.
 """
 
@@ -35,7 +37,7 @@ __all__ = [
 
 DIAGONALIZATION_REL = 1e-9  # accepted residual ||S U - U diag||_F / ||S||_F per shift
 DIAGONALIZATION_DRAWS = 8  # random combinations tried before giving up
-DISTINCT_REL = 1e-8  # eigenvalues are distinct when farther apart than this times the diameter
+DISTINCT_REL = 1e-8  # tie gap, relative to the joint spectrum's bounding-box diagonal
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,18 @@ class SpectralDecomposition:
     ----------
     basis : (N, N) ndarray
         Orthogonal matrix whose columns are the common eigenvectors, ordered
-        lexicographically by joint eigenvalue vector and sign-normalized so
-        the first entry of each column with magnitude above 1e-8 is positive.
+        group by group and so ascending in the first shift's eigenvalue, and
+        sign-normalized so the first entry of each column with magnitude
+        above 1e-8 is positive.  Inside a group the columns diagonalize
+        ``U_g.T diag(0, ..., N - 1) U_g`` in ascending order, so they depend
+        on the shifts alone and not on the seed.
     eigenvalues : (L, N) ndarray
         ``eigenvalues[l, n]`` is the eigenvalue of shift l on column n.
-    assumption1_holds : bool
-        True when the N joint eigenvalue vectors are pairwise distinct
-        (separation above :data:`DISTINCT_REL` times their diameter).
+    groups : tuple of range
+        Runs of consecutive columns with tied joint eigenvalues, in
+        lexicographic order: for every shift, no gap between them exceeds
+        :data:`DISTINCT_REL` times the diagonal of the spectrum's bounding
+        box (its diameter for one shift).
     min_spectral_gap : float
         Smallest pairwise distance between joint eigenvalue vectors
         (``inf`` for N = 1).
@@ -70,10 +77,15 @@ class SpectralDecomposition:
 
     basis: np.ndarray
     eigenvalues: np.ndarray
-    assumption1_holds: bool
+    groups: tuple[range, ...]
     min_spectral_gap: float
     max_residual: float
     shifts: ShiftSet
+
+    @property
+    def assumption1_holds(self) -> bool:
+        """True when the N joint eigenvalue vectors are pairwise distinct (no tied group)."""
+        return len(self.groups) == self.n_vertices
 
     @property
     def n_vertices(self) -> int:
@@ -98,21 +110,13 @@ class SpectralDecomposition:
             ``frobenius_tol(M, 1e-8)``; the message names ``what``.
         """
         mat = matrix.matrix if isinstance(matrix, ShiftMatrix) else np.asarray(matrix, dtype=float)
-        lam, residual = _diagonal_in(self.basis, mat)
-        if residual > frobenius_tol(mat, 1e-8):
+        u = self.basis
+        mu = mat @ u
+        lam = np.einsum("ij,ij->j", u, mu)
+        # for orthogonal U this is the off-diagonal Frobenius norm of U.T M U
+        if np.linalg.norm(mu - u * lam) > frobenius_tol(mat, 1e-8):
             raise ValueError(f"{what} is not diagonalized by the decomposition basis")
         return lam
-
-
-def _diagonal_in(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    """Diagonal of ``U.T S U`` and the residual ``||S U - U diag||_F``.
-
-    For orthogonal U the residual equals the off-diagonal Frobenius norm of
-    ``U.T S U``, at the cost of one product with S instead of two.
-    """
-    su = s @ u
-    lam = np.einsum("ij,ij->j", u, su)
-    return lam, float(np.linalg.norm(su - u * lam))
 
 
 def _sign_normalize(u: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
@@ -122,30 +126,54 @@ def _sign_normalize(u: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
     return np.where(big.any(axis=0) & (first < 0), -u, u)
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """(n, n) matrix of euclidean distances between the rows of ``points``."""
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def _row_eigenvalues(rows: np.ndarray, images: list[np.ndarray]) -> np.ndarray:
+    """(L, N) Rayleigh quotients ``u_n . S_l u_n`` from rows ``u_n`` and ``S_l u_n``."""
+    return np.array([np.einsum("ij,ij->i", rows, im) for im in images])
 
 
-def _pairwise_gap_and_diameter(points: np.ndarray) -> tuple[float, float]:
-    """Min and max pairwise euclidean distance among rows (inf/0 for a single row)."""
-    n = points.shape[0]
-    if n < 2:
-        return np.inf, 0.0
-    vals = _pairwise_distances(points)[np.triu_indices(n, k=1)]
-    return float(vals.min()), float(vals.max())
+def _min_gap(values: np.ndarray) -> float:
+    """Smallest distance between two entries of a 1-D array (``inf`` below two entries)."""
+    return float(np.diff(np.sort(values)).min(initial=np.inf))
+
+
+def _min_distance(points: np.ndarray) -> float:
+    """Smallest euclidean distance between two rows, compared 256 rows at a time."""
+    n, rows, best = points.shape[0], 256, np.inf
+    for lo in range(0, n - 1, rows):
+        # block[i, j] compares row lo + i with row lo + 1 + j, so j >= i keeps each pair once
+        block = sum(np.subtract.outer(p[lo : lo + rows], p[lo + 1 :]) ** 2 for p in points.T)
+        block[np.tril_indices(block.shape[0], -1, block.shape[1])] = np.inf
+        best = min(best, float(np.sqrt(block.min())))
+    return best
+
+
+def _tie_groups(lams: np.ndarray) -> list[np.ndarray]:
+    """Column indices of each tied group (see :class:`SpectralDecomposition`).
+
+    Groups are ordered by a lexsort of per-shift integer run ranks, which
+    roundoff inside a run cannot reorder.
+    """
+    threshold = DISTINCT_REL * float(np.linalg.norm(np.ptp(lams, axis=1)))
+    ranks = np.empty(lams.shape, dtype=int)
+    for rank, values in zip(ranks, lams):
+        order = np.argsort(values, kind="stable")
+        rank[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > threshold)))
+    order = np.lexsort(ranks[::-1])
+    starts = np.flatnonzero(np.any(np.diff(ranks[:, order], axis=1), axis=0)) + 1
+    return np.split(order, starts)
 
 
 def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDecomposition:
     """Find one orthonormal basis diagonalizing every shift in the set.
 
-    A random unit combination ``T = sum_l d_l S_l`` is eigendecomposed and
-    the candidate basis accepted when every per-shift residual
-    ``||S_l U - U diag||_F`` is at most :data:`DIAGONALIZATION_REL` times
-    ``||S_l||_F``. A draw of d that accidentally merges distinct joint
-    eigenvalues fails that check and is redrawn, up to
-    :data:`DIAGONALIZATION_DRAWS` draws.
+    A random unit combination ``T = sum_l d_l S_l`` is eigendecomposed, its
+    columns are grouped by tied joint eigenvalue, and the basis inside each
+    group is rotated to the one fixed by the shifts alone (see
+    :class:`SpectralDecomposition`). The basis is accepted when every
+    per-shift residual ``||S_l U - U diag||_F`` is at most
+    :data:`DIAGONALIZATION_REL` times ``||S_l||_F``. A draw of d that
+    accidentally merges distinct joint eigenvalues fails that check and is
+    redrawn, up to :data:`DIAGONALIZATION_DRAWS` draws.
 
     Raises
     ------
@@ -156,39 +184,53 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     """
     if not isinstance(shifts, ShiftSet):
         shifts = ShiftSet(tuple(shifts))
-    mats = shifts.matrices()
-    n_shifts = mats.shape[0]
-    norms = np.linalg.norm(mats, axis=(1, 2))
+    mats = [s.matrix for s in shifts]
+    norms = np.array([np.linalg.norm(m) for m in mats])
     rng = np.random.default_rng(seed)
+    ramp = np.arange(shifts.n_vertices, dtype=float)
     worst_seen = np.inf
     for _ in range(DIAGONALIZATION_DRAWS):
-        if n_shifts == 1:
+        if shifts.n_shifts == 1:
             combo = mats[0]
         else:
-            d = rng.standard_normal(n_shifts)
+            d = rng.standard_normal(shifts.n_shifts)
             d /= np.linalg.norm(d)
-            combo = np.tensordot(d, mats, axes=1)
-        _, u = np.linalg.eigh(combo)
-        lams, residuals = map(np.array, zip(*(_diagonal_in(u, m) for m in mats)))
+            combo = sum(dl * m for dl, m in zip(d, mats))
+        # row n of `rows` is eigenvector n, and row n of images[l] is S_l u_n
+        # (the shifts are symmetric), so a group's vectors are contiguous rows
+        rows = np.linalg.eigh(combo)[1].T.copy()
+        del combo
+        images = [rows @ m for m in mats]
+        groups = _tie_groups(_row_eigenvalues(rows, images))
+        for size in {len(g) for g in groups} - {1}:
+            idx = np.array([g for g in groups if len(g) == size])
+            block = rows[idx]
+            qt = np.linalg.eigh((block * ramp) @ block.transpose(0, 2, 1))[1].transpose(0, 2, 1)
+            for a in (rows, *images):
+                a[idx] = qt @ a[idx]
+        lams = _row_eigenvalues(rows, images)
+        for im, lam in zip(images, lams):
+            im -= lam[:, None] * rows
+        residuals = np.array([np.linalg.norm(im) for im in images])
+        del images
         rel = residuals / np.where(norms > 0, norms, 1.0)
         worst_seen = min(worst_seen, float(rel.max()))
         if np.all(residuals <= DIAGONALIZATION_REL * norms):
-            order = np.lexsort(tuple(lams[l] for l in range(n_shifts - 1, -1, -1)))
-            u = _sign_normalize(u[:, order])
+            order = np.concatenate(groups)
+            u = _sign_normalize(rows[order].T)
             lams = np.ascontiguousarray(lams[:, order])
-            gap, diameter = _pairwise_gap_and_diameter(lams.T)
-            assumption1 = bool(gap > DISTINCT_REL * diameter) and gap > 0.0
+            ends = np.cumsum([len(g) for g in groups])
             u.flags.writeable = False
             lams.flags.writeable = False
             return SpectralDecomposition(
                 basis=u,
                 eigenvalues=lams,
-                assumption1_holds=assumption1,
-                min_spectral_gap=gap,
+                groups=tuple(range(e - len(g), e) for g, e in zip(groups, ends)),
+                min_spectral_gap=_min_distance(lams.T),
                 max_residual=float(rel.max()),
                 shifts=shifts,
             )
-        if n_shifts == 1:
+        if shifts.n_shifts == 1:
             break
     raise DiagonalizationError(
         f"no common eigenbasis within tolerance {DIAGONALIZATION_REL:.1e} "
@@ -230,7 +272,7 @@ def _normalize_coeffs(
 
 
 def _monomial_apply(
-    mats: np.ndarray, alpha: tuple[int, ...], x: np.ndarray, cache: dict
+    shifts: ShiftSet, alpha: tuple[int, ...], x: np.ndarray, cache: dict
 ) -> np.ndarray:
     """Apply S_1^a1 ... S_L^aL to x, memoizing partial products."""
     if alpha in cache:
@@ -241,7 +283,7 @@ def _monomial_apply(
     last = max(l for l, a in enumerate(alpha) if a > 0)
     prev = list(alpha)
     prev[last] -= 1
-    v = mats[last] @ _monomial_apply(mats, tuple(prev), x, cache)
+    v = shifts[last] @ _monomial_apply(shifts, tuple(prev), x, cache)
     cache[alpha] = v
     return v
 
@@ -271,7 +313,6 @@ def apply_polynomial_filter(
                     term = term * decomp.eigenvalues[l] ** a
             mult += term
         return decomp.basis @ (mult * (decomp.basis.T @ vals))
-    mats = shifts.matrices()
     if shifts.n_shifts == 1:
         degree = max(a for (a,) in cmap)
         dense = np.zeros(degree + 1)
@@ -279,12 +320,12 @@ def apply_polynomial_filter(
             dense[a] = h
         out = dense[degree] * vals
         for a in range(degree - 1, -1, -1):
-            out = mats[0] @ out + dense[a] * vals
+            out = shifts[0] @ out + dense[a] * vals
         return out
     cache: dict = {}
     out = np.zeros_like(vals)
     for alpha, h in cmap.items():
-        out = out + h * _monomial_apply(mats, alpha, vals, cache)
+        out = out + h * _monomial_apply(shifts, alpha, vals, cache)
     return out
 
 

@@ -338,6 +338,31 @@ def test_reconstruct_diagonalizes_only_when_the_scheme_needs_it(tmp_path, monkey
     assert len(calls) == 1
 
 
+def test_bad_inputs_are_rejected_before_the_eigendecomposition(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", lambda *a, **k: calls.append(a))
+    graph = ["--circulant", "600", "--q", "1,3", "--out", str(tmp_path / "out")]
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.ones(3))
+    signals = tmp_path / "signals.csv"
+    signals.write_text(",".join(str(i) for i in range(600)) + "\n" + ",".join(["1.0"] * 600) + "\n")
+    direct = ["reconstruct", "direct", *graph, "--w", "0:2"]
+    cases = [
+        (["space", "bounds", *graph], "space bounds needs --omega (or --generator)"),
+        ([*direct, "--y", str(y_file)], "reconstruct direct needs --omega"),
+        ([*direct, "--omega", "0:2", "--y", str(tmp_path / "missing.csv")], ""),
+        (
+            ["model-compare", *graph, "--signals", str(signals), "--generators", "sideways:2"],
+            "--generators expects adaptive:K or nonadaptive:K",
+        ),
+    ]
+    kernel = ["kernel", "make", *graph, "--family", "diffusion", "--param", "sigma=1.0"]
+    cases += [([*kernel, "--base-index", k], "--base-index must lie in [0, 2)") for k in ("2", "-1")]
+    for argv, message in cases:
+        _exits_2(capsys, argv, message)
+    assert calls == []
+
+
 def test_reconstruct_krylov_roundtrip(tmp_path):
     _, shifts = gsis.build_circulant(12, [1])
     decomp = gsis.diagonalize_simultaneously(shifts, seed=0)

@@ -52,6 +52,7 @@ REMOVED_KEYWORDS = {
 def test_removed_keywords_are_gone():
     chain_params = inspect.signature(gsis.spaces.KrylovChain).parameters
     assert "drop_rel" not in chain_params
+    assert "tol" not in inspect.signature(gsis.SignalSpace.contains).parameters
     for name, keywords in REMOVED_KEYWORDS.items():
         params = inspect.signature(getattr(gsis, name)).parameters
         for keyword in keywords:

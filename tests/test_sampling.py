@@ -375,6 +375,25 @@ def test_reconstruct_krylov_iterates_match_per_level_evaluation(case):
     assert res.signal.tobytes() == res.signal_trace[-1].tobytes()
 
 
+@pytest.mark.parametrize("keep_iterates", [False, True])
+def test_reconstruct_krylov_evaluates_once(keep_iterates, monkeypatch):
+    shifts, phi, scheme = _deep_window_case()
+    y = np.random.default_rng(45).standard_normal(scheme.n_samples)
+    calls = []
+    real = gsis.OrthogonalBasis.evaluate
+
+    def counted(self, coefficients):
+        calls.append(np.shape(coefficients))
+        return real(self, coefficients)
+
+    monkeypatch.setattr(gsis.OrthogonalBasis, "evaluate", counted)
+    res = gsis.reconstruct_krylov(
+        shifts, [phi], scheme, y, max_level=12, require_injective=False, keep_iterates=keep_iterates
+    )
+    assert len(calls) == 1
+    assert calls[0][1] == (len(res.dims_trace) if keep_iterates else 1)
+
+
 def test_reconstruct_krylov_generator_span_depth_zero(p3):
     graph, shifts, decomp = p3
     x0 = np.array([1.0, 2.0, 3.0])
