@@ -5,7 +5,9 @@ bandlimited|gsis|bounds|uncertainty``, ``kernel make``, ``sample
 subset|dynamic``, ``reconstruct direct|krylov``, ``experiment
 damped-cosine`` and ``model-compare``.  Graphs come from an edge-list file
 (``--graph``) or a circulant construction (``--circulant N --q 1,3``); all
-outputs are CSV matrices plus JSON metadata under ``--out``.
+outputs are CSV matrices plus JSON metadata under ``--out``.  An option
+that stands for a library argument is passed on only when given, so the
+library's own defaults are the tool's.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,7 @@ from .graphs import (
 from .kernels import KERNEL_FAMILIES, make_kernel
 from .sampling import (
     Observation,
+    SamplingScheme,
     dynamic_sampler,
     reconstruct_direct,
     reconstruct_krylov,
@@ -50,7 +54,7 @@ from .spaces import (
     riesz_bounds,
     uncertainty_check,
 )
-from .spectral import diagonalize_simultaneously
+from .spectral import SpectralDecomposition, diagonalize_simultaneously
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -68,16 +72,9 @@ def _parse_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", metavar="FILE", help="edge-list file (header 'N <count>')")
-    parser.add_argument("--circulant", type=int, metavar="N", help="circulant graph order")
-    parser.add_argument("--q", type=_parse_int_list, metavar="LIST", help="circulant offsets, e.g. 1,3")
-    parser.add_argument(
-        "--shift-kind",
-        choices=SHIFT_KINDS,
-        default="laplacian",
-        help="shift built on an edge-list graph (default laplacian)",
-    )
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` that were given; the library defaults the rest."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _build_graph_shifts(args: argparse.Namespace) -> tuple[Graph, ShiftSet]:
@@ -111,8 +108,13 @@ def _load_generators(args: argparse.Namespace, n: int) -> list[np.ndarray]:
     return gens
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _build_scheme(
+    args: argparse.Namespace, shifts: ShiftSet, decomp: SpectralDecomposition | None
+) -> SamplingScheme:
+    """Subset sampling on ``--w``, else dynamic sampling at ``--i0`` for ``--k`` snapshots."""
+    if getattr(args, "w", None) is not None:
+        return subset_sampler(shifts.n_vertices, args.w)
+    return dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
 
 
 def _cmd_graph_export(args) -> int:
@@ -131,28 +133,27 @@ def _cmd_graph_export(args) -> int:
 
 def _cmd_space(args) -> int:
     graph, shifts = _build_graph_shifts(args)
-    cmd = args.space_cmd
+    cmd, omega = args.space_cmd, getattr(args, "omega", None)
     # every input is read and checked before the eigendecomposition
-    gens = _load_generators(args, graph.n_vertices) if cmd in ("gsis", "uncertainty") else None
-    if cmd == "bounds" and args.generator:
-        gens = [np.asarray(io.load_matrix_csv(args.generator)[0], dtype=float)]
-    elif cmd in ("bandlimited", "bounds") and args.omega is None:
+    gens = None
+    if cmd in ("gsis", "uncertainty") or (cmd == "bounds" and (args.generator or args.delta_gen)):
+        gens = _load_generators(args, graph.n_vertices)
+    elif omega is None:
         alternative = " (or --generator)" if cmd == "bounds" else ""
         raise ValueError(f"space {cmd} needs --omega{alternative}")
+    if cmd in ("bounds", "uncertainty") and gens is not None and len(gens) > 1:
+        raise ValueError(f"space {cmd} takes one generator, got {len(gens)}")
     decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     out = Path(args.out)
-    if cmd == "bandlimited":
-        space = bandlimited_space(decomp, args.omega)
-        io.save_space(space, out)
-        print(f"wrote bandlimited space of dim {space.dim} to {out}")
-        return 0
-    if cmd == "gsis":
-        space = gsis_from_generators(decomp, gens)
+    if cmd in ("bandlimited", "gsis"):
+        if cmd == "bandlimited":
+            space = bandlimited_space(decomp, omega)
+        else:
+            space = gsis_from_generators(decomp, gens)
         io.save_space(space, out)
         print(f"wrote {space.provenance} space of dim {space.dim} to {out}")
         return 0
     if cmd == "bounds":
-        omega = args.omega
         if omega is None:
             omega = list(gsis_from_generators(decomp, gens).omega)
         gen = canonical_generator(decomp, omega, seed=args.seed)
@@ -165,23 +166,11 @@ def _cmd_space(args) -> int:
             "frame_bounds": [f_lo, f_hi],
             "frame_level": args.frame_level,
         }
-        io.save_json(out / "bounds.json", payload)
-        _print_json(payload)
-        return 0
-    if cmd == "uncertainty":
-        report = uncertainty_check(decomp, gens[0])
-        payload = {
-            "support_size": report.support_size,
-            "space_dim": report.space_dim,
-            "localization": report.localization,
-            "localization_mode": report.localization_mode,
-            "lower_bound": report.lower_bound,
-            "holds": report.holds,
-        }
-        io.save_json(out / "uncertainty.json", payload)
-        _print_json(payload)
-        return 0
-    raise ValueError(f"unknown space command {cmd!r}")
+    else:
+        payload = asdict(uncertainty_check(decomp, gens[0]))
+    io.save_json(out / f"{cmd}.json", payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
 def _cmd_kernel_make(args) -> int:
@@ -205,13 +194,11 @@ def _cmd_kernel_make(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    graph, shifts = _build_graph_shifts(args)
+    _, shifts = _build_graph_shifts(args)
+    subset = args.sample_cmd == "subset"
+    decomp = None if subset else diagonalize_simultaneously(shifts, seed=args.seed)
+    scheme = _build_scheme(args, shifts, decomp)
     out = Path(args.out)
-    if args.sample_cmd == "subset":
-        scheme = subset_sampler(graph.n_vertices, args.w)
-    else:
-        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
-        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
     io.save_scheme(scheme, out)
     print(f"wrote {scheme.provenance} scheme ({scheme.n_samples} samples) to {out}")
     return 0
@@ -231,50 +218,28 @@ def _cmd_reconstruct(args) -> int:
     gens = None if direct else _load_generators(args, graph.n_vertices)
     # only direct reconstruction and the dynamic scheme read the eigenbasis
     decomp = diagonalize_simultaneously(shifts, seed=args.seed) if direct or args.w is None else None
-    if args.w is not None:
-        scheme = subset_sampler(shifts.n_vertices, args.w)
-    else:
-        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
+    scheme = _build_scheme(args, shifts, decomp)
     out = Path(args.out)
     if direct:
         x = reconstruct_direct(decomp, args.omega, scheme, y)
         io.save_matrix_csv(out / "reconstruction_signal.csv", x)
-        io.save_observation(Observation(y, scheme), out)
-        print(f"wrote direct reconstruction to {out}")
-        return 0
-    result = reconstruct_krylov(
-        shifts,
-        gens,
-        scheme,
-        y,
-        delta=args.delta,
-        max_level=args.max_level,
-        require_injective=not args.allow_degenerate,
-    )
-    io.save_reconstruction(result, out)
+        message = f"wrote direct reconstruction to {out}"
+    else:
+        options = _given(args, "delta", "max_level", "require_injective")
+        result = reconstruct_krylov(shifts, gens, scheme, y, **options)
+        io.save_reconstruction(result, out)
+        message = (
+            f"wrote reconstruction to {out} "
+            f"(depth {result.depth}, dim {result.dims_trace[-1]}, "
+            f"residual {result.residual_trace[-1]:.3e})"
+        )
     io.save_observation(Observation(y, scheme), out)
-    print(
-        f"wrote reconstruction to {out} "
-        f"(depth {result.depth}, dim {result.dims_trace[-1]}, "
-        f"residual {result.residual_trace[-1]:.3e})"
-    )
+    print(message)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        n_vertices=args.n,
-        offsets=tuple(args.q),
-        amplitude=args.amp,
-        decay=args.decay,
-        frequency=args.freq,
-        sigma=args.sigma,
-        trials=args.trials,
-        p_values=tuple(args.p_range),
-        levels=tuple(args.level_range),
-        seed=args.seed,
-        delta=args.delta,
-    )
+    config = ExperimentConfig(**_given(args, *(f.name for f in fields(ExperimentConfig))))
     table = run_circulant_experiment(config)
     files = io.save_metrics(table, args.out)
     print(f"wrote {', '.join(f.name for f in files)} to {args.out}")
@@ -286,13 +251,14 @@ def _cmd_model_compare(args) -> int:
     dataset = ingest_signals_csv(args.signals, graph)
     if not dataset:
         raise ValueError(f"{args.signals}: no signals found")
-    rule, _, k_text = args.generators.partition(":")
-    if rule not in ("adaptive", "nonadaptive") or not k_text.isdigit():
-        raise ValueError("--generators expects adaptive:K or nonadaptive:K")
+    options = _given(args, "levels")
+    if "generators" in args:
+        rule, _, k_text = args.generators.partition(":")
+        if rule not in ("adaptive", "nonadaptive") or not k_text.isdigit():
+            raise ValueError("--generators expects adaptive:K or nonadaptive:K")
+        options.update(rule=rule, n_generators=int(k_text))
     decomp = diagonalize_simultaneously(shifts, seed=args.seed)
-    comp = run_model_comparison(
-        shifts, decomp, dataset, rule=rule, n_generators=int(k_text), levels=args.levels
-    )
+    comp = run_model_comparison(shifts, decomp, dataset, **options)
     files = io.save_model_comparison(comp, args.out)
     print(f"wrote {', '.join(f.name for f in files)} to {args.out}")
     return 0
@@ -303,23 +269,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gsis",
         description="Shift-invariant graph signal spaces: spectra, sampling, reconstruction.",
     )
+    # options shared by many verbs, declared once and inherited as parents
+    graph_source = argparse.ArgumentParser(add_help=False)
+    graph_source.add_argument("--graph", metavar="FILE", help="edge-list file (header 'N <count>')")
+    graph_source.add_argument("--circulant", type=int, metavar="N", help="circulant graph order")
+    graph_source.add_argument("--q", type=_parse_int_list, metavar="LIST", help="circulant offsets, e.g. 1,3")
+    graph_source.add_argument(
+        "--shift-kind",
+        choices=SHIFT_KINDS,
+        default="laplacian",
+        help="shift built on an edge-list graph (default laplacian)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="gsis-out")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    on_graph = [graph_source, seeded, output]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_graph = sub.add_parser("graph", help="graph and shift utilities")
     graph_sub = p_graph.add_subparsers(dest="graph_cmd", required=True)
-    p_export = graph_sub.add_parser("export", help="export shifts and decomposition")
-    _add_graph_arguments(p_export)
-    p_export.add_argument("--seed", type=int, default=0)
-    p_export.add_argument("--out", default="gsis-out")
+    p_export = graph_sub.add_parser("export", parents=on_graph, help="export shifts and decomposition")
     p_export.set_defaults(func=_cmd_graph_export)
 
     p_space = sub.add_parser("space", help="build spaces and their stability constants")
     space_sub = p_space.add_subparsers(dest="space_cmd", required=True)
     for name in ("bandlimited", "gsis", "bounds", "uncertainty"):
-        sp = space_sub.add_parser(name)
-        _add_graph_arguments(sp)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default="gsis-out")
+        sp = space_sub.add_parser(name, parents=on_graph)
         if name in ("bandlimited", "bounds"):
             sp.add_argument("--omega", type=_parse_range, default=None, metavar="LIST")
         if name in ("gsis", "bounds", "uncertainty"):
@@ -332,81 +308,70 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel", help="shift-invariant kernels")
     kernel_sub = p_kernel.add_subparsers(dest="kernel_cmd", required=True)
-    p_make = kernel_sub.add_parser("make")
-    _add_graph_arguments(p_make)
+    p_make = kernel_sub.add_parser("make", parents=on_graph)
     p_make.add_argument("--family", choices=KERNEL_FAMILIES, required=True)
     p_make.add_argument("--param", action="append", metavar="NAME=VALUE")
     p_make.add_argument("--base-index", type=int, default=0, help="shift used as kernel base")
-    p_make.add_argument("--seed", type=int, default=0)
-    p_make.add_argument("--out", default="gsis-out")
     p_make.set_defaults(func=_cmd_kernel_make)
 
     p_sample = sub.add_parser("sample", help="sampling schemes")
     sample_sub = p_sample.add_subparsers(dest="sample_cmd", required=True)
-    p_subset = sample_sub.add_parser("subset")
-    _add_graph_arguments(p_subset)
+    # subset sampling draws nothing at random, so it takes no --seed
+    p_subset = sample_sub.add_parser("subset", parents=[graph_source, output])
     p_subset.add_argument("--w", type=_parse_range, required=True, metavar="LIST")
-    p_subset.add_argument("--out", default="gsis-out")
     p_subset.set_defaults(func=_cmd_sample)
-    p_dynamic = sample_sub.add_parser("dynamic")
-    _add_graph_arguments(p_dynamic)
+    p_dynamic = sample_sub.add_parser("dynamic", parents=on_graph)
     p_dynamic.add_argument("--i0", type=int, required=True)
     p_dynamic.add_argument("--k", type=int, required=True)
-    p_dynamic.add_argument("--seed", type=int, default=0)
-    p_dynamic.add_argument("--out", default="gsis-out")
     p_dynamic.set_defaults(func=_cmd_sample)
 
     p_rec = sub.add_parser("reconstruct", help="reconstruct signals from samples")
     rec_sub = p_rec.add_subparsers(dest="reconstruct_cmd", required=True)
     for name in ("direct", "krylov"):
-        rp = rec_sub.add_parser(name)
-        _add_graph_arguments(rp)
+        rp = rec_sub.add_parser(name, parents=on_graph)
         rp.add_argument("--y", required=True, metavar="FILE", help="observed values CSV")
         rp.add_argument("--w", type=_parse_range, default=None, metavar="LIST")
         rp.add_argument("--i0", type=int, default=None)
         rp.add_argument("--k", type=int, default=None)
-        rp.add_argument("--seed", type=int, default=0)
-        rp.add_argument("--out", default="gsis-out")
         if name == "direct":
             rp.add_argument("--omega", type=_parse_range, default=None, metavar="LIST")
         else:
             rp.add_argument("--generator", metavar="FILE", default=None)
             rp.add_argument("--delta-gen", dest="delta_gen", type=_parse_int_list, default=None)
-            rp.add_argument("--delta", type=float, default=0.0, help="residual stopping threshold")
-            rp.add_argument("--max-level", type=int, default=None)
+            rp.add_argument("--delta", type=float, default=argparse.SUPPRESS, help="residual stopping threshold")
+            rp.add_argument("--max-level", type=int, default=argparse.SUPPRESS)
             rp.add_argument(
                 "--allow-degenerate",
-                action="store_true",
+                action="store_false",
+                dest="require_injective",
+                default=argparse.SUPPRESS,
                 help="drop directions invisible to the scheme instead of failing",
             )
         rp.set_defaults(func=_cmd_reconstruct)
 
     p_exp = sub.add_parser("experiment", help="reconstruction error sweeps")
     exp_sub = p_exp.add_subparsers(dest="experiment_cmd", required=True)
-    p_dc = exp_sub.add_parser("damped-cosine")
-    p_dc.add_argument("--n", type=int, default=100)
-    p_dc.add_argument("--q", type=_parse_int_list, default=[1, 3])
-    p_dc.add_argument("--amp", type=float, default=1.0)
-    p_dc.add_argument("--decay", type=float, default=0.25)
-    p_dc.add_argument("--freq", type=float, default=1.2566370614359172)
-    p_dc.add_argument("--sigma", type=float, default=0.1)
-    p_dc.add_argument("--trials", type=int, default=100)
-    p_dc.add_argument("--p-range", dest="p_range", type=_parse_range, default=list(range(1, 46)))
-    p_dc.add_argument(
-        "--level-range", dest="level_range", type=_parse_range, default=list(range(1, 19))
-    )
-    p_dc.add_argument("--seed", type=int, default=0)
-    p_dc.add_argument("--delta", type=float, default=0.0)
-    p_dc.add_argument("--out", default="gsis-out")
+    p_dc = exp_sub.add_parser("damped-cosine", parents=[output])
+    for flag, dest, kind in (
+        ("--n", "n_vertices", int),
+        ("--q", "offsets", _parse_int_list),
+        ("--amp", "amplitude", float),
+        ("--decay", "decay", float),
+        ("--freq", "frequency", float),
+        ("--sigma", "sigma", float),
+        ("--trials", "trials", int),
+        ("--p-range", "p_values", _parse_range),
+        ("--level-range", "levels", _parse_range),
+        ("--seed", "seed", int),
+        ("--delta", "delta", float),
+    ):
+        p_dc.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS)
     p_dc.set_defaults(func=_cmd_experiment)
 
-    p_mc = sub.add_parser("model-compare", help="generated spans vs bandlimited spaces")
-    _add_graph_arguments(p_mc)
+    p_mc = sub.add_parser("model-compare", parents=on_graph, help="generated spans vs bandlimited spaces")
     p_mc.add_argument("--signals", required=True, metavar="FILE")
-    p_mc.add_argument("--generators", default="adaptive:3", metavar="RULE:K")
-    p_mc.add_argument("--levels", type=_parse_range, default=list(range(0, 9)))
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--out", default="gsis-out")
+    p_mc.add_argument("--generators", default=argparse.SUPPRESS, metavar="RULE:K")
+    p_mc.add_argument("--levels", type=_parse_range, default=argparse.SUPPRESS)
     p_mc.set_defaults(func=_cmd_model_compare)
 
     return parser

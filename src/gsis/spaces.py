@@ -427,7 +427,8 @@ def frame_bounds(
     """Frame constants of the family ``{S^alpha phi0 : |alpha| <= level - 1}``.
 
     Returns ``(smallest positive, largest)`` singular value of the matrix
-    with rows indexed by frequency and one column
+    with one row per frequency of the spectral support of ``phi0`` (entries
+    of ``phi0_hat`` above :data:`SUPPORT_REL` times its norm) and one column
     ``lambda(n)^alpha * phi0_hat(n)`` per exponent tuple, in graded
     lexicographic order. For any x in the space generated by ``phi0``,
     ``smin * ||x|| <= sqrt(sum_alpha <x, S^alpha phi0>^2) <= smax * ||x||``
@@ -438,13 +439,17 @@ def frame_bounds(
     phat = decomp.basis.T @ _vector(phi0)
     if not np.any(phat):
         raise ValueError("generator is identically zero")
+    # rows off the spectral support are roundoff; kept, they would put a
+    # roundoff singular value below the family's true smallest bound
+    support = np.abs(phat) > SUPPORT_REL * np.linalg.norm(phat)
+    phat, eigenvalues = phat[support], decomp.eigenvalues[:, support]
     alphas = graded_multi_indices(decomp.n_shifts, level - 1)
-    cols = np.empty((decomp.n_vertices, len(alphas)))
+    cols = np.empty((phat.shape[0], len(alphas)))
     for k, alpha in enumerate(alphas):
         col = phat.copy()
         for l, a in enumerate(alpha):
             if a:
-                col = col * decomp.eigenvalues[l] ** a
+                col = col * eigenvalues[l] ** a
         cols[:, k] = col
     svals = np.linalg.svd(cols, compute_uv=False)
     cutoff = svals[0] * max(cols.shape) * np.finfo(float).eps

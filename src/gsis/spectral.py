@@ -11,9 +11,8 @@ every shift acts as multiplication by its eigenvalue sequence.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -288,40 +287,16 @@ def _monomial_apply(
     return v
 
 
-def apply_polynomial_filter(
-    shifts: ShiftSet,
-    coeffs: Mapping,
-    x,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
+def apply_polynomial_filter(shifts: ShiftSet, coeffs: Mapping, x) -> np.ndarray:
     """Apply ``H = sum_alpha h_alpha S_1^a1 ... S_L^aL`` to a signal.
 
     ``coeffs`` maps exponent tuples (or plain ints when there is a single
-    shift) to real coefficients. Without ``decomp`` the filter is evaluated
-    by repeated shift application (Horner's rule for one shift, memoized
-    monomials otherwise); with ``decomp`` it is evaluated spectrally as a
-    multiplier on the transform.
+    shift) to real coefficients. The filter is evaluated by repeated shift
+    application, memoizing the monomials, so a degree-d polynomial in one
+    shift costs d applications.
     """
     vals = _values(x)
     cmap = _normalize_coeffs(coeffs, shifts.n_shifts)
-    if decomp is not None:
-        mult = np.zeros(decomp.n_vertices)
-        for alpha, h in cmap.items():
-            term = np.full(decomp.n_vertices, h)
-            for l, a in enumerate(alpha):
-                if a:
-                    term = term * decomp.eigenvalues[l] ** a
-            mult += term
-        return decomp.basis @ (mult * (decomp.basis.T @ vals))
-    if shifts.n_shifts == 1:
-        degree = max(a for (a,) in cmap)
-        dense = np.zeros(degree + 1)
-        for (a,), h in cmap.items():
-            dense[a] = h
-        out = dense[degree] * vals
-        for a in range(degree - 1, -1, -1):
-            out = shifts[0] @ out + dense[a] * vals
-        return out
     cache: dict = {}
     out = np.zeros_like(vals)
     for alpha, h in cmap.items():
@@ -334,30 +309,21 @@ def polynomial_filter_matrix(shifts: ShiftSet, coeffs: Mapping) -> np.ndarray:
     return apply_polynomial_filter(shifts, coeffs, np.eye(shifts.n_vertices))
 
 
-def is_polynomial_filter(
-    h_matrix: np.ndarray,
-    shifts: ShiftSet,
-    decomp: SpectralDecomposition | None = None,
-) -> bool:
+def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     """Test whether a matrix commutes with every shift in the set.
 
     Each commutator ``||H S_l - S_l H||_F`` must be at most
     ``MATRIX_REL * max(1, ||H||_F * max(1, max_l ||S_l||_F))``.  When the
     joint eigenvalue vectors are pairwise distinct this is equivalent to H
-    being a polynomial in the shifts; if ``decomp`` is supplied and that
-    distinctness fails, a warning notes that commuting matrices may then
-    fall outside the polynomial algebra.
+    being a polynomial in the shifts.  When they repeat (see
+    ``SpectralDecomposition.assumption1_holds``), a commuting matrix may
+    mix the vectors inside a repeated eigenspace and then falls outside the
+    polynomial algebra, so True only means that H commutes.
     """
     h = np.asarray(h_matrix, dtype=float)
     n = shifts.n_vertices
     if h.shape != (n, n):
         raise ValueError(f"filter of shape {h.shape} on {n} vertices")
-    if decomp is not None and not decomp.assumption1_holds:
-        warnings.warn(
-            "joint eigenvalues are not pairwise distinct: a commuting matrix "
-            "need not be a polynomial in the shifts",
-            stacklevel=2,
-        )
     scale = max(float(np.linalg.norm(s.matrix)) for s in shifts)
     tol = MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
     return all(

@@ -618,3 +618,90 @@ def test_model_compare_cli_validation(tmp_path, capsys):
         [*compare, "--generators", "sideways:2"],
         "--generators expects adaptive:K or nonadaptive:K",
     )
+
+
+# ---------------------------------------------------------------------------
+# one generator for bounds and uncertainty; library-owned defaults
+
+
+def test_space_bounds_reads_delta(tmp_path):
+    edge_file = tmp_path / "g.txt"
+    gsis.write_edge_list(gsis.path_graph(8), edge_file)
+    row = np.zeros((1, 8))
+    row[0, 3] = 1.0
+    gen_file = tmp_path / "gen.csv"
+    save_matrix_csv(gen_file, row)
+    bounds = ["space", "bounds", "--graph", str(edge_file), "--frame-level", "3"]
+    assert _run(*bounds, "--delta", "3", "--out", str(tmp_path / "delta")) == 0
+    assert _run(*bounds, "--generator", str(gen_file), "--out", str(tmp_path / "file")) == 0
+    written = (tmp_path / "delta" / "bounds.json").read_bytes()
+    assert written == (tmp_path / "file" / "bounds.json").read_bytes()
+    assert _json(tmp_path / "delta" / "bounds.json")["omega"] == list(range(8))
+
+
+@pytest.mark.parametrize("verb", ["bounds", "uncertainty"])
+def test_bounds_and_uncertainty_take_one_generator(verb, tmp_path, capsys):
+    gen_file = tmp_path / "gens.csv"
+    save_matrix_csv(gen_file, np.eye(13)[:2])
+    space = ["space", verb, "--circulant", "13", "--q", "1", "--out", str(tmp_path / "out")]
+    from_file = ["--generator", str(gen_file)]
+    for extra in (["--delta", "3,4"], from_file, ["--delta", "3", *from_file]):
+        _exits_2(capsys, [*space, *extra], f"space {verb} takes one generator, got")
+    assert not (tmp_path / "out").exists()
+
+
+class _Called(Exception):
+    """Raised by a stand-in for a library entry point, carrying its arguments."""
+
+
+def _capture(monkeypatch, name):
+    def stand_in(*args, **kwargs):
+        raise _Called(args, kwargs)
+
+    monkeypatch.setattr(gsis.cli, name, stand_in)
+
+
+def test_experiment_passes_only_the_given_options(tmp_path, monkeypatch):
+    _capture(monkeypatch, "run_circulant_experiment")
+    with pytest.raises(_Called) as called:
+        _run("experiment", "damped-cosine", "--out", str(tmp_path))
+    assert called.value.args == ((gsis.ExperimentConfig(),), {})
+    flags = ["--n", "30", "--q", "1,2", "--amp", "2", "--decay", "0.5", "--freq", "0.7"]
+    flags += ["--sigma", "0.2", "--trials", "3", "--p-range", "2:4", "--level-range", "0,5"]
+    flags += ["--seed", "9", "--delta", "0.01"]
+    with pytest.raises(_Called) as called:
+        _run("experiment", "damped-cosine", *flags, "--out", str(tmp_path))
+    expected = gsis.ExperimentConfig(
+        n_vertices=30, offsets=(1, 2), amplitude=2.0, decay=0.5, frequency=0.7, sigma=0.2,
+        trials=3, p_values=(2, 3, 4), levels=(0, 5), seed=9, delta=0.01,
+    )
+    assert called.value.args == ((expected,), {})
+
+
+def test_model_compare_passes_only_the_given_options(tmp_path, monkeypatch):
+    _capture(monkeypatch, "run_model_comparison")
+    signals = tmp_path / "signals.csv"
+    signals.write_text(",".join(str(i) for i in range(12)) + "\n" + ",".join(["1.0"] * 12) + "\n")
+    compare = ["model-compare", "--circulant", "12", "--q", "1", "--signals", str(signals)]
+    with pytest.raises(_Called) as called:
+        _run(*compare, "--out", str(tmp_path))
+    args, kwargs = called.value.args
+    assert len(args) == 3 and kwargs == {}
+    with pytest.raises(_Called) as called:
+        _run(*compare, "--generators", "nonadaptive:2", "--levels", "0:3", "--out", str(tmp_path))
+    assert called.value.args[1] == {"rule": "nonadaptive", "n_generators": 2, "levels": [0, 1, 2, 3]}
+
+
+def test_reconstruct_krylov_passes_only_the_given_options(tmp_path, monkeypatch):
+    _capture(monkeypatch, "reconstruct_krylov")
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.ones(3))
+    krylov = ["reconstruct", "krylov", "--circulant", "12", "--q", "1", "--w", "0:2"]
+    krylov += ["--delta-gen", "6", "--y", str(y_file), "--out", str(tmp_path)]
+    with pytest.raises(_Called) as called:
+        _run(*krylov)
+    args, kwargs = called.value.args
+    assert len(args) == 4 and kwargs == {}
+    with pytest.raises(_Called) as called:
+        _run(*krylov, "--delta", "0.5", "--max-level", "2", "--allow-degenerate")
+    assert called.value.args[1] == {"delta": 0.5, "max_level": 2, "require_injective": False}

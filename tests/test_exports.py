@@ -42,10 +42,11 @@ REMOVED_KEYWORDS = {
     "is_shift_invariant": ("tol",),
     "is_shift_invariant_kernel": ("tol",),
     "is_reproducing_metric": ("tol",),
-    "is_polynomial_filter": ("tol",),
+    "is_polynomial_filter": ("tol", "decomp"),
     "check_injective": ("tol",),
     "check_dynamic_injective": ("gap_rel",),
     "polynomial_filter_matrix": ("decomp",),
+    "apply_polynomial_filter": ("decomp",),
 }
 
 

@@ -244,6 +244,40 @@ def test_frame_sandwich_circulant():
         assert lo * nx - 1e-9 <= s <= hi * nx + 1e-9
 
 
+def _frame_bounds_on_the_space(shifts, decomp, phi, level):
+    """Extreme singular values of the shifted family, applied on the generated space."""
+    family = []
+    for alpha in gsis.graded_multi_indices(shifts.n_shifts, level - 1):
+        v = phi.copy()
+        for l, a in enumerate(alpha):
+            for _ in range(a):
+                v = shifts[l].matrix @ v
+        family.append(v)
+    basis = gsis.gsis_from_generators(decomp, [phi]).basis
+    svals = np.linalg.svd(np.array(family) @ basis, compute_uv=False)
+    return svals[-1], svals[0]
+
+
+def test_frame_bounds_ignore_roundoff_off_the_spectral_support():
+    # more family members than the space has dimensions: the frame matrix's
+    # rows off the generator's spectral support hold only roundoff
+    shifts = gsis.ShiftSet((gsis.build_standard_shifts(gsis.path_graph(12), "laplacian"),))
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    phi = decomp.basis[:, 3]
+    exact = np.sqrt(sum(decomp.eigenvalues[0, 3] ** (2 * a) for a in range(4)))
+    assert gsis.frame_bounds(decomp, phi, 4) == pytest.approx((exact, exact), rel=1e-12)
+    cases = [(shifts, decomp, phi, 4)]
+    _, shifts = gsis.build_circulant(13, [1, 3])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    for omega, smallest in (([0], 1.0), ([0, 1], 0.830)):
+        phi = gsis.canonical_generator(decomp, omega).generator
+        assert gsis.frame_bounds(decomp, phi, 8)[0] == pytest.approx(smallest, abs=5e-4)
+        cases.append((shifts, decomp, phi, 8))
+    for shifts, decomp, phi, level in cases:
+        expected = _frame_bounds_on_the_space(shifts, decomp, phi, level)
+        assert gsis.frame_bounds(decomp, phi, level) == pytest.approx(expected, rel=1e-9)
+
+
 def test_frame_saturation_positive_lower_bound():
     rng = np.random.default_rng(9)
     g = random_connected_graph(6, rng)
