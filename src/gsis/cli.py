@@ -155,7 +155,9 @@ def _cmd_space(args) -> int:
         return 0
     if cmd == "bounds":
         if omega is None:
-            omega = list(gsis_from_generators(decomp, gens).omega)
+            # read the generator on its space's own (possibly adapted) decomposition
+            space = gsis_from_generators(decomp, gens)
+            decomp, omega = space.decomp, list(space.omega)
         gen = canonical_generator(decomp, omega, seed=args.seed)
         phi0 = gens[0] if gens else gen.generator
         r_lo, r_hi = riesz_bounds(decomp, gen.combined_shift, phi0, omega)

@@ -184,36 +184,26 @@ def gsis_to_rkhs_kernel(space: SignalSpace) -> ShiftInvariantKernel:
     """Kernel of a shift-invariant space under the euclidean inner product.
 
     This is the orthogonal projector onto the space: spectral value 1 on
-    the space's frequencies and 0 elsewhere.
-
-    Raises
-    ------
-    ValueError
-        If the space's basis is not made of decomposition columns (which
-        happens when repeated joint eigenvalues forced an adapted basis).
+    the space's frequencies and 0 elsewhere, in ``space.decomp``.
     """
-    decomp = space.decomp
-    aligned = decomp.basis[:, list(space.omega)]
-    if space.basis.shape != aligned.shape or np.abs(space.basis - aligned).max() > 1e-10:
-        raise ValueError(
-            "space basis is adapted inside repeated eigenspaces; its projector "
-            "is not diagonal in the decomposition basis"
-        )
-    values = np.zeros(decomp.n_vertices)
+    values = np.zeros(space.n_vertices)
     values[list(space.omega)] = 1.0
-    return _kernel_from_spectrum(decomp, values)
+    return _kernel_from_spectrum(space.decomp, values)
 
 
 @dataclass(frozen=True)
 class RkhsMetric:
-    """Diagonal quadratic form ``<x, y> = x_hat.T diag(values) y_hat``."""
+    """Diagonal quadratic form ``<x, y> = x_hat.T diag(values) y_hat``, with ``x_hat = decomp.basis.T @ x``."""
 
     values: np.ndarray
+    decomp: SpectralDecomposition
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if np.any(v < 0):
             raise ValueError("metric values must be nonnegative")
+        if v.shape[0] != self.decomp.n_vertices:
+            raise ValueError("metric length does not match the decomposition")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -223,19 +213,17 @@ class RkhsMetric:
         values = np.zeros_like(lam)
         idx = list(kernel.omega)
         values[idx] = 1.0 / lam[idx]
-        return cls(values)
+        return cls(values, kernel.decomp)
 
 
-def kernel_for_metric(decomp: SpectralDecomposition, metric: RkhsMetric) -> ShiftInvariantKernel:
+def kernel_for_metric(metric: RkhsMetric) -> ShiftInvariantKernel:
     """Kernel reproducing a diagonal metric: pseudo-inverse spectral values."""
     b = metric.values
-    if b.shape[0] != decomp.n_vertices:
-        raise ValueError("metric length does not match the decomposition")
     top = float(b.max(initial=0.0))
     values = np.zeros_like(b)
     positive = b > _RANK_CUTOFF * max(top, 1e-300)
     values[positive] = 1.0 / b[positive]
-    return _kernel_from_spectrum(decomp, values)
+    return _kernel_from_spectrum(metric.decomp, values)
 
 
 def is_reproducing_metric(kernel: ShiftInvariantKernel, metric: RkhsMetric) -> bool:
@@ -244,22 +232,23 @@ def is_reproducing_metric(kernel: ShiftInvariantKernel, metric: RkhsMetric) -> b
     True exactly when the metric agrees with the pseudo-inverse of the
     kernel's spectral values on the kernel's frequencies, within
     :data:`METRIC_REL`; off those frequencies the metric is unconstrained.
+    A metric on another decomposition basis than the kernel's raises
+    ``ValueError``.
     """
-    b = metric.values
-    if b.shape[0] != kernel.spectral_values.shape[0]:
-        raise ValueError("metric length does not match the kernel")
+    if not np.array_equal(metric.decomp.basis, kernel.decomp.basis):
+        raise ValueError("metric and kernel are built on different decompositions")
     idx = list(kernel.omega)
     if not idx:
         return True
     want = 1.0 / kernel.spectral_values[idx]
     scale = max(1.0, float(np.abs(want).max()))
-    return bool(np.abs(b[idx] - want).max() <= METRIC_REL * scale)
+    return bool(np.abs(metric.values[idx] - want).max() <= METRIC_REL * scale)
 
 
-def rkhs_inner_product(decomp: SpectralDecomposition, metric: RkhsMetric, x, y) -> float:
-    """Evaluate ``x_hat.T diag(metric) y_hat``."""
-    xh = decomp.basis.T @ _values(x)
-    yh = decomp.basis.T @ _values(y)
+def rkhs_inner_product(metric: RkhsMetric, x, y) -> float:
+    """Evaluate ``x_hat.T diag(metric) y_hat`` in the metric's decomposition."""
+    xh = metric.decomp.basis.T @ _values(x)
+    yh = metric.decomp.basis.T @ _values(y)
     return float(np.sum(xh * metric.values * yh))
 
 

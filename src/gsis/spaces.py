@@ -9,7 +9,8 @@ computes the stability constants of the resulting generator systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "uniform_norm_star",
     "uncertainty_check",
     "is_shift_invariant",
-    "joint_eigenvalue_clusters",
     "SUPPORT_REL",
     "SCALARIZATION_DRAWS",
     "MEMBERSHIP_REL",
@@ -45,18 +45,15 @@ SCALARIZATION_DRAWS = 32  # random directions canonical_generator tries before g
 
 @dataclass(frozen=True)
 class SignalSpace:
-    """Shift-invariant subspace with an explicit orthonormal basis.
+    """Shift-invariant subspace spanned by columns of its decomposition.
 
     Attributes
     ----------
     omega : tuple of int
-        Sorted frequency indices spanning the space. When some joint
-        eigenvalues repeat, the indices are representatives chosen inside
-        each repeated group.
-    basis : (N, dim) ndarray
-        Orthonormal basis. Equals the eigenvector columns at ``omega``
-        whenever the joint eigenvalues there are simple.
+        Sorted indices of the decomposition columns spanning the space.
     decomp : SpectralDecomposition
+        The joint eigenbasis the space is bandlimited in (for a generated
+        space, possibly an adapted copy; see :func:`gsis_from_generators`).
     provenance : str
         ``"bandlimited"``, ``"gsis"`` (several generators) or ``"pgsis"``
         (single generator).
@@ -65,18 +62,22 @@ class SignalSpace:
     """
 
     omega: tuple[int, ...]
-    basis: np.ndarray
     decomp: SpectralDecomposition
     provenance: str
     generators: tuple[np.ndarray, ...] | None = None
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(N, dim) orthonormal basis: the decomposition columns at ``omega``, C-contiguous."""
+        return self.decomp.basis[:, list(self.omega)].copy()
+
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return len(self.omega)
 
     @property
     def n_vertices(self) -> int:
-        return self.basis.shape[0]
+        return self.decomp.n_vertices
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection onto the space."""
@@ -92,28 +93,22 @@ class SignalSpace:
 def bandlimited_space(decomp: SpectralDecomposition, omega: Sequence[int]) -> SignalSpace:
     """Span of the eigenvector columns with indices in ``omega``."""
     idx = _distinct_index_set(omega, decomp.n_vertices, "omega indices")
-    basis = decomp.basis[:, idx].copy()
-    return SignalSpace(tuple(idx), basis, decomp, "bandlimited")
-
-
-def joint_eigenvalue_clusters(decomp: SpectralDecomposition) -> list[list[int]]:
-    """``decomp.groups`` as lists: runs of columns with tied joint eigenvalues.
-
-    The tie rule is described on :class:`~gsis.spectral.SpectralDecomposition`;
-    under pairwise-distinct joint eigenvalues every group is a singleton.
-    """
-    return [list(group) for group in decomp.groups]
+    return SignalSpace(tuple(idx), decomp, "bandlimited")
 
 
 def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) -> SignalSpace:
     """Smallest shift-invariant space containing the given generators.
 
-    On simple joint eigenvalues the space is bandlimited to the union of
-    the generators' spectral supports (entries above :data:`SUPPORT_REL`
-    times each transform's norm). When joint eigenvalues repeat, the span
-    inside each repeated eigenspace is the span of the generators'
-    projections, so the basis is adapted eigenspace by eigenspace and
-    ``omega`` holds representative indices.
+    Inside each group of ``decomp.groups`` the space is the span of the
+    generators' projections, of rank the number of singular values above
+    :data:`SUPPORT_REL` times the largest transform norm (a single column
+    counts when an entry exceeds that times its generator's norm).  A group
+    the space cuts gets the columns ``U_g @ left`` (left singular vectors of
+    the generators' transform there), so its leading columns span the
+    space's part.  Any orthonormal basis of a joint eigenspace is a joint
+    eigenbasis, so the space is bandlimited to ``omega`` in this adapted
+    copy of ``decomp`` (same eigenvalues and groups), which is ``decomp``
+    itself when no group is cut.
 
     Raises
     ------
@@ -135,21 +130,25 @@ def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) ->
     stored = tuple(g.copy() for g in gens)
     max_scale = float(scales.max())
     omega: list[int] = []
-    cols: list[np.ndarray] = []
+    basis = None
     for group in decomp.groups:
         sub = ghat[group, :]
         if len(group) == 1:
             if np.any(np.abs(sub[0]) > SUPPORT_REL * scales):
                 omega.append(group[0])
-                cols.append(decomp.basis[:, group[0]])
             continue
-        left, svals, _ = np.linalg.svd(sub, full_matrices=False)
+        left, svals, _ = np.linalg.svd(sub)
         rank = int(np.sum(svals > SUPPORT_REL * max_scale))
+        if 0 < rank < len(group):
+            if basis is None:
+                basis = decomp.basis.copy()
+            basis[:, group] = decomp.basis[:, group] @ left
         omega.extend(group[:rank])
-        cols.extend((decomp.basis[:, group] @ left[:, :rank]).T)
+    if basis is not None:
+        decomp = replace(decomp, basis=basis)
     # never empty: some group carries at least 1/sqrt(N) of a generator's energy;
     # groups are consecutive column runs, so omega is already ascending
-    return SignalSpace(tuple(omega), np.column_stack(cols), decomp, provenance, stored)
+    return SignalSpace(tuple(omega), decomp, provenance, stored)
 
 
 class ChainFit(NamedTuple):
@@ -391,16 +390,17 @@ def riesz_bounds(
     """Extreme singular values of the shifted-generator system on a space.
 
     For the basis ``{T^m phi0 : 0 <= m < #omega}`` of the space spanned by
-    the eigenvectors at ``omega``, returns ``(smallest, largest)`` singular
-    value of the matrix ``[phi0_hat(n) * lambda_T(n)^m]``; these are the
-    optimal constants c, C in
-    ``c ||a||_2 <= || sum_m a_m T^m phi0 ||_2 <= C ||a||_2``.
+    the eigenvectors at ``omega`` (a generated space's own ``decomp`` and
+    ``omega``), returns ``(smallest, largest)`` singular value of the matrix
+    ``[phi0_hat(n) * lambda_T(n)^m]``; these are the optimal constants c, C
+    in ``c ||a||_2 <= || sum_m a_m T^m phi0 ||_2 <= C ||a||_2``.
 
     Raises
     ------
     ValueError
         If ``combined_shift`` is not diagonalized by the decomposition
-        basis, or the generator's spectral support does not equal ``omega``.
+        basis, or the generator's spectral support (entries above
+        :data:`SUPPORT_REL` times its norm) does not equal ``omega``.
     """
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
     lam_t = decomp.eigenvalues_of(combined_shift, "combined shift")
@@ -410,9 +410,9 @@ def riesz_bounds(
         raise ValueError("generator is identically zero")
     inside = np.zeros(decomp.n_vertices, dtype=bool)
     inside[idx] = True
-    if np.any(np.abs(phat[~inside]) > 1e-8 * scale):
+    if np.any(np.abs(phat[~inside]) > SUPPORT_REL * scale):
         raise ValueError("generator has spectral content outside omega")
-    if np.any(np.abs(phat[inside]) <= 1e-10 * scale):
+    if np.any(np.abs(phat[inside]) <= SUPPORT_REL * scale):
         raise ValueError("generator vanishes on part of omega")
     v = phat[idx, None] * np.vander(lam_t[idx], len(idx), increasing=True)
     svals = np.linalg.svd(v, compute_uv=False)

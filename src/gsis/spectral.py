@@ -56,7 +56,8 @@ class SpectralDecomposition:
         sign-normalized so the first entry of each column with magnitude
         above 1e-8 is positive.  Inside a group the columns diagonalize
         ``U_g.T diag(0, ..., N - 1) U_g`` in ascending order, so they depend
-        on the shifts alone and not on the seed.
+        on the shifts alone and not on the seed (a generated space's adapted
+        copy rotates the groups it cuts; see ``gsis_from_generators``).
     eigenvalues : (L, N) ndarray
         ``eigenvalues[l, n]`` is the eigenvalue of shift l on column n.
     groups : tuple of range

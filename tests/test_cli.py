@@ -624,19 +624,32 @@ def test_model_compare_cli_validation(tmp_path, capsys):
 # one generator for bounds and uncertainty; library-owned defaults
 
 
-def test_space_bounds_reads_delta(tmp_path):
-    edge_file = tmp_path / "g.txt"
-    gsis.write_edge_list(gsis.path_graph(8), edge_file)
-    row = np.zeros((1, 8))
-    row[0, 3] = 1.0
+@pytest.mark.parametrize(
+    "n, vertex, cycle, omega",
+    [
+        (8, 3, False, list(range(8))),
+        # the impulse cuts every paired eigenspace of the 12-cycle
+        (12, 6, True, [0, 1, 3, 5, 7, 9, 11]),
+    ],
+    ids=["path", "cycle"],
+)
+def test_space_bounds_reads_delta(n, vertex, cycle, omega, tmp_path):
+    if cycle:
+        source = ["--circulant", str(n), "--q", "1"]
+    else:
+        edge_file = tmp_path / "g.txt"
+        gsis.write_edge_list(gsis.path_graph(n), edge_file)
+        source = ["--graph", str(edge_file)]
+    row = np.zeros((1, n))
+    row[0, vertex] = 1.0
     gen_file = tmp_path / "gen.csv"
     save_matrix_csv(gen_file, row)
-    bounds = ["space", "bounds", "--graph", str(edge_file), "--frame-level", "3"]
-    assert _run(*bounds, "--delta", "3", "--out", str(tmp_path / "delta")) == 0
+    bounds = ["space", "bounds", *source, "--frame-level", "3"]
+    assert _run(*bounds, "--delta", str(vertex), "--out", str(tmp_path / "delta")) == 0
     assert _run(*bounds, "--generator", str(gen_file), "--out", str(tmp_path / "file")) == 0
     written = (tmp_path / "delta" / "bounds.json").read_bytes()
     assert written == (tmp_path / "file" / "bounds.json").read_bytes()
-    assert _json(tmp_path / "delta" / "bounds.json")["omega"] == list(range(8))
+    assert _json(tmp_path / "delta" / "bounds.json")["omega"] == omega
 
 
 @pytest.mark.parametrize("verb", ["bounds", "uncertainty"])

@@ -22,11 +22,16 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis, "validate_shift")
     assert not hasattr(gsis.SpectralDecomposition, "gft")
     assert not hasattr(gsis.SpectralDecomposition, "igft")
+    assert not hasattr(gsis, "joint_eigenvalue_clusters")
 
 
-# Options removed in favour of module constants, and the argument
-# gsis_from_generators never read; none may come back.
+# Options removed in favour of module constants, the argument
+# gsis_from_generators never read, and the basis and decomposition
+# arguments a space and a metric now carry themselves; none may come back.
 REMOVED_KEYWORDS = {
+    "SignalSpace": ("basis",),
+    "rkhs_inner_product": ("decomp",),
+    "kernel_for_metric": ("decomp",),
     "OrthogonalBasis": ("drop_rel", "invisible_rel"),
     "ShiftMatrix": ("tol",),
     "ShiftSet": ("tol",),
@@ -34,7 +39,6 @@ REMOVED_KEYWORDS = {
     "check_commutative": ("tol",),
     "diagonalize_simultaneously": ("tol", "max_retries"),
     "canonical_generator": ("max_retries", "gap_rel"),
-    "joint_eigenvalue_clusters": ("rel",),
     "gsis_from_generators": ("shifts", "support_tol"),
     "uncertainty_check": ("support_tol",),
     "krylov_subspace": ("drop_rel",),

@@ -90,10 +90,10 @@ def test_kernel_metric_duality(p5):
     k = gsis.make_kernel(decomp, shifts[0], "random_walk", a=4.0, p=2)
     metric = gsis.RkhsMetric.from_kernel(k)
     assert gsis.is_reproducing_metric(k, metric)
-    k2 = gsis.kernel_for_metric(decomp, metric)
+    k2 = gsis.kernel_for_metric(metric)
     assert np.allclose(k2.matrix, k.matrix, atol=1e-10)
     # a wrong metric is detected
-    wrong = gsis.RkhsMetric(metric.values * 1.5)
+    wrong = gsis.RkhsMetric(metric.values * 1.5, decomp)
     assert not gsis.is_reproducing_metric(k, wrong)
 
 
@@ -104,7 +104,7 @@ def test_reproducing_property(p5):
     rng = np.random.default_rng(8)
     x = decomp.basis[:, k.omega] @ rng.standard_normal(len(k.omega))
     for j in range(5):
-        assert gsis.rkhs_inner_product(decomp, metric, x, k.matrix[:, j]) == pytest.approx(
+        assert gsis.rkhs_inner_product(metric, x, k.matrix[:, j]) == pytest.approx(
             x[j], abs=1e-10
         )
 
@@ -112,12 +112,12 @@ def test_reproducing_property(p5):
 def test_reproducing_property_random_rank2(p3):
     _, _, decomp = p3
     values = np.array([0.0, 2.0, 0.5])
-    k = gsis.kernel_for_metric(decomp, gsis.RkhsMetric(1 / np.where(values > 0, values, np.inf)))
+    k = gsis.kernel_for_metric(gsis.RkhsMetric(1 / np.where(values > 0, values, np.inf), decomp))
     metric = gsis.RkhsMetric.from_kernel(k)
     rng = np.random.default_rng(1)
     x = k.matrix @ rng.standard_normal(3)  # x in range(K)
     for j in range(3):
-        assert gsis.rkhs_inner_product(decomp, metric, x, k.matrix[:, j]) == pytest.approx(
+        assert gsis.rkhs_inner_product(metric, x, k.matrix[:, j]) == pytest.approx(
             x[j], abs=1e-10
         )
 
@@ -132,16 +132,27 @@ def test_gsis_to_rkhs_kernel(p3):
     assert gsis.is_shift_invariant_kernel(k.matrix, shifts)
 
 
-def test_gsis_to_rkhs_kernel_rejects_adapted_basis():
-    # cluster-adapted spaces on degenerate circulants are not plain
-    # unions of decomposition columns, so no diagonal spectrum exists
-    g, shifts = gsis.build_circulant(12, [1])
+def test_gsis_to_rkhs_kernel_on_a_cut_tied_group():
+    # the delta at vertex 6 of the 12-cycle cuts every paired eigenspace, so
+    # the space lives on an adapted copy of the decomposition
+    _, shifts = gsis.build_circulant(12, [1])
     decomp = gsis.diagonalize_simultaneously(shifts)
     phi = np.zeros(12)
     phi[6] = 1.0
     space = gsis.gsis_from_generators(decomp, [phi])
-    with pytest.raises(ValueError):
-        gsis.gsis_to_rkhs_kernel(space)
+    assert space.decomp is not decomp
+    k = gsis.gsis_to_rkhs_kernel(space)
+    assert k.decomp is space.decomp
+    assert np.abs(k.matrix - space.basis @ space.basis.T).max() <= 1e-12
+    assert gsis.is_shift_invariant_kernel(k.matrix, shifts)
+    metric = gsis.RkhsMetric.from_kernel(k)
+    assert gsis.is_reproducing_metric(k, metric)
+    x = space.basis @ np.random.default_rng(4).standard_normal(space.dim)
+    for j in range(12):
+        assert gsis.rkhs_inner_product(metric, x, k.matrix[:, j]) == pytest.approx(x[j], abs=1e-10)
+    # the same values on the input decomposition describe another metric
+    with pytest.raises(ValueError, match="different decompositions"):
+        gsis.is_reproducing_metric(k, gsis.RkhsMetric(metric.values, decomp))
 
 
 def test_evaluation_bound(p5):
@@ -152,15 +163,18 @@ def test_evaluation_bound(p5):
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = decomp.basis[:, k.omega] @ rng.standard_normal(len(k.omega))
-        norm = np.sqrt(gsis.rkhs_inner_product(decomp, metric, x, x))
+        norm = np.sqrt(gsis.rkhs_inner_product(metric, x, x))
         assert np.abs(x).max() <= c * norm + 1e-9
     with pytest.raises(ValueError):
-        gsis.evaluation_bound(gsis.RkhsMetric(np.zeros(5)))
+        gsis.evaluation_bound(gsis.RkhsMetric(np.zeros(5), decomp))
 
 
-def test_metric_validation():
+def test_metric_validation(p3):
+    _, _, decomp = p3
     with pytest.raises(ValueError):
-        gsis.RkhsMetric(np.array([1.0, -0.5]))
+        gsis.RkhsMetric(np.array([1.0, -0.5, 0.0]), decomp)
+    with pytest.raises(ValueError, match="length"):
+        gsis.RkhsMetric(np.ones(2), decomp)
 
 
 def test_kernel_base_must_match_decomposition():

@@ -381,20 +381,18 @@ def test_is_shift_invariant_cases(p3):
     _, shifts, decomp = p3
     assert gsis.is_shift_invariant(gsis.bandlimited_space(decomp, [0, 1]), shifts)
     assert gsis.is_shift_invariant(gsis.bandlimited_space(decomp, range(3)), shifts)
-    crooked = gsis.SignalSpace(
-        omega=(0,),
-        basis=np.array([[1.0], [0.0], [0.0]]),
-        decomp=decomp,
-        provenance="custom",
-        generators=None,
-    )
+    # the vertex-0 impulse, as the first column of a diagonal shift's basis
+    graph = gsis.Graph(3)
+    diagonal = gsis.ShiftSet((gsis.ShiftMatrix(np.diag([0.0, 1.0, 2.0]), graph),))
+    crooked = gsis.bandlimited_space(gsis.diagonalize_simultaneously(diagonal), [0])
+    assert np.array_equal(crooked.basis, [[1.0], [0.0], [0.0]])
     assert not gsis.is_shift_invariant(crooked, shifts)
 
 
-def test_joint_eigenvalue_clusters():
+def test_tied_groups_of_a_cycle():
     g, shifts = gsis.build_circulant(10, [1])
     decomp = gsis.diagonalize_simultaneously(shifts)
-    clusters = gsis.joint_eigenvalue_clusters(decomp)
+    clusters = decomp.groups
     sizes = sorted(len(c) for c in clusters)
     # k and N-k pair up; k=0 and k=N/2 are simple
     assert sizes == [1, 1, 2, 2, 2, 2]
@@ -402,4 +400,4 @@ def test_joint_eigenvalue_clusters():
     g2 = random_connected_graph(9, rng)
     d2 = gsis.diagonalize_simultaneously(laplacian_shift_set(g2))
     assert d2.assumption1_holds
-    assert sorted(len(c) for c in gsis.joint_eigenvalue_clusters(d2)) == [1] * 9
+    assert sorted(len(c) for c in d2.groups) == [1] * 9

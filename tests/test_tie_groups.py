@@ -4,7 +4,9 @@
 replaces the basis inside each repeated group by one fixed by the shifts
 alone, so the seed of the random shift combination changes nothing
 downstream.  The grouping is checked against the pairwise-distance
-single-linkage partition it replaced, kept here as the oracle.
+single-linkage partition it replaced, kept here as the oracle.  A
+generated space is checked against a group-by-group thin-SVD construction
+that leaves the decomposition as it is.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import gsis
 from conftest import laplacian_shift_set, random_connected_graph
+from gsis.spaces import SUPPORT_REL
 from gsis.spectral import DISTINCT_REL
 
 SEEDS = range(8)
@@ -83,7 +86,6 @@ def test_groups_and_bases_do_not_depend_on_the_seed(name):
 def test_groups_are_consecutive_runs_in_column_order(name):
     decomp = gsis.diagonalize_simultaneously(FAMILIES[name]())
     assert [i for g in decomp.groups for i in g] == list(range(decomp.n_vertices))
-    assert gsis.joint_eigenvalue_clusters(decomp) == [list(g) for g in decomp.groups]
     # tied columns share their joint eigenvalue; the columns ascend in the first shift
     for g in decomp.groups:
         spread = np.ptp(decomp.eigenvalues[:, g], axis=1)
@@ -145,3 +147,81 @@ def test_groups_refine_to_the_pairwise_partition(shifts, seed):
     else:
         # tied in every coordinate is coarser than close in euclidean distance
         assert all(any(o <= g for g in groups) for o in oracle)
+
+
+def per_group_thin_svd_space(decomp, gens):
+    """omega, projector and whether a tied group is cut, group by group (the oracle).
+
+    Each group contributes the columns ``U_g @ left[:, :rank]`` of a thin
+    SVD, the span of the generators' projections onto it, while the input
+    decomposition is left as it is.
+    """
+    ghat = decomp.basis.T @ np.column_stack(gens)
+    scales = np.linalg.norm(ghat, axis=0)
+    omega, cols, cut = [], [], False
+    for group in decomp.groups:
+        sub = ghat[group, :]
+        if len(group) == 1:
+            if np.any(np.abs(sub[0]) > SUPPORT_REL * scales):
+                omega.append(group[0])
+                cols.append(decomp.basis[:, group])
+            continue
+        left, svals, _ = np.linalg.svd(sub, full_matrices=False)
+        rank = int(np.sum(svals > SUPPORT_REL * scales.max()))
+        cut |= 0 < rank < len(group)
+        omega.extend(group[:rank])
+        cols.append(decomp.basis[:, group] @ left[:, :rank])
+    q = np.hstack(cols)
+    return omega, q @ q.T, cut
+
+
+@st.composite
+def generator_families(draw, n):
+    """1-3 generators: impulses (symmetric, so they cut tied groups) or random vectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            gens.append(np.eye(n)[draw(st.integers(0, n - 1))])
+        else:
+            gens.append(rng.standard_normal(n))
+    return gens
+
+
+def check_generated_space(shifts, gens):
+    """Check the generated space against the oracle; return whether it cuts a tied group."""
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    space = gsis.gsis_from_generators(decomp, gens)
+    omega, projector, cut = per_group_thin_svd_space(decomp, gens)
+    assert np.array_equal(space.basis, space.decomp.basis[:, list(space.omega)])
+    for s in shifts:
+        lam = space.decomp.eigenvalues_of(s, "shift")
+        assert np.abs(lam - decomp.eigenvalues_of(s, "shift")).max() <= 1e-10
+    assert list(space.omega) == omega
+    assert np.abs(space.basis @ space.basis.T - projector).max() <= 1e-12
+    assert space.decomp.groups == decomp.groups
+    assert (space.decomp is decomp) == (not cut)
+    assert gsis.is_shift_invariant(space, shifts)
+    return cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifts=commuting_families(), data=st.data())
+def test_generated_spaces_are_bandlimited_in_their_decomposition(shifts, data):
+    check_generated_space(shifts, data.draw(generator_families(shifts.n_vertices)))
+
+
+@pytest.mark.parametrize(
+    "shifts, gens, cut",
+    [
+        # the impulse takes one direction of every paired eigenspace
+        (gsis.build_circulant(12, [1])[1], [np.eye(12)[6]], True),
+        # two generic generators span every pair, so no group is cut
+        (gsis.build_circulant(30, [1, 3])[1], list(np.random.default_rng(1).standard_normal((2, 30))), False),
+        # a distinct spectrum has no tied group to cut
+        (laplacian_shift_set(gsis.path_graph(30)), [np.eye(30)[7]], False),
+    ],
+    ids=["cycle 12 impulse", "circulant 30 two generic", "path 30 impulse"],
+)
+def test_generated_space_cases(shifts, gens, cut):
+    assert check_generated_space(shifts, gens) == cut

@@ -42,5 +42,5 @@ def test_distinctness_threshold(factor, distinct):
     decomp = gsis.diagonalize_simultaneously(shifts)
     assert decomp.min_spectral_gap == pytest.approx(eps, rel=1e-6)
     assert decomp.assumption1_holds is distinct
-    clusters = gsis.joint_eigenvalue_clusters(decomp)
+    clusters = [list(g) for g in decomp.groups]
     assert clusters == ([[0], [1], [2]] if distinct else [[0], [1, 2]])
