@@ -176,8 +176,10 @@ class Graph:
         return a
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of each vertex (row sums of the adjacency)."""
-        return self.adjacency().sum(axis=1)
+        """Weighted degree of each vertex (row sums of the adjacency), summed over the edges."""
+        i, j = self._endpoints
+        w = np.asarray(self.weights, dtype=float)
+        return np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), minlength=self.n_vertices)
 
     def edge_mask(self) -> np.ndarray:
         """Boolean matrix marking positions allowed to be nonzero in a shift."""
@@ -205,23 +207,26 @@ class Signal:
         object.__setattr__(self, "values", _as_readonly(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ShiftMatrix:
     """Symmetric matrix supported on the diagonal and the edges of a graph.
 
-    The input is checked against ``frobenius_tol(S)`` (relative
-    :data:`MATRIX_REL`) for symmetry and for its support.  The stored
-    matrix is exactly symmetric: each edge entry is ``(S_ij + S_ji) / 2``,
-    the diagonal is kept, and every other entry is exactly zero, so
-    sub-tolerance noise outside the edge set is dropped.
+    A shift is stored as an edge list: its ``diagonal`` and one weight per
+    edge of ``graph.edges`` (``edge_weights``, aligned with the edges), so
+    it holds O(N + |E|) numbers.  ``matrix`` is the dense (N, N) array,
+    built on first access and then kept; only decompositions, 2-D products
+    and exports read it.
 
-    The shift is also kept as an edge list: its nonzero entries as
-    ``(rows, cols, weights)``, both orientations of each edge and then the
-    diagonal.  ``S @ x`` on a vector is ``bincount(rows, weights *
-    x[cols])``, which costs O(N + 2|E|) instead of O(N^2) and equals
-    ``diag * x + bincount`` over the off-diagonal entries alone; a 2-D
-    operand takes the dense product with ``matrix``.  Both forms hold the
-    same numbers.
+    ``ShiftMatrix(matrix, graph)`` checks a dense input against
+    ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) for symmetry and for
+    its support, then keeps each edge weight as ``(S_ij + S_ji) / 2`` and
+    the diagonal, so sub-tolerance noise outside the edge set is dropped.
+
+    ``S @ x`` on a vector is ``bincount(rows, weights * x[cols])`` over the
+    nonzero entries, both orientations of each edge and then the diagonal,
+    which costs O(N + 2|E|) instead of O(N^2) and equals ``diag * x +
+    bincount`` over the off-diagonal entries alone; a 2-D operand takes the
+    dense product with ``matrix``.
 
     Raises
     ------
@@ -231,15 +236,16 @@ class ShiftMatrix:
         tolerance.
     """
 
-    matrix: np.ndarray
     graph: Graph
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    diagonal: np.ndarray
+    edge_weights: np.ndarray
+    _rows: np.ndarray = field(repr=False)
+    _cols: np.ndarray = field(repr=False)
+    _weights: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        s = np.asarray(self.matrix, dtype=float)
-        n = self.graph.n_vertices
+    def __init__(self, matrix: np.ndarray, graph: Graph):
+        s = np.asarray(matrix, dtype=float)
+        n = graph.n_vertices
         if s.shape != (n, n):
             raise ValueError(f"shift of shape {s.shape} on a graph with {n} vertices")
         if not np.all(np.isfinite(s)):
@@ -247,7 +253,7 @@ class ShiftMatrix:
         tol = frobenius_tol(s)
         if np.abs(s - s.T).max() > tol:
             raise ValueError("shift matrix is not symmetric within tolerance")
-        i, j = self.graph._endpoints
+        i, j = graph._endpoints
         off = np.abs(s)
         off[i, j] = off[j, i] = 0.0
         np.fill_diagonal(off, 0.0)
@@ -255,18 +261,28 @@ class ShiftMatrix:
         if off.flat[worst] > tol:
             r, c = np.unravel_index(worst, s.shape)
             raise ValueError(f"nonzero entry at ({r}, {c}) outside the graph's edge set")
-        w = (s[i, j] + s[j, i]) / 2.0
-        m = np.zeros((n, n))
-        m[i, j] = m[j, i] = w
-        np.fill_diagonal(m, s.diagonal())
+        self._store(graph, s.diagonal(), (s[i, j] + s[j, i]) / 2.0)
+
+    @classmethod
+    def _from_edges(cls, graph: Graph, diagonal: np.ndarray, edge_weights: np.ndarray) -> "ShiftMatrix":
+        """Shift with the given diagonal and edge weights, trusted as exact (no dense checks)."""
+        shift = cls.__new__(cls)
+        shift._store(graph, diagonal, edge_weights)
+        return shift
+
+    def _store(self, graph: Graph, diagonal: np.ndarray, edge_weights: np.ndarray) -> None:
+        d, w = _as_readonly(diagonal), _as_readonly(edge_weights)
         # bincount adds in input order: each row sums its edge terms, then adds
         # S_kk x_k, which rounds exactly like diag * x + (the edge sum).
-        k = np.arange(n)
+        i, j = graph._endpoints
+        k = np.arange(graph.n_vertices)
         rows, cols = np.concatenate([i, j, k]), np.concatenate([j, i, k])
-        weights = np.concatenate([w, w, s.diagonal()])
+        weights = np.concatenate([w, w, d])
         nonzero = weights != 0.0
+        object.__setattr__(self, "graph", graph)
         for name, value in (
-            ("matrix", m),
+            ("diagonal", d),
+            ("edge_weights", w),
             ("_rows", rows[nonzero]),
             ("_cols", cols[nonzero]),
             ("_weights", weights[nonzero]),
@@ -274,13 +290,29 @@ class ShiftMatrix:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only (N, N) array: the edge weights at both orientations, the diagonal."""
+        n = self.n_vertices
+        m = np.zeros((n, n))
+        i, j = self.graph._endpoints
+        m[i, j] = m[j, i] = self.edge_weights
+        np.fill_diagonal(m, self.diagonal)
+        m.flags.writeable = False
+        return m
+
     @property
     def n_vertices(self) -> int:
         return self.graph.n_vertices
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return (self.n_vertices, self.n_vertices)
+
+    def _frobenius_norm(self) -> float:
+        """``||S||_F`` from the diagonal and the edge weights (each edge holds two entries)."""
+        d, w = self.diagonal, self.edge_weights
+        return math.sqrt(float(d @ d) + 2.0 * float(w @ w))
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         """``S @ x``: edge-list apply for a vector, dense product otherwise."""
@@ -298,26 +330,78 @@ class CommutativityCheck(NamedTuple):
     residual: float
 
 
+_JOIN_BLOCK = 1 << 18  # products per block of rows in _commutator_norm (a few MB each)
+
+
+def _by_row(s: ShiftMatrix) -> tuple[np.ndarray, ...]:
+    """Nonzero entries of ``s`` sorted by row, and the start of each row (CSR form)."""
+    order = np.argsort(s._rows, kind="stable")
+    rows = s._rows[order]
+    return rows, s._cols[order], s._weights[order], np.searchsorted(rows, np.arange(s.n_vertices + 1))
+
+
+def _row_products(x, y, lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ``r n + c`` and values of the products ``X_rk Y_kc`` with ``lo <= r < hi``.
+
+    Each entry of X in those rows is joined with the entries of row k of Y.
+    """
+    rows, cols, vals, ptr = x
+    _, y_cols, y_vals, y_ptr = y
+    block = slice(ptr[lo], ptr[hi])
+    first = y_ptr[cols[block]]
+    counts = y_ptr[cols[block] + 1] - first
+    offsets = np.cumsum(counts) - counts
+    picks = np.arange(int(counts.sum())) - np.repeat(offsets - first, counts)
+    keys = np.repeat(rows[block], counts) * n + y_cols[picks]
+    return keys, np.repeat(vals[block], counts) * y_vals[picks]
+
+
+def _commutator_norm(a: ShiftMatrix, b: ShiftMatrix) -> float:
+    """``||AB - BA||_F`` from the two edge lists, in O(sum_k deg_A(k) deg_B(k)).
+
+    Row r of ``AB - BA`` sums the products ``A_rk B_kc`` minus the products
+    ``B_rk A_kc``; its entries are the sums per key ``r N + c``.  Rows are
+    taken in blocks of about :data:`_JOIN_BLOCK` products, so the memory
+    stays bounded on dense graphs, where the join costs O(N^3).
+    """
+    n = a.n_vertices
+    ea, eb = _by_row(a), _by_row(b)
+    deg_a, deg_b = np.diff(ea[3]), np.diff(eb[3])
+    work = np.cumsum(
+        np.bincount(ea[0], deg_b[ea[1]], minlength=n) + np.bincount(eb[0], deg_a[eb[1]], minlength=n)
+    )
+    cuts = np.searchsorted(work, np.arange(_JOIN_BLOCK, work[-1], _JOIN_BLOCK), side="right")
+    bounds = np.concatenate([[0], cuts, [n]])  # nondecreasing; a repeat is an empty block
+    squares = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        keys_ab, ab = _row_products(ea, eb, lo, hi, n)
+        keys_ba, ba = _row_products(eb, ea, lo, hi, n)
+        _, slot = np.unique(np.concatenate([keys_ab, keys_ba]), return_inverse=True)
+        entries = np.bincount(slot, np.concatenate([ab, -ba]))
+        squares += float(entries @ entries)
+    return math.sqrt(squares)
+
+
 def check_commutative(shifts: Sequence[ShiftMatrix] | "ShiftSet") -> CommutativityCheck:
     """Test whether a family of shift matrices pairwise commutes.
 
-    Stored shifts are exactly symmetric, so ``S_k S_l = (S_l S_k)^T`` and
-    each pair costs one product ``P = S_l S_k`` and the norm of ``P - P^T``.
+    Each commutator is computed exactly from the two edge lists (see
+    :func:`_commutator_norm`), without forming a dense matrix.
 
     Returns
     -------
     CommutativityCheck
         ``ok`` plus the largest Frobenius norm ``||S_l S_k - S_k S_l||_F``
         over all pairs; ``ok`` when it is at most
-        ``MATRIX_REL * max(1, max_l ||S_l||_F)``.
+        ``MATRIX_REL * max(1, max_l ||S_l||_F)``, with ``||S_l||_F`` taken
+        from the diagonal and the edge weights.
     """
-    mats = [s.matrix for s in shifts]
-    tol = max((frobenius_tol(m) for m in mats), default=MATRIX_REL)
+    shifts = list(shifts)
+    tol = MATRIX_REL * max([1.0] + [s._frobenius_norm() for s in shifts])
     worst = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            p = mats[a] @ mats[b]
-            worst = max(worst, float(np.linalg.norm(p - p.T)))
+    for a in range(len(shifts)):
+        for b in range(a + 1, len(shifts)):
+            worst = max(worst, _commutator_norm(shifts[a], shifts[b]))
     return CommutativityCheck(worst <= tol, worst)
 
 
@@ -391,20 +475,21 @@ def build_standard_shifts(graph: Graph, kind: str) -> ShiftMatrix:
     """
     if kind not in SHIFT_KINDS:
         raise ValueError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
-    a = graph.adjacency()
+    w = np.asarray(graph.weights, dtype=float)
     if kind == "adjacency":
-        return ShiftMatrix(a, graph)
-    deg = a.sum(axis=1)
-    lap = np.diag(deg) - a
+        return ShiftMatrix._from_edges(graph, np.zeros(graph.n_vertices), w)
+    deg = graph.degrees()
     if kind == "laplacian":
-        return ShiftMatrix(lap, graph)
+        return ShiftMatrix._from_edges(graph, deg, -w)
     if np.any(deg <= 0):
         bad = int(np.argmin(deg))
         raise DegenerateGraphError(
             f"vertex {bad} has zero degree; the normalized laplacian is undefined"
         )
     d = 1.0 / np.sqrt(deg)
-    return ShiftMatrix(d[:, None] * lap * d[None, :], graph)
+    i, j = graph._endpoints
+    # entry (r, c) of D^{-1/2} L D^{-1/2} is d_r L_rc d_c
+    return ShiftMatrix._from_edges(graph, d * deg * d, d[i] * -w * d[j])
 
 
 def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, ShiftSet]:
@@ -443,14 +528,11 @@ def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, Shi
         )
     edges = sorted({(min(i, (i + q) % n), max(i, (i + q) % n)) for q in qs for i in range(n)})
     graph = Graph(n, edges)
-    shifts = []
-    vertices = np.arange(n)
-    for q in qs:
-        s = np.eye(n)
-        s[vertices, (vertices + q) % n] = -0.5
-        s[vertices, (vertices - q) % n] = -0.5
-        shifts.append(ShiftMatrix(s, graph))
-    return graph, ShiftSet(tuple(shifts))
+    i, j = graph._endpoints
+    hop = np.minimum(j - i, n - (j - i))  # the offset each edge was made by
+    diagonal = np.ones(n)
+    shifts = tuple(ShiftMatrix._from_edges(graph, diagonal, np.where(hop == q, -0.5, 0.0)) for q in qs)
+    return graph, ShiftSet(shifts)
 
 
 def path_graph(n: int) -> Graph:

@@ -63,11 +63,15 @@ class OrthogonalBasis:
 
     def __init__(self, n: int, weight=None):
         self.n = int(n)
-        subset = getattr(weight, "provenance", None) == "subset"
-        self._rows = np.array(weight.vertices) if subset else None
-        weight = getattr(weight, "matrix", weight)
-        self.weight = None if weight is None else np.asarray(weight, dtype=float)
-        m = self.n if self.weight is None else self.weight.shape[0]
+        if getattr(weight, "provenance", None) == "subset":
+            self._rows = np.array(weight.vertices)  # the weight is the gather v[rows]
+            m = weight.n_samples
+        else:
+            self._rows = None
+            weight = getattr(weight, "matrix", weight)
+            weight = None if weight is None else np.asarray(weight, dtype=float)
+            m = self.n if weight is None else weight.shape[0]
+        self.weight = weight
         self._u = np.empty((self.n, 8), order="F")
         self._p = self._u if self.weight is None else np.empty((m, 8), order="F")
         self._r = None if self.weight is None else np.zeros((8, 8))

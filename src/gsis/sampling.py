@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,30 +41,39 @@ __all__ = [
 STATE_GAP_REL = 1e-10  # relative state-eigenvalue gap and eigenvector entry dynamic sampling needs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SamplingScheme:
     """Linear observation map ``y = A x``.
 
     ``provenance`` records how the matrix was built: ``"subset"`` (rows
     are the indicators of ``vertices``, so applying the scheme is the
     gather ``x[vertices]``), ``"dynamic"`` (one vertex observed under
-    repeated state evolution) or ``"custom"``.
+    repeated state evolution) or ``"custom"``.  A scheme from
+    :func:`subset_sampler` holds only its vertices and builds ``matrix``
+    on first access.
     """
 
-    matrix: np.ndarray
-    provenance: str = "custom"
-    vertices: tuple[int, ...] | None = None
-    initial_vertex: int | None = None
-    n_snapshots: int | None = None
+    provenance: str
+    vertices: tuple[int, ...] | None
+    initial_vertex: int | None
+    n_snapshots: int | None
+    shape: tuple[int, int]
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        provenance: str = "custom",
+        vertices: tuple[int, ...] | None = None,
+        initial_vertex: int | None = None,
+        n_snapshots: int | None = None,
+    ):
+        m = np.array(matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("sampling matrix must be two-dimensional")
         if not np.all(np.isfinite(m)):
             raise ValueError("sampling matrix entries must be finite")
-        if self.provenance == "subset":
-            v = np.array(self.vertices if self.vertices is not None else (), dtype=int)
+        if provenance == "subset":
+            v = np.array(vertices if vertices is not None else (), dtype=int)
             if not (
                 v.shape == (m.shape[0],)
                 and np.all((v >= 0) & (v < m.shape[1]))
@@ -72,15 +82,34 @@ class SamplingScheme:
             ):
                 raise ValueError("a subset scheme's rows must be the indicators of its vertices")
         m.flags.writeable = False
+        self._store(m.shape, provenance, vertices, initial_vertex, n_snapshots)
         object.__setattr__(self, "matrix", m)
+
+    def _store(self, shape, provenance, vertices, initial_vertex, n_snapshots) -> None:
+        for name, value in (
+            ("shape", tuple(shape)),
+            ("provenance", provenance),
+            ("vertices", vertices),
+            ("initial_vertex", initial_vertex),
+            ("n_snapshots", n_snapshots),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only (M, N) observation matrix; a subset scheme's 0/1 rows are built here."""
+        a = np.zeros(self.shape)
+        a[np.arange(self.n_samples), list(self.vertices)] = 1.0
+        a.flags.writeable = False
+        return a
 
     @property
     def n_samples(self) -> int:
-        return self.matrix.shape[0]
+        return self.shape[0]
 
     @property
     def n_vertices(self) -> int:
-        return self.matrix.shape[1]
+        return self.shape[1]
 
     def apply(self, x) -> np.ndarray:
         v = _vector(x)
@@ -114,9 +143,9 @@ def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
     idx = _distinct_index_set(vertices, n_vertices, "sampling vertices")
     if not idx:
         raise ValueError("at least one sampling vertex is required")
-    a = np.zeros((len(idx), n_vertices))
-    a[np.arange(len(idx)), idx] = 1.0
-    return SamplingScheme(a, "subset", vertices=tuple(idx))
+    scheme = SamplingScheme.__new__(SamplingScheme)
+    scheme._store((len(idx), n_vertices), "subset", tuple(idx), None, None)
+    return scheme
 
 
 def dynamic_sampler(

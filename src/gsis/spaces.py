@@ -96,6 +96,34 @@ def bandlimited_space(decomp: SpectralDecomposition, omega: Sequence[int]) -> Si
     return SignalSpace(tuple(idx), decomp, "bandlimited")
 
 
+def _group_ranks(decomp: SpectralDecomposition, gens: list[np.ndarray]):
+    """Yield ``(group, rank, left)`` for each group of ``decomp.groups``.
+
+    ``rank`` is the dimension of the space the generators generate inside
+    the group (the rule of :func:`gsis_from_generators`); ``left`` holds
+    the left singular vectors of the generators' transform there, None for
+    a single column.  Raises ValueError as ``gsis_from_generators`` does.
+    """
+    n = decomp.n_vertices
+    if not gens:
+        raise ValueError("at least one generator is required")
+    for g in gens:
+        if g.shape[0] != n:
+            raise ValueError(f"generator of length {g.shape[0]} on {n} vertices")
+        if not np.any(g):
+            raise ValueError("generator is identically zero")
+    ghat = decomp.basis.T @ np.column_stack(gens)
+    scales = np.linalg.norm(ghat, axis=0)
+    max_scale = float(scales.max())
+    for group in decomp.groups:
+        sub = ghat[group, :]
+        if len(group) == 1:
+            yield group, int(np.any(np.abs(sub[0]) > SUPPORT_REL * scales)), None
+            continue
+        left, svals, _ = np.linalg.svd(sub)
+        yield group, int(np.sum(svals > SUPPORT_REL * max_scale)), left
+
+
 def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) -> SignalSpace:
     """Smallest shift-invariant space containing the given generators.
 
@@ -115,30 +143,12 @@ def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) ->
     ValueError
         If a generator is identically zero or has the wrong length.
     """
-    n = decomp.n_vertices
     gens = [_vector(g) for g in generators]
-    if not gens:
-        raise ValueError("at least one generator is required")
-    for g in gens:
-        if g.shape[0] != n:
-            raise ValueError(f"generator of length {g.shape[0]} on {n} vertices")
-        if not np.any(g):
-            raise ValueError("generator is identically zero")
-    ghat = decomp.basis.T @ np.column_stack(gens)
-    scales = np.linalg.norm(ghat, axis=0)
     provenance = "pgsis" if len(gens) == 1 else "gsis"
     stored = tuple(g.copy() for g in gens)
-    max_scale = float(scales.max())
     omega: list[int] = []
     basis = None
-    for group in decomp.groups:
-        sub = ghat[group, :]
-        if len(group) == 1:
-            if np.any(np.abs(sub[0]) > SUPPORT_REL * scales):
-                omega.append(group[0])
-            continue
-        left, svals, _ = np.linalg.svd(sub)
-        rank = int(np.sum(svals > SUPPORT_REL * max_scale))
+    for group, rank, left in _group_ranks(decomp, gens):
         if 0 < rank < len(group):
             if basis is None:
                 basis = decomp.basis.copy()
@@ -531,17 +541,17 @@ def uncertainty_check(decomp: SpectralDecomposition, phi0) -> UncertaintyReport:
     if scale == 0.0:
         raise ValueError("generator is identically zero")
     support_size = int(np.sum(np.abs(v) > SUPPORT_REL * scale))
-    space = gsis_from_generators(decomp, [v])
+    dim = sum(rank for _, rank, _ in _group_ranks(decomp, [v]))
     mode = "exact" if decomp.n_vertices <= 12 else "infinity_bound"
     loc = uniform_norm_star(decomp.basis, mode)
     bound = loc**-2
     return UncertaintyReport(
         support_size=support_size,
-        space_dim=space.dim,
+        space_dim=dim,
         localization=loc,
         localization_mode=mode,
         lower_bound=bound,
-        holds=bool(support_size * space.dim >= bound - 1e-9),
+        holds=bool(support_size * dim >= bound - 1e-9),
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,7 @@ def test_shift_set_requires_commuting():
     m1[0, 1] = m1[1, 0] = 1.3
     m2 = np.zeros((3, 3))
     m2[1, 2] = m2[2, 1] = 0.7
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shifts do not commute: largest commutator residual"):
         gsis.ShiftSet((gsis.ShiftMatrix(m1, tri), gsis.ShiftMatrix(m2, tri)))
 
 
@@ -120,6 +122,31 @@ def test_build_circulant_structure():
     assert s3[0, 3] == -0.5 and s3[0, 7] == -0.5 and s3[0, 1] == 0.0
     check = gsis.check_commutative(shifts)
     assert check.ok
+
+
+@pytest.mark.parametrize("n, offsets", [(10, (1, 3)), (11, (2, 5)), (200, (1, 3, 7))])
+def test_build_circulant_matches_the_dense_construction(n, offsets):
+    _, shifts = gsis.build_circulant(n, offsets)
+    v = np.arange(n)
+    for q, shift in zip(offsets, shifts):
+        dense = np.eye(n)
+        dense[v, (v + q) % n] = -0.5
+        dense[v, (v - q) % n] = -0.5
+        assert np.array_equal(shift.matrix, dense)
+    assert shifts.commutativity_residual == 0.0
+
+
+def test_large_circulant_is_built_without_dense_matrices():
+    tracemalloc.start()
+    try:
+        _, shifts = gsis.build_circulant(2000, (1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all("matrix" not in vars(shift) for shift in shifts)
+    assert peak < 16e6  # one dense 2000 x 2000 array alone is 32 MB
+    dense = shifts[0].matrix  # built on first access, then kept
+    assert shifts[0].matrix is dense and not dense.flags.writeable
 
 
 def test_build_circulant_validation():

@@ -24,6 +24,16 @@ def test_subset_sampler_rows():
     assert np.array_equal(scheme.apply(np.arange(5.0)), [0.0, 3.0])
 
 
+def test_subset_scheme_holds_its_vertices_until_the_matrix_is_read():
+    scheme = gsis.subset_sampler(2000, range(700, 1301))
+    basis = gsis.orthogonalize.OrthogonalBasis(2000, weight=scheme)
+    assert basis.images.shape == (601, 0)
+    assert scheme.n_samples == 601 and scheme.n_vertices == 2000
+    assert "matrix" not in vars(scheme)
+    assert np.array_equal(scheme.matrix, np.eye(2000)[700:1301])
+    assert not scheme.matrix.flags.writeable
+
+
 def test_subset_sampler_accepts_iterators():
     from_generator = gsis.subset_sampler(10, (i for i in range(3)))
     from_range = gsis.subset_sampler(10, range(3))

@@ -377,6 +377,20 @@ def test_uncertainty_large_graph_uses_infinity_bound():
     assert report.holds  # product 26 >= (sqrt(2/50))^-2 = 25
 
 
+def test_uncertainty_dimension_is_the_generated_space_dimension():
+    # on a cycle the impulse cuts tied groups; generic signals fill them
+    _, shifts = gsis.build_circulant(12, [1])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    rng = np.random.default_rng(9)
+    impulse = np.zeros(12)
+    impulse[5] = 1.0
+    for phi in (impulse, rng.standard_normal(12), decomp.basis[:, 3] + decomp.basis[:, 4]):
+        report = gsis.uncertainty_check(decomp, phi)
+        assert report.space_dim == gsis.gsis_from_generators(decomp, [phi]).dim
+    with pytest.raises(ValueError, match="length 11"):
+        gsis.uncertainty_check(decomp, np.ones(11))
+
+
 def test_is_shift_invariant_cases(p3):
     _, shifts, decomp = p3
     assert gsis.is_shift_invariant(gsis.bandlimited_space(decomp, [0, 1]), shifts)
