@@ -114,13 +114,13 @@ def _build_scheme(
     """Subset sampling on ``--w``, else dynamic sampling at ``--i0`` for ``--k`` snapshots."""
     if getattr(args, "w", None) is not None:
         return subset_sampler(shifts.n_vertices, args.w)
-    return dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
+    return dynamic_sampler(decomp, shifts[0]._dense(), args.i0, args.k)
 
 
 def _cmd_graph_export(args) -> int:
     graph, shifts = _build_graph_shifts(args)
     out = Path(args.out)
-    files = [io.save_matrix_csv(out / f"shift_{k}.csv", s.matrix) for k, s in enumerate(shifts)]
+    files = [io.save_shift_csv(out / f"shift_{k}.csv", s) for k, s in enumerate(shifts)]
     decomp = diagonalize_simultaneously(shifts, seed=args.seed)
     files.extend(io.save_decomposition(decomp, out))
     print(

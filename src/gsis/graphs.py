@@ -207,6 +207,17 @@ class Signal:
         object.__setattr__(self, "values", _as_readonly(v))
 
 
+def _entries(graph: Graph, diagonal: np.ndarray, edge_weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of every stored entry of a shift, zeros included.
+
+    Each edge appears at both orientations, and then the diagonal follows.
+    """
+    i, j = graph._endpoints
+    k = np.arange(graph.n_vertices)
+    values = np.concatenate([edge_weights, edge_weights, diagonal])
+    return np.concatenate([i, j, k]), np.concatenate([j, i, k]), values
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class ShiftMatrix:
     """Symmetric matrix supported on the diagonal and the edges of a graph.
@@ -214,8 +225,9 @@ class ShiftMatrix:
     A shift is stored as an edge list: its ``diagonal`` and one weight per
     edge of ``graph.edges`` (``edge_weights``, aligned with the edges), so
     it holds O(N + |E|) numbers.  ``matrix`` is the dense (N, N) array,
-    built on first access and then kept; only decompositions, 2-D products
-    and exports read it.
+    built on first access and then kept; in the package only 2-D products
+    read it.  Decompositions and checks build one transient dense copy at
+    a time (``_dense``), and exports write from the edges.
 
     ``ShiftMatrix(matrix, graph)`` checks a dense input against
     ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) for symmetry and for
@@ -274,10 +286,7 @@ class ShiftMatrix:
         d, w = _as_readonly(diagonal), _as_readonly(edge_weights)
         # bincount adds in input order: each row sums its edge terms, then adds
         # S_kk x_k, which rounds exactly like diag * x + (the edge sum).
-        i, j = graph._endpoints
-        k = np.arange(graph.n_vertices)
-        rows, cols = np.concatenate([i, j, k]), np.concatenate([j, i, k])
-        weights = np.concatenate([w, w, d])
+        rows, cols, weights = _entries(graph, d, w)
         nonzero = weights != 0.0
         object.__setattr__(self, "graph", graph)
         for name, value in (
@@ -290,14 +299,23 @@ class ShiftMatrix:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense read-only (N, N) array: the edge weights at both orientations, the diagonal."""
+    def _dense(self, diagonal: np.ndarray | None = None, edge_weights: np.ndarray | None = None) -> np.ndarray:
+        """Fresh (N, N) array on this shift's graph: edge weights at both orientations, the diagonal.
+
+        ``diagonal`` and ``edge_weights`` default to the shift's own, so
+        ``_dense()`` is a transient copy of ``matrix`` that nothing keeps.
+        """
         n = self.n_vertices
         m = np.zeros((n, n))
         i, j = self.graph._endpoints
-        m[i, j] = m[j, i] = self.edge_weights
-        np.fill_diagonal(m, self.diagonal)
+        m[i, j] = m[j, i] = self.edge_weights if edge_weights is None else edge_weights
+        np.fill_diagonal(m, self.diagonal if diagonal is None else diagonal)
+        return m
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only (N, N) array, built by :meth:`_dense` on first access and then kept."""
+        m = self._dense()
         m.flags.writeable = False
         return m
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import MetricsTable, ModelComparison
+from .graphs import ShiftMatrix, _entries
 from .kernels import ShiftInvariantKernel
 from .sampling import Observation, ReconstructionResult, SamplingScheme
 from .spaces import SignalSpace
@@ -22,6 +23,7 @@ from .spectral import SpectralDecomposition
 
 __all__ = [
     "save_matrix_csv",
+    "save_shift_csv",
     "load_matrix_csv",
     "save_json",
     "save_decomposition",
@@ -39,6 +41,36 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), delimiter=",")
+    return path
+
+
+def save_shift_csv(path: str | Path, shift: ShiftMatrix) -> Path:
+    """Write a shift's dense matrix from its diagonal and edge weights, one row at a time.
+
+    The file is byte for byte what ``save_matrix_csv(path, shift.matrix)``
+    writes, without the dense matrix: each row starts as N copies of the
+    ``+0.0`` field and takes its diagonal entry and its edge entries
+    (signed zeros included) in ``"%.18e"``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    n = shift.n_vertices
+    rows, cols, vals = _entries(shift.graph, shift.diagonal, shift.edge_weights)
+    written = np.flatnonzero((vals != 0.0) | np.signbit(vals))  # the rest print as the +0.0 field
+    order = written[np.argsort(rows[written], kind="stable")]
+    starts = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+    cols = cols[order].tolist()
+    fields = ["%.18e" % v for v in vals[order].tolist()]
+    zero = "%.18e" % 0.0
+    line = [zero] * n
+    with open(path, "w", encoding="latin1") as fh:
+        for r in range(n):
+            span = slice(starts[r], starts[r + 1])
+            for c, f in zip(cols[span], fields[span]):
+                line[c] = f
+            fh.write(",".join(line) + "\n")
+            for c in cols[span]:
+                line[c] = zero
     return path
 
 

@@ -427,7 +427,7 @@ def degenerate_dimension_check(
         )
     if scheme is not None:
         normal = scheme.matrix.T @ scheme.matrix
-        s = shifts[0].matrix
+        s = shifts[0]._dense()
         if np.linalg.norm(normal @ s - s @ normal) > frobenius_tol(s, 1e-8) * max(
             1.0, float(np.linalg.norm(normal))
         ):

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DistinctnessError
 from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
-from .spectral import DISTINCT_REL, SpectralDecomposition, _min_gap, graded_multi_indices
+from .spectral import DISTINCT_REL, SpectralDecomposition, _combination, _min_gap, graded_multi_indices
 
 __all__ = [
     "SignalSpace",
@@ -379,7 +379,7 @@ def canonical_generator(
         scalar = decomp.joint_spectrum[idx] @ d
         if _min_gap(scalar) <= DISTINCT_REL * max(float(np.ptp(scalar)), 1e-300):
             continue
-        t_mat = sum(dl * s.matrix for dl, s in zip(d, decomp.shifts))
+        t_mat = _combination(decomp.shifts, d)
         # Stable rank check of {T^k phi0 : k < m} through an orthogonal chain.
         chain = KrylovChain([t_mat], [phi0])
         chain.grow_to(m - 1)
@@ -566,8 +566,9 @@ def is_shift_invariant(space: SignalSpace, shifts: ShiftSet) -> bool:
     if b.shape[1] == 0:
         return True
     for s in shifts:
-        shifted = s.matrix @ b
+        m = s._dense()
+        shifted = m @ b
         residual = shifted - b @ (b.T @ shifted)
-        if np.linalg.norm(residual, axis=0).max() > frobenius_tol(s.matrix):
+        if np.linalg.norm(residual, axis=0).max() > frobenius_tol(m):
             return False
     return True

@@ -37,6 +37,7 @@ __all__ = [
 DIAGONALIZATION_REL = 1e-9  # accepted residual ||S U - U diag||_F / ||S||_F per shift
 DIAGONALIZATION_DRAWS = 8  # random combinations tried before giving up
 DISTINCT_REL = 1e-8  # tie gap, relative to the joint spectrum's bounding-box diagonal
+_ROTATION_CHUNK = 64  # tied groups rotated per batch, so the batch stays far below N x N
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class SpectralDecomposition:
             If the residual ``||M U - U diag(lambda)||_F`` exceeds
             ``frobenius_tol(M, 1e-8)``; the message names ``what``.
         """
-        mat = matrix.matrix if isinstance(matrix, ShiftMatrix) else np.asarray(matrix, dtype=float)
+        mat = matrix._dense() if isinstance(matrix, ShiftMatrix) else np.asarray(matrix, dtype=float)
         u = self.basis
         mu = mat @ u
         lam = np.einsum("ij,ij->j", u, mu)
@@ -163,6 +164,47 @@ def _tie_groups(lams: np.ndarray) -> list[np.ndarray]:
     return np.split(order, starts)
 
 
+def _combination(shifts: ShiftSet, d: np.ndarray) -> np.ndarray:
+    """Dense ``sum_l d_l S_l``, summed over the diagonals and the edge weights.
+
+    Each entry takes the same additions as the dense sum ``sum(d_l * S_l)``,
+    signed zeros included, so the two arrays are equal bit for bit.
+    """
+    diagonal = sum(dl * s.diagonal for dl, s in zip(d, shifts))
+    edge_weights = sum(dl * s.edge_weights for dl, s in zip(d, shifts))
+    return shifts[0]._dense(diagonal, edge_weights)
+
+
+def _norm_and_image(rows: np.ndarray, shift: ShiftMatrix) -> tuple[float, np.ndarray]:
+    """``||S||_F`` and ``rows @ S`` from one transient dense copy of the shift."""
+    m = shift._dense()
+    return np.linalg.norm(m), rows @ m
+
+
+def _rotate_tied_groups(groups: list[np.ndarray], rows: np.ndarray, images) -> None:
+    """Rotate each tied group's rows, and their images, to the basis fixed by the shifts, in place.
+
+    A group's rows ``U_g`` become ``Q.T U_g``, where ``Q`` diagonalizes
+    ``U_g diag(0, ..., N - 1) U_g.T``.  Groups of one size are rotated as a
+    batch of at most :data:`_ROTATION_CHUNK` groups.
+    """
+    ramp = np.arange(rows.shape[1], dtype=float)
+    for size in {len(g) for g in groups} - {1}:
+        same = np.array([g for g in groups if len(g) == size])
+        for lo in range(0, len(same), _ROTATION_CHUNK):
+            idx = same[lo : lo + _ROTATION_CHUNK]
+            block = rows[idx]
+            qt = np.linalg.eigh((block * ramp) @ block.transpose(0, 2, 1))[1].transpose(0, 2, 1)
+            for a in (rows, *images):
+                a[idx] = qt @ a[idx]
+
+
+def _residual_norm(image: np.ndarray, lam: np.ndarray, rows: np.ndarray) -> float:
+    """``||S U - U diag(lam)||_F`` from the rows ``S u_n``, which it overwrites with the residual."""
+    image -= lam[:, None] * rows
+    return np.linalg.norm(image)
+
+
 def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDecomposition:
     """Find one orthonormal basis diagonalizing every shift in the set.
 
@@ -175,6 +217,10 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     accidentally merges distinct joint eigenvalues fails that check and is
     redrawn, up to :data:`DIAGONALIZATION_DRAWS` draws.
 
+    The combination is summed over the diagonals and edge weights, and each
+    shift is made dense only for its norm and its image, one at a time; no
+    shift's ``matrix`` is read or cached.
+
     Raises
     ------
     ValueError
@@ -184,34 +230,25 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     """
     if not isinstance(shifts, ShiftSet):
         shifts = ShiftSet(tuple(shifts))
-    mats = [s.matrix for s in shifts]
-    norms = np.array([np.linalg.norm(m) for m in mats])
     rng = np.random.default_rng(seed)
-    ramp = np.arange(shifts.n_vertices, dtype=float)
     worst_seen = np.inf
     for _ in range(DIAGONALIZATION_DRAWS):
         if shifts.n_shifts == 1:
-            combo = mats[0]
+            combo = shifts[0]._dense()
         else:
             d = rng.standard_normal(shifts.n_shifts)
             d /= np.linalg.norm(d)
-            combo = sum(dl * m for dl, m in zip(d, mats))
+            combo = _combination(shifts, d)
         # row n of `rows` is eigenvector n, and row n of images[l] is S_l u_n
         # (the shifts are symmetric), so a group's vectors are contiguous rows
         rows = np.linalg.eigh(combo)[1].T.copy()
         del combo
-        images = [rows @ m for m in mats]
+        norms, images = zip(*(_norm_and_image(rows, s) for s in shifts))
+        norms = np.array(norms)
         groups = _tie_groups(_row_eigenvalues(rows, images))
-        for size in {len(g) for g in groups} - {1}:
-            idx = np.array([g for g in groups if len(g) == size])
-            block = rows[idx]
-            qt = np.linalg.eigh((block * ramp) @ block.transpose(0, 2, 1))[1].transpose(0, 2, 1)
-            for a in (rows, *images):
-                a[idx] = qt @ a[idx]
+        _rotate_tied_groups(groups, rows, images)
         lams = _row_eigenvalues(rows, images)
-        for im, lam in zip(images, lams):
-            im -= lam[:, None] * rows
-        residuals = np.array([np.linalg.norm(im) for im in images])
+        residuals = np.array([_residual_norm(im, lam, rows) for im, lam in zip(images, lams)])
         del images
         rel = residuals / np.where(norms > 0, norms, 1.0)
         worst_seen = min(worst_seen, float(rel.max()))
@@ -325,11 +362,12 @@ def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     n = shifts.n_vertices
     if h.shape != (n, n):
         raise ValueError(f"filter of shape {h.shape} on {n} vertices")
-    scale = max(float(np.linalg.norm(s.matrix)) for s in shifts)
-    tol = MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
-    return all(
-        np.linalg.norm(h @ s.matrix - s.matrix @ h) <= tol for s in shifts
-    )
+    scale, worst = 0.0, 0.0
+    for s in shifts:
+        m = s._dense()
+        scale = max(scale, float(np.linalg.norm(m)))
+        worst = max(worst, float(np.linalg.norm(h @ m - m @ h)))
+    return worst <= MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
 
 
 def lagrange_projector(decomp: SpectralDecomposition, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,39 @@ def test_graded_multi_indices_order():
     assert idx == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert gsis.graded_multi_indices(1, 3) == [(0,), (1,), (2,), (3,)]
     assert len(gsis.graded_multi_indices(3, 2)) == 10
+
+
+def test_decomposition_holds_one_dense_shift_at_a_time():
+    _, shifts = gsis.build_circulant(1000, (1, 3))
+    tracemalloc.start()
+    try:
+        decomp = gsis.diagonalize_simultaneously(shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all("matrix" not in vars(s) for s in shifts)
+    # the eigenvectors, two images and one transient shift are 8 MB each
+    assert peak < 40e6
+    gsis.canonical_generator(decomp, [g.start for g in decomp.groups[:6]])
+    decomp.eigenvalues_of(shifts[1], "shift 1")
+    assert all("matrix" not in vars(s) for s in shifts)
+
+
+def test_checks_leave_no_dense_matrix_on_the_shifts():
+    _, shifts = gsis.build_circulant(12, (1, 3))
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    space = gsis.bandlimited_space(decomp, [0, 1, 2])
+    kernel = gsis.make_kernel(decomp, shifts[0], "diffusion", sigma=1.0)
+    single = gsis.ShiftSet((shifts[0],))
+    checks = {
+        "is_shift_invariant": lambda: gsis.is_shift_invariant(space, shifts),
+        "is_shift_invariant_kernel": lambda: gsis.is_shift_invariant_kernel(kernel.matrix, shifts),
+        "is_polynomial_filter": lambda: gsis.is_polynomial_filter(kernel.matrix, shifts),
+        "degenerate_dimension_check": lambda: gsis.degenerate_dimension_check(
+            single, np.eye(12)[0], gsis.subset_sampler(12, range(12))
+        ),
+    }
+    assert all("matrix" not in vars(s) for s in shifts)
+    for name, check in checks.items():
+        assert check(), name
+        assert all("matrix" not in vars(s) for s in shifts), name

@@ -18,7 +18,15 @@ from hypothesis import given, settings, strategies as st
 import gsis
 from conftest import laplacian_shift_set, random_connected_graph
 from gsis.spaces import SUPPORT_REL
-from gsis.spectral import DISTINCT_REL
+from gsis.spectral import (
+    DIAGONALIZATION_DRAWS,
+    DIAGONALIZATION_REL,
+    DISTINCT_REL,
+    _min_distance,
+    _row_eigenvalues,
+    _sign_normalize,
+    _tie_groups,
+)
 
 SEEDS = range(8)
 
@@ -225,3 +233,108 @@ def test_generated_spaces_are_bandlimited_in_their_decomposition(shifts, data):
 )
 def test_generated_space_cases(shifts, gens, cut):
     assert check_generated_space(shifts, gens) == cut
+
+
+def _dense_reference(shifts, seed):
+    """The decomposition from the dense matrices of every shift, all held at once (the oracle).
+
+    Returns the basis, eigenvalues, groups, gap and residual that
+    ``diagonalize_simultaneously`` gave when it summed and multiplied the
+    cached dense ``matrix`` of each shift and rotated every tied group of
+    one size in a single batch.
+    """
+    mats = [s.matrix for s in shifts]
+    norms = np.array([np.linalg.norm(m) for m in mats])
+    rng = np.random.default_rng(seed)
+    ramp = np.arange(shifts.n_vertices, dtype=float)
+    for _ in range(DIAGONALIZATION_DRAWS):
+        if shifts.n_shifts == 1:
+            combo = mats[0]
+        else:
+            d = rng.standard_normal(shifts.n_shifts)
+            d /= np.linalg.norm(d)
+            combo = sum(dl * m for dl, m in zip(d, mats))
+        rows = np.linalg.eigh(combo)[1].T.copy()
+        images = [rows @ m for m in mats]
+        groups = _tie_groups(_row_eigenvalues(rows, images))
+        for size in {len(g) for g in groups} - {1}:
+            idx = np.array([g for g in groups if len(g) == size])
+            block = rows[idx]
+            qt = np.linalg.eigh((block * ramp) @ block.transpose(0, 2, 1))[1].transpose(0, 2, 1)
+            for a in (rows, *images):
+                a[idx] = qt @ a[idx]
+        lams = _row_eigenvalues(rows, images)
+        for im, lam in zip(images, lams):
+            im -= lam[:, None] * rows
+        residuals = np.array([np.linalg.norm(im) for im in images])
+        if np.all(residuals <= DIAGONALIZATION_REL * norms):
+            order = np.concatenate(groups)
+            lams = np.ascontiguousarray(lams[:, order])
+            ends = np.cumsum([len(g) for g in groups])
+            return (
+                _sign_normalize(rows[order].T),
+                lams,
+                tuple(range(e - len(g), e) for g, e in zip(groups, ends)),
+                _min_distance(lams.T),
+                float((residuals / np.where(norms > 0, norms, 1.0)).max()),
+            )
+    raise AssertionError("the reference found no basis")
+
+
+def assert_decomposition_matches_the_dense_reference(shifts):
+    for seed in range(4):
+        decomp = gsis.diagonalize_simultaneously(shifts, seed=seed)
+        basis, eigenvalues, groups, gap, residual = _dense_reference(shifts, seed)
+        # bytes and strides, so signed zeros and the memory layout count too
+        assert decomp.basis.tobytes() == basis.tobytes() and decomp.basis.strides == basis.strides
+        assert decomp.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert decomp.groups == groups
+        assert decomp.min_spectral_gap == gap
+        assert decomp.max_residual == residual
+
+
+@st.composite
+def shift_polynomial_families(draw):
+    """Circulants with 2-3 offsets, tori, and polynomials of one weighted Laplacian."""
+    kind = draw(st.sampled_from(["circulant", "torus", "laplacian polynomials"]))
+    if kind == "circulant":
+        n = draw(st.integers(5, 40))
+        offsets = [1] + draw(st.lists(st.integers(2, (n - 1) // 2), min_size=1, max_size=2, unique=True))
+        return gsis.build_circulant(n, offsets)[1]
+    if kind == "torus":
+        return torus_shifts(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_connected_graph(draw(st.integers(2, 16)), rng)
+    n = graph.n_vertices
+    lap = gsis.build_standard_shifts(graph, "laplacian").matrix
+    square = lap @ lap
+    # L and L^2 are shifts on the graph of |L|'s two-hop support
+    support = np.abs(lap) @ np.abs(lap)
+    two_hop = gsis.Graph(n, [(i, j) for i, j in zip(*np.nonzero(support)) if i < j])
+    c = rng.uniform(-2.0, 2.0, 5)
+    return gsis.ShiftSet(
+        (
+            gsis.ShiftMatrix(c[0] * np.eye(n) + c[1] * lap, two_hop),
+            gsis.ShiftMatrix(c[2] * np.eye(n) + c[3] * lap + c[4] * square, two_hop),
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifts=shift_polynomial_families())
+def test_decomposition_from_the_edges_equals_the_dense_reference(shifts):
+    assert_decomposition_matches_the_dense_reference(shifts)
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        # 149 tied pairs, so the pairs are rotated in three batches
+        gsis.build_circulant(300, [1, 3])[1],
+        gsis.build_circulant(200, [1, 2, 7])[1],
+        gsis.ShiftSet((gsis.build_standard_shifts(gsis.cycle_graph(150), "laplacian"),)),
+    ],
+    ids=["circulant 300 (1, 3)", "circulant 200 (1, 2, 7)", "cycle 150 laplacian"],
+)
+def test_large_tied_decompositions_equal_the_dense_reference(shifts):
+    assert_decomposition_matches_the_dense_reference(shifts)
