@@ -20,6 +20,8 @@ amplify roundoff into directions the weight cannot see.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["OrthogonalBasis", "ADDED", "DEPENDENT", "INVISIBLE", "DROP_REL", "INVISIBLE_REL"]
@@ -30,13 +32,33 @@ INVISIBLE = "invisible"
 
 DROP_REL = 1e-10  # dependent: orthogonalized weighted norm <= DROP_REL * largest raw one
 INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_REL * largest norm
+# Row ranges start and end on multiples of _BLOCK (or at the last row), so the
+# BLAS kernels, which unroll by up to 32 rows, group the nonzeros of a range
+# into the same partial sums as those of the full column: the range drops only
+# exact-zero terms and leaves every result bit for bit as the full-row product.
+_BLOCK = 32
 
 
 def _doubled(a: np.ndarray) -> np.ndarray:
-    """Column-major copy of ``a`` with twice its columns, the new ones unset."""
-    out = np.empty((a.shape[0], 2 * a.shape[1]), order="F")
+    """Column-major copy of ``a`` with twice its columns, the new ones zero."""
+    out = np.zeros((a.shape[0], 2 * a.shape[1]), order="F")
     out[:, : a.shape[1]] = a
     return out
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector: the ``sqrt(x . x)`` of ``np.linalg.norm``, without its overhead."""
+    return math.sqrt(x.dot(x))
+
+
+def _span(x: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Smallest row range of whole ``_BLOCK``-row blocks holding ``[lo, hi)`` and every nonzero of x."""
+    nonzero = x.nonzero()[0]
+    if nonzero.size == 0:
+        return lo, hi
+    first = int(nonzero[0]) // _BLOCK * _BLOCK
+    last = min((int(nonzero[-1]) // _BLOCK + 1) * _BLOCK, x.shape[0])
+    return min(lo, first), max(hi, last)
 
 
 class OrthogonalBasis:
@@ -59,6 +81,17 @@ class OrthogonalBasis:
     Both streams are stored column-major, so ``basis`` and ``images`` are
     contiguous blocks that every projection reads with unit stride; row-major
     storage would stride each row by the buffer's capacity.
+
+    Each stream keeps the row range outside which all its columns are
+    exactly zero (the buffers start zeroed).  A candidate first widens the
+    range to cover its own nonzeros; the projections, norms and stores then
+    read only those rows, dropping nothing but exact-zero terms.  A
+    candidate costs O(rows x dim) per pass instead of O(N x dim), which pays
+    off while the span stays local in the vertex labels (a delta generator
+    on a circulant, a path or a row-major grid); a dense candidate, or an
+    arbitrary labelling, soon makes the range every row.  The range only
+    grows, so a column stored after ``dim`` is lowered overwrites every row
+    the dropped column could have used.
     """
 
     def __init__(self, n: int, weight=None):
@@ -72,10 +105,12 @@ class OrthogonalBasis:
             weight = None if weight is None else np.asarray(weight, dtype=float)
             m = self.n if weight is None else weight.shape[0]
         self.weight = weight
-        self._u = np.empty((self.n, 8), order="F")
-        self._p = self._u if self.weight is None else np.empty((m, 8), order="F")
+        self._u = np.zeros((self.n, 8), order="F")
+        self._p = self._u if self.weight is None else np.zeros((m, 8), order="F")
         self._r = None if self.weight is None else np.zeros((8, 8))
         self.dim = 0
+        # no basis column is nonzero outside the rows [lo, hi), nor, under a weight, an image column outside [plo, phi)
+        self._lo, self._hi, self._plo, self._phi = self.n, 0, m, 0
         self._max_weighted = 0.0
         self._max_euclid = 0.0
 
@@ -102,47 +137,55 @@ class OrthogonalBasis:
         Returns one of ``ADDED``, ``DEPENDENT``, ``INVISIBLE``.
         """
         v = np.array(v, dtype=float)
-        self._max_euclid = max(self._max_euclid, float(np.linalg.norm(v)))
+        lo, hi = _span(v, self._lo, self._hi)
+        vs = v[lo:hi]  # a view: v is zero outside these rows, and so is every basis column
+        self._max_euclid = max(self._max_euclid, _norm(vs))
+        k = self.dim
         if self.weight is None:
             self._max_weighted = self._max_euclid
-            if self.dim:
-                u = self.basis
-                for _ in range(2):
-                    v -= u @ (u.T @ v)
-            norm_v = float(np.linalg.norm(v))
+            if k:
+                u = self._u[lo:hi, :k]
+                vs -= u @ (u.T @ vs)
+                vs -= u @ (u.T @ vs)
+            norm_v = _norm(vs)
             if norm_v <= DROP_REL * self._max_weighted:
                 return DEPENDENT
             self._grow()
-            self._u[:, self.dim] = v / norm_v
+            self._u[lo:hi, k] = vs / norm_v
+            self._lo, self._hi = lo, hi
             self.dim += 1
             return ADDED
 
         w = self.weight @ v if self._rows is None else v[self._rows]
-        self._max_weighted = max(self._max_weighted, float(np.linalg.norm(w)))
-        k = self.dim
-        gamma, alpha = np.zeros(k), np.zeros(k)
+        plo, phi = _span(w, self._plo, self._phi)
+        ws = w[plo:phi]
+        self._max_weighted = max(self._max_weighted, _norm(ws))
+        gamma = alpha = np.zeros(0)
         if k:
-            u, p = self.basis, self.images
-            for _ in range(2):
-                c = p.T @ w
-                w -= p @ c
-                gamma += c
-                c = u.T @ v
-                v -= u @ c
-                alpha += c
-        norm_w = float(np.linalg.norm(w))
+            u, p = self._u[lo:hi, :k], self._p[plo:phi, :k]
+            g1 = p.T @ ws
+            ws -= p @ g1
+            a1 = u.T @ vs
+            vs -= u @ a1
+            g2 = p.T @ ws
+            ws -= p @ g2
+            a2 = u.T @ vs
+            vs -= u @ a2
+            gamma, alpha = g1 + g2, a1 + a2
+        norm_w = _norm(ws)
         if norm_w <= DROP_REL * self._max_weighted:
-            if float(np.linalg.norm(v)) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
+            if _norm(vs) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
                 return INVISIBLE
             return DEPENDENT
         # a weighted-independent candidate is euclidean-independent, since
         # ||W r|| <= ||W|| ||r|| for the orthogonalized remainder r
-        norm_v = float(np.linalg.norm(v))
+        norm_v = _norm(vs)
         self._grow()
-        self._u[:, k] = v / norm_v
-        self._p[:, k] = w / norm_w
+        self._u[lo:hi, k] = vs / norm_v
+        self._p[plo:phi, k] = ws / norm_w
         self._r[:k, k] = (gamma - self._r[:k, :k] @ alpha) / norm_v
         self._r[k, k] = norm_w / norm_v
+        self._lo, self._hi, self._plo, self._phi = lo, hi, plo, phi
         self.dim += 1
         return ADDED
 
@@ -162,6 +205,8 @@ class OrthogonalBasis:
         k = c.shape[0]
         if k > self.dim:
             raise ValueError(f"{k} coefficients for a basis of dimension {self.dim}")
-        if self.weight is None:
-            return self._u[:, :k] @ c
-        return self._u[:, :k] @ np.linalg.solve(self._r[:k, :k], c)
+        if self.weight is not None:
+            c = np.linalg.solve(self._r[:k, :k], c)
+        out = np.zeros((self.n,) + c.shape[1:])
+        out[self._lo : self._hi] = self._u[self._lo : self._hi, :k] @ c
+        return out

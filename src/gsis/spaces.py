@@ -206,8 +206,12 @@ class KrylovChain(OrthogonalBasis):
     move a borderline decision.
 
     ``matrices`` are applied as ``S @ v``: a :class:`~gsis.graphs.ShiftMatrix`
-    (or a :class:`~gsis.graphs.ShiftSet`) through its edge list, so each
-    candidate costs O(N + 2|E|), and a dense ``(N, N)`` array in O(N^2).
+    (or a :class:`~gsis.graphs.ShiftSet`) through its edge list in
+    O(N + 2|E|), and a dense ``(N, N)`` array in O(N^2).  Each candidate then
+    costs O(rows x dim) per Gram-Schmidt pass, where rows is the range of
+    vertex labels the span is nonzero on (see
+    :class:`~gsis.orthogonalize.OrthogonalBasis`): on a circulant, a level-n
+    span of a delta generator covers only its n-hop neighbourhood.
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):

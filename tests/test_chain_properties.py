@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gsis
 from conftest import random_connected_graph
-from gsis.orthogonalize import DROP_REL, INVISIBLE, INVISIBLE_REL, OrthogonalBasis
+from gsis.orthogonalize import ADDED, DEPENDENT, DROP_REL, INVISIBLE, INVISIBLE_REL, OrthogonalBasis
 from gsis.spaces import KrylovChain
 
 CLEAR = 1e3  # a rank or drop decision is unambiguous this factor away from its threshold
@@ -311,3 +311,231 @@ def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invis
         assert list(result.dims_trace) == dims
     dropped = gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=level, require_injective=False)
     assert list(dropped.dims_trace) == dims
+
+
+# ---------------------------------------------------------------------------
+# row ranges: Gram-Schmidt reads only the rows a span can be nonzero on
+
+
+def _full_row_try_add(self, v):
+    """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row."""
+    v = np.array(v, dtype=float)
+    self._max_euclid = max(self._max_euclid, float(np.linalg.norm(v)))
+    if self.weight is None:
+        self._max_weighted = self._max_euclid
+        if self.dim:
+            u = self.basis
+            for _ in range(2):
+                v -= u @ (u.T @ v)
+        norm_v = float(np.linalg.norm(v))
+        if norm_v <= DROP_REL * self._max_weighted:
+            return DEPENDENT
+        self._grow()
+        self._u[:, self.dim] = v / norm_v
+        self.dim += 1
+        return ADDED
+    w = self.weight @ v if self._rows is None else v[self._rows]
+    self._max_weighted = max(self._max_weighted, float(np.linalg.norm(w)))
+    k = self.dim
+    gamma, alpha = np.zeros(k), np.zeros(k)
+    if k:
+        u, p = self.basis, self.images
+        for _ in range(2):
+            c = p.T @ w
+            w -= p @ c
+            gamma += c
+            c = u.T @ v
+            v -= u @ c
+            alpha += c
+    norm_w = float(np.linalg.norm(w))
+    if norm_w <= DROP_REL * self._max_weighted:
+        if float(np.linalg.norm(v)) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
+            return INVISIBLE
+        return DEPENDENT
+    norm_v = float(np.linalg.norm(v))
+    self._grow()
+    self._u[:, k] = v / norm_v
+    self._p[:, k] = w / norm_w
+    self._r[:k, k] = (gamma - self._r[:k, :k] @ alpha) / norm_v
+    self._r[k, k] = norm_w / norm_v
+    self.dim += 1
+    return ADDED
+
+
+def _full_row_evaluate(self, coefficients):
+    c = np.asarray(coefficients, dtype=float)
+    k = c.shape[0]
+    if self.weight is None:
+        return self._u[:, :k] @ c
+    return self._u[:, :k] @ np.linalg.solve(self._r[:k, :k], c)
+
+
+class _RecordedChain(KrylovChain):
+    """KrylovChain that records the status of every candidate it offers."""
+
+    _offer = OrthogonalBasis.try_add
+
+    def __init__(self, *args, **kwargs):
+        self.statuses = []
+        super().__init__(*args, **kwargs)
+
+    def try_add(self, v):
+        status = self._offer(v)
+        self.statuses.append(status)
+        return status
+
+
+class _FullRowChain(_RecordedChain):
+    _offer = _full_row_try_add
+    evaluate = _full_row_evaluate
+
+
+RANGE_TOL = 1e-13  # range versus full rows: only exact-zero terms differ, so roundoff at most
+
+
+def _assert_rows_outside_the_range_are_zero(chain):
+    assert not chain._u[: chain._lo].any() and not chain._u[chain._hi :].any()
+    if chain.weight is not None:
+        assert not chain._p[: chain._plo].any() and not chain._p[chain._phi :].any()
+
+
+def _assert_matches_full_rows(chain, ref, y, caps):
+    assert chain.dims == ref.dims and chain.statuses == ref.statuses
+    for a, b in ((chain.basis, ref.basis), (chain.images, ref.images)):
+        assert a.shape == b.shape and np.allclose(a, b, rtol=0, atol=RANGE_TOL)
+    if chain.weight is not None:
+        r, r_ref = chain._r[: chain.dim, : chain.dim], ref._r[: ref.dim, : ref.dim]
+        assert np.allclose(r, r_ref, rtol=0, atol=RANGE_TOL * max(1.0, np.abs(r_ref).max()))
+    fit, fit_ref = chain.fit(y, caps), ref.fit(y, caps)
+    assert np.array_equal(fit.depths, fit_ref.depths)
+    scale = RANGE_TOL * max(1.0, float(np.abs(y).max()))
+    for a, b in zip(fit, fit_ref):
+        assert np.allclose(a, b, rtol=0, atol=scale, equal_nan=True)
+    # the signals map the fit coordinates back through R^{-1}
+    cond = np.linalg.cond(chain._r[: chain.dim, : chain.dim]) if chain.weight is not None and chain.dim else 1.0
+    signals, signals_ref = chain.evaluate(fit.coefficients), ref.evaluate(fit.coefficients)
+    assert np.allclose(signals, signals_ref, rtol=0, atol=scale * cond * np.sqrt(chain.dim + 1))
+    assert not signals[: chain._lo].any() and not signals[chain._hi :].any()
+    _assert_rows_outside_the_range_are_zero(chain)
+
+
+def _weights(scheme):
+    """No weight, the subset scheme (a gather) and its matrix as a custom scheme (a dense product)."""
+    if scheme is None:
+        return [None]
+    return [None, scheme, gsis.SamplingScheme(scheme.matrix)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=commuting_families(), top=st.integers(1, 4), data=st.data())
+def test_row_ranges_match_full_rows_on_commuting_families(family, top, data):
+    mats, gens, scheme = family
+    weight = data.draw(st.sampled_from(_weights(scheme)))
+    chain, ref = _RecordedChain(mats, gens, weight), _FullRowChain(mats, gens, weight)
+    chain.grow_to(top)
+    ref.grow_to(top)
+    m = mats[0].shape[0] if weight is None else weight.n_samples
+    y = np.random.default_rng(top).standard_normal((m, 3))
+    _assert_matches_full_rows(chain, ref, y, [0, top, top + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=circulant_windows(), data=st.data())
+def test_row_ranges_match_full_rows_on_circulant_windows(case, data):
+    shifts, scheme, phi, rng = case
+    weight = data.draw(st.sampled_from(_weights(scheme)))
+    n = shifts.n_vertices
+    chain, ref = _RecordedChain(shifts, [phi], weight), _FullRowChain(shifts, [phi], weight)
+    chain.grow_to(n)
+    ref.grow_to(n)
+    m = n if weight is None else weight.n_samples
+    _assert_matches_full_rows(chain, ref, rng.standard_normal((m, 2)), [2, n])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_localized_chain_keeps_a_local_range_that_is_bit_identical(weighted):
+    n, center, level = 1000, 500, 20
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    phi = np.eye(n)[center]
+    scheme = gsis.subset_sampler(n, range(center - 200, center + 201)) if weighted else None
+    chain, ref = _RecordedChain(shifts, [phi], scheme), _FullRowChain(shifts, [phi], scheme)
+    chain.grow_to(level)
+    ref.grow_to(level)
+    # a level-20 span of a delta is nonzero only within 3 * 20 hops of it
+    assert center - 3 * level - 32 <= chain._lo and chain._hi <= center + 3 * level + 1 + 32
+    assert chain.basis.tobytes() == ref.basis.tobytes() and chain.images.tobytes() == ref.images.tobytes()
+    _assert_rows_outside_the_range_are_zero(chain)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_span_wrapping_past_vertex_zero_takes_every_row(weighted):
+    n = 200
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    phi = np.eye(n)[1]
+    scheme = gsis.subset_sampler(n, [*range(0, 40), *range(170, 200)]) if weighted else None
+    chain, ref = _RecordedChain(shifts, [phi], scheme), _FullRowChain(shifts, [phi], scheme)
+    assert (chain._lo, chain._hi) == (0, 32)
+    chain.grow_to(6)
+    ref.grow_to(6)
+    # vertex 1 has neighbours 198 and 199, so level 1 already spans both ends
+    assert (chain._lo, chain._hi) == (0, n)
+    m = n if scheme is None else scheme.n_samples
+    _assert_matches_full_rows(chain, ref, np.random.default_rng(1).standard_normal((m, 2)), [3, 6])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_dense_generator_takes_every_row_from_level_zero(weighted):
+    n = 150
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    phi = np.random.default_rng(2).standard_normal(n)
+    scheme = gsis.subset_sampler(n, range(30, 120)) if weighted else None
+    chain, ref = _RecordedChain(shifts, [phi], scheme), _FullRowChain(shifts, [phi], scheme)
+    assert (chain._lo, chain._hi) == (0, n)
+    if weighted:
+        assert (chain._plo, chain._phi) == (0, scheme.n_samples)
+    chain.grow_to(8)
+    ref.grow_to(8)
+    m = n if scheme is None else scheme.n_samples
+    _assert_matches_full_rows(chain, ref, np.random.default_rng(3).standard_normal((m, 2)), [4, 8])
+
+
+def test_a_regrown_level_leaves_the_rows_outside_the_range_zero():
+    # the radius-8 window of the 24-vertex case above, centred on a longer
+    # circulant so that the range stays short of both ends
+    n, center, radius, level = 200, 100, 8, 3
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
+    phi = np.eye(n)[center]
+    reported = []
+    chain = _RecordedChain(shifts, [phi], scheme, on_drop=lambda status, what: reported.append(status))
+    ref = _FullRowChain(shifts, [phi], scheme)
+    chain.grow_to(level)
+    ref.grow_to(level)
+    assert INVISIBLE in reported and not chain._prune  # a pruned level was undone and regrown
+    assert 0 < chain._lo and chain._hi < n
+    y = np.random.default_rng(4).standard_normal((scheme.n_samples, 2))
+    _assert_matches_full_rows(chain, ref, y, [1, level])
+    result = gsis.reconstruct_krylov(shifts, [phi], scheme, y[:, 0], max_level=level, require_injective=False)
+    assert list(result.dims_trace) == ref.dims
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_permuted_labels_give_the_same_dims_and_projector(weighted):
+    n, center, level = 120, 60, 6
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    perm = np.random.default_rng(5).permutation(n)  # new label i is old vertex perm[i]
+    inv = np.argsort(perm)
+    window = range(center - 25, center + 26)
+    phi = np.eye(n)[center]
+    chain = KrylovChain(shifts, [phi], gsis.subset_sampler(n, window) if weighted else None)
+    permuted = KrylovChain(
+        [s.matrix[np.ix_(perm, perm)] for s in shifts],
+        [phi[perm]],
+        gsis.subset_sampler(n, inv[list(window)]) if weighted else None,
+    )
+    chain.grow_to(level)
+    permuted.grow_to(level)
+    assert permuted.dims == chain.dims
+    projector = chain.basis @ chain.basis.T
+    assert _span_distance(permuted.basis, chain.basis[perm]) <= 1e-12 * max(1.0, np.abs(projector).max())
+    _assert_rows_outside_the_range_are_zero(permuted)
