@@ -574,6 +574,16 @@ def test_experiment_cli_tiny_grid(tmp_path):
     assert len(text) == 1 + 2 * 2 * 4
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [(["--sigma", "nan"], "sigma must be finite"), (["--seed", "-1"], "seed must be a nonnegative")],
+)
+def test_experiment_bad_noise_options_exit_2(option, message, tmp_path, capsys):
+    argv = ["experiment", "damped-cosine", *option, "--out", str(tmp_path / "out")]
+    _exits_2(capsys, argv, message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_compare_cli(tmp_path):
     signals = tmp_path / "signals.csv"
     header = ",".join(str(i) for i in range(12))

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 import gsis
+from gsis import experiments
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below is then skipped
+    st = None
 
 EXP_MINUS_5_4 = 0.28650479686019009  # exp(-1.25)
 
@@ -53,6 +59,15 @@ def test_config_validation():
         gsis.ExperimentConfig(p_values=(50,))
     with pytest.raises(ValueError):
         gsis.ExperimentConfig(p_values=(0,))
+    # the noise streams take integer seeds >= 0 and need a finite width 2 * sigma
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            gsis.ExperimentConfig(seed=seed)
+    for sigma in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError, match="sigma"):
+            gsis.ExperimentConfig(sigma=sigma)
+    assert type(gsis.ExperimentConfig(seed=np.int64(3)).seed) is int
+    assert gsis.ExperimentConfig(seed=2**64 + 3, sigma=8e307).sigma == 8e307
 
 
 def test_metrics_table_cell_lookup():
@@ -161,6 +176,96 @@ def test_experiment_block_fit_matches_single_fits(delta):
                 assert abs(table.re_trials[il, ip, trial] - re) <= 1e-12
                 assert abs(table.se_trials[il, ip, trial] - se) <= 1e-12
     assert (stopped_by_delta > 0) == (delta > 0)
+
+
+# ---------------------------------------------------------------------------
+# batched noise streams
+
+
+def _key_words(*values):
+    return [w for v in values for w in experiments._uint32_words(v)]
+
+
+def _batched_uniform(seed, keys, size, sigma):
+    """The sweep's batched draws for keys (level, p, trial) under one seed, one column each."""
+    entropy = np.array([_key_words(seed, *key) for key in keys], dtype=np.uint32)
+    states = experiments._seed_pcg64(entropy)
+    return experiments._pcg64_uniform(states, experiments._pcg64_jumps(size), -sigma, sigma)
+
+
+def _assert_default_rng_columns(draws, seed, keys, sigma):
+    assert draws.shape[1] == len(keys)
+    for column, key in zip(draws.T, keys):
+        expected = np.random.default_rng([seed, *key]).uniform(-sigma, sigma, size=len(column))
+        # compare the bits, so that signed zeros count too
+        assert np.array_equal(column.view(np.uint64), expected.view(np.uint64)), key
+
+
+def _as_pcg64_state(column):
+    """A (4,) column of ``_seed_pcg64`` as the dict ``PCG64.state["state"]`` holds."""
+    hi, lo, inc_hi, inc_lo = (int(w) for w in column)
+    return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+
+def test_uint32_words_split_like_seed_sequence():
+    assert experiments._uint32_words(0) == [0]
+    assert experiments._uint32_words(2**32 - 1) == [2**32 - 1]
+    assert experiments._uint32_words(2**32) == [0, 1]
+    assert experiments._uint32_words(2**64 + 3) == [3, 0, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_seed_pcg64_matches_numpy_state(seed):
+    keys = [(0, 1, 0), (18, 45, 99), (3, 9, 7)]
+    states = experiments._seed_pcg64(np.array([_key_words(seed, *k) for k in keys], dtype=np.uint32))
+    for column, key in zip(states.T, keys):
+        assert _as_pcg64_state(column) == np.random.PCG64([seed, *key]).state["state"], key
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.0])
+@pytest.mark.parametrize("size", [1, 201])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_batched_noise_matches_default_rng_bit_for_bit(seed, size, sigma):
+    # level 0 and trial 99; seeds of one to three words give keys of four to six
+    keys = [(0, 1, 0), (18, 45, 99), (0, 100, 99), (3, 9, 7)]
+    _assert_default_rng_columns(_batched_uniform(seed, keys, size, sigma), seed, keys, sigma)
+
+
+def test_sweep_states_follow_the_cells_of_each_radius():
+    # a level of 2**40 takes two words, so its keys are hashed in a group of their own
+    config = gsis.ExperimentConfig(
+        trials=3, p_values=(2, 7), levels=(1, 2**40, 0), seed=2**33 + 5
+    )
+    states = experiments._sweep_states(config)
+    assert states.shape == (4, 2, 9)
+    for ip, p in enumerate(config.p_values):
+        for il, level in enumerate(config.levels):
+            for trial in range(config.trials):
+                expected = np.random.PCG64([config.seed, level, p, trial]).state["state"]
+                assert _as_pcg64_state(states[:, ip, il * config.trials + trial]) == expected
+
+
+if st is None:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_batched_noise_property():
+        pass
+
+else:
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**80),
+        keys=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=4,
+        ),
+        size=st.integers(1, 120),
+        sigma=st.floats(0.0, 1e300),
+    )
+    def test_batched_noise_property(seed, keys, size, sigma):
+        _assert_default_rng_columns(_batched_uniform(seed, keys, size, sigma), seed, keys, sigma)
 
 
 # ---------------------------------------------------------------------------
