@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _vector, build_circulant
+from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _vector, build_circulant
 from .sampling import subset_sampler
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition
@@ -69,9 +69,9 @@ class ExperimentConfig:
     delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(int(q) for q in self.offsets))
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
-        object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
+        for name in ("offsets", "p_values", "levels"):
+            object.__setattr__(self, name, tuple(_index(k, name) for k in getattr(self, name)))
+        object.__setattr__(self, "trials", _index(self.trials, "trials"))
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -80,8 +80,8 @@ class ExperimentConfig:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not self.delta >= 0:  # NaN fails this test too
+            raise ValueError(f"delta must be nonnegative, got {self.delta!r}")
         if not self.p_values or not self.levels:
             raise ValueError("p_values and levels must be nonempty")
         if any(n < 0 for n in self.levels):

@@ -7,7 +7,6 @@ commute share a common eigenbasis and are grouped in a :class:`ShiftSet`.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -92,15 +91,18 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Finite undirected graph with optional positive edge weights.
+
+    The edges are stored as read-only arrays ``_i < _j`` (intp, sorted by
+    ``(_i, _j)``) and ``_w``; equality compares them by value.
 
     Parameters
     ----------
     n_vertices : int
         Number of vertices; vertex ids are ``0 .. n_vertices - 1``.
-    edges : iterable of (int, int)
+    edges : iterable of (int, int), or an (E, 2) integer array
         Undirected edges. Stored sorted with each pair normalized to
         ``i < j``. Self loops and duplicates are rejected.
     weights : iterable of float, optional
@@ -109,61 +111,84 @@ class Graph:
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...] = ()
+    _i: np.ndarray = field(repr=False)
+    _j: np.ndarray = field(repr=False)
+    _w: np.ndarray = field(repr=False)
 
     def __init__(
         self,
         n_vertices: int,
-        edges: Iterable[tuple[int, int]] = (),
+        edges: Iterable[tuple[int, int]] | np.ndarray = (),
         weights: Iterable[float] | None = None,
     ):
         if not isinstance(n_vertices, (int, np.integer)) or n_vertices < 1:
             raise ValueError(f"n_vertices must be a positive integer, got {n_vertices!r}")
-        pairs = []
-        for e in edges:
-            i, j = int(e[0]), int(e[1])
-            if i == j:
-                raise ValueError(f"self loop ({i}, {j}) is not allowed")
-            if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-                raise ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
-            pairs.append((min(i, j), max(i, j)))
-        w = [1.0] * len(pairs) if weights is None else [float(x) for x in weights]
-        if len(w) != len(pairs):
-            raise ValueError(f"{len(w)} weights for {len(pairs)} edges")
-        if any(not math.isfinite(x) or x <= 0 for x in w):
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"edges must be pairs (i, j), got an array of shape {pairs.shape}")
+        if pairs.dtype.kind not in "biu":  # the rule of _index, in one numpy pass
+            f = pairs.astype(float)
+            bad = np.flatnonzero(~(np.isfinite(f) & (np.trunc(f) == f)))
+            if bad.size:
+                _index(pairs.item(bad[0]), "edges")  # raises
+        i, j = pairs.reshape(-1, 2).astype(np.intp).T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n_vertices))
+        if bad.size:
+            e = (int(i[bad[0]]), int(j[bad[0]]))
+            if e[0] == e[1]:
+                raise ValueError(f"self loop {e} is not allowed")
+            raise ValueError(f"edge {e} out of range for {n_vertices} vertices")
+        w = np.ones(len(i)) if weights is None else np.fromiter(weights, dtype=float)
+        if len(w) != len(i):
+            raise ValueError(f"{len(w)} weights for {len(i)} edges")
+        if not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("edge weights must be finite and positive")
-        order = sorted(range(len(pairs)), key=lambda k: pairs[k])
-        pairs = [pairs[k] for k in order]
-        w = [w[k] for k in order]
-        if len(set(pairs)) != len(pairs):
+        order = np.lexsort((hi, lo))
+        i, j, w = lo[order], hi[order], w[order]
+        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
             raise ValueError("duplicate edges are not allowed")
         object.__setattr__(self, "n_vertices", int(n_vertices))
-        object.__setattr__(self, "edges", tuple(pairs))
-        object.__setattr__(self, "weights", tuple(w))
+        for name, value in (("_i", i), ("_j", j), ("_w", w)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        same = (np.array_equal(getattr(self, k), getattr(other, k)) for k in ("_i", "_j", "_w"))
+        return self.n_vertices == other.n_vertices and all(same)
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self._i.tobytes(), self._j.tobytes(), self._w.tobytes()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges ``(i, j)`` with ``i < j``, sorted; built on first access."""
+        return tuple(zip(self._i.tolist(), self._j.tolist()))
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        """Edge weights aligned with :attr:`edges`; built on first access."""
+        return tuple(self._w.tolist())
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoint arrays ``(i, j)`` with ``i < j``, in the order of ``edges``."""
-        ij = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        return ij[:, 0], ij[:, 1]
+        return len(self._i)
 
     def _find(self, i: int, j: int) -> int:
-        """Position of edge (i, j) in ``edges``, or -1 if absent (binary search)."""
-        key = (min(i, j), max(i, j))
-        k = bisect.bisect_left(self.edges, key)
-        return k if k < len(self.edges) and self.edges[k] == key else -1
+        """Position of edge (i, j) in the sorted edges, or -1 if absent (binary search)."""
+        a, b = min(i, j), max(i, j)
+        lo, hi = np.searchsorted(self._i, [a, a + 1])
+        k = lo + int(np.searchsorted(self._j[lo:hi], b))
+        return k if k < hi and self._j[k] == b else -1
 
     def weight_of(self, i: int, j: int) -> float:
         """Weight of edge (i, j); raises KeyError if absent."""
         k = self._find(i, j)
         if k < 0:
             raise KeyError(f"no edge ({i}, {j})")
-        return self.weights[k]
+        return float(self._w[k])
 
     def has_edge(self, i: int, j: int) -> bool:
         return self._find(i, j) >= 0
@@ -171,21 +196,18 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Weighted adjacency matrix as a dense symmetric array."""
         a = np.zeros((self.n_vertices, self.n_vertices))
-        i, j = self._endpoints
-        a[i, j] = a[j, i] = self.weights
+        a[self._i, self._j] = a[self._j, self._i] = self._w
         return a
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of each vertex (row sums of the adjacency), summed over the edges."""
-        i, j = self._endpoints
-        w = np.asarray(self.weights, dtype=float)
+        i, j, w = self._i, self._j, self._w
         return np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), minlength=self.n_vertices)
 
     def edge_mask(self) -> np.ndarray:
         """Boolean matrix marking positions allowed to be nonzero in a shift."""
         m = np.eye(self.n_vertices, dtype=bool)
-        i, j = self._endpoints
-        m[i, j] = m[j, i] = True
+        m[self._i, self._j] = m[self._j, self._i] = True
         return m
 
 
@@ -207,35 +229,27 @@ class Signal:
         object.__setattr__(self, "values", _as_readonly(v))
 
 
-def _entries(graph: Graph, diagonal: np.ndarray, edge_weights: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows, columns and values of every stored entry of a shift, zeros included.
-
-    Each edge appears at both orientations, and then the diagonal follows.
-    """
-    i, j = graph._endpoints
-    k = np.arange(graph.n_vertices)
-    values = np.concatenate([edge_weights, edge_weights, diagonal])
-    return np.concatenate([i, j, k]), np.concatenate([j, i, k]), values
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class ShiftMatrix:
     """Symmetric matrix supported on the diagonal and the edges of a graph.
 
     A shift is stored as an edge list: its ``diagonal`` and one weight per
     edge of ``graph.edges`` (``edge_weights``, aligned with the edges), so
-    it holds O(N + |E|) numbers.  ``matrix`` is the dense (N, N) array,
-    built on first access and then kept; in the package only 2-D products
-    read it.  Decompositions and checks build one transient dense copy at
-    a time (``_dense``), and exports write from the edges.
+    it holds O(N + |E|) numbers.  Every entry but ``+0.0`` is kept once
+    more, sorted by row (``_rows``, ``_cols``, ``_weights``; row r at
+    ``_ptr[r]:_ptr[r+1]``), each row in the order edges i -> j, edges
+    j -> i, diagonal; the vector apply, the commutator join and
+    ``io.save_shift_csv`` read this list.  ``matrix`` is the dense (N, N)
+    array, built on first access and then kept; in the package only 2-D
+    products read it.  Decompositions and checks build one transient dense
+    copy at a time (``_dense``).
 
     ``ShiftMatrix(matrix, graph)`` checks a dense input against
     ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) for symmetry and for
     its support, then keeps each edge weight as ``(S_ij + S_ji) / 2`` and
     the diagonal, so sub-tolerance noise outside the edge set is dropped.
 
-    ``S @ x`` on a vector is ``bincount(rows, weights * x[cols])`` over the
-    nonzero entries, both orientations of each edge and then the diagonal,
+    ``S @ x`` on a vector is ``bincount(_rows, _weights * x[_cols])``,
     which costs O(N + 2|E|) instead of O(N^2) and equals ``diag * x +
     bincount`` over the off-diagonal entries alone; a 2-D operand takes the
     dense product with ``matrix``.
@@ -254,6 +268,7 @@ class ShiftMatrix:
     _rows: np.ndarray = field(repr=False)
     _cols: np.ndarray = field(repr=False)
     _weights: np.ndarray = field(repr=False)
+    _ptr: np.ndarray = field(repr=False)
 
     def __init__(self, matrix: np.ndarray, graph: Graph):
         s = np.asarray(matrix, dtype=float)
@@ -265,7 +280,7 @@ class ShiftMatrix:
         tol = frobenius_tol(s)
         if np.abs(s - s.T).max() > tol:
             raise ValueError("shift matrix is not symmetric within tolerance")
-        i, j = graph._endpoints
+        i, j = graph._i, graph._j
         off = np.abs(s)
         off[i, j] = off[j, i] = 0.0
         np.fill_diagonal(off, 0.0)
@@ -284,17 +299,22 @@ class ShiftMatrix:
 
     def _store(self, graph: Graph, diagonal: np.ndarray, edge_weights: np.ndarray) -> None:
         d, w = _as_readonly(diagonal), _as_readonly(edge_weights)
-        # bincount adds in input order: each row sums its edge terms, then adds
-        # S_kk x_k, which rounds exactly like diag * x + (the edge sum).
-        rows, cols, weights = _entries(graph, d, w)
-        nonzero = weights != 0.0
+        i, j, k = graph._i, graph._j, np.arange(graph.n_vertices)
+        rows, cols, weights = np.concatenate([i, j, k]), np.concatenate([j, i, k]), np.concatenate([w, w, d])
+        # bincount adds in input order, kept by the stable sort: a row sums its edge
+        # terms, then adds S_kk x_k, which rounds like diag * x + (the edge sum).  A
+        # kept -0.0 adds +-0 to a sum that starts at +0.0, so no finite sum changes.
+        kept = np.flatnonzero((weights != 0.0) | np.signbit(weights))
+        kept = kept[np.argsort(rows[kept], kind="stable")]
+        rows = rows[kept]
         object.__setattr__(self, "graph", graph)
         for name, value in (
             ("diagonal", d),
             ("edge_weights", w),
-            ("_rows", rows[nonzero]),
-            ("_cols", cols[nonzero]),
-            ("_weights", weights[nonzero]),
+            ("_rows", rows),
+            ("_cols", cols[kept]),
+            ("_weights", weights[kept]),
+            ("_ptr", np.searchsorted(rows, np.arange(graph.n_vertices + 1))),
         ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -307,7 +327,7 @@ class ShiftMatrix:
         """
         n = self.n_vertices
         m = np.zeros((n, n))
-        i, j = self.graph._endpoints
+        i, j = self.graph._i, self.graph._j
         m[i, j] = m[j, i] = self.edge_weights if edge_weights is None else edge_weights
         np.fill_diagonal(m, self.diagonal if diagonal is None else diagonal)
         return m
@@ -351,27 +371,19 @@ class CommutativityCheck(NamedTuple):
 _JOIN_BLOCK = 1 << 18  # products per block of rows in _commutator_norm (a few MB each)
 
 
-def _by_row(s: ShiftMatrix) -> tuple[np.ndarray, ...]:
-    """Nonzero entries of ``s`` sorted by row, and the start of each row (CSR form)."""
-    order = np.argsort(s._rows, kind="stable")
-    rows = s._rows[order]
-    return rows, s._cols[order], s._weights[order], np.searchsorted(rows, np.arange(s.n_vertices + 1))
-
-
-def _row_products(x, y, lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_products(x: ShiftMatrix, y: ShiftMatrix, lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys ``r n + c`` and values of the products ``X_rk Y_kc`` with ``lo <= r < hi``.
 
     Each entry of X in those rows is joined with the entries of row k of Y.
     """
-    rows, cols, vals, ptr = x
-    _, y_cols, y_vals, y_ptr = y
-    block = slice(ptr[lo], ptr[hi])
-    first = y_ptr[cols[block]]
-    counts = y_ptr[cols[block] + 1] - first
+    block = slice(x._ptr[lo], x._ptr[hi])
+    cols = x._cols[block]
+    first = y._ptr[cols]
+    counts = y._ptr[cols + 1] - first
     offsets = np.cumsum(counts) - counts
     picks = np.arange(int(counts.sum())) - np.repeat(offsets - first, counts)
-    keys = np.repeat(rows[block], counts) * n + y_cols[picks]
-    return keys, np.repeat(vals[block], counts) * y_vals[picks]
+    keys = np.repeat(x._rows[block], counts) * n + y._cols[picks]
+    return keys, np.repeat(x._weights[block], counts) * y._weights[picks]
 
 
 def _commutator_norm(a: ShiftMatrix, b: ShiftMatrix) -> float:
@@ -383,17 +395,16 @@ def _commutator_norm(a: ShiftMatrix, b: ShiftMatrix) -> float:
     stays bounded on dense graphs, where the join costs O(N^3).
     """
     n = a.n_vertices
-    ea, eb = _by_row(a), _by_row(b)
-    deg_a, deg_b = np.diff(ea[3]), np.diff(eb[3])
+    deg_a, deg_b = np.diff(a._ptr), np.diff(b._ptr)
     work = np.cumsum(
-        np.bincount(ea[0], deg_b[ea[1]], minlength=n) + np.bincount(eb[0], deg_a[eb[1]], minlength=n)
+        np.bincount(a._rows, deg_b[a._cols], minlength=n) + np.bincount(b._rows, deg_a[b._cols], minlength=n)
     )
     cuts = np.searchsorted(work, np.arange(_JOIN_BLOCK, work[-1], _JOIN_BLOCK), side="right")
     bounds = np.concatenate([[0], cuts, [n]])  # nondecreasing; a repeat is an empty block
     squares = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        keys_ab, ab = _row_products(ea, eb, lo, hi, n)
-        keys_ba, ba = _row_products(eb, ea, lo, hi, n)
+        keys_ab, ab = _row_products(a, b, lo, hi, n)
+        keys_ba, ba = _row_products(b, a, lo, hi, n)
         _, slot = np.unique(np.concatenate([keys_ab, keys_ba]), return_inverse=True)
         entries = np.bincount(slot, np.concatenate([ab, -ba]))
         squares += float(entries @ entries)
@@ -493,7 +504,7 @@ def build_standard_shifts(graph: Graph, kind: str) -> ShiftMatrix:
     """
     if kind not in SHIFT_KINDS:
         raise ValueError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
-    w = np.asarray(graph.weights, dtype=float)
+    w = graph._w
     if kind == "adjacency":
         return ShiftMatrix._from_edges(graph, np.zeros(graph.n_vertices), w)
     deg = graph.degrees()
@@ -505,9 +516,8 @@ def build_standard_shifts(graph: Graph, kind: str) -> ShiftMatrix:
             f"vertex {bad} has zero degree; the normalized laplacian is undefined"
         )
     d = 1.0 / np.sqrt(deg)
-    i, j = graph._endpoints
     # entry (r, c) of D^{-1/2} L D^{-1/2} is d_r L_rc d_c
-    return ShiftMatrix._from_edges(graph, d * deg * d, d[i] * -w * d[j])
+    return ShiftMatrix._from_edges(graph, d * deg * d, d[graph._i] * -w * d[graph._j])
 
 
 def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, ShiftSet]:
@@ -544,10 +554,10 @@ def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, Shi
             f"gcd of offsets {qs} and {n} exceeds 1: the circulant graph is disconnected",
             stacklevel=2,
         )
-    edges = sorted({(min(i, (i + q) % n), max(i, (i + q) % n)) for q in qs for i in range(n)})
-    graph = Graph(n, edges)
-    i, j = graph._endpoints
-    hop = np.minimum(j - i, n - (j - i))  # the offset each edge was made by
+    v = np.arange(n)
+    # for q < n/2 the n edges (v, v + q mod n) are distinct, and offsets differ in their hop
+    graph = Graph(n, np.concatenate([np.column_stack([v, (v + q) % n]) for q in qs]))
+    hop = np.minimum(graph._j - graph._i, n - (graph._j - graph._i))  # the offset each edge was made by
     diagonal = np.ones(n)
     shifts = tuple(ShiftMatrix._from_edges(graph, diagonal, np.where(hop == q, -0.5, 0.0)) for q in qs)
     return graph, ShiftSet(shifts)
@@ -555,18 +565,18 @@ def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, Shi
 
 def path_graph(n: int) -> Graph:
     """Path on ``n`` vertices: edges (0,1), (1,2), ..."""
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on ``n`` vertices."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, np.column_stack([np.arange(n), np.roll(np.arange(n), -1)]))
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(max(n, 0), 1)))
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -576,11 +586,7 @@ def read_edge_list(path: str | Path) -> Graph:
     line is ``i j`` or ``i j weight`` with 0-based vertex ids. Blank lines
     and lines starting with ``#`` are skipped.
     """
-    lines = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
+    lines = [line for line in map(str.strip, Path(path).read_text().splitlines()) if line and line[0] != "#"]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
     head = lines[0].split()
@@ -589,23 +595,19 @@ def read_edge_list(path: str | Path) -> Graph:
     n, count = int(head[0]), int(head[1])
     if len(lines) - 1 != count:
         raise ValueError(f"{path}: header promises {count} edges, file has {len(lines) - 1}")
-    edges, weights, weighted = [], [], False
+    edges, weights = [], []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}: bad edge line {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
-        if len(parts) == 3:
-            weighted = True
-            weights.append(float(parts[2]))
-        else:
-            weights.append(1.0)
-    return Graph(n, edges, weights if weighted else None)
+        weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+    return Graph(n, edges, weights)
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     """Write a graph in the format accepted by :func:`read_edge_list`."""
     out = [f"{graph.n_vertices} {graph.n_edges}"]
-    for (i, j), w in zip(graph.edges, graph.weights):
+    for i, j, w in zip(graph._i.tolist(), graph._j.tolist(), graph._w.tolist()):
         out.append(f"{i} {j}" if w == 1.0 else f"{i} {j} {w:.17g}")
     Path(path).write_text("\n".join(out) + "\n")

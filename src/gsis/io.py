@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import MetricsTable, ModelComparison
-from .graphs import ShiftMatrix, _entries
+from .graphs import ShiftMatrix
 from .kernels import ShiftInvariantKernel
 from .sampling import Observation, ReconstructionResult, SamplingScheme
 from .spaces import SignalSpace
@@ -45,22 +45,18 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:
 
 
 def save_shift_csv(path: str | Path, shift: ShiftMatrix) -> Path:
-    """Write a shift's dense matrix from its diagonal and edge weights, one row at a time.
+    """Write a shift's dense matrix from its row-sorted entry list, one row at a time.
 
     The file is byte for byte what ``save_matrix_csv(path, shift.matrix)``
     writes, without the dense matrix: each row starts as N copies of the
-    ``+0.0`` field and takes its diagonal entry and its edge entries
-    (signed zeros included) in ``"%.18e"``.
+    ``+0.0`` field and takes its stored entries (every entry but ``+0.0``,
+    so signed zeros too) in ``"%.18e"``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = shift.n_vertices
-    rows, cols, vals = _entries(shift.graph, shift.diagonal, shift.edge_weights)
-    written = np.flatnonzero((vals != 0.0) | np.signbit(vals))  # the rest print as the +0.0 field
-    order = written[np.argsort(rows[written], kind="stable")]
-    starts = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
-    cols = cols[order].tolist()
-    fields = ["%.18e" % v for v in vals[order].tolist()]
+    starts, cols = shift._ptr.tolist(), shift._cols.tolist()
+    fields = ["%.18e" % v for v in shift._weights.tolist()]
     zero = "%.18e" % 0.0
     line = [zero] * n
     with open(path, "w", encoding="latin1") as fh:

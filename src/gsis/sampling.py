@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
+from .graphs import ShiftSet, _distinct_index_set, _index, _index_set, _vector, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition, _min_gap
@@ -368,9 +368,9 @@ def reconstruct_krylov(
         raise ValueError(f"{obs.shape[0]} observations for {scheme.n_samples} samples")
     if scheme.n_vertices != shifts.n_vertices:
         raise ValueError("sampling scheme and shifts disagree on the vertex count")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    top_level = shifts.n_vertices - 1 if max_level is None else int(max_level)
+    if not delta >= 0:  # NaN fails this test too
+        raise ValueError(f"delta must be nonnegative, got {delta!r}")
+    top_level = shifts.n_vertices - 1 if max_level is None else _index(max_level, "max_level")
     if top_level < 0:
         raise ValueError("max_level must be nonnegative")
 

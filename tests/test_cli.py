@@ -584,6 +584,20 @@ def test_experiment_bad_noise_options_exit_2(option, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb", ["experiment", "reconstruct"])
+def test_a_nan_delta_exits_2(verb, tmp_path, capsys):
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.ones(7))
+    argv = {
+        "experiment": ["experiment", "damped-cosine"],
+        "reconstruct": ["reconstruct", "krylov", "--circulant", "12", "--q", "1", "--w", "3:9",
+                        "--delta-gen", "6", "--y", str(y_file)],
+    }[verb]
+    out = tmp_path / "out"
+    _exits_2(capsys, [*argv, "--delta", "nan", "--out", str(out)], "delta must be nonnegative, got nan")
+    assert not out.exists()
+
+
 def test_model_compare_cli(tmp_path):
     signals = tmp_path / "signals.csv"
     header = ",".join(str(i) for i in range(12))

@@ -70,6 +70,23 @@ def test_config_validation():
     assert gsis.ExperimentConfig(seed=2**64 + 3, sigma=8e307).sigma == 8e307
 
 
+def test_config_rejects_fractional_counts_and_a_nan_delta():
+    # these used to be truncated without a word, or to fail mid-run (trials)
+    for name, value, bad in (
+        ("levels", (1.5, 2), "1.5"),
+        ("p_values", (2.7,), "2.7"),
+        ("offsets", (1, 3.5), "3.5"),
+        ("trials", 2.5, "2.5"),
+    ):
+        with pytest.raises(ValueError, match=rf"{name} must be integers, got {bad}"):
+            gsis.ExperimentConfig(**{name: value})
+    with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+        gsis.ExperimentConfig(delta=float("nan"))
+    config = gsis.ExperimentConfig(levels=(1.0, 2), p_values=(np.int64(2),), trials=2.0)
+    assert (config.levels, config.p_values, config.trials) == ((1, 2), (2,), 2)
+    assert all(type(k) is int for k in (*config.levels, *config.p_values, config.trials))
+
+
 def test_metrics_table_cell_lookup():
     cfg = gsis.ExperimentConfig(
         sigma=0.0, trials=1, p_values=(4, 9), levels=(2, 3), seed=11

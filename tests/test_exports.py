@@ -23,6 +23,10 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis.SpectralDecomposition, "gft")
     assert not hasattr(gsis.SpectralDecomposition, "igft")
     assert not hasattr(gsis, "joint_eigenvalue_clusters")
+    # a graph and its shifts keep one sparse form each; derived copies must not return
+    assert not hasattr(gsis.Graph, "_endpoints")
+    assert not hasattr(gsis.graphs, "_by_row")
+    assert not hasattr(gsis.graphs, "_entries")
 
 
 # Options removed in favour of module constants, the argument

@@ -31,6 +31,49 @@ def test_graph_rejects_bad_input():
         gsis.Graph(0, [])
 
 
+def test_graph_inputs_of_every_form_give_equal_graphs():
+    edges, weights = [(2, 0), (1, 2), (3, 2)], [0.5, 2.0, 1.5]
+    g = gsis.Graph(4, edges, weights)
+    assert g.edges == ((0, 2), (1, 2), (2, 3)) and g.weights == (0.5, 2.0, 1.5)
+    assert gsis.Graph(4, np.array(edges), iter(weights)) == g
+    assert gsis.Graph(4, (e for e in edges), np.array(weights)) == g
+    assert gsis.Graph(4, [(2.0, 0.0), (1, 2), (3, 2)], weights) == g  # integral floats pass
+    # the input order does not matter; every weight and the vertex count are compared
+    assert gsis.Graph(4, edges[::-1], weights[::-1]) == g
+    assert hash(gsis.Graph(4, edges[::-1], weights[::-1])) == hash(g)
+    assert gsis.Graph(4, edges, [0.5, 2.0, 1.25]) != g
+    assert gsis.Graph(4, edges) != g
+    assert gsis.Graph(5, edges, weights) != g
+
+
+@pytest.mark.parametrize(
+    "edges, weights, message",
+    [
+        ([(0.5, 2)], None, r"edges must be integers, got 0\.5"),  # used to become edge (0, 2)
+        (np.array([[0.0, np.nan]]), None, "edges must be integers, got nan"),
+        ([(0, 1, 2)], None, r"edges must be pairs \(i, j\)"),
+        ([(0, 1), (2, 2)], None, r"self loop \(2, 2\) is not allowed"),
+        ([(0, 1), (1, 3)], None, r"edge \(1, 3\) out of range for 3 vertices"),
+        ([(0, 1)], [1.0, 2.0], "2 weights for 1 edges"),
+        ([(0, 1)], [np.inf], "edge weights must be finite and positive"),
+        ([(0, 1), (1, 0)], None, "duplicate edges are not allowed"),
+    ],
+)
+def test_graph_rejects_bad_input_with_its_message(edges, weights, message):
+    with pytest.raises(ValueError, match=message):
+        gsis.Graph(3, edges, weights)
+
+
+def test_library_paths_build_no_per_edge_tuples():
+    graph, shifts = gsis.build_circulant(400, (1, 3))
+    scheme = gsis.subset_sampler(400, range(140, 261))
+    phi = np.zeros(400)
+    phi[200] = 1.0
+    result = gsis.reconstruct_krylov(shifts, [phi], scheme, np.cos(np.arange(140, 261) / 7.0), max_level=6)
+    assert result.depth == 6
+    assert "edges" not in vars(graph) and "weights" not in vars(graph)
+
+
 def test_adjacency_and_degrees():
     g = gsis.Graph(3, [(0, 1), (1, 2)], [2.0, 3.0])
     a = g.adjacency()

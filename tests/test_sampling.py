@@ -499,6 +499,18 @@ def test_reconstruct_krylov_validation(p3):
         gsis.reconstruct_krylov(shifts, [x0], other, y)
 
 
+def test_reconstruct_krylov_rejects_a_nan_delta_and_a_fractional_max_level(p3):
+    # a NaN delta used to stop every fit at level 0, and max_level=2.5 ran to depth 2
+    _, shifts, _ = p3
+    scheme = gsis.subset_sampler(3, [0, 1, 2])
+    x0, y = np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 0.5])
+    with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+        gsis.reconstruct_krylov(shifts, [x0], scheme, y, delta=float("nan"))
+    with pytest.raises(ValueError, match=r"max_level must be integers, got 2\.5"):
+        gsis.reconstruct_krylov(shifts, [x0], scheme, y, max_level=2.5)
+    assert gsis.reconstruct_krylov(shifts, [x0], scheme, y, max_level=1.0).depth == 1
+
+
 # ---------------------------------------------------------------------------
 # single-shift dimension staircase
 

@@ -39,6 +39,33 @@ def test_vector_apply_matches_the_dense_product(case, kind):
     assert np.array_equal(shift @ block, s @ block)
 
 
+def _unsorted_apply(shift, x):
+    """Reference ``S @ x``: bincount over every entry, edges i -> j, then j -> i, then the diagonal."""
+    i, j = np.array(shift.graph.edges, dtype=np.intp).reshape(-1, 2).T
+    k = np.arange(shift.n_vertices)
+    w = shift.edge_weights
+    values = np.concatenate([w, w, shift.diagonal]) * x[np.concatenate([j, i, k])]
+    return np.bincount(np.concatenate([i, j, k]), values, minlength=shift.n_vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=weighted_graphs(), kind=st.sampled_from(gsis.SHIFT_KINDS))
+def test_the_row_sorted_apply_is_bit_identical_to_the_unsorted_one(case, kind):
+    graph, rng = case
+    try:
+        shift = gsis.build_standard_shifts(graph, kind)
+    except gsis.DegenerateGraphError:
+        return
+    n = graph.n_vertices
+    x = rng.standard_normal(n)
+    zeros = np.copysign(0.0, rng.standard_normal(n))
+    # the dense input -S stores -0.0 wherever S holds +0.0, as on an adjacency's diagonal
+    for s in (shift, gsis.ShiftMatrix(-1.0 * shift.matrix, graph)):
+        for v in (x, zeros, np.where(rng.random(n) < 0.3, zeros, x)):
+            got, ref = s @ v, _unsorted_apply(s, v)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def _dense_standard_shift(graph, kind):
     """The classical shifts by their dense formulas."""
     a = graph.adjacency()
