@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     ShiftSet,
     _index_set,
+    _signal,
     build_circulant,
     build_standard_shifts,
     read_edge_list,
@@ -101,7 +102,7 @@ def _load_generators(args: argparse.Namespace, n: int) -> list[np.ndarray]:
         gens.append(g)
     if args.generator:
         rows = io.load_matrix_csv(args.generator)
-        gens.extend(np.asarray(row, dtype=float) for row in rows)
+        gens.extend(_signal(row, n, "generator") for row in rows)
     if not gens:
         flag = "--delta-gen" if args.command == "reconstruct" else "--delta"
         raise ValueError(f"a generator is required: pass {flag} VERTS or --generator FILE")
@@ -114,7 +115,7 @@ def _build_scheme(
     """Subset sampling on ``--w``, else dynamic sampling at ``--i0`` for ``--k`` snapshots."""
     if getattr(args, "w", None) is not None:
         return subset_sampler(shifts.n_vertices, args.w)
-    return dynamic_sampler(decomp, shifts[0]._dense(), args.i0, args.k)
+    return dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
 
 
 def _cmd_graph_export(args) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _vector, build_circulant
+from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _signal, _vector, build_circulant
 from .sampling import subset_sampler
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition
@@ -78,6 +78,11 @@ class ExperimentConfig:
         # the noise range is [-sigma, sigma], so its width 2 * sigma must be finite too
         if not (self.sigma >= 0 and math.isfinite(2.0 * self.sigma)):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        for name in ("amplitude", "decay", "frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.amplitude == 0:  # the errors are relative to the signal's peak
+            raise ValueError("amplitude must be nonzero")
         if self.trials < 1:
             raise ValueError("at least one trial is required")
         if not self.delta >= 0:  # NaN fails this test too
@@ -452,12 +457,7 @@ def run_model_comparison(
     the bandlimited error uses the matched dimension, in column order.
     """
     n = shifts.n_vertices
-    signals = []
-    for s in dataset:
-        v = _vector(s)
-        if v.shape[0] != n:
-            raise ValueError(f"signal of length {v.shape[0]} on {n} vertices")
-        signals.append(v)
+    signals = [_signal(s, n, "signal") for s in dataset]
     if not signals:
         raise ValueError("the dataset is empty")
     if rule not in ("adaptive", "nonadaptive"):

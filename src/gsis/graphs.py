@@ -57,6 +57,16 @@ def _vector(x) -> np.ndarray:
     return _values(x).reshape(-1)
 
 
+def _signal(x, n: int, what: str) -> np.ndarray:
+    """:func:`_vector` of ``x``, checked to hold ``n`` finite values; errors name ``what``."""
+    v = _vector(x)
+    if v.shape[0] != n:
+        raise ValueError(f"{what} of length {v.shape[0]}, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    return v
+
+
 def _index(k, what: str) -> int:
     """``k`` as an int; integral floats such as ``2.0`` pass, ``1.7`` raises."""
     try:
@@ -219,14 +229,7 @@ class Signal:
     graph: Graph
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        if v.shape[0] != self.graph.n_vertices:
-            raise ValueError(
-                f"signal of length {v.shape[0]} on a graph with {self.graph.n_vertices} vertices"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", _as_readonly(v))
+        object.__setattr__(self, "values", _as_readonly(_signal(self.values, self.graph.n_vertices, "signal")))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -319,17 +322,13 @@ class ShiftMatrix:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def _dense(self, diagonal: np.ndarray | None = None, edge_weights: np.ndarray | None = None) -> np.ndarray:
-        """Fresh (N, N) array on this shift's graph: edge weights at both orientations, the diagonal.
-
-        ``diagonal`` and ``edge_weights`` default to the shift's own, so
-        ``_dense()`` is a transient copy of ``matrix`` that nothing keeps.
-        """
+    def _dense(self) -> np.ndarray:
+        """Fresh (N, N) copy of ``matrix`` that nothing keeps: edge weights at both orientations, the diagonal."""
         n = self.n_vertices
         m = np.zeros((n, n))
         i, j = self.graph._i, self.graph._j
-        m[i, j] = m[j, i] = self.edge_weights if edge_weights is None else edge_weights
-        np.fill_diagonal(m, self.diagonal if diagonal is None else diagonal)
+        m[i, j] = m[j, i] = self.edge_weights
+        np.fill_diagonal(m, self.diagonal)
         return m
 
     @cached_property
@@ -360,7 +359,8 @@ class ShiftMatrix:
         n = self.n_vertices
         if x.shape[0] != n:
             raise ValueError(f"vector of length {x.shape[0]} for a shift on {n} vertices")
-        return np.bincount(self._rows, self._weights * x[self._cols], minlength=n)
+        # with no stored entry bincount returns int zeros, whatever the weights' dtype
+        return np.bincount(self._rows, self._weights * x[self._cols], minlength=n).astype(float, copy=False)
 
 
 class CommutativityCheck(NamedTuple):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelParameterError
-from .graphs import ShiftMatrix, ShiftSet, _values, frobenius_tol
+from .graphs import ShiftMatrix, ShiftSet, _signal, _values, frobenius_tol
 from .spaces import SignalSpace
 from .spectral import SpectralDecomposition
 
@@ -203,11 +203,9 @@ class RkhsMetric:
     decomp: SpectralDecomposition
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = _signal(self.values, self.decomp.n_vertices, "metric values")
         if np.any(v < 0):
             raise ValueError("metric values must be nonnegative")
-        if v.shape[0] != self.decomp.n_vertices:
-            raise ValueError("metric length does not match the decomposition")
         object.__setattr__(self, "values", v)
 
     @classmethod

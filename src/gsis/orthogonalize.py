@@ -68,12 +68,11 @@ class OrthogonalBasis:
     ----------
     n : int
         Ambient dimension of the vectors.
-    weight : (M, N) ndarray or SamplingScheme, optional
-        Weight matrix defining the inner product, or a sampling scheme whose
-        ``matrix`` is that weight; None means euclidean. A subset scheme's
-        weight is applied as the gather ``v[scheme.vertices]``, which equals
-        the product with its 0/1 rows bit for bit; any other weight is a
-        dense product.
+    weight : (M, N) array-like or SamplingScheme, optional
+        Weight defining the inner product, applied to a candidate as
+        ``weight @ v``; None means euclidean.  An array-like weight is
+        converted to a float array once; any other weight (a sampling
+        scheme) needs only ``shape`` and ``@`` and applies itself.
 
     Candidates are classified by the thresholds :data:`DROP_REL` and
     :data:`INVISIBLE_REL`.
@@ -96,15 +95,10 @@ class OrthogonalBasis:
 
     def __init__(self, n: int, weight=None):
         self.n = int(n)
-        if getattr(weight, "provenance", None) == "subset":
-            self._rows = np.array(weight.vertices)  # the weight is the gather v[rows]
-            m = weight.n_samples
-        else:
-            self._rows = None
-            weight = getattr(weight, "matrix", weight)
-            weight = None if weight is None else np.asarray(weight, dtype=float)
-            m = self.n if weight is None else weight.shape[0]
+        if weight is not None and (isinstance(weight, np.ndarray) or not hasattr(weight, "__matmul__")):
+            weight = np.asarray(weight, dtype=float)
         self.weight = weight
+        m = self.n if weight is None else weight.shape[0]
         self._u = np.zeros((self.n, 8), order="F")
         self._p = self._u if self.weight is None else np.zeros((m, 8), order="F")
         self._r = None if self.weight is None else np.zeros((8, 8))
@@ -156,7 +150,7 @@ class OrthogonalBasis:
             self.dim += 1
             return ADDED
 
-        w = self.weight @ v if self._rows is None else v[self._rows]
+        w = self.weight @ v
         plo, phi = _span(w, self._plo, self._phi)
         ws = w[plo:phi]
         self._max_weighted = max(self._max_weighted, _norm(ws))

@@ -10,14 +10,14 @@ levels because the spans stop growing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftSet, _distinct_index_set, _index, _index_set, _vector, frobenius_tol
+from .graphs import ShiftSet, _distinct_index_set, _index, _index_set, _signal, frobenius_tol
 from .orthogonalize import DEPENDENT, INVISIBLE
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition, _min_gap
@@ -46,11 +46,12 @@ class SamplingScheme:
     """Linear observation map ``y = A x``.
 
     ``provenance`` records how the matrix was built: ``"subset"`` (rows
-    are the indicators of ``vertices``, so applying the scheme is the
-    gather ``x[vertices]``), ``"dynamic"`` (one vertex observed under
-    repeated state evolution) or ``"custom"``.  A scheme from
+    are the indicators of ``vertices``), ``"dynamic"`` (one vertex observed
+    under repeated state evolution) or ``"custom"``.  A scheme from
     :func:`subset_sampler` holds only its vertices and builds ``matrix``
-    on first access.
+    on first access.  ``scheme @ x`` on an (N,) or (N, K) array gathers the
+    rows ``x[vertices]`` of a subset scheme, equal to the product with its
+    0/1 rows, and takes the dense product with ``matrix`` otherwise.
     """
 
     provenance: str
@@ -58,6 +59,7 @@ class SamplingScheme:
     initial_vertex: int | None
     n_snapshots: int | None
     shape: tuple[int, int]
+    _take: np.ndarray | None = field(repr=False)
 
     def __init__(
         self,
@@ -86,7 +88,12 @@ class SamplingScheme:
         object.__setattr__(self, "matrix", m)
 
     def _store(self, shape, provenance, vertices, initial_vertex, n_snapshots) -> None:
+        take = None
+        if provenance == "subset":
+            take = np.array(vertices, dtype=np.intp)
+            take.flags.writeable = False
         for name, value in (
+            ("_take", take),
             ("shape", tuple(shape)),
             ("provenance", provenance),
             ("vertices", vertices),
@@ -99,7 +106,7 @@ class SamplingScheme:
     def matrix(self) -> np.ndarray:
         """Read-only (M, N) observation matrix; a subset scheme's 0/1 rows are built here."""
         a = np.zeros(self.shape)
-        a[np.arange(self.n_samples), list(self.vertices)] = 1.0
+        a[np.arange(self.n_samples), self._take] = 1.0
         a.flags.writeable = False
         return a
 
@@ -111,13 +118,16 @@ class SamplingScheme:
     def n_vertices(self) -> int:
         return self.shape[1]
 
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """``A @ x`` for an (N,) or (N, K) array (see the class docstring)."""
+        x = np.asarray(other)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"operand of shape {x.shape} under a scheme on {self.n_vertices} vertices")
+        return self.matrix @ x if self._take is None else x[self._take]
+
     def apply(self, x) -> np.ndarray:
-        v = _vector(x)
-        if v.shape[0] != self.n_vertices:
-            raise ValueError(f"signal of length {v.shape[0]} under a scheme on {self.n_vertices} vertices")
-        if self.provenance == "subset":
-            return v[list(self.vertices)]
-        return self.matrix @ v
+        """``A x`` for a signal-like ``x`` of N finite values."""
+        return self @ _signal(x, self.n_vertices, "x")
 
 
 @dataclass(frozen=True)
@@ -128,12 +138,7 @@ class Observation:
     scheme: SamplingScheme
 
     def __post_init__(self):
-        v = np.array(_vector(self.values))
-        if v.shape[0] != self.scheme.n_samples:
-            raise ValueError(
-                f"{v.shape[0]} observed values for a scheme with "
-                f"{self.scheme.n_samples} samples"
-            )
+        v = np.array(_signal(self.values, self.scheme.n_samples, "values"))
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -189,7 +194,7 @@ def check_injective(scheme: SamplingScheme, space_matrix: np.ndarray) -> bool:
     f = np.asarray(space_matrix, dtype=float)
     if f.ndim != 2 or f.shape[0] != scheme.n_vertices:
         raise ValueError(f"space matrix of shape {f.shape} under a scheme on {scheme.n_vertices} vertices")
-    return int(np.linalg.matrix_rank(f)) == int(np.linalg.matrix_rank(scheme.matrix @ f))
+    return int(np.linalg.matrix_rank(f)) == int(np.linalg.matrix_rank(scheme @ f))
 
 
 def check_bandlimited_injective(
@@ -271,12 +276,10 @@ def reconstruct_direct(
         i.e. the scheme does not determine the space.
     """
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
-    obs = _vector(y)
-    if obs.shape[0] != scheme.n_samples:
-        raise ValueError(f"{obs.shape[0]} observations for {scheme.n_samples} samples")
+    obs = _signal(y, scheme.n_samples, "y")
     if not idx:
         return np.zeros(decomp.n_vertices)
-    sampled = scheme.matrix @ decomp.basis[:, idx]
+    sampled = scheme @ decomp.basis[:, idx]
     left, sv, right = np.linalg.svd(sampled, full_matrices=False)
     smin = float(sv[-1]) if sv.size == len(idx) else 0.0
     scale = max(float(np.linalg.norm(scheme.matrix, 2)), 1.0)
@@ -363,9 +366,7 @@ def reconstruct_krylov(
     DegenerateInnerProductError
         See ``require_injective``.
     """
-    obs = _vector(y)
-    if obs.shape[0] != scheme.n_samples:
-        raise ValueError(f"{obs.shape[0]} observations for {scheme.n_samples} samples")
+    obs = _signal(y, scheme.n_samples, "y")
     if scheme.n_vertices != shifts.n_vertices:
         raise ValueError("sampling scheme and shifts disagree on the vertex count")
     if not delta >= 0:  # NaN fails this test too
@@ -419,7 +420,8 @@ def degenerate_dimension_check(
     ------
     ValueError
         More than one shift, or a scheme whose normal matrix does not
-        commute with it.
+        commute with it: ``||A.T A S - S A.T A||_F`` above
+        ``1e-8 * max(1, ||S||_F) * max(1, ||A.T A||_F)``.
     """
     if shifts.n_shifts != 1:
         raise ValueError(

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import ShiftSet, _distinct_index_set, _index_set, _vector, frobenius_tol
+from .graphs import ShiftMatrix, ShiftSet, _distinct_index_set, _index_set, _signal, _vector, frobenius_tol
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
 from .spectral import DISTINCT_REL, SpectralDecomposition, _combination, _min_gap, graded_multi_indices
 
@@ -104,12 +104,9 @@ def _group_ranks(decomp: SpectralDecomposition, gens: list[np.ndarray]):
     the left singular vectors of the generators' transform there, None for
     a single column.  Raises ValueError as ``gsis_from_generators`` does.
     """
-    n = decomp.n_vertices
     if not gens:
         raise ValueError("at least one generator is required")
     for g in gens:
-        if g.shape[0] != n:
-            raise ValueError(f"generator of length {g.shape[0]} on {n} vertices")
         if not np.any(g):
             raise ValueError("generator is identically zero")
     ghat = decomp.basis.T @ np.column_stack(gens)
@@ -141,9 +138,10 @@ def gsis_from_generators(decomp: SpectralDecomposition, generators: Sequence) ->
     Raises
     ------
     ValueError
-        If a generator is identically zero or has the wrong length.
+        If a generator is identically zero, has the wrong length or a
+        non-finite value.
     """
-    gens = [_vector(g) for g in generators]
+    gens = [_signal(g, decomp.n_vertices, "generator") for g in generators]
     provenance = "pgsis" if len(gens) == 1 else "gsis"
     stored = tuple(g.copy() for g in gens)
     omega: list[int] = []
@@ -217,13 +215,11 @@ class KrylovChain(OrthogonalBasis):
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
         self._matrices = list(matrices)
         super().__init__(self._matrices[0].shape[0], weight)
-        gens = [_vector(g) for g in generators]
+        gens = [_signal(g, self.n, "generator") for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
         self._on_drop = on_drop if on_drop is not None else lambda status, what: None
         for k, g in enumerate(gens):
-            if g.shape[0] != self.n:
-                raise ValueError(f"generator of length {g.shape[0]} on {self.n} vertices")
             status = self.try_add(g)
             if status != ADDED:
                 self._on_drop(status, f"generator {k}")
@@ -339,7 +335,7 @@ def krylov_subspace(
 
 class CanonicalGenerator(NamedTuple):
     generator: np.ndarray
-    combined_shift: np.ndarray
+    combined_shift: ShiftMatrix
     direction: np.ndarray
 
 
@@ -353,11 +349,11 @@ def canonical_generator(
 
     The generator is the inverse transform of the indicator of ``omega``.
     A random unit direction d turns the shift family into the single
-    matrix ``T = sum_l d_l S_l``; d is redrawn until the scalar
-    eigenvalues ``d . lambda(n)`` are pairwise distinct over ``omega``
-    (no gap at or below :data:`~gsis.spectral.DISTINCT_REL` times their
-    spread), and the powers ``T^m generator`` for m < #omega are verified
-    to span the space.
+    shift ``T = sum_l d_l S_l``, a :class:`~gsis.graphs.ShiftMatrix` on the
+    same graph; d is redrawn until the scalar eigenvalues ``d . lambda(n)``
+    are pairwise distinct over ``omega`` (no gap at or below
+    :data:`~gsis.spectral.DISTINCT_REL` times their spread), and the powers
+    ``T^m generator`` for m < #omega are verified to span the space.
 
     Raises
     ------
@@ -383,12 +379,12 @@ def canonical_generator(
         scalar = decomp.joint_spectrum[idx] @ d
         if _min_gap(scalar) <= DISTINCT_REL * max(float(np.ptp(scalar)), 1e-300):
             continue
-        t_mat = _combination(decomp.shifts, d)
+        t = _combination(decomp.shifts, d)
         # Stable rank check of {T^k phi0 : k < m} through an orthogonal chain.
-        chain = KrylovChain([t_mat], [phi0])
+        chain = KrylovChain([t], [phi0])
         chain.grow_to(m - 1)
         if chain.dims[-1] == m:
-            return CanonicalGenerator(phi0, t_mat, d)
+            return CanonicalGenerator(phi0, t, d)
     raise DistinctnessError(
         f"no direction made the scalar eigenvalues distinct on omega "
         f"within {SCALARIZATION_DRAWS} draws"
@@ -397,7 +393,7 @@ def canonical_generator(
 
 def riesz_bounds(
     decomp: SpectralDecomposition,
-    combined_shift: np.ndarray,
+    combined_shift: ShiftMatrix | np.ndarray,
     phi0,
     omega: Sequence[int],
 ) -> tuple[float, float]:
@@ -418,7 +414,7 @@ def riesz_bounds(
     """
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
     lam_t = decomp.eigenvalues_of(combined_shift, "combined shift")
-    phat = decomp.basis.T @ _vector(phi0)
+    phat = decomp.basis.T @ _signal(phi0, decomp.n_vertices, "phi0")
     scale = float(np.linalg.norm(phat))
     if scale == 0.0:
         raise ValueError("generator is identically zero")
@@ -450,7 +446,7 @@ def frame_bounds(
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    phat = decomp.basis.T @ _vector(phi0)
+    phat = decomp.basis.T @ _signal(phi0, decomp.n_vertices, "phi0")
     if not np.any(phat):
         raise ValueError("generator is identically zero")
     # rows off the spectral support are roundoff; kept, they would put a
@@ -540,7 +536,7 @@ def uncertainty_check(decomp: SpectralDecomposition, phi0) -> UncertaintyReport:
     computed exactly for up to 12 vertices and replaced by the (larger)
     max-entry bound otherwise, which only weakens the right-hand side.
     """
-    v = _vector(phi0)
+    v = _signal(phi0, decomp.n_vertices, "phi0")
     scale = float(np.linalg.norm(v))
     if scale == 0.0:
         raise ValueError("generator is identically zero")

@@ -164,15 +164,15 @@ def _tie_groups(lams: np.ndarray) -> list[np.ndarray]:
     return np.split(order, starts)
 
 
-def _combination(shifts: ShiftSet, d: np.ndarray) -> np.ndarray:
-    """Dense ``sum_l d_l S_l``, summed over the diagonals and the edge weights.
+def _combination(shifts: ShiftSet, d: np.ndarray) -> ShiftMatrix:
+    """The shift ``sum_l d_l S_l`` on the family's graph, summed over the diagonals and the edge weights.
 
     Each entry takes the same additions as the dense sum ``sum(d_l * S_l)``,
-    signed zeros included, so the two arrays are equal bit for bit.
+    signed zeros included, so its ``_dense()`` equals that sum bit for bit.
     """
     diagonal = sum(dl * s.diagonal for dl, s in zip(d, shifts))
     edge_weights = sum(dl * s.edge_weights for dl, s in zip(d, shifts))
-    return shifts[0]._dense(diagonal, edge_weights)
+    return ShiftMatrix._from_edges(shifts.graph, diagonal, edge_weights)
 
 
 def _norm_and_image(rows: np.ndarray, shift: ShiftMatrix) -> tuple[float, np.ndarray]:
@@ -234,15 +234,14 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     worst_seen = np.inf
     for _ in range(DIAGONALIZATION_DRAWS):
         if shifts.n_shifts == 1:
-            combo = shifts[0]._dense()
+            combo = shifts[0]
         else:
             d = rng.standard_normal(shifts.n_shifts)
             d /= np.linalg.norm(d)
             combo = _combination(shifts, d)
         # row n of `rows` is eigenvector n, and row n of images[l] is S_l u_n
         # (the shifts are symmetric), so a group's vectors are contiguous rows
-        rows = np.linalg.eigh(combo)[1].T.copy()
-        del combo
+        rows = np.linalg.eigh(combo._dense())[1].T.copy()
         norms, images = zip(*(_norm_and_image(rows, s) for s in shifts))
         norms = np.array(norms)
         groups = _tie_groups(_row_eigenvalues(rows, images))

@@ -334,7 +334,7 @@ def _full_row_try_add(self, v):
         self._u[:, self.dim] = v / norm_v
         self.dim += 1
         return ADDED
-    w = self.weight @ v if self._rows is None else v[self._rows]
+    w = self.weight @ v
     self._max_weighted = max(self._max_weighted, float(np.linalg.norm(w)))
     k = self.dim
     gamma, alpha = np.zeros(k), np.zeros(k)

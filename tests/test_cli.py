@@ -598,6 +598,34 @@ def test_a_nan_delta_exits_2(verb, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["krylov", "direct"])
+def test_a_nan_observation_exits_2(verb, tmp_path, capsys):
+    y = np.ones(7)
+    y[3] = np.nan
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, y)
+    which = ["--delta-gen", "6"] if verb == "krylov" else ["--omega", "0:2"]
+    out = tmp_path / "out"
+    argv = ["reconstruct", verb, "--circulant", "12", "--q", "1,3", *which, "--w", "0:6", "--y", str(y_file)]
+    _exits_2(capsys, [*argv, "--out", str(out)], "y must be finite")
+    assert not out.exists()
+
+
+def test_a_nan_generator_exits_2(tmp_path, capsys):
+    gen = np.eye(12)[[6]]
+    gen[0, 2] = np.nan
+    gen_file = tmp_path / "gen.csv"
+    save_matrix_csv(gen_file, gen)
+    argv = ["space", "gsis", "--circulant", "12", "--q", "1,3", "--generator", str(gen_file)]
+    _exits_2(capsys, [*argv, "--out", str(tmp_path / "out")], "generator must be finite")
+
+
+def test_a_nan_amplitude_exits_2(tmp_path, capsys):
+    argv = ["experiment", "damped-cosine", "--amp", "nan", "--out", str(tmp_path / "out")]
+    _exits_2(capsys, argv, "amplitude must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_compare_cli(tmp_path):
     signals = tmp_path / "signals.csv"
     header = ",".join(str(i) for i in range(12))

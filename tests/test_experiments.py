@@ -87,6 +87,21 @@ def test_config_rejects_fractional_counts_and_a_nan_delta():
     assert all(type(k) is int for k in (*config.levels, *config.p_values, config.trials))
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("amplitude", float("nan"), "amplitude must be finite, got nan"),
+        ("decay", float("inf"), "decay must be finite, got inf"),
+        ("frequency", float("nan"), "frequency must be finite, got nan"),
+        ("amplitude", 0.0, "amplitude must be nonzero"),
+    ],
+)
+def test_config_rejects_a_signal_whose_errors_are_not_finite(name, value, message):
+    # each used to give NaN or inf errors (and divide-by-zero warnings for a zero amplitude)
+    with pytest.raises(ValueError, match=message):
+        gsis.ExperimentConfig(**{name: value})
+
+
 def test_metrics_table_cell_lookup():
     cfg = gsis.ExperimentConfig(
         sigma=0.0, trials=1, p_values=(4, 9), levels=(2, 3), seed=11
@@ -418,6 +433,14 @@ def test_model_comparison_rejects_bad_generator_vertices(vertices, message):
         gsis.run_model_comparison(
             shifts, decomp, [x], rule="nonadaptive", vertices=vertices, levels=[0, 1]
         )
+
+
+def test_model_comparison_rejects_a_non_finite_signal():
+    graph, shifts, decomp = _comparison_instance()
+    x = np.random.default_rng(66).standard_normal(24)
+    x[5] = np.nan
+    with pytest.raises(ValueError, match="signal must be finite"):
+        gsis.run_model_comparison(shifts, decomp, [x], levels=[0, 1])
 
 
 @pytest.mark.parametrize("rule", ["adaptive", "nonadaptive"])

@@ -27,6 +27,10 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis.Graph, "_endpoints")
     assert not hasattr(gsis.graphs, "_by_row")
     assert not hasattr(gsis.graphs, "_entries")
+    # a scheme applies itself and a combination of shifts is a shift, so no second path returns
+    assert not hasattr(gsis.OrthogonalBasis(4, gsis.subset_sampler(4, [1])), "_rows")
+    assert list(inspect.signature(gsis.ShiftMatrix._dense).parameters) == ["self"]
+    assert "_dense" not in inspect.getsource(gsis.cli)
 
 
 # Options removed in favour of module constants, the argument

@@ -73,6 +73,73 @@ def test_subset_scheme_applies_as_a_gather():
         scheme.apply(x[:8])
 
 
+def _schemes(n=9):
+    """One scheme of each provenance on the n-cycle."""
+    _, shifts = gsis.build_circulant(n, [1])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    return {
+        "subset": gsis.subset_sampler(n, [7, 2, 4]),
+        "dynamic": gsis.dynamic_sampler(decomp, shifts[0].matrix, 2, 5),
+        "custom": gsis.SamplingScheme(np.random.default_rng(11).standard_normal((4, n))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["subset", "dynamic", "custom"])
+def test_a_scheme_applies_itself_as_its_matrix_product(kind):
+    scheme = _schemes()[kind]
+    rng = np.random.default_rng(12)
+    for x in (rng.standard_normal(9), rng.standard_normal((9, 3))):
+        got, want = scheme @ x, scheme.matrix @ x
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        scheme @ np.ones(10)
+
+
+class _Weight:
+    """Stand-in weight with nothing but a shape and ``@``."""
+
+    def __init__(self, scheme):
+        self.shape = scheme.shape
+        self._apply = scheme.__matmul__
+
+    def __matmul__(self, v):
+        return self._apply(v)
+
+
+@pytest.mark.parametrize("kind", ["subset", "dynamic", "custom"])
+def test_an_orthogonal_basis_reads_only_the_shape_and_matmul_of_its_weight(kind):
+    scheme = _schemes()[kind]
+    rng = np.random.default_rng(13)
+    candidates = list(rng.standard_normal((6, 9)))
+    candidates.insert(2, candidates[0] - 2.0 * candidates[1])  # dependent
+    candidates.insert(1, np.eye(9)[0])  # vertex 0 is not sampled by the subset scheme
+    real = gsis.OrthogonalBasis(9, scheme)
+    stand_in = gsis.OrthogonalBasis(9, _Weight(scheme))
+    statuses = [(real.try_add(v), stand_in.try_add(v)) for v in candidates]
+    assert all(a == b for a, b in statuses) and real.dim > 0
+    assert np.array_equal(real.basis, stand_in.basis)
+    assert np.array_equal(real.images, stand_in.images)
+
+
+def test_non_finite_observations_are_rejected():
+    _, shifts = gsis.build_circulant(12, [1, 3])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    scheme = gsis.subset_sampler(12, range(7))
+    phi = np.eye(12)[6]
+    y = np.ones(7)
+    y[3] = np.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        gsis.Observation(y, scheme)
+    with pytest.raises(ValueError, match="y must be finite"):
+        gsis.reconstruct_direct(decomp, [0, 1], scheme, y)
+    with pytest.raises(ValueError, match="y must be finite"):
+        gsis.reconstruct_krylov(shifts, [phi], scheme, y)
+    with pytest.raises(ValueError, match="y of length 6, expected 7"):
+        gsis.reconstruct_krylov(shifts, [phi], scheme, y[:6])
+    with pytest.raises(ValueError, match="x must be finite"):
+        scheme.apply(np.full(12, np.inf))
+
+
 @pytest.mark.parametrize("vertices", [None, (0, 1), (2,), (5,)])
 def test_subset_scheme_rows_must_match_its_vertices(vertices):
     # rows are the indicators of vertices 0 and 2 of a 5-vertex graph

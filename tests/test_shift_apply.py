@@ -178,6 +178,13 @@ def test_vector_of_the_wrong_length_raises():
         shift @ np.ones(5)
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_a_shift_without_entries_applies_as_float_zeros(kind):
+    shift = gsis.build_standard_shifts(gsis.Graph(3, []), kind)
+    out = shift @ np.ones(3)
+    assert out.dtype == float and np.array_equal(out, np.zeros(3))
+
+
 def test_chain_from_shift_matrices_equals_the_dense_chain():
     rng = np.random.default_rng(3)
     n = 201

@@ -3,6 +3,7 @@ import pytest
 
 import gsis
 from gsis.errors import DistinctnessError
+from gsis.spaces import KrylovChain
 
 from conftest import laplacian_shift_set, random_connected_graph
 
@@ -389,6 +390,31 @@ def test_uncertainty_dimension_is_the_generated_space_dimension():
         assert report.space_dim == gsis.gsis_from_generators(decomp, [phi]).dim
     with pytest.raises(ValueError, match="length 11"):
         gsis.uncertainty_check(decomp, np.ones(11))
+
+
+def test_non_finite_generators_are_rejected():
+    _, shifts = gsis.build_circulant(12, [1, 3])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    bad = np.eye(12)[3]
+    bad[5] = np.inf
+    for call in (
+        lambda: gsis.krylov_subspace(shifts, [bad], 2),
+        lambda: gsis.gsis_from_generators(decomp, [np.eye(12)[0], bad]),
+        lambda: KrylovChain(shifts, [bad]),
+    ):
+        with pytest.raises(ValueError, match="generator must be finite"):
+            call()
+    omega = [g.start for g in decomp.groups[:2]]
+    gen = gsis.canonical_generator(decomp, omega)
+    phi0 = gen.generator.copy()
+    phi0[0] = np.nan
+    for call in (
+        lambda: gsis.riesz_bounds(decomp, gen.combined_shift, phi0, omega),
+        lambda: gsis.frame_bounds(decomp, phi0, 2),
+        lambda: gsis.uncertainty_check(decomp, phi0),
+    ):
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            call()
 
 
 def test_is_shift_invariant_cases(p3):

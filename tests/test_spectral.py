@@ -241,6 +241,18 @@ def test_decomposition_holds_one_dense_shift_at_a_time():
     assert all("matrix" not in vars(s) for s in shifts)
 
 
+def test_the_combined_shift_is_a_shift_on_the_same_graph():
+    graph, shifts = gsis.build_circulant(15, (1, 3))
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    gen = gsis.canonical_generator(decomp, [g.start for g in decomp.groups[:3]])
+    t = gen.combined_shift
+    assert isinstance(t, gsis.ShiftMatrix) and t.graph == graph
+    dense = sum(dl * s.matrix for dl, s in zip(gen.direction, shifts))
+    assert t._dense().tobytes() == dense.tobytes()
+    x = np.random.default_rng(14).standard_normal(15)
+    assert np.allclose(t @ x, dense @ x, rtol=0, atol=1e-14 * np.linalg.norm(x))
+
+
 def test_checks_leave_no_dense_matrix_on_the_shifts():
     _, shifts = gsis.build_circulant(12, (1, 3))
     decomp = gsis.diagonalize_simultaneously(shifts)
