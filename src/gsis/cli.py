@@ -41,7 +41,6 @@ from .graphs import (
 from .kernels import KERNEL_FAMILIES, make_kernel
 from .sampling import (
     Observation,
-    SamplingScheme,
     dynamic_sampler,
     reconstruct_direct,
     reconstruct_krylov,
@@ -55,7 +54,7 @@ from .spaces import (
     riesz_bounds,
     uncertainty_check,
 )
-from .spectral import SpectralDecomposition, diagonalize_simultaneously
+from .spectral import diagonalize_simultaneously
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -107,15 +106,6 @@ def _load_generators(args: argparse.Namespace, n: int) -> list[np.ndarray]:
         flag = "--delta-gen" if args.command == "reconstruct" else "--delta"
         raise ValueError(f"a generator is required: pass {flag} VERTS or --generator FILE")
     return gens
-
-
-def _build_scheme(
-    args: argparse.Namespace, shifts: ShiftSet, decomp: SpectralDecomposition | None
-) -> SamplingScheme:
-    """Subset sampling on ``--w``, else dynamic sampling at ``--i0`` for ``--k`` snapshots."""
-    if getattr(args, "w", None) is not None:
-        return subset_sampler(shifts.n_vertices, args.w)
-    return dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
 
 
 def _cmd_graph_export(args) -> int:
@@ -198,9 +188,11 @@ def _cmd_kernel_make(args) -> int:
 
 def _cmd_sample(args) -> int:
     _, shifts = _build_graph_shifts(args)
-    subset = args.sample_cmd == "subset"
-    decomp = None if subset else diagonalize_simultaneously(shifts, seed=args.seed)
-    scheme = _build_scheme(args, shifts, decomp)
+    if args.sample_cmd == "subset":
+        scheme = subset_sampler(shifts.n_vertices, args.w)
+    else:
+        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
     out = Path(args.out)
     io.save_scheme(scheme, out)
     print(f"wrote {scheme.provenance} scheme ({scheme.n_samples} samples) to {out}")
@@ -217,11 +209,14 @@ def _cmd_reconstruct(args) -> int:
         raise ValueError("dynamic sampling needs --k snapshots")
     if direct and args.omega is None:
         raise ValueError("reconstruct direct needs --omega")
-    y = np.asarray(io.load_matrix_csv(args.y), dtype=float).reshape(-1)
+    # a subset scheme needs no eigenbasis; a dynamic one takes --k samples
+    scheme = None if args.w is None else subset_sampler(graph.n_vertices, args.w)
+    y = _signal(io.load_matrix_csv(args.y), args.k if scheme is None else scheme.n_samples, "y")
     gens = None if direct else _load_generators(args, graph.n_vertices)
     # only direct reconstruction and the dynamic scheme read the eigenbasis
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed) if direct or args.w is None else None
-    scheme = _build_scheme(args, shifts, decomp)
+    decomp = diagonalize_simultaneously(shifts, seed=args.seed) if direct or scheme is None else None
+    if scheme is None:
+        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
     out = Path(args.out)
     if direct:
         x = reconstruct_direct(decomp, args.omega, scheme, y)

@@ -77,6 +77,8 @@ def _kernel_from_spectrum(
     params: dict | None = None,
 ) -> ShiftInvariantKernel:
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("kernel spectral values must be finite")
     top = float(values.max(initial=0.0))
     if values.min(initial=0.0) < -_RANK_CUTOFF * max(top, 1.0):
         raise ValueError("kernel spectral values must be nonnegative")
@@ -87,6 +89,7 @@ def _kernel_from_spectrum(
     return ShiftInvariantKernel(mat, values, omega, decomp, family, params)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing profile fails as a non-finite spectrum
 def make_kernel(
     decomp: SpectralDecomposition,
     base_shift: ShiftMatrix | np.ndarray,
@@ -109,9 +112,9 @@ def make_kernel(
     Raises
     ------
     ValueError
-        Unknown family, parameters out of range, a base shift the
-        decomposition does not diagonalize, or a profile that turns
-        negative on the base spectrum.
+        Unknown family, parameters out of range or not finite, a base
+        shift the decomposition does not diagonalize, or a profile that
+        turns negative or overflows on the base spectrum.
     KernelParameterError
         A parameter the family needs is missing, or one it does not take
         is given (a ``TypeError``, as for a bad keyword argument).
@@ -122,28 +125,29 @@ def make_kernel(
         raise KernelParameterError(f"unknown kernel parameters {sorted(unknown)}")
     given = dict(params)
     if family == "diffusion":
-        sigma = float(_take(params, "sigma", family))
+        sigma = _take(params, "sigma", family)
         if sigma <= 0:
             raise ValueError("diffusion takes a single parameter sigma > 0")
         values = np.exp(sigma**2 * lam / 2.0)
     elif family == "random_walk":
-        a = float(_take(params, "a", family))
-        p = int(_take(params, "p", family))
-        if a <= 2 or p < 1:
+        a = _take(params, "a", family)
+        p = _take(params, "p", family)
+        if a <= 2 or p < 1 or not p.is_integer():
             raise ValueError("random_walk takes parameters a > 2 and integer p >= 1")
+        p = int(p)
         shifted = a - lam
         if np.any(shifted <= 0):
             raise ValueError(f"a = {a} does not dominate the base spectrum (max {lam.max():.6g})")
         values = shifted ** (-p)
     elif family == "regularization":
-        sigma = float(_take(params, "sigma", family))
+        sigma = _take(params, "sigma", family)
         if sigma <= 0:
             raise ValueError("regularization takes a single parameter sigma > 0")
         values = 1.0 + sigma**2 * lam
         if np.any(values < 0):
             raise ValueError("regularization profile is negative on the base spectrum")
     elif family == "spline":
-        alpha = float(_take(params, "alpha", family))
+        alpha = _take(params, "alpha", family)
         if alpha <= 0:
             raise ValueError("spline takes a single parameter alpha > 0")
         top = float(np.abs(lam).max())
@@ -159,11 +163,14 @@ def make_kernel(
     return _kernel_from_spectrum(decomp, values, family, given)
 
 
-def _take(params: dict, name: str, family: str):
+def _take(params: dict, name: str, family: str) -> np.float64:
     try:
-        return params.pop(name)
+        value = np.float64(params.pop(name))
     except KeyError:
         raise KernelParameterError(f"{family} kernel requires parameter {name!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{family} kernel parameter {name!r} must be finite, got {value}")
+    return value
 
 
 def is_shift_invariant_kernel(k_matrix: np.ndarray, shifts: ShiftSet) -> bool:

@@ -282,7 +282,11 @@ def reconstruct_direct(
     sampled = scheme @ decomp.basis[:, idx]
     left, sv, right = np.linalg.svd(sampled, full_matrices=False)
     smin = float(sv[-1]) if sv.size == len(idx) else 0.0
-    scale = max(float(np.linalg.norm(scheme.matrix, 2)), 1.0)
+    if scheme._take is None:
+        norm = float(np.linalg.norm(scheme.matrix, 2))
+    else:  # indicator rows: A.T @ A is diagonal, holding how often each vertex is read
+        norm = float(np.sqrt(np.bincount(scheme._take).max()))
+    scale = max(norm, 1.0)
     cond = (float(sv[0]) / smin) ** 2 if smin > 0.0 else np.inf
     if smin <= 1e-12 * scale or cond > 1e12:
         raise NonInjectiveSamplingError(

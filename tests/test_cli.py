@@ -611,6 +611,49 @@ def test_a_nan_observation_exits_2(verb, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "family, params, name",
+    [
+        ("diffusion", ["sigma=nan"], "sigma"),
+        ("random_walk", ["a=nan", "p=1"], "a"),
+        ("regularization", ["sigma=inf"], "sigma"),
+    ],
+)
+def test_a_non_finite_kernel_parameter_exits_2(family, params, name, tmp_path, capsys):
+    argv = ["kernel", "make", "--circulant", "12", "--q", "1,3", "--family", family]
+    argv += [arg for param in params for arg in ("--param", param)]
+    out = tmp_path / "out"
+    _exits_2(capsys, [*argv, "--out", str(out)], f"{family} kernel parameter '{name}' must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, scheme",
+    [
+        ("direct", ["--w", "0:6"]),
+        ("krylov", ["--i0", "0", "--k", "7"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "values, message",
+    [(np.r_[np.ones(3), np.nan, np.ones(3)], "y must be finite"), (np.ones(5), "y of length 5, expected 7")],
+)
+def test_a_bad_observation_exits_2_before_the_eigendecomposition(
+    verb, scheme, values, message, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigendecomposition ran before y was checked")
+
+    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", refuse)
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, values)
+    which = ["--omega", "0:2"] if verb == "direct" else ["--delta-gen", "6"]
+    out = tmp_path / "out"
+    argv = ["reconstruct", verb, "--circulant", "12", "--q", "1,3", *which, *scheme, "--y", str(y_file)]
+    _exits_2(capsys, [*argv, "--out", str(out)], message)
+    assert not out.exists()
+
+
 def test_a_nan_generator_exits_2(tmp_path, capsys):
     gen = np.eye(12)[[6]]
     gen[0, 2] = np.nan

@@ -185,3 +185,60 @@ def test_kernel_base_must_match_decomposition():
     stranger = gsis.build_standard_shifts(other, "laplacian")
     with pytest.raises(ValueError, match="base shift is not diagonalized"):
         gsis.make_kernel(decomp, stranger, "diffusion", sigma=0.5)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("diffusion", {"sigma": np.nan}),
+        ("diffusion", {"sigma": np.inf}),
+        ("random_walk", {"a": np.nan, "p": 1}),
+        ("random_walk", {"a": np.inf, "p": 1}),
+        ("random_walk", {"a": 4.0, "p": np.nan}),
+        ("random_walk", {"a": 4.0, "p": np.inf}),
+        ("regularization", {"sigma": np.inf}),
+        ("regularization", {"sigma": -np.nan}),
+        ("spline", {"alpha": np.nan}),
+        ("spline", {"alpha": np.inf}),
+    ],
+)
+def test_non_finite_kernel_parameters_are_rejected(family, params, p5):
+    _, shifts, decomp = p5
+    name = next(k for k, v in params.items() if not np.isfinite(v))
+    with pytest.raises(ValueError, match=f"{family} kernel parameter '{name}' must be finite"):
+        gsis.make_kernel(decomp, shifts[0], family, **params)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("diffusion", {"sigma": 1e3}),  # exp overflows
+        ("diffusion", {"sigma": 1e200}),  # sigma**2 overflows, and times the zero eigenvalue is nan
+        ("random_walk", {"p": 200}),  # a barely above the largest eigenvalue, set below
+        ("regularization", {"sigma": 1e200}),
+        ("spline", {"alpha": 1e6}),
+    ],
+)
+def test_an_overflowing_kernel_profile_is_rejected(family, params, p5):
+    _, shifts, decomp = p5
+    if family == "random_walk":
+        params = {**params, "a": float(decomp.eigenvalues[0].max()) + 1e-12}
+    with pytest.raises(ValueError, match="kernel spectral values must be finite"):
+        gsis.make_kernel(decomp, shifts[0], family, **params)
+
+
+def test_random_walk_power_must_be_an_integer(p5):
+    _, shifts, decomp = p5
+    with pytest.raises(ValueError, match="integer p >= 1"):
+        gsis.make_kernel(decomp, shifts[0], "random_walk", a=4.0, p=1.5)
+    whole = gsis.make_kernel(decomp, shifts[0], "random_walk", a=4.0, p=2.0)
+    assert np.array_equal(whole.matrix, gsis.make_kernel(decomp, shifts[0], "random_walk", a=4.0, p=2).matrix)
+
+
+def test_a_non_finite_spectrum_is_rejected(p5):
+    _, _, decomp = p5
+    for bad in (np.nan, np.inf):
+        values = np.ones(5)
+        values[2] = bad
+        with pytest.raises(ValueError, match="kernel spectral values must be finite"):
+            gsis.kernels._kernel_from_spectrum(decomp, values)

@@ -330,6 +330,31 @@ def test_reconstruct_direct_accepts_observation(p3):
     assert np.allclose(out, x, atol=1e-12)
 
 
+def test_reconstruct_direct_on_a_subset_scheme_builds_no_matrix():
+    _, shifts = gsis.build_circulant(40, [1, 3])
+    decomp = gsis.diagonalize_simultaneously(shifts, seed=0)
+    omega = [0, 1, 2, 3, 4]
+    scheme = gsis.subset_sampler(40, range(5, 25))
+    y = np.random.default_rng(9).standard_normal(scheme.n_samples)
+    x = gsis.reconstruct_direct(decomp, omega, scheme, y)
+    assert "matrix" not in scheme.__dict__
+    same_rows = gsis.SamplingScheme(scheme.matrix)
+    assert same_rows.provenance == "custom"
+    assert gsis.reconstruct_direct(decomp, omega, same_rows, y).tobytes() == x.tobytes()
+
+
+def test_reconstruct_direct_gate_scale_counts_repeated_vertices(p3):
+    # a vertex read twice: the indicator rows have operator norm sqrt(2)
+    _, _, decomp = p3
+    rows = np.eye(3)[[0, 0, 1, 2]]
+    subset = gsis.SamplingScheme(rows, "subset", vertices=(0, 0, 1, 2))
+    custom = gsis.SamplingScheme(rows)
+    assert np.sqrt(np.bincount(subset._take).max()) == pytest.approx(np.linalg.norm(rows, 2), rel=1e-15)
+    y = np.array([1.0, 1.0, -2.0, 0.5])
+    x = gsis.reconstruct_direct(decomp, [0, 1, 2], subset, y)
+    assert x.tobytes() == gsis.reconstruct_direct(decomp, [0, 1, 2], custom, y).tobytes()
+
+
 @pytest.mark.parametrize("ratio, injective", [(0.9e6, True), (1.1e6, False)])
 def test_reconstruct_direct_condition_gate_boundary(ratio, injective):
     # A = diag(s) U_omega.T makes the sampled basis diag(s), whose Gram
