@@ -41,7 +41,7 @@ from .graphs import (
 from .kernels import KERNEL_FAMILIES, make_kernel
 from .sampling import (
     Observation,
-    dynamic_sampler,
+    _dynamic_scheme,
     reconstruct_direct,
     reconstruct_krylov,
     subset_sampler,
@@ -191,8 +191,7 @@ def _cmd_sample(args) -> int:
     if args.sample_cmd == "subset":
         scheme = subset_sampler(shifts.n_vertices, args.w)
     else:
-        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
-        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
+        scheme = _dynamic_scheme(shifts[0].matrix, args.i0, args.k)
     out = Path(args.out)
     io.save_scheme(scheme, out)
     print(f"wrote {scheme.provenance} scheme ({scheme.n_samples} samples) to {out}")
@@ -209,16 +208,16 @@ def _cmd_reconstruct(args) -> int:
         raise ValueError("dynamic sampling needs --k snapshots")
     if direct and args.omega is None:
         raise ValueError("reconstruct direct needs --omega")
-    # a subset scheme needs no eigenbasis; a dynamic one takes --k samples
+    # y is checked against the subset's size, or --k for a dynamic scheme
     scheme = None if args.w is None else subset_sampler(graph.n_vertices, args.w)
     y = _signal(io.load_matrix_csv(args.y), args.k if scheme is None else scheme.n_samples, "y")
     gens = None if direct else _load_generators(args, graph.n_vertices)
-    # only direct reconstruction and the dynamic scheme read the eigenbasis
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed) if direct or scheme is None else None
     if scheme is None:
-        scheme = dynamic_sampler(decomp, shifts[0].matrix, args.i0, args.k)
+        # no spectral check: every joint eigenbasis of the family diagonalizes shifts[0]
+        scheme = _dynamic_scheme(shifts[0].matrix, args.i0, args.k)
     out = Path(args.out)
     if direct:
+        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
         x = reconstruct_direct(decomp, args.omega, scheme, y)
         io.save_matrix_csv(out / "reconstruction_signal.csv", x)
         message = f"wrote direct reconstruction to {out}"
@@ -283,6 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
     on_graph = [graph_source, seeded, output]
+    # --seed reaches only the eigendecomposition and the canonical generator,
+    # so sampling and krylov reconstruction, which run neither, take none
+    unseeded = [graph_source, output]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_graph = sub.add_parser("graph", help="graph and shift utilities")
@@ -314,11 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sampling schemes")
     sample_sub = p_sample.add_subparsers(dest="sample_cmd", required=True)
-    # subset sampling draws nothing at random, so it takes no --seed
-    p_subset = sample_sub.add_parser("subset", parents=[graph_source, output])
+    p_subset = sample_sub.add_parser("subset", parents=unseeded)
     p_subset.add_argument("--w", type=_parse_range, required=True, metavar="LIST")
     p_subset.set_defaults(func=_cmd_sample)
-    p_dynamic = sample_sub.add_parser("dynamic", parents=on_graph)
+    p_dynamic = sample_sub.add_parser("dynamic", parents=unseeded)
     p_dynamic.add_argument("--i0", type=int, required=True)
     p_dynamic.add_argument("--k", type=int, required=True)
     p_dynamic.set_defaults(func=_cmd_sample)
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", help="reconstruct signals from samples")
     rec_sub = p_rec.add_subparsers(dest="reconstruct_cmd", required=True)
     for name in ("direct", "krylov"):
-        rp = rec_sub.add_parser(name, parents=on_graph)
+        rp = rec_sub.add_parser(name, parents=on_graph if name == "direct" else unseeded)
         rp.add_argument("--y", required=True, metavar="FILE", help="observed values CSV")
         rp.add_argument("--w", type=_parse_range, default=None, metavar="LIST")
         rp.add_argument("--i0", type=int, default=None)

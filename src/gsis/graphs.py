@@ -584,24 +584,37 @@ def read_edge_list(path: str | Path) -> Graph:
 
     Format: first non-comment line is ``N <edge_count>``; each following
     line is ``i j`` or ``i j weight`` with 0-based vertex ids. Blank lines
-    and lines starting with ``#`` are skipped.
+    and lines starting with ``#`` are skipped.  An error names the file and
+    the 1-based line it found.
     """
-    lines = [line for line in map(str.strip, Path(path).read_text().splitlines()) if line and line[0] != "#"]
-    if not lines:
+    numbered = [
+        (k, line)
+        for k, line in enumerate(map(str.strip, Path(path).read_text().splitlines()), 1)
+        if line and line[0] != "#"
+    ]
+    if not numbered:
         raise ValueError(f"{path}: empty edge-list file")
-    head = lines[0].split()
+    (k, header), edge_lines = numbered[0], numbered[1:]
+    head = header.split()
+    bad_header = f"{path}, line {k}: header must be 'N <edge_count>', got {header!r}"
     if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'N <edge_count>', got {lines[0]!r}")
-    n, count = int(head[0]), int(head[1])
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header promises {count} edges, file has {len(lines) - 1}")
+        raise ValueError(bad_header)
+    try:
+        n, count = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ValueError(f"{bad_header} ({exc})") from None
+    if len(edge_lines) != count:
+        raise ValueError(f"{path}: header promises {count} edges, file has {len(edge_lines)}")
     edges, weights = [], []
-    for line in lines[1:]:
+    for k, line in edge_lines:
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise ValueError(f"{path}: bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-        weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+            raise ValueError(f"{path}, line {k}: bad edge line {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+            weights.append(float(parts[2]) if len(parts) == 3 else 1.0)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {k}: bad edge line {line!r} ({exc})") from None
     return Graph(n, edges, weights)
 
 

@@ -170,6 +170,16 @@ def dynamic_sampler(
     if d_mat.shape != (n, n):
         raise ValueError(f"state matrix of shape {d_mat.shape} on {n} vertices")
     decomp.eigenvalues_of(d_mat, "state matrix")  # raises unless the basis diagonalizes it
+    return _dynamic_scheme(d_mat, initial_vertex, n_snapshots)
+
+
+def _dynamic_scheme(d_mat: np.ndarray, initial_vertex: int, n_snapshots: int) -> SamplingScheme:
+    """:func:`dynamic_sampler`'s rows for a square float ``d_mat``, without its spectral check.
+
+    For a state the caller knows to be diagonalized by every joint
+    eigenbasis, such as a member of a commuting shift family.
+    """
+    n = d_mat.shape[0]
     (initial_vertex,) = _index_set([initial_vertex], n, "initial_vertex")
     if n_snapshots < 1:
         raise ValueError("at least one snapshot is required")

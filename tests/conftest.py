@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gsis
+import gsis.cli
 
 try:
     from hypothesis import settings
@@ -59,3 +60,31 @@ def p3():
     shifts = gsis.ShiftSet((gsis.build_standard_shifts(graph, "laplacian"),))
     decomp = gsis.diagonalize_simultaneously(shifts)
     return graph, shifts, decomp
+
+
+class DiagonalizationCounter:
+    """Stand-in for the CLI's ``diagonalize_simultaneously`` that counts its calls.
+
+    Each call appends its positional arguments to ``calls`` and runs the
+    real decomposition, unless ``refuse`` holds a message: then the call
+    fails with that message as an ``AssertionError``.
+    """
+
+    def __init__(self, real):
+        self.calls = []
+        self.refuse = None
+        self._real = real
+
+    def __call__(self, *args, **kwargs):
+        if self.refuse is not None:
+            raise AssertionError(self.refuse)
+        self.calls.append(args)
+        return self._real(*args, **kwargs)
+
+
+@pytest.fixture
+def diagonalizations(monkeypatch):
+    """Count (or, with ``refuse`` set, refuse) the eigendecompositions the CLI runs."""
+    counter = DiagonalizationCounter(gsis.cli.diagonalize_simultaneously)
+    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", counter)
+    return counter

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import gsis
+from conftest import random_connected_graph
 from gsis.cli import _parse_int_list, _parse_range, main
-from gsis.io import load_matrix_csv, save_matrix_csv
+from gsis.io import load_matrix_csv, save_matrix_csv, save_observation, save_reconstruction, save_scheme
 
 
 def _run(*argv):
@@ -90,6 +91,22 @@ def test_graph_export_edge_list(tmp_path):
     shift0 = load_matrix_csv(out / "shift_0.csv")
     graph = gsis.path_graph(4)
     assert np.array_equal(shift0, gsis.build_standard_shifts(graph, "adjacency").matrix)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n0 1\n1 2.5\n", "line 3: bad edge line '1 2.5' (invalid literal for int()"),
+        ("4.5 2\n0 1\n1 2\n", "line 1: header must be 'N <edge_count>', got '4.5 2'"),
+        ("# weights\n3 2\n\n0 1\n1 2 x\n", "line 5: bad edge line '1 2 x' (could not convert"),
+        ("3 1\n1e3 2\n", "line 2: bad edge line '1e3 2' (invalid literal for int()"),
+    ],
+)
+def test_an_edge_list_parse_error_names_the_file_and_line(text, message, tmp_path, capsys):
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text(text)
+    argv = ["graph", "export", "--graph", str(edge_file), "--out", str(tmp_path / "out")]
+    _exits_2(capsys, argv, f"{edge_file}, {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +335,8 @@ def test_reconstruct_direct_roundtrip(tmp_path):
     assert obs["n_samples"] == 7
 
 
-def test_reconstruct_diagonalizes_only_when_the_scheme_needs_it(tmp_path, monkeypatch):
-    calls = []
-    real = gsis.cli.diagonalize_simultaneously
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", counted)
+def test_reconstruct_diagonalizes_only_when_the_scheme_needs_it(tmp_path, diagonalizations):
+    calls = diagonalizations.calls
     y_file = tmp_path / "y.csv"
     save_matrix_csv(y_file, np.linspace(-1.0, 1.0, 7))
     common = ["--circulant", "12", "--q", "1", "--w", "0:6", "--y", str(y_file)]
@@ -338,9 +348,9 @@ def test_reconstruct_diagonalizes_only_when_the_scheme_needs_it(tmp_path, monkey
     assert len(calls) == 1
 
 
-def test_bad_inputs_are_rejected_before_the_eigendecomposition(tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", lambda *a, **k: calls.append(a))
+def test_bad_inputs_are_rejected_before_the_eigendecomposition(tmp_path, capsys, diagonalizations):
+    diagonalizations.refuse = "the eigendecomposition ran before the inputs were checked"
+    calls = diagonalizations.calls
     graph = ["--circulant", "600", "--q", "1,3", "--out", str(tmp_path / "out")]
     y_file = tmp_path / "y.csv"
     save_matrix_csv(y_file, np.ones(3))
@@ -352,6 +362,10 @@ def test_bad_inputs_are_rejected_before_the_eigendecomposition(tmp_path, capsys,
         ([*direct, "--y", str(y_file)], "reconstruct direct needs --omega"),
         ([*direct, "--omega", "0:2", "--y", str(tmp_path / "missing.csv")], ""),
         (
+            ["reconstruct", "direct", *graph, "--omega", "0:2", "--i0", "600", "--k", "3", "--y", str(y_file)],
+            "initial_vertex must lie in [0, 600)",
+        ),
+        (
             ["model-compare", *graph, "--signals", str(signals), "--generators", "sideways:2"],
             "--generators expects adaptive:K or nonadaptive:K",
         ),
@@ -361,6 +375,108 @@ def test_bad_inputs_are_rejected_before_the_eigendecomposition(tmp_path, capsys,
     for argv, message in cases:
         _exits_2(capsys, argv, message)
     assert calls == []
+
+
+# Each verb's arguments besides the graph source and --out, and how many
+# eigendecompositions it runs: only the spectral constructions need one.
+VERB_DECOMPOSITIONS = {
+    "graph export": (["graph", "export"], 1),
+    "space bandlimited": (["space", "bandlimited", "--omega", "0:4"], 1),
+    "space gsis": (["space", "gsis", "--delta", "6"], 1),
+    "space bounds": (["space", "bounds", "--delta", "6", "--frame-level", "2"], 1),
+    "space uncertainty": (["space", "uncertainty", "--delta", "6"], 1),
+    "kernel make": (["kernel", "make", "--family", "diffusion", "--param", "sigma=1.0"], 1),
+    "reconstruct direct": (["reconstruct", "direct", "--omega", "0:2", "--w", "0:6", "--y", "{y}"], 1),
+    "model-compare": (["model-compare", "--signals", "{signals}", "--levels", "0:2"], 1),
+    "sample subset": (["sample", "subset", "--w", "0:6"], 0),
+    "sample dynamic": (["sample", "dynamic", "--i0", "0", "--k", "6"], 0),
+    "reconstruct krylov --w": (
+        ["reconstruct", "krylov", "--delta-gen", "6", "--max-level", "2", "--w", "0:6", "--y", "{y}"],
+        0,
+    ),
+    "reconstruct krylov --i0/--k": (
+        ["reconstruct", "krylov", "--delta-gen", "6", "--max-level", "2", "--i0", "0", "--k", "7", "--y", "{y}"],
+        0,
+    ),
+}
+
+
+def _graph_source(source, tmp_path):
+    """CLI arguments for a 12-vertex two-offset circulant or a weighted edge-list graph."""
+    if source == "circulant":
+        return ["--circulant", "12", "--q", "1,3"]
+    edge_file = tmp_path / "g.txt"
+    gsis.write_edge_list(random_connected_graph(12, np.random.default_rng(20)), edge_file)
+    return ["--graph", str(edge_file)]
+
+
+@pytest.mark.parametrize("source", ["circulant", "edge-list"])
+@pytest.mark.parametrize("verb", sorted(VERB_DECOMPOSITIONS))
+def test_each_verb_runs_only_the_eigendecompositions_it_reads(verb, source, tmp_path, diagonalizations):
+    argv, expected = VERB_DECOMPOSITIONS[verb]
+    y_file, signals = tmp_path / "y.csv", tmp_path / "signals.csv"
+    save_matrix_csv(y_file, np.linspace(-1.0, 1.0, 7))
+    save_matrix_csv(signals, np.random.default_rng(4).standard_normal((2, 12)))
+    argv = [arg.format(y=y_file, signals=signals) for arg in argv]
+    assert _run(*argv, *_graph_source(source, tmp_path), "--out", str(tmp_path / "out")) == 0
+    assert len(diagonalizations.calls) == expected
+
+
+def _same_files(left, right):
+    names = sorted(f.name for f in left.iterdir())
+    assert names == sorted(f.name for f in right.iterdir())
+    for name in names:
+        assert (left / name).read_bytes() == (right / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("source", ["circulant", "edge-list"])
+def test_dynamic_outputs_match_the_checked_sampler_byte_for_byte(source, tmp_path):
+    graph_args = _graph_source(source, tmp_path)
+    if source == "circulant":
+        _, shifts = gsis.build_circulant(12, [1, 3])
+    else:
+        graph = gsis.read_edge_list(graph_args[1])
+        shifts = gsis.ShiftSet((gsis.build_standard_shifts(graph, "laplacian"),))
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    i0, k = 2, 7
+    reference = gsis.dynamic_sampler(decomp, shifts[0].matrix, i0, k)
+    dynamic = ["--i0", str(i0), "--k", str(k), *graph_args]
+    assert _run("sample", "dynamic", *dynamic, "--out", str(tmp_path / "sample")) == 0
+    save_scheme(reference, tmp_path / "sample_ref")
+    _same_files(tmp_path / "sample", tmp_path / "sample_ref")
+
+    y = np.linspace(-1.0, 1.0, k)
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, y)
+    krylov = ["reconstruct", "krylov", *dynamic, "--delta-gen", "6", "--max-level", "2", "--y", str(y_file)]
+    assert _run(*krylov, "--out", str(tmp_path / "krylov")) == 0
+    result = gsis.reconstruct_krylov(shifts, [np.eye(12)[6]], reference, y, max_level=2)
+    save_reconstruction(result, tmp_path / "krylov_ref")
+    save_observation(gsis.Observation(y, reference), tmp_path / "krylov_ref")
+    _same_files(tmp_path / "krylov", tmp_path / "krylov_ref")
+
+
+@pytest.mark.parametrize(
+    "verb, dynamic, message",
+    [
+        ("sample", ["--i0", "12", "--k", "7"], "initial_vertex must lie in [0, 12)"),
+        ("sample", ["--i0", "-1", "--k", "7"], "initial_vertex must lie in [0, 12)"),
+        ("sample", ["--i0", "0", "--k", "0"], "at least one snapshot is required"),
+        ("reconstruct", ["--i0", "12", "--k", "7"], "initial_vertex must lie in [0, 12)"),
+        ("reconstruct", ["--i0", "-1", "--k", "7"], "initial_vertex must lie in [0, 12)"),
+        # the observation is checked first, against the zero samples asked for
+        ("reconstruct", ["--i0", "0", "--k", "0"], "y of length 7, expected 0"),
+    ],
+)
+def test_a_bad_dynamic_scheme_exits_2_and_writes_nothing(verb, dynamic, message, tmp_path, capsys):
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.ones(7))
+    argv = ["sample", "dynamic"]
+    if verb == "reconstruct":
+        argv = ["reconstruct", "krylov", "--delta-gen", "6", "--y", str(y_file)]
+    out = tmp_path / "out"
+    _exits_2(capsys, [*argv, *dynamic, "--circulant", "12", "--q", "1,3", "--out", str(out)], message)
+    assert not out.exists()
 
 
 def test_reconstruct_krylov_roundtrip(tmp_path):
@@ -528,6 +644,8 @@ def test_type_error_inside_a_verb_propagates(tmp_path, monkeypatch):
     [
         ["reconstruct", "krylov", "--y", "y.csv", "--tol", "1e-8"],
         ["sample", "subset", "--w", "0", "--seed", "1"],
+        ["sample", "dynamic", "--i0", "0", "--k", "3", "--seed", "1"],
+        ["reconstruct", "krylov", "--y", "y.csv", "--seed", "1"],
     ],
 )
 def test_removed_flags_are_rejected(argv, capsys):
@@ -639,12 +757,9 @@ def test_a_non_finite_kernel_parameter_exits_2(family, params, name, tmp_path, c
     [(np.r_[np.ones(3), np.nan, np.ones(3)], "y must be finite"), (np.ones(5), "y of length 5, expected 7")],
 )
 def test_a_bad_observation_exits_2_before_the_eigendecomposition(
-    verb, scheme, values, message, tmp_path, capsys, monkeypatch
+    verb, scheme, values, message, tmp_path, capsys, diagonalizations
 ):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the eigendecomposition ran before y was checked")
-
-    monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", refuse)
+    diagonalizations.refuse = "the eigendecomposition ran before y was checked"
     y_file = tmp_path / "y.csv"
     save_matrix_csv(y_file, values)
     which = ["--omega", "0:2"] if verb == "direct" else ["--delta-gen", "6"]
