@@ -112,12 +112,16 @@ def _group_ranks(decomp: SpectralDecomposition, gens: list[np.ndarray]):
     ghat = decomp.basis.T @ np.column_stack(gens)
     scales = np.linalg.norm(ghat, axis=0)
     max_scale = float(scales.max())
+    # one stacked SVD per group size, read back in group order
+    svds = {}
+    for size in {len(g) for g in decomp.groups} - {1}:
+        left, svals, _ = np.linalg.svd(ghat[np.array([g for g in decomp.groups if len(g) == size])])
+        svds[size] = zip(left, svals)
     for group in decomp.groups:
-        sub = ghat[group, :]
         if len(group) == 1:
-            yield group, int(np.any(np.abs(sub[0]) > SUPPORT_REL * scales)), None
+            yield group, int(np.any(np.abs(ghat[group.start]) > SUPPORT_REL * scales)), None
             continue
-        left, svals, _ = np.linalg.svd(sub)
+        left, svals = next(svds[len(group)])
         yield group, int(np.sum(svals > SUPPORT_REL * max_scale)), left
 
 

@@ -3,8 +3,10 @@
 Commuting symmetric shifts share an orthonormal eigenbasis U.  The basis is
 found by eigendecomposing one random linear combination of the shifts and
 verifying that it diagonalizes every member; degenerate combinations are
-redrawn.  Tied joint eigenvalues are grouped once, and the basis inside each
-group is fixed by the shifts alone, so it does not depend on the draw.
+redrawn.  A family of circulant shifts takes the real Fourier basis
+instead, with no draw.  Tied joint eigenvalues are grouped once, and the
+basis inside each group is fixed by the shifts alone, so it does not depend
+on the draw.
 U defines the graph Fourier transform x_hat = U.T x, under which
 every shift acts as multiplication by its eigenvalue sequence.
 """
@@ -175,6 +177,35 @@ def _combination(shifts: ShiftSet, d: np.ndarray) -> ShiftMatrix:
     return ShiftMatrix._from_edges(shifts.graph, diagonal, edge_weights)
 
 
+def _fourier_rows(shifts: ShiftSet) -> np.ndarray | None:
+    """Rows of the real Fourier basis when every shift is circulant, else None.
+
+    A shift is circulant when each stored entry ``S_ij`` equals, exactly, row
+    0's entry at the offset ``(j - i) mod N`` and every row holds as many
+    entries as row 0.  Every such shift is diagonalized by the rows
+    ``cos(2 pi k j / N)`` for ``k <= N/2`` followed by ``sin(2 pi k j / N)``
+    for ``0 < k < N/2``, normalized.
+    """
+    n = shifts.n_vertices
+    for s in shifts:
+        width = s._ptr[1]  # entries in row 0
+        table = np.full(n, np.nan)  # an offset absent from row 0 equals no entry
+        table[s._cols[:width]] = s._weights[:width]
+        if len(s._weights) != n * width or not np.array_equal(table[(s._cols - s._rows) % n], s._weights):
+            return None
+    half = n // 2
+    # k j < N^2 / 2 fits in int32 for any N whose dense (N, N) basis fits in memory
+    angles = np.arange(half + 1, dtype=np.int32)[:, None] * np.arange(n, dtype=np.int32)
+    angles %= n
+    theta = 2.0 * np.pi / n * np.arange(n)
+    rows = np.empty((n, n))
+    # mode="clip" skips take's buffered bounds check; every angle is in range
+    np.take(np.cos(theta), angles, out=rows[: half + 1], mode="clip")
+    np.take(np.sin(theta), angles[1 : n - half], out=rows[half + 1 :], mode="clip")
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return rows
+
+
 def _norm_and_image(rows: np.ndarray, shift: ShiftMatrix) -> tuple[float, np.ndarray]:
     """``||S||_F`` and ``rows @ S`` from one transient dense copy of the shift."""
     m = shift._dense()
@@ -215,7 +246,10 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     per-shift residual ``||S_l U - U diag||_F`` is at most
     :data:`DIAGONALIZATION_REL` times ``||S_l||_F``. A draw of d that
     accidentally merges distinct joint eigenvalues fails that check and is
-    redrawn, up to :data:`DIAGONALIZATION_DRAWS` draws.
+    redrawn, up to :data:`DIAGONALIZATION_DRAWS` draws. When every shift is
+    circulant (each entry ``S_ij`` depends only on ``(j - i) mod N``), the
+    real Fourier basis takes the place of the eigendecomposition, and the
+    grouping, rotation and check run once on it.
 
     The combination is summed over the diagonals and edge weights, and each
     shift is made dense only for its norm and its image, one at a time; no
@@ -232,8 +266,9 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
         shifts = ShiftSet(tuple(shifts))
     rng = np.random.default_rng(seed)
     worst_seen = np.inf
+    fourier = _fourier_rows(shifts)
     for _ in range(DIAGONALIZATION_DRAWS):
-        if shifts.n_shifts == 1:
+        if shifts.n_shifts == 1 or fourier is not None:
             combo = shifts[0]
         else:
             d = rng.standard_normal(shifts.n_shifts)
@@ -241,7 +276,7 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
             combo = _combination(shifts, d)
         # row n of `rows` is eigenvector n, and row n of images[l] is S_l u_n
         # (the shifts are symmetric), so a group's vectors are contiguous rows
-        rows = np.linalg.eigh(combo._dense())[1].T.copy()
+        rows = fourier if fourier is not None else np.linalg.eigh(combo._dense())[1].T.copy()
         norms, images = zip(*(_norm_and_image(rows, s) for s in shifts))
         norms = np.array(norms)
         groups = _tie_groups(_row_eigenvalues(rows, images))
@@ -266,7 +301,7 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
                 max_residual=float(rel.max()),
                 shifts=shifts,
             )
-        if shifts.n_shifts == 1:
+        if fourier is not None or shifts.n_shifts == 1:
             break
     raise DiagonalizationError(
         f"no common eigenbasis within tolerance {DIAGONALIZATION_REL:.1e} "

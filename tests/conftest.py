@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,4 +89,29 @@ def diagonalizations(monkeypatch):
     """Count (or, with ``refuse`` set, refuse) the eigendecompositions the CLI runs."""
     counter = DiagonalizationCounter(gsis.cli.diagonalize_simultaneously)
     monkeypatch.setattr(gsis.cli, "diagonalize_simultaneously", counter)
+    return counter
+
+
+class DenseEighCounter:
+    """Stand-in for ``np.linalg.eigh`` that counts its 2-D calls made from ``gsis.spectral``.
+
+    The batched eigensolves of the tied-group rotation are 3-D and are not
+    counted, so ``calls`` counts the N x N eigendecompositions alone.
+    """
+
+    def __init__(self, real):
+        self.calls = 0
+        self._real = real
+
+    def __call__(self, a, *args, **kwargs):
+        if np.ndim(a) == 2 and sys._getframe(1).f_globals.get("__name__") == "gsis.spectral":
+            self.calls += 1
+        return self._real(a, *args, **kwargs)
+
+
+@pytest.fixture
+def dense_eighs(monkeypatch):
+    """Count the N x N ``eigh`` calls that ``gsis.spectral`` makes."""
+    counter = DenseEighCounter(np.linalg.eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counter)
     return counter

@@ -74,6 +74,11 @@ def test_graph_export_circulant(tmp_path, capsys):
     assert "n_vertices=12" in capsys.readouterr().out
 
 
+def test_graph_export_circulant_skips_the_eigendecomposition(tmp_path, dense_eighs):
+    assert _run("graph", "export", "--circulant", "12", "--q", "1,3", "--out", str(tmp_path / "out")) == 0
+    assert dense_eighs.calls == 0
+
+
 def test_graph_export_edge_list(tmp_path):
     edge_file = tmp_path / "g.txt"
     gsis.write_edge_list(gsis.path_graph(4), edge_file)

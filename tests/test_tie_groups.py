@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import gsis
 from conftest import laplacian_shift_set, random_connected_graph
-from gsis.spaces import SUPPORT_REL
+from gsis.spaces import SUPPORT_REL, _group_ranks
 from gsis.spectral import (
     DIAGONALIZATION_DRAWS,
     DIAGONALIZATION_REL,
     DISTINCT_REL,
+    _fourier_rows,
     _min_distance,
     _row_eigenvalues,
     _sign_normalize,
@@ -43,6 +44,12 @@ def torus_shifts(a, b):
     i, j = np.nonzero(np.triu(s1 + s2, 1))
     graph = gsis.Graph(a * b, list(zip(i.tolist(), j.tolist())))
     return gsis.ShiftSet((gsis.ShiftMatrix(s1, graph), gsis.ShiftMatrix(s2, graph)))
+
+
+def torus_laplacian(a, b):
+    """The a x b torus Laplacian ``L_a (x) I_b + I_a (x) L_b`` as a one-shift family."""
+    s1, s2 = torus_shifts(a, b)
+    return gsis.ShiftSet((gsis.ShiftMatrix(s1.matrix + s2.matrix, s1.graph),))
 
 
 def pairwise_distances(points):
@@ -282,6 +289,7 @@ def _dense_reference(shifts, seed):
 
 
 def assert_decomposition_matches_the_dense_reference(shifts):
+    assert _fourier_rows(shifts) is None  # a circulant family skips the eigendecomposition
     for seed in range(4):
         decomp = gsis.diagonalize_simultaneously(shifts, seed=seed)
         basis, eigenvalues, groups, gap, residual = _dense_reference(shifts, seed)
@@ -295,16 +303,12 @@ def assert_decomposition_matches_the_dense_reference(shifts):
 
 @st.composite
 def shift_polynomial_families(draw):
-    """Circulants with 2-3 offsets, tori, and polynomials of one weighted Laplacian."""
-    kind = draw(st.sampled_from(["circulant", "torus", "laplacian polynomials"]))
-    if kind == "circulant":
-        n = draw(st.integers(5, 40))
-        offsets = [1] + draw(st.lists(st.integers(2, (n - 1) // 2), min_size=1, max_size=2, unique=True))
-        return gsis.build_circulant(n, offsets)[1]
-    if kind == "torus":
+    """Tori and polynomials of one weighted Laplacian: families that are not circulant."""
+    if draw(st.booleans()):
         return torus_shifts(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    graph = random_connected_graph(draw(st.integers(2, 16)), rng)
+    # on two vertices a shift with a constant diagonal is circulant
+    graph = random_connected_graph(draw(st.integers(3, 16)), rng)
     n = graph.n_vertices
     lap = gsis.build_standard_shifts(graph, "laplacian").matrix
     square = lap @ lap
@@ -326,15 +330,131 @@ def test_decomposition_from_the_edges_equals_the_dense_reference(shifts):
     assert_decomposition_matches_the_dense_reference(shifts)
 
 
+def relabelled(shifts, seed):
+    """The family on randomly renumbered vertices: a relabelled circulant is not circulant as data."""
+    perm = np.random.default_rng(seed).permutation(shifts.n_vertices)
+    mats = [s.matrix[np.ix_(perm, perm)] for s in shifts]
+    i, j = np.nonzero(np.triu(sum(np.abs(m) for m in mats), 1))
+    graph = gsis.Graph(shifts.n_vertices, list(zip(i.tolist(), j.tolist())))
+    return gsis.ShiftSet(tuple(gsis.ShiftMatrix(m, graph) for m in mats))
+
+
 @pytest.mark.parametrize(
     "shifts",
     [
         # 149 tied pairs, so the pairs are rotated in three batches
-        gsis.build_circulant(300, [1, 3])[1],
-        gsis.build_circulant(200, [1, 2, 7])[1],
-        gsis.ShiftSet((gsis.build_standard_shifts(gsis.cycle_graph(150), "laplacian"),)),
+        relabelled(gsis.build_circulant(300, [1, 3])[1], 0),
+        torus_shifts(10, 20),
+        torus_laplacian(12, 13),
     ],
-    ids=["circulant 300 (1, 3)", "circulant 200 (1, 2, 7)", "cycle 150 laplacian"],
+    ids=["relabelled circulant 300 (1, 3)", "torus 10 x 20", "torus 12 x 13 laplacian"],
 )
 def test_large_tied_decompositions_equal_the_dense_reference(shifts):
     assert_decomposition_matches_the_dense_reference(shifts)
+
+
+def random_circulant_family(n, offsets, n_shifts, rng):
+    """Shifts with a random constant diagonal and a random weight per offset, on the graph of every offset."""
+    v = np.arange(n)
+    # offset n/2 joins each vertex to one opposite vertex, so it makes n/2 edges
+    edges = [(i, (i + q) % n) for q in offsets for i in range(n // 2 if 2 * q == n else n)]
+    graph = gsis.Graph(n, edges)
+    shifts = []
+    for _ in range(n_shifts):
+        row = np.zeros(n)
+        row[0] = rng.uniform(-1.0, 1.0)
+        for q in offsets:
+            row[q] = row[-q] = rng.uniform(-1.0, 1.0)
+        shifts.append(gsis.ShiftMatrix(row[(v[None, :] - v[:, None]) % n], graph))
+    return gsis.ShiftSet(tuple(shifts))
+
+
+@st.composite
+def circulant_families(draw):
+    """1-2 random circulant shifts on 2-3 offsets, odd and even N, with or without the offset N/2."""
+    n = draw(st.integers(5, 200))
+    offsets = draw(st.lists(st.integers(1, n // 2), min_size=2, max_size=3, unique=True))
+    if draw(st.booleans()):
+        offsets = offsets[:2] + [n // 2]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_circulant_family(n, sorted(set(offsets)), draw(st.integers(1, 2)), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifts=circulant_families())
+def test_circulant_bases_agree_with_the_dense_reference(shifts):
+    assert _fourier_rows(shifts) is not None
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    basis, eigenvalues, groups, _, _ = _dense_reference(shifts, 0)
+    assert decomp.groups == groups
+    scale = max(1.0, float(np.abs(eigenvalues).max()))
+    assert np.abs(decomp.eigenvalues - eigenvalues).max() <= 1e-12 * scale
+    assert np.abs(decomp.basis - basis).max() <= 1e-9
+    assert decomp.max_residual <= 1e-13
+    for seed in range(1, 8):
+        assert gsis.diagonalize_simultaneously(shifts, seed=seed).basis.tobytes() == decomp.basis.tobytes()
+
+
+def _with_edge_weight(shift, k, value):
+    weights = shift.edge_weights.copy()
+    weights[k] = value
+    return gsis.ShiftMatrix._from_edges(shift.graph, shift.diagonal, weights)
+
+
+def not_circulant_families():
+    """A torus, a weighted Laplacian, and 12-vertex circulants that each miss circulance by one entry.
+
+    A zero edge weight leaves its row one entry short of row 0, and a kept
+    -0.0 adds an entry at an offset row 0 does not hold.
+    """
+    s0, s1 = gsis.build_circulant(12, [1, 3])[1]
+    diagonal = s0.diagonal.copy()
+    diagonal[5] += 0.5
+    hop = int(np.flatnonzero(s0.edge_weights)[-1])  # an edge of offset 1 away from vertex 0
+    zero = int(np.flatnonzero(s0.edge_weights == 0.0)[0])  # an edge of offset 3
+    return {
+        "torus": torus_shifts(4, 5),
+        "one ulp": gsis.ShiftSet((_with_edge_weight(s0, hop, np.nextafter(s0.edge_weights[hop], 0.0)), s1)),
+        "diagonal": gsis.ShiftSet((gsis.ShiftMatrix._from_edges(s0.graph, diagonal, s0.edge_weights),)),
+        "zero weight": gsis.ShiftSet((_with_edge_weight(s0, hop, 0.0),)),
+        "kept -0.0": gsis.ShiftSet((_with_edge_weight(s0, zero, -0.0), s1)),
+        "weighted laplacian": laplacian_shift_set(random_connected_graph(12, np.random.default_rng(2))),
+    }
+
+
+@pytest.mark.parametrize("name", ["torus", "one ulp", "diagonal", "zero weight", "kept -0.0", "weighted laplacian"])
+def test_a_family_that_is_not_circulant_takes_one_eigendecomposition(name, dense_eighs):
+    shifts = not_circulant_families()[name]
+    assert _fourier_rows(shifts) is None
+    gsis.diagonalize_simultaneously(shifts)
+    assert dense_eighs.calls == 1
+
+
+def per_group_ranks(decomp, gens):
+    """``(group, rank, left)`` from one SVD per tied group (the oracle for the batched SVDs)."""
+    ghat = decomp.basis.T @ np.column_stack(gens)
+    scales = np.linalg.norm(ghat, axis=0)
+    for group in decomp.groups:
+        sub = ghat[group, :]
+        if len(group) == 1:
+            yield group, int(np.any(np.abs(sub[0]) > SUPPORT_REL * scales)), None
+            continue
+        left, svals, _ = np.linalg.svd(sub)
+        yield group, int(np.sum(svals > SUPPORT_REL * scales.max())), left
+
+
+@pytest.mark.parametrize("n_gens", [1, 2])
+@pytest.mark.parametrize(
+    "shifts",
+    [torus_shifts(4, 5), gsis.build_circulant(30, [1, 3])[1]],
+    ids=["torus 4 x 5", "circulant 30 (1, 3)"],
+)
+def test_batched_group_ranks_equal_one_svd_per_group(shifts, n_gens):
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    assert {len(g) for g in decomp.groups} >= {1, 2}
+    gens = list(np.random.default_rng(n_gens).standard_normal((n_gens, shifts.n_vertices)))
+    batched, looped = list(_group_ranks(decomp, gens)), list(per_group_ranks(decomp, gens))
+    assert len(batched) == len(looped) == len(decomp.groups)
+    for (group, rank, left), (group_ref, rank_ref, left_ref) in zip(batched, looped):
+        assert (group, rank) == (group_ref, rank_ref)
+        assert (left is None and left_ref is None) or left.tobytes() == left_ref.tobytes()
