@@ -191,7 +191,7 @@ def _cmd_sample(args) -> int:
     if args.sample_cmd == "subset":
         scheme = subset_sampler(shifts.n_vertices, args.w)
     else:
-        scheme = _dynamic_scheme(shifts[0].matrix, args.i0, args.k)
+        scheme = _dynamic_scheme(shifts[0], args.i0, args.k)
     out = Path(args.out)
     io.save_scheme(scheme, out)
     print(f"wrote {scheme.provenance} scheme ({scheme.n_samples} samples) to {out}")
@@ -214,7 +214,7 @@ def _cmd_reconstruct(args) -> int:
     gens = None if direct else _load_generators(args, graph.n_vertices)
     if scheme is None:
         # no spectral check: every joint eigenbasis of the family diagonalizes shifts[0]
-        scheme = _dynamic_scheme(shifts[0].matrix, args.i0, args.k)
+        scheme = _dynamic_scheme(shifts[0], args.i0, args.k)
     out = Path(args.out)
     if direct:
         decomp = diagonalize_simultaneously(shifts, seed=args.seed)

@@ -109,6 +109,10 @@ def make_kernel(
     - ``spline``: ``lambda^(-alpha)`` on nonzero eigenvalues, 0 on the
       kernel of the base shift, with ``alpha > 0``.
 
+    A base shift that is one of ``decomp.shifts`` (the same object) takes its
+    row of ``decomp.eigenvalues``; any other is read through
+    ``decomp.eigenvalues_of``.
+
     Raises
     ------
     ValueError
@@ -119,7 +123,10 @@ def make_kernel(
         A parameter the family needs is missing, or one it does not take
         is given (a ``TypeError``, as for a bad keyword argument).
     """
-    lam = decomp.eigenvalues_of(base_shift, "base shift")
+    # a member of the decomposed family has its spectrum stored, checked to DIAGONALIZATION_REL
+    lam = next((lams for s, lams in zip(decomp.shifts, decomp.eigenvalues) if s is base_shift), None)
+    if lam is None:
+        lam = decomp.eigenvalues_of(base_shift, "base shift")
     unknown = set(params) - {"sigma", "a", "p", "alpha"}
     if unknown:
         raise KernelParameterError(f"unknown kernel parameters {sorted(unknown)}")
@@ -144,7 +151,8 @@ def make_kernel(
         if sigma <= 0:
             raise ValueError("regularization takes a single parameter sigma > 0")
         values = 1.0 + sigma**2 * lam
-        if np.any(values < 0):
+        # an overflow (inf times a roundoff eigenvalue) fails below as a non-finite spectrum
+        if np.any(values < 0) and np.all(np.isfinite(values)):
             raise ValueError("regularization profile is negative on the base spectrum")
     elif family == "spline":
         alpha = _take(params, "alpha", family)
@@ -185,8 +193,7 @@ def is_shift_invariant_kernel(k_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     if np.linalg.eigvalsh((k + k.T) / 2.0).min() < -tol:
         return False
     for s in shifts:
-        m = s._dense()
-        if np.linalg.norm(k @ m - m @ k) > tol:
+        if np.linalg.norm(s._commutator(k)[0]) > tol:
             return False
     return True
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftSet, _distinct_index_set, _index, _index_set, _signal, frobenius_tol
+from .graphs import ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _signal
 from .orthogonalize import DEPENDENT, INVISIBLE
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition, _min_gap
@@ -170,16 +170,18 @@ def dynamic_sampler(
     if d_mat.shape != (n, n):
         raise ValueError(f"state matrix of shape {d_mat.shape} on {n} vertices")
     decomp.eigenvalues_of(d_mat, "state matrix")  # raises unless the basis diagonalizes it
-    return _dynamic_scheme(d_mat, initial_vertex, n_snapshots)
+    return _dynamic_scheme(d_mat.T, initial_vertex, n_snapshots)  # row m + 1 is D.T @ row m
 
 
-def _dynamic_scheme(d_mat: np.ndarray, initial_vertex: int, n_snapshots: int) -> SamplingScheme:
-    """:func:`dynamic_sampler`'s rows for a square float ``d_mat``, without its spectral check.
+def _dynamic_scheme(step: ShiftMatrix | np.ndarray, initial_vertex: int, n_snapshots: int) -> SamplingScheme:
+    """:func:`dynamic_sampler`'s rows, row m + 1 being ``step @ row m``, without its spectral check.
 
-    For a state the caller knows to be diagonalized by every joint
-    eigenbasis, such as a member of a commuting shift family.
+    ``step`` is the transpose of the state: a square float array, or a
+    shift, which is its own.  For a state the caller knows to be
+    diagonalized by every joint eigenbasis, such as a member of a
+    commuting shift family.
     """
-    n = d_mat.shape[0]
+    n = step.shape[0]
     (initial_vertex,) = _index_set([initial_vertex], n, "initial_vertex")
     if n_snapshots < 1:
         raise ValueError("at least one snapshot is required")
@@ -188,7 +190,7 @@ def _dynamic_scheme(d_mat: np.ndarray, initial_vertex: int, n_snapshots: int) ->
     row[initial_vertex] = 1.0
     for m in range(n_snapshots):
         rows[m] = row
-        row = d_mat.T @ row
+        row = step @ row
     return SamplingScheme(
         rows, "dynamic", initial_vertex=initial_vertex, n_snapshots=int(n_snapshots)
     )
@@ -443,10 +445,8 @@ def degenerate_dimension_check(
         )
     if scheme is not None:
         normal = scheme.matrix.T @ scheme.matrix
-        s = shifts[0]._dense()
-        if np.linalg.norm(normal @ s - s @ normal) > frobenius_tol(s, 1e-8) * max(
-            1.0, float(np.linalg.norm(normal))
-        ):
+        commutator, norm = shifts[0]._commutator(normal)
+        if np.linalg.norm(commutator) > 1e-8 * max(1.0, norm) * max(1.0, float(np.linalg.norm(normal))):
             raise ValueError("the scheme's normal matrix does not commute with the shift")
     _, dims = krylov_subspace(shifts, [phi0], shifts.n_vertices, weight=scheme)
     # a stalled chain never grows again, so the staircase needs only unit steps

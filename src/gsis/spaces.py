@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import ShiftMatrix, ShiftSet, _distinct_index_set, _index_set, _signal, _vector, frobenius_tol
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index_set, _signal, _vector
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
 from .spectral import DISTINCT_REL, SpectralDecomposition, _combination, _min_gap, graded_multi_indices
 
@@ -493,6 +493,12 @@ def uniform_norm_star(u: np.ndarray, mode: str = "exact") -> float:
     n = u.shape[0]
     if np.abs(u.T @ u - np.eye(n)).max() > 1e-8:
         raise ValueError("matrix columns are not orthonormal")
+    return _localization(u, mode)
+
+
+def _localization(u: np.ndarray, mode: str) -> float:
+    """:func:`uniform_norm_star` of a square float basis known to be orthonormal, unchecked."""
+    n = u.shape[0]
     if mode == "infinity_bound":
         return float(np.abs(u).max())
     if mode != "exact":
@@ -547,7 +553,7 @@ def uncertainty_check(decomp: SpectralDecomposition, phi0) -> UncertaintyReport:
     support_size = int(np.sum(np.abs(v) > SUPPORT_REL * scale))
     dim = sum(rank for _, rank, _ in _group_ranks(decomp, [v]))
     mode = "exact" if decomp.n_vertices <= 12 else "infinity_bound"
-    loc = uniform_norm_star(decomp.basis, mode)
+    loc = _localization(decomp.basis, mode)  # the decomposition's basis is orthonormal
     bound = loc**-2
     return UncertaintyReport(
         support_size=support_size,
@@ -562,17 +568,16 @@ def uncertainty_check(decomp: SpectralDecomposition, phi0) -> UncertaintyReport:
 def is_shift_invariant(space: SignalSpace, shifts: ShiftSet) -> bool:
     """True when every shift maps the space into itself.
 
-    Each basis column b is shifted and projected back; the residual must
-    stay within ``frobenius_tol(S_l)``, i.e. ``MATRIX_REL * max(1,
-    ||S_l||_F)``, times ``||b||_2 = 1``.
+    Each basis column b is shifted (under the block-apply cost rule, see
+    :class:`ShiftMatrix`) and projected back; the residual must stay within
+    ``MATRIX_REL * max(1, ||S_l||_F)`` times ``||b||_2 = 1``.
     """
     b = space.basis
     if b.shape[1] == 0:
         return True
     for s in shifts:
-        m = s._dense()
-        shifted = m @ b
+        shifted, norm = s._times(b)
         residual = shifted - b @ (b.T @ shifted)
-        if np.linalg.norm(residual, axis=0).max() > frobenius_tol(m):
+        if np.linalg.norm(residual, axis=0).max() > MATRIX_REL * max(1.0, norm):
             return False
     return True

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index_set, _values, frobenius_tol
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index_set, _values
 
 __all__ = [
     "SpectralDecomposition",
@@ -106,18 +106,24 @@ class SpectralDecomposition:
     def eigenvalues_of(self, matrix: ShiftMatrix | np.ndarray, what: str) -> np.ndarray:
         """Eigenvalue of ``matrix`` on each basis column.
 
+        A shift is applied to the basis under the block-apply cost rule (see
+        :class:`ShiftMatrix`), with no dense copy kept.
+
         Raises
         ------
         ValueError
             If the residual ``||M U - U diag(lambda)||_F`` exceeds
-            ``frobenius_tol(M, 1e-8)``; the message names ``what``.
+            ``1e-8 * max(1, ||M||_F)``; the message names ``what``.
         """
-        mat = matrix._dense() if isinstance(matrix, ShiftMatrix) else np.asarray(matrix, dtype=float)
         u = self.basis
-        mu = mat @ u
+        if isinstance(matrix, ShiftMatrix):
+            mu, norm = matrix._times(u)
+        else:
+            mat = np.asarray(matrix, dtype=float)
+            mu, norm = mat @ u, float(np.linalg.norm(mat))
         lam = np.einsum("ij,ij->j", u, mu)
         # for orthogonal U this is the off-diagonal Frobenius norm of U.T M U
-        if np.linalg.norm(mu - u * lam) > frobenius_tol(mat, 1e-8):
+        if np.linalg.norm(mu - u * lam) > 1e-8 * max(1.0, norm):
             raise ValueError(f"{what} is not diagonalized by the decomposition basis")
         return lam
 
@@ -140,7 +146,14 @@ def _min_gap(values: np.ndarray) -> float:
 
 
 def _min_distance(points: np.ndarray) -> float:
-    """Smallest euclidean distance between two rows, compared 256 rows at a time."""
+    """Smallest euclidean distance between two rows, compared 256 rows at a time.
+
+    One column is sorted instead (:func:`_min_gap`): in binary64
+    ``sqrt(fl(d * d)) == |d|`` wherever ``d * d`` neither underflows nor
+    overflows, so the two agree bit for bit there.
+    """
+    if points.shape[1] == 1:
+        return _min_gap(points[:, 0])
     n, rows, best = points.shape[0], 256, np.inf
     for lo in range(0, n - 1, rows):
         # block[i, j] compares row lo + i with row lo + 1 + j, so j >= i keeps each pair once
@@ -207,7 +220,14 @@ def _fourier_rows(shifts: ShiftSet) -> np.ndarray | None:
 
 
 def _norm_and_image(rows: np.ndarray, shift: ShiftMatrix) -> tuple[float, np.ndarray]:
-    """``||S||_F`` and ``rows @ S`` from one transient dense copy of the shift."""
+    """``||S||_F`` and ``rows @ S``, which is ``(S @ rows.T).T`` for a symmetric S.
+
+    Under the block-apply cost rule (see :class:`ShiftMatrix`) the image
+    comes from the slot apply and the norm from the edge weights, or both
+    from one transient dense copy of the shift.
+    """
+    if shift._slots_pay():
+        return shift._frobenius_norm(), shift._slot_apply(rows.T).T
     m = shift._dense()
     return np.linalg.norm(m), rows @ m
 
@@ -251,9 +271,12 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     real Fourier basis takes the place of the eigendecomposition, and the
     grouping, rotation and check run once on it.
 
-    The combination is summed over the diagonals and edge weights, and each
-    shift is made dense only for its norm and its image, one at a time; no
-    shift's ``matrix`` is read or cached.
+    The combination is summed over the diagonals and edge weights.  Each
+    shift's image ``S_l U`` and norm are taken under the block-apply cost
+    rule: from its entry list by the slot apply (a circulant family on its
+    Fourier rows, say), or from one transient dense copy at a time on a
+    graph dense enough that BLAS is cheaper; no shift's ``matrix`` is read
+    or cached.  The images are the basis' only check against the shifts.
 
     Raises
     ------
@@ -398,9 +421,9 @@ def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
         raise ValueError(f"filter of shape {h.shape} on {n} vertices")
     scale, worst = 0.0, 0.0
     for s in shifts:
-        m = s._dense()
-        scale = max(scale, float(np.linalg.norm(m)))
-        worst = max(worst, float(np.linalg.norm(h @ m - m @ h)))
+        commutator, norm = s._commutator(h)
+        scale = max(scale, norm)
+        worst = max(worst, float(np.linalg.norm(commutator)))
     return worst <= MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
 
 

@@ -115,3 +115,27 @@ def dense_eighs(monkeypatch):
     counter = DenseEighCounter(np.linalg.eigh)
     monkeypatch.setattr(np.linalg, "eigh", counter)
     return counter
+
+
+class DenseShiftCounter:
+    """Stand-in for ``ShiftMatrix._dense`` that counts the dense shift copies built.
+
+    A shift's cached ``matrix`` is built through ``_dense`` too, so
+    ``calls`` counts every N x N shift that is made.
+    """
+
+    def __init__(self, real):
+        self.calls = 0
+        self._real = real
+
+    def __call__(self, shift):
+        self.calls += 1
+        return self._real(shift)
+
+
+@pytest.fixture
+def dense_shifts(monkeypatch):
+    """Count the dense copies of shifts (``ShiftMatrix._dense`` calls) that are built."""
+    counter = DenseShiftCounter(gsis.ShiftMatrix._dense)
+    monkeypatch.setattr(gsis.ShiftMatrix, "_dense", lambda shift: counter(shift))
+    return counter

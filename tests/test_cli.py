@@ -10,6 +10,7 @@ import gsis
 from conftest import random_connected_graph
 from gsis.cli import _parse_int_list, _parse_range, main
 from gsis.io import load_matrix_csv, save_matrix_csv, save_observation, save_reconstruction, save_scheme
+from gsis.sampling import _dynamic_scheme
 
 
 def _run(*argv):
@@ -77,6 +78,27 @@ def test_graph_export_circulant(tmp_path, capsys):
 def test_graph_export_circulant_skips_the_eigendecomposition(tmp_path, dense_eighs):
     assert _run("graph", "export", "--circulant", "12", "--q", "1,3", "--out", str(tmp_path / "out")) == 0
     assert dense_eighs.calls == 0
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["graph", "export"], "circulant"),
+        (["sample", "dynamic", "--i0", "2", "--k", "7"], "circulant"),
+        (["sample", "dynamic", "--i0", "2", "--k", "7"], "edge-list"),
+        (["reconstruct", "krylov", "--delta-gen", "6", "--max-level", "2", "--i0", "2", "--k", "7"], "circulant"),
+        (["reconstruct", "krylov", "--delta-gen", "6", "--max-level", "2", "--i0", "2", "--k", "7"], "edge-list"),
+    ],
+    ids=["graph export", "sample dynamic", "sample dynamic edge-list", "reconstruct krylov", "reconstruct krylov edge-list"],
+)
+def test_verbs_on_sparse_shifts_build_no_dense_shift(argv, source, tmp_path, dense_shifts):
+    y_file = tmp_path / "y.csv"
+    save_matrix_csv(y_file, np.linspace(-1.0, 1.0, 7))
+    extra = ["--y", str(y_file)] if argv[0] == "reconstruct" else []
+    # 400 vertices, 3 entries a row: the block-apply cost rule takes the slots
+    graph_args = ["--circulant", "400", "--q", "1,3"] if source == "circulant" else _graph_source(source, tmp_path)
+    assert _run(*argv, *extra, *graph_args, "--out", str(tmp_path / "out")) == 0
+    assert dense_shifts.calls == 0
 
 
 def test_graph_export_edge_list(tmp_path):
@@ -444,9 +466,13 @@ def test_dynamic_outputs_match_the_checked_sampler_byte_for_byte(source, tmp_pat
         shifts = gsis.ShiftSet((gsis.build_standard_shifts(graph, "laplacian"),))
     decomp = gsis.diagonalize_simultaneously(shifts)
     i0, k = 2, 7
-    reference = gsis.dynamic_sampler(decomp, shifts[0].matrix, i0, k)
     dynamic = ["--i0", str(i0), "--k", str(k), *graph_args]
     assert _run("sample", "dynamic", *dynamic, "--out", str(tmp_path / "sample")) == 0
+    # the checked sampler steps with the dense matrix, the cli through the entry list
+    checked = gsis.dynamic_sampler(decomp, shifts[0].matrix, i0, k).matrix
+    rows = load_matrix_csv(tmp_path / "sample" / "scheme_matrix.csv")
+    assert np.all(np.abs(rows - checked).max(axis=1) <= 1e-12 * np.abs(checked).max(axis=1))
+    reference = _dynamic_scheme(shifts[0], i0, k)  # the cli's unchecked path, byte for byte
     save_scheme(reference, tmp_path / "sample_ref")
     _same_files(tmp_path / "sample", tmp_path / "sample_ref")
 

@@ -47,6 +47,19 @@ def test_all_families_shift_invariant_psd(p5):
         assert np.allclose(k.matrix, k.matrix.T)
 
 
+def test_a_family_member_reads_its_stored_spectrum(monkeypatch):
+    rng = np.random.default_rng(13)
+    shifts = laplacian_shift_set(random_connected_graph(30, rng), rng=rng)
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    twin = gsis.ShiftMatrix(shifts[1].matrix, shifts.graph)  # equal, but not a member
+    checked = gsis.make_kernel(decomp, twin, "diffusion", sigma=0.9).spectral_values
+    monkeypatch.setattr(gsis.SpectralDecomposition, "eigenvalues_of", None)  # any call fails
+    for l in (0, 1):
+        k = gsis.make_kernel(decomp, shifts[l], "diffusion", sigma=0.9)
+        assert k.spectral_values.tobytes() == np.exp(0.9**2 * decomp.eigenvalues[l] / 2.0).tobytes()
+    assert np.abs(k.spectral_values - checked).max() <= 1e-12 * np.abs(checked).max()
+
+
 def test_random_walk_requires_dominating_parameter(p5):
     _, shifts, decomp = p5
     lam_max = decomp.eigenvalues[0].max()

@@ -36,7 +36,116 @@ def test_vector_apply_matches_the_dense_product(case, kind):
     tol = 1e-14 * max(1.0, np.linalg.norm(s)) * np.linalg.norm(x)
     assert np.abs(shift @ x - s @ x).max() <= tol
     block = rng.standard_normal((graph.n_vertices, 3))
-    assert np.array_equal(shift @ block, s @ block)
+    # a 2-D operand takes the dense product, or on the slots' side of the cost rule the vector apply per column
+    expected = _columnwise(shift, block) if shift._slots_pay() else s @ block
+    assert np.array_equal(shift @ block, expected)
+
+
+def _columnwise(shift, x):
+    """``S @ X`` as one vector apply per column."""
+    return np.column_stack([shift @ c for c in x.T]) if x.shape[1] else np.zeros(x.shape)
+
+
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()  # NaNs and signed zeros included
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=weighted_graphs(), kind=st.sampled_from(gsis.SHIFT_KINDS))
+def test_the_slot_apply_equals_the_vector_apply_column_by_column(case, kind):
+    graph, rng = case
+    try:
+        shift = gsis.build_standard_shifts(graph, kind)
+    except gsis.DegenerateGraphError:
+        return
+    n = graph.n_vertices
+    for k in (1, 3, n):
+        x = rng.standard_normal((n, k))
+        ref = _columnwise(shift, x)
+        # C-ordered, F-ordered and strided operands take different block copies
+        for operand in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+            assert_same_bits(shift._slot_apply(operand), ref)
+
+
+def _irregular_shift():
+    """A shift whose rows hold 0 to 4 entries: vertex 5 has none, and four diagonal entries are a kept -0.0."""
+    graph = gsis.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)], [1.5, 2.0, 0.25, 3.0, 0.5])
+    m = -1.0 * gsis.build_standard_shifts(graph, "adjacency").matrix  # -0.0 on the diagonal of 0..4
+    m[5, 5] = 0.0  # ... but +0.0, which is not stored, at the isolated vertex
+    m[2, 2] = 0.75
+    return gsis.ShiftMatrix(m, graph)
+
+
+def test_the_slot_apply_skips_the_entries_a_row_lacks():
+    shift = _irregular_shift()
+    assert np.diff(shift._ptr).tolist() == [4, 3, 3, 3, 2, 0]
+    assert np.signbit(shift._weights[shift._weights == 0.0]).all() and (shift._weights == 0.0).sum() == 4
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 4))
+    x[4, 0] = np.inf  # met only by row 3's edge and row 4's kept -0.0, which makes a NaN
+    x[5, 1] = np.nan  # column 5 is in no row
+    x[:, 2] = np.copysign(0.0, rng.standard_normal(6))
+    with np.errstate(invalid="ignore"):  # -0.0 * inf
+        got, ref = shift._slot_apply(x), _columnwise(shift, x)
+    assert_same_bits(got, ref)
+    # a padded 0 * inf or 0 * nan would have spread to the other rows
+    assert np.isfinite(got[[0, 1, 2, 5], 0]).all() and np.isneginf(got[3, 0]) and np.isnan(got[4, 0])
+    assert np.isfinite(got[:, 1]).all()
+    assert np.array_equal(got[5], np.zeros(4)) and not np.signbit(got[5]).any()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_the_slot_apply_in_blocks_equals_one_block(block, monkeypatch):
+    rng = np.random.default_rng(9)
+    shifts = [_irregular_shift(), gsis.build_standard_shifts(random_connected_graph(30, rng), "normalized_laplacian")]
+    cases = [(s, rng.standard_normal((s.n_vertices, k))) for s in shifts for k in (1, 5, 40)]
+    monkeypatch.setattr(gsis.graphs, "_SLOT_BLOCK", block)
+    for shift, x in cases:
+        ref = _columnwise(shift, x)
+        assert_same_bits(shift._slot_apply(x), ref)
+        assert_same_bits(shift._slot_apply(np.asfortranarray(x)), ref)
+
+
+def _community_laplacian(rng):
+    """A Laplacian like the benchmark's 800-vertex graph: four 200-vertex communities of mean degree 6."""
+    edges = set()
+    for base in range(0, 800, 200):
+        edges |= {(base + i, base + (i + 1) % 200) for i in range(200)}
+        while len(edges) < (base // 200 + 1) * 600:
+            a, b = sorted(base + rng.integers(0, 200, 2))
+            if a != b:
+                edges.add((int(a), int(b)))
+    edges |= {(c + 7, c + 213) for c in range(0, 600, 200)}
+    edges = sorted(edges)
+    return gsis.build_standard_shifts(gsis.Graph(800, edges, rng.uniform(0.5, 1.5, len(edges))), "laplacian")
+
+
+def test_the_cost_rule_takes_each_branch():
+    _, circulant = gsis.build_circulant(1000, (1, 3))
+    assert all(s._slots_pay() for s in circulant)  # 3 entries a row
+    _, (s1, _) = gsis.build_circulant(300, (1, 3))
+    _, (t1, _) = gsis.build_circulant(299, (1, 3))
+    assert s1._slots_pay() and not t1._slots_pay()  # N / (longest row) >= _SLOT_RATIO
+    laplacian = _community_laplacian(np.random.default_rng(6))
+    assert np.diff(laplacian._ptr).max() > 8 and not laplacian._slots_pay()
+    complete = gsis.build_standard_shifts(gsis.complete_graph(200), "laplacian")
+    assert not complete._slots_pay()
+    x = np.random.default_rng(7).standard_normal((1000, 5))
+    assert_same_bits(circulant[0] @ x, _columnwise(circulant[0], x))
+    y = x[:800]
+    assert_same_bits(laplacian @ y, laplacian.matrix @ y)
+
+
+@pytest.mark.parametrize("n", [12, 400], ids=["BLAS", "slots"])
+def test_a_complex_block_keeps_its_imaginary_part(n):
+    _, (shift, _) = gsis.build_circulant(n, (1, 3))
+    assert shift._slots_pay() == (n == 400)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    got = shift @ x
+    assert got.dtype == complex
+    assert np.abs(got - shift.matrix @ x).max() <= 1e-14 * np.abs(x).max() * shift._frobenius_norm()
 
 
 def _unsorted_apply(shift, x):
@@ -142,6 +251,15 @@ def test_commutator_from_the_edges_equals_the_dense_commutator(pair):
     tol = gsis.graphs.MATRIX_REL * max(1.0, np.linalg.norm(ma), np.linalg.norm(mb))
     if abs(dense - tol) > 1e-12 * scale:  # the verdict is the dense one away from the boundary
         assert check.ok == (dense <= tol)
+
+
+def test_a_hub_vertex_keeps_the_commutator_on_the_edge_join(dense_shifts):
+    graph = gsis.Graph(60, [(0, j) for j in range(1, 60)] + [(j, j + 1) for j in range(1, 59)])
+    lap = gsis.build_standard_shifts(graph, "laplacian")
+    assert not lap._slots_pay()  # the hub's row holds 60 entries
+    assert gsis.check_commutative([lap, gsis.ShiftMatrix(2.0 * np.eye(60) + lap.matrix, graph)]).ok
+    assert not gsis.check_commutative([lap, gsis.build_standard_shifts(graph, "adjacency")]).ok
+    assert dense_shifts.calls == 1  # lap.matrix, for the second shift of the first pair
 
 
 @pytest.mark.parametrize("block", [1, 7, 50])

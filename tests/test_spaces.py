@@ -368,6 +368,17 @@ def test_uncertainty_random_assumption1_graphs():
     assert checked >= 20
 
 
+@pytest.mark.parametrize("n", [10, 60])
+def test_uncertainty_reads_the_localization_without_rechecking_the_basis(n, monkeypatch):
+    _, shifts = gsis.build_circulant(n, [1, 3])
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    phi = np.eye(n)[n // 2]
+    expected = gsis.uniform_norm_star(decomp.basis, "exact" if n <= 12 else "infinity_bound")
+    monkeypatch.setattr(gsis.spaces, "uniform_norm_star", None)  # any call fails
+    report = gsis.uncertainty_check(decomp, phi)
+    assert report.localization == expected and report.lower_bound == expected**-2
+
+
 def test_uncertainty_large_graph_uses_infinity_bound():
     g, shifts = gsis.build_circulant(50, [1, 3])
     decomp = gsis.diagonalize_simultaneously(shifts)

@@ -271,3 +271,40 @@ def test_checks_leave_no_dense_matrix_on_the_shifts():
     for name, check in checks.items():
         assert check(), name
         assert all("matrix" not in vars(s) for s in shifts), name
+
+
+@pytest.mark.parametrize("slots", [True, False], ids=["slots", "BLAS"])
+def test_commutator_checks_take_a_matrix_that_is_not_symmetric(slots, monkeypatch):
+    _, shifts = gsis.build_circulant(12, (1, 3))
+    monkeypatch.setattr(gsis.ShiftMatrix, "_slots_pay", lambda shift: slots)
+    rotation = np.roll(np.eye(12), 1, axis=1)  # commutes with every circulant, and is not symmetric
+    skewed = rotation.copy()
+    skewed[0, 5] += 1e-3
+    for h in (rotation, skewed, np.random.default_rng(15).standard_normal((12, 12))):
+        for s in shifts:
+            commutator, norm = s._commutator(h)
+            assert np.abs(commutator - (h @ s.matrix - s.matrix @ h)).max() <= 1e-15
+            assert norm == pytest.approx(np.linalg.norm(s.matrix), rel=1e-15)
+    assert gsis.is_polynomial_filter(rotation, shifts)
+    assert not gsis.is_polynomial_filter(skewed, shifts)
+
+
+def _pairwise_min_distance(values):
+    """The smallest ``sqrt((a - b)^2)`` over all pairs: the blockwise search's arithmetic for one shift."""
+    diffs = np.subtract.outer(values, values)[np.triu_indices(len(values), 1)]
+    return float(np.sqrt((diffs**2).min(initial=np.inf)))
+
+
+def test_one_shift_gap_is_the_pairwise_gap_bit_for_bit():
+    rng = np.random.default_rng(12)
+    cases = [rng.standard_normal(n) * scale for n in (1, 2, 7, 300) for scale in (1e-120, 1e-8, 1.0, 1e120)]
+    cases.append(np.array([0.5, -1.0, 0.5, 3.0]))  # a tie
+    for shifts in (
+        laplacian_shift_set(random_connected_graph(40, rng)),
+        gsis.ShiftSet((gsis.build_standard_shifts(gsis.cycle_graph(30), "laplacian"),)),  # tied pairs
+    ):
+        decomp = gsis.diagonalize_simultaneously(shifts)
+        assert decomp.min_spectral_gap == _pairwise_min_distance(decomp.eigenvalues[0])
+        cases.append(decomp.eigenvalues[0])
+    for values in cases:
+        assert gsis.spectral._min_distance(values[:, None]) == _pairwise_min_distance(values)

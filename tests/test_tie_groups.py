@@ -248,10 +248,13 @@ def _dense_reference(shifts, seed):
     Returns the basis, eigenvalues, groups, gap and residual that
     ``diagonalize_simultaneously`` gave when it summed and multiplied the
     cached dense ``matrix`` of each shift and rotated every tied group of
-    one size in a single batch.
+    one size in a single batch.  A shift the block-apply cost rule sends to
+    the slots takes its images row by row through the vector apply, which
+    the slot apply equals bit for bit, and its norm from its edge weights.
     """
     mats = [s.matrix for s in shifts]
-    norms = np.array([np.linalg.norm(m) for m in mats])
+    slots = [s._slots_pay() for s in shifts]
+    norms = np.array([s._frobenius_norm() if slot else np.linalg.norm(m) for s, slot, m in zip(shifts, slots, mats)])
     rng = np.random.default_rng(seed)
     ramp = np.arange(shifts.n_vertices, dtype=float)
     for _ in range(DIAGONALIZATION_DRAWS):
@@ -262,7 +265,7 @@ def _dense_reference(shifts, seed):
             d /= np.linalg.norm(d)
             combo = sum(dl * m for dl, m in zip(d, mats))
         rows = np.linalg.eigh(combo)[1].T.copy()
-        images = [rows @ m for m in mats]
+        images = [np.array([s @ r for r in rows]) if slot else rows @ m for s, slot, m in zip(shifts, slots, mats)]
         groups = _tie_groups(_row_eigenvalues(rows, images))
         for size in {len(g) for g in groups} - {1}:
             idx = np.array([g for g in groups if len(g) == size])
