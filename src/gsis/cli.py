@@ -112,7 +112,7 @@ def _cmd_graph_export(args) -> int:
     graph, shifts = _build_graph_shifts(args)
     out = Path(args.out)
     files = [io.save_shift_csv(out / f"shift_{k}.csv", s) for k, s in enumerate(shifts)]
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+    decomp = diagonalize_simultaneously(shifts)
     files.extend(io.save_decomposition(decomp, out))
     print(
         f"wrote {len(files)} files to {out} "
@@ -134,7 +134,7 @@ def _cmd_space(args) -> int:
         raise ValueError(f"space {cmd} needs --omega{alternative}")
     if cmd in ("bounds", "uncertainty") and gens is not None and len(gens) > 1:
         raise ValueError(f"space {cmd} takes one generator, got {len(gens)}")
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+    decomp = diagonalize_simultaneously(shifts)
     out = Path(args.out)
     if cmd in ("bandlimited", "gsis"):
         if cmd == "bandlimited":
@@ -175,7 +175,7 @@ def _cmd_kernel_make(args) -> int:
         name, value = item.split("=", 1)
         params[name.strip()] = float(value)
     base = shifts[_index_set([args.base_index], shifts.n_shifts, "--base-index")[0]]
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+    decomp = diagonalize_simultaneously(shifts)
     kernel = make_kernel(decomp, base, args.family, **params)
     out = Path(args.out)
     io.save_kernel(kernel, out)
@@ -217,7 +217,7 @@ def _cmd_reconstruct(args) -> int:
         scheme = _dynamic_scheme(shifts[0], args.i0, args.k)
     out = Path(args.out)
     if direct:
-        decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+        decomp = diagonalize_simultaneously(shifts)
         x = reconstruct_direct(decomp, args.omega, scheme, y)
         io.save_matrix_csv(out / "reconstruction_signal.csv", x)
         message = f"wrote direct reconstruction to {out}"
@@ -254,7 +254,7 @@ def _cmd_model_compare(args) -> int:
         if rule not in ("adaptive", "nonadaptive") or not k_text.isdigit():
             raise ValueError("--generators expects adaptive:K or nonadaptive:K")
         options.update(rule=rule, n_generators=int(k_text))
-    decomp = diagonalize_simultaneously(shifts, seed=args.seed)
+    decomp = diagonalize_simultaneously(shifts)
     comp = run_model_comparison(shifts, decomp, dataset, **options)
     files = io.save_model_comparison(comp, args.out)
     print(f"wrote {', '.join(f.name for f in files)} to {args.out}")
@@ -279,12 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default="gsis-out")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
-    on_graph = [graph_source, seeded, output]
-    # --seed reaches only the eigendecomposition and the canonical generator,
-    # so sampling and krylov reconstruction, which run neither, take none
-    unseeded = [graph_source, output]
+    on_graph = [graph_source, output]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_graph = sub.add_parser("graph", help="graph and shift utilities")
@@ -304,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--delta", dest="delta_gen", type=_parse_int_list, metavar="VERTS")
         if name == "bounds":
             sp.add_argument("--frame-level", type=int, default=8, help="shifted-generator levels in the frame family")
+            sp.add_argument("--seed", type=int, default=0, help="seed of the canonical generator's random direction")
         sp.set_defaults(func=_cmd_space)
 
     p_kernel = sub.add_parser("kernel", help="shift-invariant kernels")
@@ -316,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sampling schemes")
     sample_sub = p_sample.add_subparsers(dest="sample_cmd", required=True)
-    p_subset = sample_sub.add_parser("subset", parents=unseeded)
+    p_subset = sample_sub.add_parser("subset", parents=on_graph)
     p_subset.add_argument("--w", type=_parse_range, required=True, metavar="LIST")
     p_subset.set_defaults(func=_cmd_sample)
-    p_dynamic = sample_sub.add_parser("dynamic", parents=unseeded)
+    p_dynamic = sample_sub.add_parser("dynamic", parents=on_graph)
     p_dynamic.add_argument("--i0", type=int, required=True)
     p_dynamic.add_argument("--k", type=int, required=True)
     p_dynamic.set_defaults(func=_cmd_sample)
@@ -327,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", help="reconstruct signals from samples")
     rec_sub = p_rec.add_subparsers(dest="reconstruct_cmd", required=True)
     for name in ("direct", "krylov"):
-        rp = rec_sub.add_parser(name, parents=on_graph if name == "direct" else unseeded)
+        rp = rec_sub.add_parser(name, parents=on_graph)
         rp.add_argument("--y", required=True, metavar="FILE", help="observed values CSV")
         rp.add_argument("--w", type=_parse_range, default=None, metavar="LIST")
         rp.add_argument("--i0", type=int, default=None)

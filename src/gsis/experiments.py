@@ -462,7 +462,8 @@ def run_model_comparison(
         raise ValueError("the dataset is empty")
     if rule not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown generator rule {rule!r}")
-    levels = tuple(int(k) for k in levels)
+    n_generators = _index(n_generators, "n_generators")
+    levels = tuple(_index(k, "levels") for k in levels)
     if not levels or min(levels) < 0:
         raise ValueError("levels must be a nonempty sequence of nonnegative integers")
     if rule == "nonadaptive":

@@ -254,10 +254,8 @@ class ShiftMatrix:
     ``_ptr[r]:_ptr[r+1]``), each row in the order edges i -> j, edges
     j -> i, diagonal; the vector apply, the commutator join and
     ``io.save_shift_csv`` read this list.  ``matrix`` is the dense (N, N)
-    array, built on first access and then kept; in the package only the
-    2-D products that the cost rule sends to BLAS read it.  Decompositions
-    and checks apply the shift to their blocks under the same rule, and on
-    the BLAS side build one transient dense copy at a time (``_dense``).
+    array, built on first access and then kept, for user code: the package
+    applies a shift only as ``S @ X`` or ``X @ S``.
 
     ``ShiftMatrix(matrix, graph)`` checks a dense input against
     ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) for symmetry and for
@@ -267,11 +265,13 @@ class ShiftMatrix:
     ``S @ x`` on a vector is ``bincount(_rows, _weights * x[_cols])``,
     which costs O(N + 2|E|) instead of O(N^2) and equals ``diag * x +
     bincount`` over the off-diagonal entries alone.  A 2-D operand X takes
-    the slot apply or the dense product with ``matrix``, as the block-apply
-    cost rule picks (:meth:`_slots_pay`).  Slot k holds each row's k-th
-    stored entry; ``S @ X`` adds, slot by slot, one gather of rows of X
-    times that slot's weights, so every row adds its terms in the vector
-    apply's order and every column equals ``S @ X[:, j]`` bit for bit.
+    the slot apply or the product with one transient dense copy
+    (:meth:`_dense`), as the block-apply cost rule picks
+    (:meth:`_slots_pay`); ``X @ S`` is ``(S @ X.T).T`` on the slot side, S
+    being symmetric.  Slot k holds each row's k-th stored entry; ``S @ X``
+    adds, slot by slot, one gather of rows of X times that slot's weights,
+    so every row adds its terms in the vector apply's order and every
+    column equals ``S @ X[:, j]`` bit for bit.
 
     Raises
     ------
@@ -416,32 +416,14 @@ class ShiftMatrix:
                     acc[:, rows] += src[:, cols] * w
         return out.T
 
-    def _times(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """``S @ X`` for an (N, K) X and ``||S||_F``, under the cost rule, caching no dense copy.
-
-        The BLAS side multiplies one transient :meth:`_dense` copy and takes
-        its norm, as a dense check does.
-        """
-        if self._slots_pay():
-            return self._slot_apply(x), self._frobenius_norm()
-        m = self._dense()
-        return m @ x, float(np.linalg.norm(m))
-
-    def _commutator(self, h: np.ndarray) -> tuple[np.ndarray, float]:
-        """``H S - S H`` for an (N, N) H and ``||S||_F``, under the cost rule, caching no dense copy.
-
-        On the slot side ``H S`` is ``(S @ H.T).T``, S being symmetric.
-        """
-        if self._slots_pay():
-            return self._slot_apply(h.T).T - self._slot_apply(h), self._frobenius_norm()
-        m = self._dense()
-        return h @ m - m @ h, float(np.linalg.norm(m))
+    # numpy defers ``ndarray @ shift`` to __rmatmul__ instead of broadcasting over the shift
+    __array_ufunc__ = None
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         """``S @ x``: edge-list apply for a vector; for a 2-D X, slots or BLAS by the cost rule."""
         x = np.asarray(other)
-        if x.ndim == 2 and self._slots_pay():
-            return self._slot_apply(x)
+        if x.ndim == 2:
+            return self._slot_apply(x) if self._slots_pay() else self._dense() @ x
         if x.ndim != 1:
             return self.matrix @ x
         n = self.n_vertices
@@ -449,6 +431,13 @@ class ShiftMatrix:
             raise ValueError(f"vector of length {x.shape[0]} for a shift on {n} vertices")
         # with no stored entry bincount returns int zeros, whatever the weights' dtype
         return np.bincount(self._rows, self._weights * x[self._cols], minlength=n).astype(float, copy=False)
+
+    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
+        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; a 2-D X on the BLAS side times a dense copy."""
+        x = np.asarray(other)
+        if x.ndim == 2:
+            return self._slot_apply(x.T).T if self._slots_pay() else x @ self._dense()
+        return self @ x if x.ndim == 1 else x @ self.matrix
 
 
 class CommutativityCheck(NamedTuple):

@@ -183,6 +183,7 @@ def _dynamic_scheme(step: ShiftMatrix | np.ndarray, initial_vertex: int, n_snaps
     """
     n = step.shape[0]
     (initial_vertex,) = _index_set([initial_vertex], n, "initial_vertex")
+    n_snapshots = _index(n_snapshots, "n_snapshots")
     if n_snapshots < 1:
         raise ValueError("at least one snapshot is required")
     rows = np.empty((n_snapshots, n))
@@ -192,7 +193,7 @@ def _dynamic_scheme(step: ShiftMatrix | np.ndarray, initial_vertex: int, n_snaps
         rows[m] = row
         row = step @ row
     return SamplingScheme(
-        rows, "dynamic", initial_vertex=initial_vertex, n_snapshots=int(n_snapshots)
+        rows, "dynamic", initial_vertex=initial_vertex, n_snapshots=n_snapshots
     )
 
 
@@ -249,6 +250,7 @@ def check_dynamic_injective(
     """
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
     (initial_vertex,) = _index_set([initial_vertex], decomp.n_vertices, "initial_vertex")
+    n_snapshots = _index(n_snapshots, "n_snapshots")
     if not idx:
         return DynamicInjectivity(True, "injective")
     lam = decomp.eigenvalues_of(state_matrix, "state matrix")
@@ -445,8 +447,9 @@ def degenerate_dimension_check(
         )
     if scheme is not None:
         normal = scheme.matrix.T @ scheme.matrix
-        commutator, norm = shifts[0]._commutator(normal)
-        if np.linalg.norm(commutator) > 1e-8 * max(1.0, norm) * max(1.0, float(np.linalg.norm(normal))):
+        s = shifts[0]
+        scale = max(1.0, s._frobenius_norm()) * max(1.0, float(np.linalg.norm(normal)))
+        if np.linalg.norm(normal @ s - s @ normal) > 1e-8 * scale:
             raise ValueError("the scheme's normal matrix does not commute with the shift")
     _, dims = krylov_subspace(shifts, [phi0], shifts.n_vertices, weight=scheme)
     # a stalled chain never grows again, so the staircase needs only unit steps

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index_set, _signal, _vector
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _signal, _vector
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
 from .spectral import DISTINCT_REL, SpectralDecomposition, _combination, _min_gap, graded_multi_indices
 
@@ -330,6 +330,7 @@ def krylov_subspace(
     dims : list of int
         ``dims[k]`` is the dimension after level k, for k = 0 .. level.
     """
+    level = _index(level, "level")
     if level < 0:
         raise ValueError("level must be nonnegative")
     chain = KrylovChain(shifts, generators, weight)
@@ -448,6 +449,7 @@ def frame_bounds(
     ``smin * ||x|| <= sqrt(sum_alpha <x, S^alpha phi0>^2) <= smax * ||x||``
     once ``level`` is large enough for the family to span the space.
     """
+    level = _index(level, "level")
     if level < 1:
         raise ValueError("level must be at least 1")
     phat = decomp.basis.T @ _signal(phi0, decomp.n_vertices, "phi0")
@@ -568,16 +570,16 @@ def uncertainty_check(decomp: SpectralDecomposition, phi0) -> UncertaintyReport:
 def is_shift_invariant(space: SignalSpace, shifts: ShiftSet) -> bool:
     """True when every shift maps the space into itself.
 
-    Each basis column b is shifted (under the block-apply cost rule, see
-    :class:`ShiftMatrix`) and projected back; the residual must stay within
+    Each basis column b is shifted (``S @ B``, see :class:`ShiftMatrix`) and
+    projected back; the residual must stay within
     ``MATRIX_REL * max(1, ||S_l||_F)`` times ``||b||_2 = 1``.
     """
     b = space.basis
     if b.shape[1] == 0:
         return True
     for s in shifts:
-        shifted, norm = s._times(b)
+        shifted = s @ b
         residual = shifted - b @ (b.T @ shifted)
-        if np.linalg.norm(residual, axis=0).max() > MATRIX_REL * max(1.0, norm):
+        if np.linalg.norm(residual, axis=0).max() > MATRIX_REL * max(1.0, s._frobenius_norm()):
             return False
     return True

@@ -40,6 +40,7 @@ DIAGONALIZATION_REL = 1e-9  # accepted residual ||S U - U diag||_F / ||S||_F per
 DIAGONALIZATION_DRAWS = 8  # random combinations tried before giving up
 DISTINCT_REL = 1e-8  # tie gap, relative to the joint spectrum's bounding-box diagonal
 _ROTATION_CHUNK = 64  # tied groups rotated per batch, so the batch stays far below N x N
+_DRAW_SEED = 0  # seeds the random combinations; the tied-group rotation makes the basis ignore it
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class SpectralDecomposition:
         sign-normalized so the first entry of each column with magnitude
         above 1e-8 is positive.  Inside a group the columns diagonalize
         ``U_g.T diag(0, ..., N - 1) U_g`` in ascending order, so they depend
-        on the shifts alone and not on the seed (a generated space's adapted
+        on the shifts alone and not on the draw (a generated space's adapted
         copy rotates the groups it cuts; see ``gsis_from_generators``).
     eigenvalues : (L, N) ndarray
         ``eigenvalues[l, n]`` is the eigenvalue of shift l on column n.
@@ -106,8 +107,8 @@ class SpectralDecomposition:
     def eigenvalues_of(self, matrix: ShiftMatrix | np.ndarray, what: str) -> np.ndarray:
         """Eigenvalue of ``matrix`` on each basis column.
 
-        A shift is applied to the basis under the block-apply cost rule (see
-        :class:`ShiftMatrix`), with no dense copy kept.
+        A shift is applied as ``S @ U`` (see :class:`ShiftMatrix`), and its
+        ``||S||_F`` comes from its edge weights.
 
         Raises
         ------
@@ -117,10 +118,11 @@ class SpectralDecomposition:
         """
         u = self.basis
         if isinstance(matrix, ShiftMatrix):
-            mu, norm = matrix._times(u)
+            norm = matrix._frobenius_norm()
         else:
-            mat = np.asarray(matrix, dtype=float)
-            mu, norm = mat @ u, float(np.linalg.norm(mat))
+            matrix = np.asarray(matrix, dtype=float)
+            norm = float(np.linalg.norm(matrix))
+        mu = matrix @ u
         lam = np.einsum("ij,ij->j", u, mu)
         # for orthogonal U this is the off-diagonal Frobenius norm of U.T M U
         if np.linalg.norm(mu - u * lam) > 1e-8 * max(1.0, norm):
@@ -183,7 +185,7 @@ def _combination(shifts: ShiftSet, d: np.ndarray) -> ShiftMatrix:
     """The shift ``sum_l d_l S_l`` on the family's graph, summed over the diagonals and the edge weights.
 
     Each entry takes the same additions as the dense sum ``sum(d_l * S_l)``,
-    signed zeros included, so its ``_dense()`` equals that sum bit for bit.
+    signed zeros included, so its ``matrix`` equals that sum bit for bit.
     """
     diagonal = sum(dl * s.diagonal for dl, s in zip(d, shifts))
     edge_weights = sum(dl * s.edge_weights for dl, s in zip(d, shifts))
@@ -219,19 +221,6 @@ def _fourier_rows(shifts: ShiftSet) -> np.ndarray | None:
     return rows
 
 
-def _norm_and_image(rows: np.ndarray, shift: ShiftMatrix) -> tuple[float, np.ndarray]:
-    """``||S||_F`` and ``rows @ S``, which is ``(S @ rows.T).T`` for a symmetric S.
-
-    Under the block-apply cost rule (see :class:`ShiftMatrix`) the image
-    comes from the slot apply and the norm from the edge weights, or both
-    from one transient dense copy of the shift.
-    """
-    if shift._slots_pay():
-        return shift._frobenius_norm(), shift._slot_apply(rows.T).T
-    m = shift._dense()
-    return np.linalg.norm(m), rows @ m
-
-
 def _rotate_tied_groups(groups: list[np.ndarray], rows: np.ndarray, images) -> None:
     """Rotate each tied group's rows, and their images, to the basis fixed by the shifts, in place.
 
@@ -250,13 +239,28 @@ def _rotate_tied_groups(groups: list[np.ndarray], rows: np.ndarray, images) -> N
                 a[idx] = qt @ a[idx]
 
 
+def _eigenvector_rows(shifts: ShiftSet, rng: np.random.Generator) -> np.ndarray:
+    """Eigenvectors, as rows, of one random unit combination of the shifts (of the shift itself, for one).
+
+    The combination, or the copy of a lone shift, is a shift of its own, so
+    the dense ``matrix`` that ``eigh`` reads is not kept on the family.
+    """
+    if shifts.n_shifts == 1:
+        combo = ShiftMatrix._from_edges(shifts.graph, shifts[0].diagonal, shifts[0].edge_weights)
+    else:
+        d = rng.standard_normal(shifts.n_shifts)
+        d /= np.linalg.norm(d)
+        combo = _combination(shifts, d)
+    return np.linalg.eigh(combo.matrix)[1].T.copy()
+
+
 def _residual_norm(image: np.ndarray, lam: np.ndarray, rows: np.ndarray) -> float:
     """``||S U - U diag(lam)||_F`` from the rows ``S u_n``, which it overwrites with the residual."""
     image -= lam[:, None] * rows
     return np.linalg.norm(image)
 
 
-def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDecomposition:
+def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
     """Find one orthonormal basis diagonalizing every shift in the set.
 
     A random unit combination ``T = sum_l d_l S_l`` is eigendecomposed, its
@@ -266,17 +270,17 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     per-shift residual ``||S_l U - U diag||_F`` is at most
     :data:`DIAGONALIZATION_REL` times ``||S_l||_F``. A draw of d that
     accidentally merges distinct joint eigenvalues fails that check and is
-    redrawn, up to :data:`DIAGONALIZATION_DRAWS` draws. When every shift is
+    redrawn, up to :data:`DIAGONALIZATION_DRAWS` draws, from a generator
+    seeded by :data:`_DRAW_SEED`. When every shift is
     circulant (each entry ``S_ij`` depends only on ``(j - i) mod N``), the
     real Fourier basis takes the place of the eigendecomposition, and the
     grouping, rotation and check run once on it.
 
-    The combination is summed over the diagonals and edge weights.  Each
-    shift's image ``S_l U`` and norm are taken under the block-apply cost
-    rule: from its entry list by the slot apply (a circulant family on its
-    Fourier rows, say), or from one transient dense copy at a time on a
-    graph dense enough that BLAS is cheaper; no shift's ``matrix`` is read
-    or cached.  The images are the basis' only check against the shifts.
+    The combination is summed over the diagonals and edge weights (see
+    :func:`_eigenvector_rows`), so no shift of the family caches a dense
+    matrix.  Each shift's image is ``rows @ S_l`` (see :class:`ShiftMatrix`)
+    and its norm comes from its edge weights.  The images are the basis'
+    only check against the shifts.
 
     Raises
     ------
@@ -287,21 +291,15 @@ def diagonalize_simultaneously(shifts: ShiftSet, *, seed: int = 0) -> SpectralDe
     """
     if not isinstance(shifts, ShiftSet):
         shifts = ShiftSet(tuple(shifts))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DRAW_SEED)
     worst_seen = np.inf
     fourier = _fourier_rows(shifts)
+    norms = np.array([s._frobenius_norm() for s in shifts])
     for _ in range(DIAGONALIZATION_DRAWS):
-        if shifts.n_shifts == 1 or fourier is not None:
-            combo = shifts[0]
-        else:
-            d = rng.standard_normal(shifts.n_shifts)
-            d /= np.linalg.norm(d)
-            combo = _combination(shifts, d)
         # row n of `rows` is eigenvector n, and row n of images[l] is S_l u_n
         # (the shifts are symmetric), so a group's vectors are contiguous rows
-        rows = fourier if fourier is not None else np.linalg.eigh(combo._dense())[1].T.copy()
-        norms, images = zip(*(_norm_and_image(rows, s) for s in shifts))
-        norms = np.array(norms)
+        rows = fourier if fourier is not None else _eigenvector_rows(shifts, rng)
+        images = [rows @ s for s in shifts]
         groups = _tie_groups(_row_eigenvalues(rows, images))
         _rotate_tied_groups(groups, rows, images)
         lams = _row_eigenvalues(rows, images)
@@ -419,11 +417,8 @@ def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     n = shifts.n_vertices
     if h.shape != (n, n):
         raise ValueError(f"filter of shape {h.shape} on {n} vertices")
-    scale, worst = 0.0, 0.0
-    for s in shifts:
-        commutator, norm = s._commutator(h)
-        scale = max(scale, norm)
-        worst = max(worst, float(np.linalg.norm(commutator)))
+    scale = max(s._frobenius_norm() for s in shifts)
+    worst = max(float(np.linalg.norm(h @ s - s @ h)) for s in shifts)
     return worst <= MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
 
 

@@ -197,7 +197,7 @@ def test_space_bounds_matches_library(tmp_path, capsys):
     ) == 0
     payload = _json(out / "bounds.json")
     _, shifts = gsis.build_circulant(12, [1])
-    decomp = gsis.diagonalize_simultaneously(shifts, seed=0)
+    decomp = gsis.diagonalize_simultaneously(shifts)
     gen = gsis.canonical_generator(decomp, [0, 1], seed=0)
     r_lo, r_hi = gsis.riesz_bounds(decomp, gen.combined_shift, gen.generator, [0, 1])
     f_lo, f_hi = gsis.frame_bounds(decomp, gen.generator, 2)
@@ -334,7 +334,7 @@ def test_sample_dynamic(tmp_path):
 
 def test_reconstruct_direct_roundtrip(tmp_path):
     _, shifts = gsis.build_circulant(12, [1])
-    decomp = gsis.diagonalize_simultaneously(shifts, seed=0)
+    decomp = gsis.diagonalize_simultaneously(shifts)
     rng = np.random.default_rng(71)
     x = decomp.basis[:, [0, 1, 2]] @ rng.standard_normal(3)
     y_file = tmp_path / "y.csv"
@@ -512,7 +512,7 @@ def test_a_bad_dynamic_scheme_exits_2_and_writes_nothing(verb, dynamic, message,
 
 def test_reconstruct_krylov_roundtrip(tmp_path):
     _, shifts = gsis.build_circulant(12, [1])
-    decomp = gsis.diagonalize_simultaneously(shifts, seed=0)
+    decomp = gsis.diagonalize_simultaneously(shifts)
     phi = np.zeros(12)
     phi[6] = 1.0
     space = gsis.gsis_from_generators(decomp, [phi])
@@ -677,6 +677,14 @@ def test_type_error_inside_a_verb_propagates(tmp_path, monkeypatch):
         ["sample", "subset", "--w", "0", "--seed", "1"],
         ["sample", "dynamic", "--i0", "0", "--k", "3", "--seed", "1"],
         ["reconstruct", "krylov", "--y", "y.csv", "--seed", "1"],
+        # --seed reaches only space bounds' canonical generator and the sweep's noise
+        ["graph", "export", "--seed", "1"],
+        ["space", "bandlimited", "--seed", "1"],
+        ["space", "gsis", "--seed", "1"],
+        ["space", "uncertainty", "--seed", "1"],
+        ["kernel", "make", "--family", "diffusion", "--seed", "1"],
+        ["reconstruct", "direct", "--y", "y.csv", "--seed", "1"],
+        ["model-compare", "--signals", "s.csv", "--seed", "1"],
     ],
 )
 def test_removed_flags_are_rejected(argv, capsys):

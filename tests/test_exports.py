@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 
 import gsis
 
@@ -30,7 +31,15 @@ def test_removed_aliases_are_gone():
     # a scheme applies itself and a combination of shifts is a shift, so no second path returns
     assert not hasattr(gsis.OrthogonalBasis(4, gsis.subset_sampler(4, [1])), "_rows")
     assert list(inspect.signature(gsis.ShiftMatrix._dense).parameters) == ["self"]
-    assert "_dense" not in inspect.getsource(gsis.cli)
+    # a shift applies itself as S @ X or X @ S, and only graphs.py knows how
+    assert not hasattr(gsis.ShiftMatrix, "_times")
+    assert not hasattr(gsis.ShiftMatrix, "_commutator")
+    assert not hasattr(gsis.spectral, "_norm_and_image")
+    for info in pkgutil.iter_modules(gsis.__path__):
+        if info.name != "graphs":
+            source = inspect.getsource(importlib.import_module(f"gsis.{info.name}"))
+            for helper in ("_slots_pay", "_slot_apply", "_dense"):
+                assert not re.search(rf"\b{helper}\b", source), f"gsis.{info.name} names {helper}"
 
 
 # Options removed in favour of module constants, the argument
@@ -45,7 +54,7 @@ REMOVED_KEYWORDS = {
     "ShiftSet": ("tol",),
     "Observation": ("noise",),
     "check_commutative": ("tol",),
-    "diagonalize_simultaneously": ("tol", "max_retries"),
+    "diagonalize_simultaneously": ("tol", "max_retries", "seed"),
     "canonical_generator": ("max_retries", "gap_rel"),
     "gsis_from_generators": ("shifts", "support_tol"),
     "uncertainty_check": ("support_tol",),

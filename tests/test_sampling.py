@@ -332,7 +332,7 @@ def test_reconstruct_direct_accepts_observation(p3):
 
 def test_reconstruct_direct_on_a_subset_scheme_builds_no_matrix():
     _, shifts = gsis.build_circulant(40, [1, 3])
-    decomp = gsis.diagonalize_simultaneously(shifts, seed=0)
+    decomp = gsis.diagonalize_simultaneously(shifts)
     omega = [0, 1, 2, 3, 4]
     scheme = gsis.subset_sampler(40, range(5, 25))
     y = np.random.default_rng(9).standard_normal(scheme.n_samples)
@@ -692,3 +692,33 @@ def _value_error(run, *args):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+COUNT_CALLS = {
+    "check_dynamic_injective": (
+        "n_snapshots",
+        lambda s, d, k: gsis.check_dynamic_injective(d, [0, 1], s[0].matrix, 0, k),
+    ),
+    "dynamic_sampler": ("n_snapshots", lambda s, d, k: gsis.dynamic_sampler(d, s[0].matrix, 0, k)),
+    "frame_bounds": ("level", lambda s, d, k: gsis.frame_bounds(d, np.ones(3), k)),
+    "krylov_subspace": ("level", lambda s, d, k: gsis.krylov_subspace(s, [np.eye(3)[0]], k)),
+    "run_model_comparison levels": (
+        "levels",
+        lambda s, d, k: gsis.run_model_comparison(s, d, [np.arange(3.0)], levels=[0, k]),
+    ),
+    "run_model_comparison n_generators": (
+        "n_generators",
+        lambda s, d, k: gsis.run_model_comparison(s, d, [np.arange(3.0)], n_generators=k),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+def test_fractional_counts_raise_and_name_their_argument(p3, call):
+    # these used to run on a truncated count (check_dynamic_injective said ok, and
+    # run_model_comparison ran level 1), or to escape as a bare TypeError
+    _, shifts, decomp = p3
+    name, run = COUNT_CALLS[call]
+    with pytest.raises(ValueError, match=rf"{name} must be integers, got 1\.7"):
+        run(shifts, decomp, 1.7)
+    run(shifts, decomp, 2.0)  # an integral float is a count

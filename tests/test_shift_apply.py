@@ -39,6 +39,13 @@ def test_vector_apply_matches_the_dense_product(case, kind):
     # a 2-D operand takes the dense product, or on the slots' side of the cost rule the vector apply per column
     expected = _columnwise(shift, block) if shift._slots_pay() else s @ block
     assert np.array_equal(shift @ block, expected)
+    # numpy hands ndarray @ shift to the shift: x @ S is S @ x, and X @ S is (S @ X.T).T on the
+    # slots' side of the rule; BLAS orders a transposed product's sums its own way, so there it is X @ matrix
+    assert_same_bits(x @ shift, shift @ x)
+    for slots in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gsis.ShiftMatrix, "_slots_pay", lambda shift: slots)
+            assert_same_bits(block.T @ shift, (shift @ block).T if slots else block.T @ s)
 
 
 def _columnwise(shift, x):
