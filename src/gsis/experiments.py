@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _signal, _vector, build_circulant
+from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _matrix, _signal, _values, build_circulant
 from .sampling import subset_sampler
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition
@@ -387,15 +387,18 @@ def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
     Raises
     ------
     ValueError
-        If ``x0`` is identically zero.
+        If ``x0`` is identically zero, or it or a basis is not finite or
+        not of the first basis' length N.
     """
-    vals = _vector(x0)
+    bases = list(space_levels)
+    n = len(bases[0]) if bases else _values(x0).size
+    vals = _signal(x0, n, "x0")
     scale = float(np.abs(vals).max(initial=0.0))
     if scale == 0.0:
         raise ValueError("the target signal is identically zero")
     out: list[float] = []
-    for basis in space_levels:
-        b = np.asarray(basis, dtype=float)
+    for basis in bases:
+        b = _matrix(basis, (n, None), "basis")
         if b.shape[1] == 0:
             achieved = 1.0
         else:

@@ -52,19 +52,25 @@ def _values(x) -> np.ndarray:
     return np.asarray(getattr(x, "values", x), dtype=float)
 
 
-def _vector(x) -> np.ndarray:
-    """:func:`_values` flattened to one vector."""
-    return _values(x).reshape(-1)
-
-
 def _signal(x, n: int, what: str) -> np.ndarray:
-    """:func:`_vector` of ``x``, checked to hold ``n`` finite values; errors name ``what``."""
-    v = _vector(x)
+    """:func:`_values` of ``x`` as one vector, checked to hold ``n`` finite values; errors name ``what``."""
+    v = _values(x).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"{what} of length {v.shape[0]}, expected {n}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} must be finite")
     return v
+
+
+def _matrix(m, shape: tuple[int | None, int | None], what: str) -> np.ndarray:
+    """Float 2-D array of ``m``, checked to have ``shape`` (None: any length) and finite entries; errors name ``what``."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or any(k is not None and k != got for k, got in zip(shape, a.shape)):
+        expected = ", ".join("any" if k is None else str(k) for k in shape)
+        raise ValueError(f"{what} of shape {a.shape}, expected ({expected})")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    return a
 
 
 def _index(k, what: str) -> int:
@@ -267,18 +273,19 @@ class ShiftMatrix:
     bincount`` over the off-diagonal entries alone.  A 2-D operand X takes
     the slot apply or the product with one transient dense copy
     (:meth:`_dense`), as the block-apply cost rule picks
-    (:meth:`_slots_pay`); ``X @ S`` is ``(S @ X.T).T`` on the slot side, S
-    being symmetric.  Slot k holds each row's k-th stored entry; ``S @ X``
-    adds, slot by slot, one gather of rows of X times that slot's weights,
-    so every row adds its terms in the vector apply's order and every
-    column equals ``S @ X[:, j]`` bit for bit.
+    (:meth:`_slots_pay`), and a stacked one always takes the copy; ``X @ S``
+    is ``(S @ X.T).T`` on the slot side, S being symmetric.  Slot k holds
+    each row's k-th stored entry; ``S @ X`` adds, slot by slot, one gather
+    of rows of X times that slot's weights, so every row adds its terms in
+    the vector apply's order and every column equals ``S @ X[:, j]`` bit
+    for bit.
 
     Raises
     ------
     ValueError
-        If the shape does not match the graph, the matrix is not symmetric
-        within tolerance, or an entry outside the allowed pattern exceeds
-        tolerance.
+        If the shape does not match the graph, an entry is not finite, the
+        matrix is not symmetric within tolerance, or an entry outside the
+        allowed pattern exceeds tolerance.
     """
 
     graph: Graph
@@ -290,12 +297,8 @@ class ShiftMatrix:
     _ptr: np.ndarray = field(repr=False)
 
     def __init__(self, matrix: np.ndarray, graph: Graph):
-        s = np.asarray(matrix, dtype=float)
         n = graph.n_vertices
-        if s.shape != (n, n):
-            raise ValueError(f"shift of shape {s.shape} on a graph with {n} vertices")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("shift entries must be finite")
+        s = _matrix(matrix, (n, n), "shift")
         tol = frobenius_tol(s)
         if np.abs(s - s.T).max() > tol:
             raise ValueError("shift matrix is not symmetric within tolerance")
@@ -420,12 +423,10 @@ class ShiftMatrix:
     __array_ufunc__ = None
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        """``S @ x``: edge-list apply for a vector; for a 2-D X, slots or BLAS by the cost rule."""
+        """``S @ x``: edge-list apply for a vector; slots for a 2-D X the cost rule gives them; else a dense copy."""
         x = np.asarray(other)
-        if x.ndim == 2:
-            return self._slot_apply(x) if self._slots_pay() else self._dense() @ x
         if x.ndim != 1:
-            return self.matrix @ x
+            return self._slot_apply(x) if x.ndim == 2 and self._slots_pay() else self._dense() @ x
         n = self.n_vertices
         if x.shape[0] != n:
             raise ValueError(f"vector of length {x.shape[0]} for a shift on {n} vertices")
@@ -433,11 +434,11 @@ class ShiftMatrix:
         return np.bincount(self._rows, self._weights * x[self._cols], minlength=n).astype(float, copy=False)
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
-        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; a 2-D X on the BLAS side times a dense copy."""
+        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; off the slots, X times a dense copy."""
         x = np.asarray(other)
-        if x.ndim == 2:
-            return self._slot_apply(x.T).T if self._slots_pay() else x @ self._dense()
-        return self @ x if x.ndim == 1 else x @ self.matrix
+        if x.ndim == 1:
+            return self @ x
+        return self._slot_apply(x.T).T if x.ndim == 2 and self._slots_pay() else x @ self._dense()
 
 
 class CommutativityCheck(NamedTuple):
@@ -608,15 +609,16 @@ def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, Shi
     ----------
     n_vertices : int
     offsets : sequence of int
-        Distinct offsets with ``1 <= q < n_vertices / 2``.
+        Distinct offsets with ``1 <= q < n_vertices / 2``.  Both follow the
+        count rule: ``2.0`` passes as 2, ``1.5`` raises ``ValueError``.
 
     Warns
     -----
     UserWarning
         If ``gcd(q_1, ..., q_L, n_vertices) != 1`` the graph is disconnected.
     """
-    n = int(n_vertices)
-    qs = [int(q) for q in offsets]
+    n = _index(n_vertices, "n_vertices")
+    qs = [_index(q, "offsets") for q in offsets]
     if n < 3:
         raise ValueError("a circulant graph needs at least 3 vertices")
     if not qs:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelParameterError
-from .graphs import ShiftMatrix, ShiftSet, _signal, _values, frobenius_tol
+from .graphs import ShiftMatrix, ShiftSet, _matrix, _signal, frobenius_tol
 from .spaces import SignalSpace
 from .spectral import SpectralDecomposition
 
@@ -76,9 +76,7 @@ def _kernel_from_spectrum(
     family: str = "custom",
     params: dict | None = None,
 ) -> ShiftInvariantKernel:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("kernel spectral values must be finite")
+    values = _signal(values, decomp.n_vertices, "kernel spectral values")
     top = float(values.max(initial=0.0))
     if values.min(initial=0.0) < -_RANK_CUTOFF * max(top, 1.0):
         raise ValueError("kernel spectral values must be nonnegative")
@@ -183,10 +181,7 @@ def _take(params: dict, name: str, family: str) -> np.float64:
 
 def is_shift_invariant_kernel(k_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     """Symmetric, positive semidefinite and commuting with every shift, within ``KERNEL_REL``."""
-    k = np.asarray(k_matrix, dtype=float)
-    n = shifts.n_vertices
-    if k.shape != (n, n):
-        raise ValueError(f"kernel of shape {k.shape} on {n} vertices")
+    k = _matrix(k_matrix, (shifts.n_vertices,) * 2, "kernel")
     tol = frobenius_tol(k, KERNEL_REL)
     if np.abs(k - k.T).max() > tol:
         return False
@@ -263,8 +258,9 @@ def is_reproducing_metric(kernel: ShiftInvariantKernel, metric: RkhsMetric) -> b
 
 def rkhs_inner_product(metric: RkhsMetric, x, y) -> float:
     """Evaluate ``x_hat.T diag(metric) y_hat`` in the metric's decomposition."""
-    xh = metric.decomp.basis.T @ _values(x)
-    yh = metric.decomp.basis.T @ _values(y)
+    n = metric.decomp.n_vertices
+    xh = metric.decomp.basis.T @ _signal(x, n, "x")
+    yh = metric.decomp.basis.T @ _signal(y, n, "y")
     return float(np.sum(xh * metric.values * yh))
 
 

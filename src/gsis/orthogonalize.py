@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .graphs import _matrix
+
 __all__ = ["OrthogonalBasis", "ADDED", "DEPENDENT", "INVISIBLE", "DROP_REL", "INVISIBLE_REL"]
 
 ADDED = "added"
@@ -70,9 +72,9 @@ class OrthogonalBasis:
         Ambient dimension of the vectors.
     weight : (M, N) array-like or SamplingScheme, optional
         Weight defining the inner product, applied to a candidate as
-        ``weight @ v``; None means euclidean.  An array-like weight is
-        converted to a float array once; any other weight (a sampling
-        scheme) needs only ``shape`` and ``@`` and applies itself.
+        ``weight @ v``; None means euclidean.  An array-like weight must be a
+        finite (M, N) matrix, converted to float once; any other weight (a
+        sampling scheme) needs only ``shape`` and ``@`` and applies itself.
 
     Candidates are classified by the thresholds :data:`DROP_REL` and
     :data:`INVISIBLE_REL`.
@@ -96,7 +98,7 @@ class OrthogonalBasis:
     def __init__(self, n: int, weight=None):
         self.n = int(n)
         if weight is not None and (isinstance(weight, np.ndarray) or not hasattr(weight, "__matmul__")):
-            weight = np.asarray(weight, dtype=float)
+            weight = _matrix(weight, (None, self.n), "weight")
         self.weight = weight
         m = self.n if weight is None else weight.shape[0]
         self._u = np.zeros((self.n, 8), order="F")

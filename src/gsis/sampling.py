@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateInnerProductError, NonInjectiveSamplingError
-from .graphs import ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _signal
+from .graphs import ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _matrix, _signal
 from .orthogonalize import DEPENDENT, INVISIBLE
 from .spaces import KrylovChain, krylov_subspace
 from .spectral import SpectralDecomposition, _min_gap
@@ -45,11 +45,12 @@ STATE_GAP_REL = 1e-10  # relative state-eigenvalue gap and eigenvector entry dyn
 class SamplingScheme:
     """Linear observation map ``y = A x``.
 
-    ``provenance`` records how the matrix was built: ``"subset"`` (rows
-    are the indicators of ``vertices``), ``"dynamic"`` (one vertex observed
-    under repeated state evolution) or ``"custom"``.  A scheme from
-    :func:`subset_sampler` holds only its vertices and builds ``matrix``
-    on first access.  ``scheme @ x`` on an (N,) or (N, K) array gathers the
+    ``SamplingScheme(matrix)`` takes any finite (M, N) rows and is
+    ``"custom"``.  Only the samplers set other metadata: a ``"subset"``
+    scheme from :func:`subset_sampler` holds only its distinct ``vertices``
+    and builds ``matrix`` on first access; a ``"dynamic"`` one from
+    :func:`dynamic_sampler` records ``initial_vertex`` and ``n_snapshots``.
+    ``scheme @ x`` on an (N,) or (N, K) array gathers the
     rows ``x[vertices]`` of a subset scheme, equal to the product with its
     0/1 rows, and takes the dense product with ``matrix`` otherwise.
     """
@@ -61,33 +62,13 @@ class SamplingScheme:
     shape: tuple[int, int]
     _take: np.ndarray | None = field(repr=False)
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        provenance: str = "custom",
-        vertices: tuple[int, ...] | None = None,
-        initial_vertex: int | None = None,
-        n_snapshots: int | None = None,
-    ):
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("sampling matrix must be two-dimensional")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("sampling matrix entries must be finite")
-        if provenance == "subset":
-            v = np.array(vertices if vertices is not None else (), dtype=int)
-            if not (
-                v.shape == (m.shape[0],)
-                and np.all((v >= 0) & (v < m.shape[1]))
-                and np.all(m[np.arange(v.size), v] == 1.0)
-                and np.count_nonzero(m) == v.size
-            ):
-                raise ValueError("a subset scheme's rows must be the indicators of its vertices")
+    def __init__(self, matrix: np.ndarray):
+        m = np.array(_matrix(matrix, (None, None), "sampling matrix"))
         m.flags.writeable = False
-        self._store(m.shape, provenance, vertices, initial_vertex, n_snapshots)
+        self._store(m.shape, "custom")
         object.__setattr__(self, "matrix", m)
 
-    def _store(self, shape, provenance, vertices, initial_vertex, n_snapshots) -> None:
+    def _store(self, shape, provenance, vertices=None, initial_vertex=None, n_snapshots=None) -> None:
         take = None
         if provenance == "subset":
             take = np.array(vertices, dtype=np.intp)
@@ -149,7 +130,7 @@ def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
     if not idx:
         raise ValueError("at least one sampling vertex is required")
     scheme = SamplingScheme.__new__(SamplingScheme)
-    scheme._store((len(idx), n_vertices), "subset", tuple(idx), None, None)
+    scheme._store((len(idx), n_vertices), "subset", tuple(idx))
     return scheme
 
 
@@ -165,10 +146,7 @@ def dynamic_sampler(
     polynomial in the shifts qualifies), so each row is
     ``sum_n lambda_D(n)^m u_n(i0) u_n`` on the transform side.
     """
-    d_mat = np.asarray(state_matrix, dtype=float)
-    n = decomp.n_vertices
-    if d_mat.shape != (n, n):
-        raise ValueError(f"state matrix of shape {d_mat.shape} on {n} vertices")
+    d_mat = _matrix(state_matrix, (decomp.n_vertices,) * 2, "state matrix")
     decomp.eigenvalues_of(d_mat, "state matrix")  # raises unless the basis diagonalizes it
     return _dynamic_scheme(d_mat.T, initial_vertex, n_snapshots)  # row m + 1 is D.T @ row m
 
@@ -192,9 +170,9 @@ def _dynamic_scheme(step: ShiftMatrix | np.ndarray, initial_vertex: int, n_snaps
     for m in range(n_snapshots):
         rows[m] = row
         row = step @ row
-    return SamplingScheme(
-        rows, "dynamic", initial_vertex=initial_vertex, n_snapshots=n_snapshots
-    )
+    scheme = SamplingScheme(rows)
+    scheme._store(rows.shape, "dynamic", initial_vertex=initial_vertex, n_snapshots=n_snapshots)
+    return scheme
 
 
 def check_injective(scheme: SamplingScheme, space_matrix: np.ndarray) -> bool:
@@ -204,9 +182,7 @@ def check_injective(scheme: SamplingScheme, space_matrix: np.ndarray) -> bool:
     the space, each rank with numpy's default cutoff
     ``s_max * max(rows, cols) * eps``.
     """
-    f = np.asarray(space_matrix, dtype=float)
-    if f.ndim != 2 or f.shape[0] != scheme.n_vertices:
-        raise ValueError(f"space matrix of shape {f.shape} under a scheme on {scheme.n_vertices} vertices")
+    f = _matrix(space_matrix, (scheme.n_vertices, None), "space matrix")
     return int(np.linalg.matrix_rank(f)) == int(np.linalg.matrix_rank(scheme @ f))
 
 
@@ -296,11 +272,8 @@ def reconstruct_direct(
     sampled = scheme @ decomp.basis[:, idx]
     left, sv, right = np.linalg.svd(sampled, full_matrices=False)
     smin = float(sv[-1]) if sv.size == len(idx) else 0.0
-    if scheme._take is None:
-        norm = float(np.linalg.norm(scheme.matrix, 2))
-    else:  # indicator rows: A.T @ A is diagonal, holding how often each vertex is read
-        norm = float(np.sqrt(np.bincount(scheme._take).max()))
-    scale = max(norm, 1.0)
+    # a subset scheme's rows are distinct indicators, of operator norm 1
+    scale = 1.0 if scheme._take is not None else max(float(np.linalg.norm(scheme.matrix, 2)), 1.0)
     cond = (float(sv[0]) / smin) ** 2 if smin > 0.0 else np.inf
     if smin <= 1e-12 * scale or cond > 1e12:
         raise NonInjectiveSamplingError(

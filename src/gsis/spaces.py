@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _signal, _vector
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _matrix, _signal
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
 from .spectral import DISTINCT_REL, SpectralDecomposition, _combination, _min_gap, graded_multi_indices
 
@@ -80,13 +80,13 @@ class SignalSpace:
         return self.decomp.n_vertices
 
     def project(self, x) -> np.ndarray:
-        """Orthogonal projection onto the space."""
-        v = _vector(x)
+        """Orthogonal projection onto the space of a signal-like ``x`` of N finite values."""
+        v = _signal(x, self.n_vertices, "x")
         return self.basis @ (self.basis.T @ v)
 
     def contains(self, x) -> bool:
         """Membership test: projection residual at most :data:`MEMBERSHIP_REL` times ``||x||``."""
-        v = _vector(x)
+        v = _signal(x, self.n_vertices, "x")
         return float(np.linalg.norm(v - self.project(v))) <= MEMBERSHIP_REL * float(np.linalg.norm(v))
 
 
@@ -487,12 +487,11 @@ def uniform_norm_star(u: np.ndarray, mode: str = "exact") -> float:
     Raises
     ------
     ValueError
-        Non-orthogonal input, unknown mode, or ``exact`` beyond 12 columns.
+        A basis that is not square, finite and orthogonal, an unknown mode,
+        or ``exact`` beyond 12 columns.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    n = u.shape[0]
+    n = np.shape(u)[0] if np.ndim(u) else None
+    u = _matrix(u, (n, n), "basis")
     if np.abs(u.T @ u - np.eye(n)).max() > 1e-8:
         raise ValueError("matrix columns are not orthonormal")
     return _localization(u, mode)

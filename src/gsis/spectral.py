@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index_set, _values
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index_set, _matrix, _values
 
 __all__ = [
     "SpectralDecomposition",
@@ -113,14 +113,15 @@ class SpectralDecomposition:
         Raises
         ------
         ValueError
-            If the residual ``||M U - U diag(lambda)||_F`` exceeds
-            ``1e-8 * max(1, ||M||_F)``; the message names ``what``.
+            If an array is not a finite (N, N) matrix, or the residual
+            ``||M U - U diag(lambda)||_F`` exceeds ``1e-8 * max(1, ||M||_F)``;
+            the message names ``what``.
         """
         u = self.basis
         if isinstance(matrix, ShiftMatrix):
             norm = matrix._frobenius_norm()
         else:
-            matrix = np.asarray(matrix, dtype=float)
+            matrix = _matrix(matrix, u.shape, what)
             norm = float(np.linalg.norm(matrix))
         mu = matrix @ u
         lam = np.einsum("ij,ij->j", u, mu)
@@ -131,10 +132,11 @@ class SpectralDecomposition:
 
 
 def _sign_normalize(u: np.ndarray, threshold: float = 1e-8) -> np.ndarray:
-    """Flip column signs so the first entry with magnitude > threshold is positive."""
+    """Flip column signs, in place, so the first entry with magnitude > threshold is positive."""
     big = np.abs(u) > threshold
     first = u[big.argmax(axis=0), np.arange(u.shape[1])]
-    return np.where(big.any(axis=0) & (first < 0), -u, u)
+    u *= np.where(big.any(axis=0) & (first < 0), -1.0, 1.0)
+    return u
 
 
 def _row_eigenvalues(rows: np.ndarray, images: list[np.ndarray]) -> np.ndarray:
@@ -413,10 +415,7 @@ def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     mix the vectors inside a repeated eigenspace and then falls outside the
     polynomial algebra, so True only means that H commutes.
     """
-    h = np.asarray(h_matrix, dtype=float)
-    n = shifts.n_vertices
-    if h.shape != (n, n):
-        raise ValueError(f"filter of shape {h.shape} on {n} vertices")
+    h = _matrix(h_matrix, (shifts.n_vertices,) * 2, "filter")
     scale = max(s._frobenius_norm() for s in shifts)
     worst = max(float(np.linalg.norm(h @ s - s @ h)) for s in shifts)
     return worst <= MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))

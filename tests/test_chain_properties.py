@@ -539,3 +539,11 @@ def test_permuted_labels_give_the_same_dims_and_projector(weighted):
     projector = chain.basis @ chain.basis.T
     assert _span_distance(permuted.basis, chain.basis[perm]) <= 1e-12 * max(1.0, np.abs(projector).max())
     _assert_rows_outside_the_range_are_zero(permuted)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "block"])
+def test_evaluate_rejects_more_coefficients_than_the_dimension(shape):
+    basis = OrthogonalBasis(4)
+    basis.try_add(np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="2 coefficients for a basis of dimension 1"):
+        basis.evaluate(np.ones(shape))

@@ -35,6 +35,8 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis.ShiftMatrix, "_times")
     assert not hasattr(gsis.ShiftMatrix, "_commutator")
     assert not hasattr(gsis.spectral, "_norm_and_image")
+    # signals pass graphs._signal, so its flattening helper does not return
+    assert not hasattr(gsis.graphs, "_vector")
     for info in pkgutil.iter_modules(gsis.__path__):
         if info.name != "graphs":
             source = inspect.getsource(importlib.import_module(f"gsis.{info.name}"))
@@ -43,8 +45,9 @@ def test_removed_aliases_are_gone():
 
 
 # Options removed in favour of module constants, the argument
-# gsis_from_generators never read, and the basis and decomposition
-# arguments a space and a metric now carry themselves; none may come back.
+# gsis_from_generators never read, the basis and decomposition arguments a
+# space and a metric now carry themselves, and the scheme metadata only the
+# samplers set; none may come back.
 REMOVED_KEYWORDS = {
     "SignalSpace": ("basis",),
     "rkhs_inner_product": ("decomp",),
@@ -68,6 +71,7 @@ REMOVED_KEYWORDS = {
     "check_dynamic_injective": ("gap_rel",),
     "polynomial_filter_matrix": ("decomp",),
     "apply_polynomial_filter": ("decomp",),
+    "SamplingScheme": ("provenance", "vertices", "initial_vertex", "n_snapshots"),
 }
 
 

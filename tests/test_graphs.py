@@ -248,3 +248,54 @@ def test_signal_validation():
 def test_frobenius_tol_scales():
     assert gsis.frobenius_tol(np.zeros((3, 3))) == 1e-10
     assert gsis.frobenius_tol(np.full((2, 2), 50.0)) == pytest.approx(1e-8)
+
+
+@pytest.mark.parametrize(
+    "n, offsets, message",
+    [(10, [1.5], "offsets must be integers, got 1.5"), (10.7, [1], "n_vertices must be integers, got 10.7")],
+)
+def test_circulant_sizes_follow_the_count_rule(n, offsets, message):
+    # int() used to build offset 1 and 10 vertices here without a word
+    with pytest.raises(ValueError, match=message):
+        gsis.build_circulant(n, offsets)
+    graph, shifts = gsis.build_circulant(11.0, [2.0, np.int64(3)])
+    assert graph == gsis.build_circulant(11, [2, 3])[0] and len(shifts) == 2
+
+
+def _edge_file(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    return gsis.read_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: gsis.ShiftSet(()), "a shift set needs at least one shift"),
+        (
+            lambda tmp: gsis.ShiftSet(
+                tuple(gsis.build_standard_shifts(g, "laplacian") for g in (gsis.path_graph(3), gsis.cycle_graph(3)))
+            ),
+            "all shifts in a set must share one graph",
+        ),
+        (lambda tmp: gsis.build_circulant(2, [1]), "a circulant graph needs at least 3 vertices"),
+        (lambda tmp: gsis.build_circulant(10, []), "at least one offset is required"),
+        (lambda tmp: _edge_file(tmp, "# only a comment\n\n"), "empty edge-list file"),
+        (lambda tmp: _edge_file(tmp, "3\n0 1\n"), r"line 1: header must be 'N <edge_count>', got '3'"),
+        (lambda tmp: _edge_file(tmp, "3 1\n0\n"), r"line 2: bad edge line '0'"),
+        (lambda tmp: _edge_file(tmp, "3 1\n0 1 2.0 7\n"), r"line 2: bad edge line '0 1 2.0 7'"),
+    ],
+    ids=[
+        "empty shift set",
+        "shifts on two graphs",
+        "circulant on 2 vertices",
+        "circulant without offsets",
+        "empty edge list",
+        "header of one field",
+        "edge line of one field",
+        "edge line of four fields",
+    ],
+)
+def test_graph_builders_reject_each_bad_input(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

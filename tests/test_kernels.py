@@ -255,3 +255,22 @@ def test_a_non_finite_spectrum_is_rejected(p5):
         values[2] = bad
         with pytest.raises(ValueError, match="kernel spectral values must be finite"):
             gsis.kernels._kernel_from_spectrum(decomp, values)
+
+
+@pytest.mark.parametrize(
+    "family, params, negate, error, message",
+    [
+        ("diffusion", {"sigma": 0.0}, False, ValueError, "diffusion takes a single parameter sigma > 0"),
+        ("regularization", {"sigma": -1.0}, False, ValueError, "regularization takes a single parameter sigma > 0"),
+        ("regularization", {"sigma": 1.0}, True, ValueError, "regularization profile is negative"),
+        ("spline", {"alpha": 0.0}, False, ValueError, "spline takes a single parameter alpha > 0"),
+        ("spline", {"alpha": 1.0}, True, ValueError, "spline needs a positive semidefinite base shift"),
+        ("diffusion", {"sigma": 1.0, "a": 3.0}, False, TypeError, r"diffusion kernel got unexpected parameters \['a'\]"),
+    ],
+)
+def test_make_kernel_rejects_each_bad_profile(p5, family, params, negate, error, message):
+    # the negated Laplacian has eigenvalues down to about -3.6, so 1 - lambda goes negative
+    _, shifts, decomp = p5
+    base = -shifts[0].matrix if negate else shifts[0]
+    with pytest.raises(error, match=message):
+        gsis.make_kernel(decomp, base, family, **params)

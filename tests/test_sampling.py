@@ -1,5 +1,7 @@
 """Tests for sampling schemes, injectivity checks, and reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,17 +140,6 @@ def test_non_finite_observations_are_rejected():
         gsis.reconstruct_krylov(shifts, [phi], scheme, y[:6])
     with pytest.raises(ValueError, match="x must be finite"):
         scheme.apply(np.full(12, np.inf))
-
-
-@pytest.mark.parametrize("vertices", [None, (0, 1), (2,), (5,)])
-def test_subset_scheme_rows_must_match_its_vertices(vertices):
-    # rows are the indicators of vertices 0 and 2 of a 5-vertex graph
-    matrix = gsis.subset_sampler(5, [0, 2]).matrix
-    with pytest.raises(ValueError, match="indicators"):
-        gsis.SamplingScheme(matrix, "subset", vertices=vertices)
-    with pytest.raises(ValueError, match="indicators"):
-        gsis.SamplingScheme(2.0 * matrix, "subset", vertices=(0, 2))
-    assert gsis.SamplingScheme(matrix, "subset", vertices=(0, 2)).vertices == (0, 2)
 
 
 def test_observation_length_checked():
@@ -341,18 +332,6 @@ def test_reconstruct_direct_on_a_subset_scheme_builds_no_matrix():
     same_rows = gsis.SamplingScheme(scheme.matrix)
     assert same_rows.provenance == "custom"
     assert gsis.reconstruct_direct(decomp, omega, same_rows, y).tobytes() == x.tobytes()
-
-
-def test_reconstruct_direct_gate_scale_counts_repeated_vertices(p3):
-    # a vertex read twice: the indicator rows have operator norm sqrt(2)
-    _, _, decomp = p3
-    rows = np.eye(3)[[0, 0, 1, 2]]
-    subset = gsis.SamplingScheme(rows, "subset", vertices=(0, 0, 1, 2))
-    custom = gsis.SamplingScheme(rows)
-    assert np.sqrt(np.bincount(subset._take).max()) == pytest.approx(np.linalg.norm(rows, 2), rel=1e-15)
-    y = np.array([1.0, 1.0, -2.0, 0.5])
-    x = gsis.reconstruct_direct(decomp, [0, 1, 2], subset, y)
-    assert x.tobytes() == gsis.reconstruct_direct(decomp, [0, 1, 2], custom, y).tobytes()
 
 
 @pytest.mark.parametrize("ratio, injective", [(0.9e6, True), (1.1e6, False)])
@@ -722,3 +701,59 @@ def test_fractional_counts_raise_and_name_their_argument(p3, call):
     with pytest.raises(ValueError, match=rf"{name} must be integers, got 1\.7"):
         run(shifts, decomp, 1.7)
     run(shifts, decomp, 2.0)  # an integral float is a count
+
+
+# ---------------------------------------------------------------------------
+# array gates
+
+# each entry point passes its matrix argument through graphs._matrix: (name in
+# the errors, an input of the wrong shape, the call on p3 with matrix m)
+MATRIX_CALLS = {
+    "ShiftMatrix": ("shift", np.eye(4, 3), lambda s, d, m: gsis.ShiftMatrix(m, s.graph)),
+    "SamplingScheme": ("sampling matrix", np.ones(3), lambda s, d, m: gsis.SamplingScheme(m)),
+    "dynamic_sampler": ("state matrix", np.eye(4, 3), lambda s, d, m: gsis.dynamic_sampler(d, m, 0, 3)),
+    # the eigenvalue check's > test let a NaN state through, and the answer was "injective"
+    "check_dynamic_injective": (
+        "state matrix", np.eye(4, 3), lambda s, d, m: gsis.check_dynamic_injective(d, [0, 1], m, 0, 3)
+    ),
+    "check_injective": (
+        "space matrix", np.eye(4, 3), lambda s, d, m: gsis.check_injective(gsis.subset_sampler(3, [0, 1]), m)
+    ),
+    "eigenvalues_of": ("base shift", np.eye(4, 3), lambda s, d, m: d.eigenvalues_of(m, "base shift")),
+    "is_polynomial_filter": ("filter", np.eye(4, 3), lambda s, d, m: gsis.is_polynomial_filter(m, s)),
+    "is_shift_invariant_kernel": ("kernel", np.eye(4, 3), lambda s, d, m: gsis.is_shift_invariant_kernel(m, s)),
+    "uniform_norm_star": ("basis", np.eye(4, 3), lambda s, d, m: gsis.uniform_norm_star(m)),
+    # a NaN weight used to grow a chain of dimension 1, 2, 3, 4 without a word
+    "OrthogonalBasis": ("weight", np.ones((3, 4)), lambda s, d, m: gsis.OrthogonalBasis(3, m)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MATRIX_CALLS))
+def test_matrix_arguments_must_be_finite_and_of_their_shape(p3, call):
+    # NaN used to come back as NaN eigenvalues, a LinAlgError or a TypeError
+    _, shifts, decomp = p3
+    name, wrong, run = MATRIX_CALLS[call]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        run(shifts[0], decomp, np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match=rf"{name} of shape {re.escape(str(wrong.shape))}, expected"):
+        run(shifts[0], decomp, wrong)
+
+
+SIGNAL_CALLS = {
+    "SignalSpace.project": ("x", lambda d, x: gsis.bandlimited_space(d, [0, 1]).project(x)),
+    "SignalSpace.contains": ("x", lambda d, x: gsis.bandlimited_space(d, [0, 1]).contains(x)),
+    "rkhs_inner_product x": ("x", lambda d, x: gsis.rkhs_inner_product(gsis.RkhsMetric(np.ones(3), d), x, np.ones(3))),
+    "rkhs_inner_product y": ("y", lambda d, x: gsis.rkhs_inner_product(gsis.RkhsMetric(np.ones(3), d), np.ones(3), x)),
+    "approximation_error": ("x0", lambda d, x: gsis.approximation_error([d.basis[:, :1]], x)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SIGNAL_CALLS))
+def test_signal_arguments_must_be_finite_and_of_length_n(p3, call):
+    # NaN used to come back as NaN, False or [nan], and a wrong length as numpy's gufunc error
+    _, _, decomp = p3
+    name, run = SIGNAL_CALLS[call]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        run(decomp, np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match=f"{name} of length 2, expected 3"):
+        run(decomp, np.ones(2))

@@ -155,6 +155,20 @@ def test_a_complex_block_keeps_its_imaginary_part(n):
     assert np.abs(got - shift.matrix @ x).max() <= 1e-14 * np.abs(x).max() * shift._frobenius_norm()
 
 
+@pytest.mark.parametrize("n", [12, 400], ids=["BLAS", "slots"])
+def test_a_stacked_operand_equals_its_2d_applies_and_caches_no_matrix(n):
+    _, (shift, _) = gsis.build_circulant(n, (1, 3))
+    assert shift._slots_pay() == (n == 400)
+    x = np.random.default_rng(13).standard_normal((3, n, 4))
+    left, right = shift @ x, x.transpose(0, 2, 1) @ shift
+    assert left.shape == (3, n, 4) and right.shape == (3, 4, n)
+    tol = 1e-14 * np.abs(x).max() * shift._frobenius_norm()
+    for b in range(3):
+        assert np.abs(left[b] - shift @ x[b]).max() <= tol
+        assert np.abs(right[b] - x[b].T @ shift).max() <= tol
+    assert "matrix" not in vars(shift)
+
+
 def _unsorted_apply(shift, x):
     """Reference ``S @ x``: bincount over every entry, edges i -> j, then j -> i, then the diagonal."""
     i, j = np.array(shift.graph.edges, dtype=np.intp).reshape(-1, 2).T

@@ -452,3 +452,19 @@ def test_tied_groups_of_a_cycle():
     d2 = gsis.diagonalize_simultaneously(laplacian_shift_set(g2))
     assert d2.assumption1_holds
     assert sorted(len(c) for c in d2.groups) == [1] * 9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s, d: gsis.riesz_bounds(d, s[0], d.basis[:, 0] + d.basis[:, 1], [0]), "spectral content outside omega"),
+        (lambda s, d: gsis.riesz_bounds(d, s[0], np.zeros(3), [0]), "generator is identically zero"),
+        (lambda s, d: gsis.frame_bounds(d, np.zeros(3), 2), "generator is identically zero"),
+        (lambda s, d: gsis.canonical_generator(d, []), "omega must be nonempty"),
+    ],
+    ids=["riesz outside omega", "riesz zero generator", "frame zero generator", "canonical empty omega"],
+)
+def test_generator_systems_reject_each_bad_argument(p3, call, message):
+    _, shifts, decomp = p3
+    with pytest.raises(ValueError, match=message):
+        call(shifts, decomp)

@@ -308,3 +308,13 @@ def test_one_shift_gap_is_the_pairwise_gap_bit_for_bit():
         cases.append(decomp.eigenvalues[0])
     for values in cases:
         assert gsis.spectral._min_distance(values[:, None]) == _pairwise_min_distance(values)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [({(1,): 1.0}, r"exponent \(1,\) has length 1, expected 2"), ({(1, -1): 1.0}, "exponents must be nonnegative")],
+)
+def test_polynomial_coefficients_reject_bad_exponents(coeffs, message):
+    _, shifts = gsis.build_circulant(8, [1, 3])
+    with pytest.raises(ValueError, match=message):
+        gsis.apply_polynomial_filter(shifts, coeffs, np.ones(8))
