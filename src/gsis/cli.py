@@ -116,7 +116,7 @@ def _cmd_graph_export(args) -> int:
     files.extend(io.save_decomposition(decomp, out))
     print(
         f"wrote {len(files)} files to {out} "
-        f"(n_vertices={graph.n_vertices}, n_shifts={shifts.n_shifts}, "
+        f"(n_vertices={graph.n_vertices}, n_shifts={len(shifts)}, "
         f"assumption1={decomp.assumption1_holds})"
     )
     return 0
@@ -174,7 +174,7 @@ def _cmd_kernel_make(args) -> int:
             raise ValueError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
         params[name.strip()] = float(value)
-    base = shifts[_index_set([args.base_index], shifts.n_shifts, "--base-index")[0]]
+    base = shifts[_index_set([args.base_index], len(shifts), "--base-index")[0]]
     decomp = diagonalize_simultaneously(shifts)
     kernel = make_kernel(decomp, base, args.family, **params)
     out = Path(args.out)

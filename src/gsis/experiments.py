@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _matrix, _signal, _values, build_circulant
 from .sampling import subset_sampler
-from .spaces import KrylovChain, krylov_subspace
+from .spaces import KrylovChain
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "damped_cosine_signal",
     "run_circulant_experiment",
     "approximation_error",
-    "krylov_level_bases",
     "run_model_comparison",
     "ingest_signals_csv",
 ]
@@ -329,18 +328,6 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
     )
 
 
-def krylov_level_bases(
-    shifts: ShiftSet, generators: Sequence, max_level: int
-) -> list[np.ndarray]:
-    """Orthonormal bases of the generated spans at levels 0 .. max_level.
-
-    One incremental build serves all levels: the level-n basis is a
-    column prefix of the final one.
-    """
-    basis, dims = krylov_subspace(shifts, generators, max_level)
-    return [basis[:, :d] for d in dims]
-
-
 def _linf_coordinate_descent(
     basis: np.ndarray, x0: np.ndarray, coeffs: np.ndarray, sweeps: int = 4
 ) -> float:
@@ -377,8 +364,9 @@ def _linf_coordinate_descent(
 def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
     """Relative maximal approximation error of x0 from each listed space.
 
-    ``space_levels`` holds one orthonormal basis per level (see
-    :func:`krylov_level_bases`). Each value is
+    ``space_levels`` holds one orthonormal basis per level, such as the
+    column prefixes ``basis[:, :d] for d in dims`` of
+    :func:`~gsis.spaces.krylov_subspace`. Each value is
     ``min_c ||x0 - basis @ c||_inf / ||x0||_inf`` approximated from above:
     the least-squares coefficients are refined by coordinate descent and
     the achieved value reported, clamped to be nonincreasing since the

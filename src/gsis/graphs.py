@@ -192,23 +192,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self._i)
 
-    def _find(self, i: int, j: int) -> int:
-        """Position of edge (i, j) in the sorted edges, or -1 if absent (binary search)."""
-        a, b = min(i, j), max(i, j)
-        lo, hi = np.searchsorted(self._i, [a, a + 1])
-        k = lo + int(np.searchsorted(self._j[lo:hi], b))
-        return k if k < hi and self._j[k] == b else -1
-
-    def weight_of(self, i: int, j: int) -> float:
-        """Weight of edge (i, j); raises KeyError if absent."""
-        k = self._find(i, j)
-        if k < 0:
-            raise KeyError(f"no edge ({i}, {j})")
-        return float(self._w[k])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._find(i, j) >= 0
-
     def adjacency(self) -> np.ndarray:
         """Weighted adjacency matrix as a dense symmetric array."""
         a = np.zeros((self.n_vertices, self.n_vertices))
@@ -219,12 +202,6 @@ class Graph:
         """Weighted degree of each vertex (row sums of the adjacency), summed over the edges."""
         i, j, w = self._i, self._j, self._w
         return np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), minlength=self.n_vertices)
-
-    def edge_mask(self) -> np.ndarray:
-        """Boolean matrix marking positions allowed to be nonzero in a shift."""
-        m = np.eye(self.n_vertices, dtype=bool)
-        m[self._i, self._j] = m[self._j, self._i] = True
-        return m
 
 
 @dataclass(frozen=True)
@@ -547,10 +524,6 @@ class ShiftSet:
     @property
     def n_vertices(self) -> int:
         return self.graph.n_vertices
-
-    @property
-    def n_shifts(self) -> int:
-        return len(self.shifts)
 
     def __len__(self) -> int:
         return len(self.shifts)

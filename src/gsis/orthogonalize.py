@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .graphs import _matrix
+from .graphs import _index, _matrix
 
 __all__ = ["OrthogonalBasis", "ADDED", "DEPENDENT", "INVISIBLE", "DROP_REL", "INVISIBLE_REL"]
 
@@ -96,7 +96,7 @@ class OrthogonalBasis:
     """
 
     def __init__(self, n: int, weight=None):
-        self.n = int(n)
+        self.n = _index(n, "n")
         if weight is not None and (isinstance(weight, np.ndarray) or not hasattr(weight, "__matmul__")):
             weight = _matrix(weight, (None, self.n), "weight")
         self.weight = weight

@@ -106,10 +106,6 @@ class SamplingScheme:
             raise ValueError(f"operand of shape {x.shape} under a scheme on {self.n_vertices} vertices")
         return self.matrix @ x if self._take is None else x[self._take]
 
-    def apply(self, x) -> np.ndarray:
-        """``A x`` for a signal-like ``x`` of N finite values."""
-        return self @ _signal(x, self.n_vertices, "x")
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -227,9 +223,9 @@ def check_dynamic_injective(
     idx = _index_set(omega, decomp.n_vertices, "omega indices")
     (initial_vertex,) = _index_set([initial_vertex], decomp.n_vertices, "initial_vertex")
     n_snapshots = _index(n_snapshots, "n_snapshots")
+    lam = decomp.eigenvalues_of(state_matrix, "state matrix")
     if not idx:
         return DynamicInjectivity(True, "injective")
-    lam = decomp.eigenvalues_of(state_matrix, "state matrix")
     if n_snapshots < len(idx):
         return DynamicInjectivity(
             False, f"insufficient snapshots ({n_snapshots} < {len(idx)})"
@@ -414,9 +410,9 @@ def degenerate_dimension_check(
         commute with it: ``||A.T A S - S A.T A||_F`` above
         ``1e-8 * max(1, ||S||_F) * max(1, ||A.T A||_F)``.
     """
-    if shifts.n_shifts != 1:
+    if len(shifts) != 1:
         raise ValueError(
-            f"the one-dimension-per-level law needs a single shift, got {shifts.n_shifts}"
+            f"the one-dimension-per-level law needs a single shift, got {len(shifts)}"
         )
     if scheme is not None:
         normal = scheme.matrix.T @ scheme.matrix

@@ -381,7 +381,7 @@ def canonical_generator(
     for _ in range(SCALARIZATION_DRAWS):
         d = rng.standard_normal(decomp.n_shifts)
         d /= np.linalg.norm(d)
-        scalar = decomp.joint_spectrum[idx] @ d
+        scalar = decomp.eigenvalues[:, idx].T @ d
         if _min_gap(scalar) <= DISTINCT_REL * max(float(np.ptp(scalar)), 1e-300):
             continue
         t = _combination(decomp.shifts, d)

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index_set, _matrix, _values
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _matrix, _values
 
 __all__ = [
     "SpectralDecomposition",
@@ -27,9 +27,7 @@ __all__ = [
     "gft",
     "igft",
     "apply_polynomial_filter",
-    "polynomial_filter_matrix",
     "is_polynomial_filter",
-    "lagrange_projector",
     "graded_multi_indices",
     "DIAGONALIZATION_REL",
     "DIAGONALIZATION_DRAWS",
@@ -40,6 +38,7 @@ DIAGONALIZATION_REL = 1e-9  # accepted residual ||S U - U diag||_F / ||S||_F per
 DIAGONALIZATION_DRAWS = 8  # random combinations tried before giving up
 DISTINCT_REL = 1e-8  # tie gap, relative to the joint spectrum's bounding-box diagonal
 _ROTATION_CHUNK = 64  # tied groups rotated per batch, so the batch stays far below N x N
+_RESIDUAL_ROWS = 64  # basis rows per block of the residual check
 _DRAW_SEED = 0  # seeds the random combinations; the tied-group rotation makes the basis ignore it
 
 
@@ -98,11 +97,6 @@ class SpectralDecomposition:
     @property
     def n_shifts(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def joint_spectrum(self) -> np.ndarray:
-        """(N, L) array whose row n is the joint eigenvalue vector of column n."""
-        return self.eigenvalues.T
 
     def eigenvalues_of(self, matrix: ShiftMatrix | np.ndarray, what: str) -> np.ndarray:
         """Eigenvalue of ``matrix`` on each basis column.
@@ -247,18 +241,24 @@ def _eigenvector_rows(shifts: ShiftSet, rng: np.random.Generator) -> np.ndarray:
     The combination, or the copy of a lone shift, is a shift of its own, so
     the dense ``matrix`` that ``eigh`` reads is not kept on the family.
     """
-    if shifts.n_shifts == 1:
+    if len(shifts) == 1:
         combo = ShiftMatrix._from_edges(shifts.graph, shifts[0].diagonal, shifts[0].edge_weights)
     else:
-        d = rng.standard_normal(shifts.n_shifts)
+        d = rng.standard_normal(len(shifts))
         d /= np.linalg.norm(d)
         combo = _combination(shifts, d)
     return np.linalg.eigh(combo.matrix)[1].T.copy()
 
 
 def _residual_norm(image: np.ndarray, lam: np.ndarray, rows: np.ndarray) -> float:
-    """``||S U - U diag(lam)||_F`` from the rows ``S u_n``, which it overwrites with the residual."""
-    image -= lam[:, None] * rows
+    """``||S U - U diag(lam)||_F`` from the rows ``S u_n``, which it overwrites with the residual.
+
+    The subtraction runs :data:`_RESIDUAL_ROWS` rows at a time, so its
+    temporary stays far below N x N.
+    """
+    for lo in range(0, len(rows), _RESIDUAL_ROWS):
+        block = slice(lo, lo + _RESIDUAL_ROWS)
+        image[block] -= lam[block, None] * rows[block]
     return np.linalg.norm(image)
 
 
@@ -324,7 +324,7 @@ def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
                 max_residual=float(rel.max()),
                 shifts=shifts,
             )
-        if fourier is not None or shifts.n_shifts == 1:
+        if fourier is not None or len(shifts) == 1:
             break
     raise DiagonalizationError(
         f"no common eigenbasis within tolerance {DIAGONALIZATION_REL:.1e} "
@@ -391,17 +391,12 @@ def apply_polynomial_filter(shifts: ShiftSet, coeffs: Mapping, x) -> np.ndarray:
     shift costs d applications.
     """
     vals = _values(x)
-    cmap = _normalize_coeffs(coeffs, shifts.n_shifts)
+    cmap = _normalize_coeffs(coeffs, len(shifts))
     cache: dict = {}
     out = np.zeros_like(vals)
     for alpha, h in cmap.items():
         out = out + h * _monomial_apply(shifts, alpha, vals, cache)
     return out
-
-
-def polynomial_filter_matrix(shifts: ShiftSet, coeffs: Mapping) -> np.ndarray:
-    """Dense matrix of the polynomial filter, built by shift application."""
-    return apply_polynomial_filter(shifts, coeffs, np.eye(shifts.n_vertices))
 
 
 def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
@@ -419,19 +414,6 @@ def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
     scale = max(s._frobenius_norm() for s in shifts)
     worst = max(float(np.linalg.norm(h @ s - s @ h)) for s in shifts)
     return worst <= MATRIX_REL * max(1.0, float(np.linalg.norm(h)) * max(1.0, scale))
-
-
-def lagrange_projector(decomp: SpectralDecomposition, n: int) -> np.ndarray:
-    """Rank-one projector ``u_n u_n.T`` onto the n-th eigenvector.
-
-    When the joint eigenvalues are pairwise distinct this equals the
-    interpolating polynomial of the shifts that is 1 at eigenvalue n and 0
-    elsewhere; without distinctness it is still a valid projector but has
-    no polynomial representation.
-    """
-    (n,) = _index_set([n], decomp.n_vertices, "eigenvector index")
-    u = decomp.basis[:, n]
-    return np.outer(u, u)
 
 
 def graded_multi_indices(n_shifts: int, max_total: int) -> list[tuple[int, ...]]:

@@ -163,7 +163,7 @@ def _unpruned_chain(mats, gens, scheme, top):
     statuses, margins, largest = [], [], np.zeros(2)
 
     def offer(v):
-        parts = [v.copy(), v.copy() if scheme is None else scheme.apply(v)]
+        parts = [v.copy(), v.copy() if scheme is None else scheme @ v]
         largest[:] = np.maximum(largest, [np.linalg.norm(x) for x in parts])
         for x, q in zip(parts, (basis.basis, basis.images)):
             for _ in range(2):
@@ -302,7 +302,7 @@ def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invis
     phi = np.eye(n)[center]
     _, dims, statuses, _ = _unpruned_chain(list(shifts), [phi], scheme, level)
     assert (INVISIBLE in statuses) is invisible
-    y = scheme.apply(np.random.default_rng(0).standard_normal(n))
+    y = scheme @ np.random.default_rng(0).standard_normal(n)
     if invisible:
         with pytest.raises(gsis.DegenerateInnerProductError):
             gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=level)

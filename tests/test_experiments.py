@@ -308,7 +308,8 @@ def test_krylov_level_bases_are_prefixes():
     _, shifts = gsis.build_circulant(20, [1, 3])
     phi = np.zeros(20)
     phi[10] = 1.0
-    spaces = gsis.krylov_level_bases(shifts, [phi], 4)
+    basis, dims = gsis.krylov_subspace(shifts, [phi], 4)
+    spaces = [basis[:, :d] for d in dims]
     assert len(spaces) == 5
     dims = [b.shape[1] for b in spaces]
     assert dims == sorted(dims)
@@ -319,7 +320,8 @@ def test_krylov_level_bases_are_prefixes():
 def test_approximation_error_path_oracle(p3):
     graph, shifts, decomp = p3
     phi = np.array([0.0, 1.0, 0.0])
-    spaces = gsis.krylov_level_bases(shifts, [phi], 2)
+    basis, dims = gsis.krylov_subspace(shifts, [phi], 2)
+    spaces = [basis[:, :d] for d in dims]
     errs = gsis.approximation_error(spaces, np.array([1.0, 0.0, 0.0]))
     # level 0 can only touch the middle vertex; level 1 splits the
     # residual evenly between the endpoints; level 2 adds nothing since
@@ -333,7 +335,8 @@ def test_approximation_error_path_oracle(p3):
 def test_approximation_error_in_span_and_zero(p3):
     graph, shifts, decomp = p3
     phi = np.array([1.0, 2.0, -1.0])
-    spaces = gsis.krylov_level_bases(shifts, [phi], 1)
+    basis, dims = gsis.krylov_subspace(shifts, [phi], 1)
+    spaces = [basis[:, :d] for d in dims]
     errs = gsis.approximation_error(spaces, 3.0 * phi)
     assert errs[0] <= 1e-12
     with pytest.raises(ValueError):
@@ -348,7 +351,8 @@ def test_approximation_error_decay_bound():
     x0 = gsis.damped_cosine_signal(100, 1.0, decay, 2.0 * np.pi / 5.0)
     phi = np.zeros(100)
     phi[50] = 1.0
-    spaces = gsis.krylov_level_bases(shifts, [phi], 8)
+    basis, dims = gsis.krylov_subspace(shifts, [phi], 8)
+    spaces = [basis[:, :d] for d in dims]
     errs = gsis.approximation_error(spaces, x0)
     for n in range(1, 9):
         assert errs[n] <= np.exp(-(3 * n - 1) * decay) + 1e-12

@@ -5,6 +5,9 @@ import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
+
+import numpy as np
 
 import gsis
 
@@ -37,6 +40,23 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis.spectral, "_norm_and_image")
     # signals pass graphs._signal, so its flattening helper does not return
     assert not hasattr(gsis.graphs, "_vector")
+    # wrappers of one expression: callers write the expression
+    for owner, member in (
+        (gsis, "krylov_level_bases"),
+        (gsis.experiments, "krylov_level_bases"),
+        (gsis, "polynomial_filter_matrix"),
+        (gsis.spectral, "polynomial_filter_matrix"),
+        (gsis, "lagrange_projector"),
+        (gsis.spectral, "lagrange_projector"),
+        (gsis.SamplingScheme, "apply"),
+        (gsis.SpectralDecomposition, "joint_spectrum"),
+        (gsis.ShiftSet, "n_shifts"),
+        (gsis.Graph, "weight_of"),
+        (gsis.Graph, "has_edge"),
+        (gsis.Graph, "_find"),
+        (gsis.Graph, "edge_mask"),
+    ):
+        assert not hasattr(owner, member), f"{owner.__name__}.{member}"
     for info in pkgutil.iter_modules(gsis.__path__):
         if info.name != "graphs":
             source = inspect.getsource(importlib.import_module(f"gsis.{info.name}"))
@@ -69,7 +89,6 @@ REMOVED_KEYWORDS = {
     "is_polynomial_filter": ("tol", "decomp"),
     "check_injective": ("tol",),
     "check_dynamic_injective": ("gap_rel",),
-    "polynomial_filter_matrix": ("decomp",),
     "apply_polynomial_filter": ("decomp",),
     "SamplingScheme": ("provenance", "vertices", "initial_vertex", "n_snapshots"),
 }
@@ -121,3 +140,33 @@ def test_every_reexported_name_is_listed():
         for name in getattr(module, "__all__", ()):
             if getattr(gsis, name, None) is getattr(module, name):
                 assert name in gsis.__all__, f"gsis.{name} is imported but not in gsis.__all__"
+
+
+def test_the_benchmark_tracer_records_spans_and_restores_every_binding(monkeypatch):
+    # bench/tracer.py wraps the public functions and the methods in its METHODS by
+    # name, so deleting one of those breaks every traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import LAYERS, METHODS, Tracer
+
+    modules = [gsis, *(importlib.import_module(f"gsis.{layer}") for layer in LAYERS)]
+    before = [dict(vars(module)) for module in modules]
+    classes = [
+        (getattr(importlib.import_module(f"gsis.{layer}"), cls_name), methods)
+        for layer, owners in METHODS.items()
+        for cls_name, methods in owners.items()
+    ]
+    members = [dict(vars(cls)) for cls, _ in classes]
+    _, shifts = gsis.build_circulant(12, (1, 3))
+    phi = np.eye(12)[6]
+    scheme = gsis.subset_sampler(12, range(3, 10))
+    with Tracer() as tracer:
+        assert gsis.reconstruct_krylov is not before[0]["reconstruct_krylov"]
+        gsis.reconstruct_krylov(shifts, [phi], scheme, np.ones(7), max_level=1)
+    assert len(tracer) > 0
+    assert {"sampling.reconstruct_krylov", "orthogonalize.OrthogonalBasis.try_add"} <= set(tracer.names)
+    for module, saved in zip(modules, before):
+        for attr, value in saved.items():
+            assert getattr(module, attr) is value, f"{module.__name__}.{attr}"
+    for (cls, methods), saved in zip(classes, members):
+        for method in methods:
+            assert vars(cls)[method] is saved[method], f"{cls.__name__}.{method}"

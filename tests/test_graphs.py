@@ -13,9 +13,10 @@ def test_graph_normalizes_edges():
     g = gsis.Graph(4, [(2, 0), (1, 2), (3, 2)])
     assert g.edges == ((0, 2), (1, 2), (2, 3))
     assert g.weights == (1.0, 1.0, 1.0)
-    assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert not g.has_edge(0, 1)
-    assert g.weight_of(2, 3) == 1.0
+    a = g.adjacency()
+    assert a[0, 2] and a[2, 0]
+    assert not a[0, 1]
+    assert a[2, 3] == 1.0
 
 
 def test_graph_rejects_bad_input():
@@ -156,7 +157,7 @@ def test_shift_set_requires_commuting():
 
 def test_build_circulant_structure():
     g, shifts = gsis.build_circulant(10, [1, 3])
-    assert shifts.n_shifts == 2 and g.n_vertices == 10
+    assert len(shifts) == 2 and g.n_vertices == 10
     s1 = shifts[0].matrix
     # rows: 1 on the diagonal, -1/2 at offsets +-q
     assert np.allclose(np.diag(s1), 1.0)

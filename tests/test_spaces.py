@@ -248,7 +248,7 @@ def test_frame_sandwich_circulant():
 def _frame_bounds_on_the_space(shifts, decomp, phi, level):
     """Extreme singular values of the shifted family, applied on the generated space."""
     family = []
-    for alpha in gsis.graded_multi_indices(shifts.n_shifts, level - 1):
+    for alpha in gsis.graded_multi_indices(len(shifts), level - 1):
         v = phi.copy()
         for l, a in enumerate(alpha):
             for _ in range(a):
