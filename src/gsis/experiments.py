@@ -70,7 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("offsets", "p_values", "levels"):
             object.__setattr__(self, name, tuple(_index(k, name) for k in getattr(self, name)))
-        object.__setattr__(self, "trials", _index(self.trials, "trials"))
+        for name in ("n_vertices", "trials"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -454,6 +455,8 @@ def run_model_comparison(
     if rule not in ("adaptive", "nonadaptive"):
         raise ValueError(f"unknown generator rule {rule!r}")
     n_generators = _index(n_generators, "n_generators")
+    if n_generators < 1:
+        raise ValueError(f"n_generators must be positive, got {n_generators}")
     levels = tuple(_index(k, "levels") for k in levels)
     if not levels or min(levels) < 0:
         raise ValueError("levels must be a nonempty sequence of nonnegative integers")

@@ -122,6 +122,7 @@ class Observation:
 
 def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
     """Scheme that reads the signal at a sorted set of vertices."""
+    n_vertices = _index(n_vertices, "n_vertices")
     idx = _distinct_index_set(vertices, n_vertices, "sampling vertices")
     if not idx:
         raise ValueError("at least one sampling vertex is required")

@@ -279,29 +279,29 @@ class KrylovChain(OrthogonalBasis):
         dimension, so ``evaluate(coefficients)`` gives every column's
         signal, and ``residual_norms[k, j]`` is its residual norm after
         level k (NaN past ``depths[j]``).  The chain grows only as deep as
-        some column needs.
+        some column needs.  For K >= 2 a column's results do not depend on
+        the other columns, bit for bit with OpenBLAS's matrix-matrix
+        kernels; a lone column takes numpy's matrix-vector path.
         """
         e = np.array(y, dtype=float)
         caps = np.asarray(caps, dtype=int)
-        k = e.shape[1]
         blocks, norms = [], []
-        depths = np.zeros(k, dtype=int)
-        active = np.ones(k, dtype=bool)
-        level = 0
-        while active.any() and self.grow_to(level):
-            cols = np.flatnonzero(active)
+        active = np.ones(e.shape[1], dtype=bool)
+        depths = np.full(e.shape[1], -1)
+        # every level runs on all K columns; a stopped column's coefficients are
+        # zero, so its residual loses exactly 0.0.  The images enter the product
+        # row-major and padded with a zero column, so the BLAS rounds a column
+        # alike wherever it sits (the column-major slice, or one row, did not)
+        while active.any() and self.grow_to(level := len(blocks)):
+            depths += active
             new = self.images[:, (self.dims[level - 1] if level else 0) : self.dims[level]]
-            block = np.zeros((new.shape[1], k))
-            block[:, cols] = new.T @ e[:, cols]
-            e[:, cols] = e[:, cols] - new @ block[:, cols]
-            blocks.append(block)
-            norms.append(np.full(k, np.nan))
-            norms[-1][cols] = np.linalg.norm(e[:, cols], axis=0)
-            depths[cols] = level
-            active[cols] = (caps[cols] > level) & (norms[-1][cols] > delta)
-            level += 1
-        coefficients = np.concatenate(blocks)
-        return ChainFit(e, coefficients, depths, np.array(norms))
+            padded = np.zeros((len(e), new.shape[1] + 1))
+            padded[:, :-1] = new
+            blocks.append((padded.T @ e)[:-1] * active)
+            e -= new @ blocks[-1]
+            norms.append(np.where(active, np.linalg.norm(e, axis=0), np.nan))
+            active &= (caps > level) & (norms[-1] > delta)
+        return ChainFit(e, np.concatenate(blocks), depths, np.array(norms))
 
 
 def krylov_subspace(

@@ -77,14 +77,17 @@ def test_config_rejects_fractional_counts_and_a_nan_delta():
         ("p_values", (2.7,), "2.7"),
         ("offsets", (1, 3.5), "3.5"),
         ("trials", 2.5, "2.5"),
+        ("n_vertices", 100.5, "100.5"),
     ):
         with pytest.raises(ValueError, match=rf"{name} must be integers, got {bad}"):
             gsis.ExperimentConfig(**{name: value})
     with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
         gsis.ExperimentConfig(delta=float("nan"))
-    config = gsis.ExperimentConfig(levels=(1.0, 2), p_values=(np.int64(2),), trials=2.0)
-    assert (config.levels, config.p_values, config.trials) == ((1, 2), (2,), 2)
-    assert all(type(k) is int for k in (*config.levels, *config.p_values, config.trials))
+    config = gsis.ExperimentConfig(n_vertices=40.0, levels=(1.0, 2), p_values=(np.int64(2),), trials=2.0)
+    assert (config.n_vertices, config.levels, config.p_values, config.trials) == (40, (1, 2), (2,), 2)
+    assert all(type(k) is int for k in (config.n_vertices, *config.levels, *config.p_values, config.trials))
+    # a float vertex count used to pass here and then raise TypeError in the run
+    assert gsis.run_circulant_experiment(config).re_trials.shape == (2, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -171,6 +174,27 @@ def test_experiment_noiseless_monotone():
         threshold = (p + 1) // 3 + 1
         settled = [re[i, j] for i, n in enumerate(cfg.levels) if n >= threshold]
         assert max(settled) - min(settled) <= 1e-8
+
+
+def test_a_cells_errors_do_not_depend_on_the_grid_shape():
+    # the fit runs every column at every level, so a cell's errors come out
+    # bit for bit the same when trials, or levels and radii, are added; the
+    # last grid has 15 columns a radius and levels that add one direction,
+    # where an unpadded column-major product rounds a column by its place
+    full = gsis.run_circulant_experiment(gsis.ExperimentConfig(seed=3))
+    for grid in (
+        {"trials": 3},
+        {"levels": (4, 11), "p_values": (7, 30)},
+        {"levels": (3, 9, 17), "p_values": (2, 20, 44), "trials": 5},
+    ):
+        part = gsis.run_circulant_experiment(gsis.ExperimentConfig(seed=3, **grid))
+        cells = np.ix_(
+            [full.config.levels.index(n) for n in part.config.levels],
+            [full.config.p_values.index(p) for p in part.config.p_values],
+            range(part.config.trials),
+        )
+        for name in ("re_trials", "se_trials"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[cells]), (grid, name)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
@@ -482,6 +506,11 @@ def test_model_comparison_validation():
         gsis.run_model_comparison(shifts, decomp, [x], levels=[])
     with pytest.raises(ValueError):
         gsis.run_model_comparison(shifts, decomp, [x], levels=[-1])
+    # -1 used to slice the ranking as order[:-1], so N - 1 vertices became generators
+    for rule in ("adaptive", "nonadaptive"):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="n_generators must be positive"):
+                gsis.run_model_comparison(shifts, decomp, [x], rule=rule, n_generators=k, levels=[0])
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,8 @@ COUNT_CALLS = {
     "dynamic_sampler": ("n_snapshots", lambda s, d, k: gsis.dynamic_sampler(d, s[0].matrix, 0, k)),
     "frame_bounds": ("level", lambda s, d, k: gsis.frame_bounds(d, np.ones(3), k)),
     "OrthogonalBasis": ("n", lambda s, d, k: gsis.OrthogonalBasis(k)),
+    # 1.7 used to give a scheme of shape (2, 1.7), and 2.0 one whose matrix raised TypeError
+    "subset_sampler": ("n_vertices", lambda s, d, k: gsis.subset_sampler(k, [0, 1]).matrix),
     "krylov_subspace": ("level", lambda s, d, k: gsis.krylov_subspace(s, [np.eye(3)[0]], k)),
     "run_model_comparison levels": (
         "levels",
