@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _matrix, _signal, _values, build_circulant
+from .graphs import Graph, Signal, ShiftSet, _distinct_index_set, _index, _matrix, _seed, _signal, _values, build_circulant
 from .sampling import subset_sampler
 from .spaces import KrylovChain
 from .spectral import SpectralDecomposition
@@ -72,9 +72,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(_index(k, name) for k in getattr(self, name)))
         for name in ("n_vertices", "trials"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
         # the noise range is [-sigma, sigma], so its width 2 * sigma must be finite too
         if not (self.sigma >= 0 and math.isfinite(2.0 * self.sigma)):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")

@@ -74,14 +74,21 @@ def _matrix(m, shape: tuple[int | None, int | None], what: str) -> np.ndarray:
 
 
 def _index(k, what: str) -> int:
-    """``k`` as an int; integral floats such as ``2.0`` pass, ``1.7`` raises."""
+    """``k`` as an int; integral floats such as ``2.0`` pass, ``1.7`` and non-numbers such as ``None`` raise."""
     try:
         i = int(k)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         i = None
     if i is None or i != k:
         raise ValueError(f"{what} must be integers, got {k!r}")
     return i
+
+
+def _seed(seed) -> int:
+    """``seed`` as an int, checked to be a nonnegative integer (an integral float does not pass)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def _index_set(indices, n: int, what: str) -> list[int]:
@@ -117,7 +124,7 @@ class Graph:
     Parameters
     ----------
     n_vertices : int
-        Number of vertices; vertex ids are ``0 .. n_vertices - 1``.
+        Number of vertices (``4.0`` passes, ``4.5`` raises); vertex ids are ``0 .. n_vertices - 1``.
     edges : iterable of (int, int), or an (E, 2) integer array
         Undirected edges. Stored sorted with each pair normalized to
         ``i < j``. Self loops and duplicates are rejected.
@@ -137,7 +144,8 @@ class Graph:
         edges: Iterable[tuple[int, int]] | np.ndarray = (),
         weights: Iterable[float] | None = None,
     ):
-        if not isinstance(n_vertices, (int, np.integer)) or n_vertices < 1:
+        n_vertices = _index(n_vertices, "n_vertices")
+        if n_vertices < 1:
             raise ValueError(f"n_vertices must be a positive integer, got {n_vertices!r}")
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
@@ -164,7 +172,7 @@ class Graph:
         i, j, w = lo[order], hi[order], w[order]
         if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
             raise ValueError("duplicate edges are not allowed")
-        object.__setattr__(self, "n_vertices", int(n_vertices))
+        object.__setattr__(self, "n_vertices", n_vertices)
         for name, value in (("_i", i), ("_j", j), ("_w", w)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -236,9 +244,8 @@ class ShiftMatrix:
     more, sorted by row (``_rows``, ``_cols``, ``_weights``; row r at
     ``_ptr[r]:_ptr[r+1]``), each row in the order edges i -> j, edges
     j -> i, diagonal; the vector apply, the commutator join and
-    ``io.save_shift_csv`` read this list.  ``matrix`` is the dense (N, N)
-    array, built on first access and then kept, for user code: the package
-    applies a shift only as ``S @ X`` or ``X @ S``.
+    ``io.save_shift_csv`` read this list.  ``matrix``, the dense (N, N)
+    array, is built on each read and kept by nothing.
 
     ``ShiftMatrix(matrix, graph)`` checks a dense input against
     ``frobenius_tol(S)`` (relative :data:`MATRIX_REL`) for symmetry and for
@@ -248,14 +255,13 @@ class ShiftMatrix:
     ``S @ x`` on a vector is ``bincount(_rows, _weights * x[_cols])``,
     which costs O(N + 2|E|) instead of O(N^2) and equals ``diag * x +
     bincount`` over the off-diagonal entries alone.  A 2-D operand X takes
-    the slot apply or the product with one transient dense copy
-    (:meth:`_dense`), as the block-apply cost rule picks
-    (:meth:`_slots_pay`), and a stacked one always takes the copy; ``X @ S``
-    is ``(S @ X.T).T`` on the slot side, S being symmetric.  Slot k holds
-    each row's k-th stored entry; ``S @ X`` adds, slot by slot, one gather
-    of rows of X times that slot's weights, so every row adds its terms in
-    the vector apply's order and every column equals ``S @ X[:, j]`` bit
-    for bit.
+    the slot apply or the product with ``matrix``, as the block-apply cost
+    rule picks (:meth:`_slots_pay`), and a stacked one always takes
+    ``matrix``; ``X @ S`` is ``(S @ X.T).T`` on the slot side, S being
+    symmetric.  Slot k holds each row's k-th stored entry; ``S @ X`` adds,
+    slot by slot, one gather of rows of X times that slot's weights, so
+    every row adds its terms in the vector apply's order and every column
+    equals ``S @ X[:, j]`` bit for bit.
 
     Raises
     ------
@@ -318,19 +324,14 @@ class ShiftMatrix:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def _dense(self) -> np.ndarray:
-        """Fresh (N, N) copy of ``matrix`` that nothing keeps: edge weights at both orientations, the diagonal."""
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only (N, N) array, built on each read and kept by nothing."""
         n = self.n_vertices
         m = np.zeros((n, n))
         i, j = self.graph._i, self.graph._j
         m[i, j] = m[j, i] = self.edge_weights
         np.fill_diagonal(m, self.diagonal)
-        return m
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense read-only (N, N) array, built by :meth:`_dense` on first access and then kept."""
-        m = self._dense()
         m.flags.writeable = False
         return m
 
@@ -400,10 +401,10 @@ class ShiftMatrix:
     __array_ufunc__ = None
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        """``S @ x``: edge-list apply for a vector; slots for a 2-D X the cost rule gives them; else a dense copy."""
+        """``S @ x``: edge-list apply for a vector; slots for a 2-D X the cost rule gives them; else ``matrix @ x``."""
         x = np.asarray(other)
         if x.ndim != 1:
-            return self._slot_apply(x) if x.ndim == 2 and self._slots_pay() else self._dense() @ x
+            return self._slot_apply(x) if x.ndim == 2 and self._slots_pay() else self.matrix @ x
         n = self.n_vertices
         if x.shape[0] != n:
             raise ValueError(f"vector of length {x.shape[0]} for a shift on {n} vertices")
@@ -411,11 +412,11 @@ class ShiftMatrix:
         return np.bincount(self._rows, self._weights * x[self._cols], minlength=n).astype(float, copy=False)
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
-        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; off the slots, X times a dense copy."""
+        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; off the slots, ``X @ matrix``."""
         x = np.asarray(other)
         if x.ndim == 1:
             return self @ x
-        return self._slot_apply(x.T).T if x.ndim == 2 and self._slots_pay() else x @ self._dense()
+        return self._slot_apply(x.T).T if x.ndim == 2 and self._slots_pay() else x @ self.matrix
 
 
 class CommutativityCheck(NamedTuple):
@@ -628,7 +629,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, np.column_stack(np.triu_indices(max(n, 0), 1)))
+    return Graph(n, np.column_stack(np.triu_indices(max(_index(n, "n"), 0), 1)))
 
 
 def read_edge_list(path: str | Path) -> Graph:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DistinctnessError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _matrix, _signal
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _distinct_index_set, _index, _index_set, _matrix, _seed, _signal
 from .orthogonalize import ADDED, INVISIBLE, OrthogonalBasis
 from .spectral import DISTINCT_REL, SpectralDecomposition, _combination, _min_gap, graded_multi_indices
 
@@ -376,7 +376,7 @@ def canonical_generator(
             "joint eigenvalues repeat on omega; no single-generator description exists"
         )
     phi0 = decomp.basis[:, idx] @ np.ones(len(idx))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     m = len(idx)
     for _ in range(SCALARIZATION_DRAWS):
         d = rng.standard_normal(decomp.n_shifts)

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DiagonalizationError
-from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _matrix, _values
+from .graphs import MATRIX_REL, ShiftMatrix, ShiftSet, _index, _matrix, _signal, _values
 
 __all__ = [
     "SpectralDecomposition",
@@ -236,17 +236,11 @@ def _rotate_tied_groups(groups: list[np.ndarray], rows: np.ndarray, images) -> N
 
 
 def _eigenvector_rows(shifts: ShiftSet, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvectors, as rows, of one random unit combination of the shifts (of the shift itself, for one).
-
-    The combination, or the copy of a lone shift, is a shift of its own, so
-    the dense ``matrix`` that ``eigh`` reads is not kept on the family.
-    """
-    if len(shifts) == 1:
-        combo = ShiftMatrix._from_edges(shifts.graph, shifts[0].diagonal, shifts[0].edge_weights)
-    else:
+    """Eigenvectors, as rows, of one random unit combination of the shifts (of the shift itself, for one)."""
+    combo = shifts[0]
+    if len(shifts) > 1:
         d = rng.standard_normal(len(shifts))
-        d /= np.linalg.norm(d)
-        combo = _combination(shifts, d)
+        combo = _combination(shifts, d / np.linalg.norm(d))
     return np.linalg.eigh(combo.matrix)[1].T.copy()
 
 
@@ -279,10 +273,9 @@ def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
     grouping, rotation and check run once on it.
 
     The combination is summed over the diagonals and edge weights (see
-    :func:`_eigenvector_rows`), so no shift of the family caches a dense
-    matrix.  Each shift's image is ``rows @ S_l`` (see :class:`ShiftMatrix`)
-    and its norm comes from its edge weights.  The images are the basis'
-    only check against the shifts.
+    :func:`_combination`).  Each shift's image is ``rows @ S_l`` (see
+    :class:`ShiftMatrix`) and its norm comes from its edge weights.  The
+    images are the basis' only check against the shifts.
 
     Raises
     ------
@@ -333,34 +326,36 @@ def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
     )
 
 
+def _signals(x, n: int, what: str) -> np.ndarray:
+    """One signal through :func:`~gsis.graphs._signal`, or an (N, K) block through :func:`~gsis.graphs._matrix`."""
+    v = _values(x)
+    return _signal(v, n, what) if v.ndim < 2 else _matrix(v, (n, None), what)
+
+
 def gft(decomp: SpectralDecomposition, x) -> np.ndarray:
     """Graph Fourier transform ``x_hat = U.T x`` (accepts (N,) or (N, K))."""
-    return decomp.basis.T @ _values(x)
+    return decomp.basis.T @ _signals(x, decomp.n_vertices, "signal")
 
 
 def igft(decomp: SpectralDecomposition, x_hat) -> np.ndarray:
-    """Inverse transform ``x = U x_hat``."""
-    return decomp.basis @ np.asarray(x_hat, dtype=float)
+    """Inverse transform ``x = U x_hat`` (accepts (N,) or (N, K))."""
+    return decomp.basis @ _signals(x_hat, decomp.n_vertices, "x_hat")
 
 
-def _normalize_coeffs(
-    coeffs: Mapping, n_shifts: int
-) -> dict[tuple[int, ...], float]:
+def _normalize_coeffs(coeffs: Mapping, n_shifts: int) -> dict[tuple[int, ...], float]:
     out: dict[tuple[int, ...], float] = {}
     for key, value in coeffs.items():
-        if isinstance(key, (int, np.integer)):
+        if not isinstance(key, tuple):
             if n_shifts != 1:
-                raise ValueError(
-                    f"scalar exponent {key} is ambiguous with {n_shifts} shifts; "
-                    "use a tuple of exponents"
-                )
-            key = (int(key),)
-        else:
-            key = tuple(int(a) for a in key)
+                raise ValueError(f"scalar exponent {key} is ambiguous with {n_shifts} shifts; use a tuple of exponents")
+            key = (key,)
+        key = tuple(_index(a, "exponents") for a in key)
         if len(key) != n_shifts:
             raise ValueError(f"exponent {key} has length {len(key)}, expected {n_shifts}")
         if any(a < 0 for a in key):
             raise ValueError(f"exponents must be nonnegative, got {key}")
+        if not np.isfinite(float(value)):
+            raise ValueError(f"filter coefficient of {key} must be finite, got {value!r}")
         out[key] = out.get(key, 0.0) + float(value)
     return out
 
@@ -386,11 +381,12 @@ def apply_polynomial_filter(shifts: ShiftSet, coeffs: Mapping, x) -> np.ndarray:
     """Apply ``H = sum_alpha h_alpha S_1^a1 ... S_L^aL`` to a signal.
 
     ``coeffs`` maps exponent tuples (or plain ints when there is a single
-    shift) to real coefficients. The filter is evaluated by repeated shift
-    application, memoizing the monomials, so a degree-d polynomial in one
-    shift costs d applications.
+    shift) to finite real coefficients, and ``x`` is one signal or an
+    (N, K) block. The filter is evaluated by repeated shift application,
+    memoizing the monomials, so a degree-d polynomial in one shift costs d
+    applications.
     """
-    vals = _values(x)
+    vals = _signals(x, shifts[0].n_vertices, "signal")
     cmap = _normalize_coeffs(coeffs, len(shifts))
     cache: dict = {}
     out = np.zeros_like(vals)
@@ -417,7 +413,10 @@ def is_polynomial_filter(h_matrix: np.ndarray, shifts: ShiftSet) -> bool:
 
 
 def graded_multi_indices(n_shifts: int, max_total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= max_total, graded then lexicographic."""
+    """All exponent tuples with total degree <= max_total, graded then lexicographic; both counts follow the count rule."""
+    n_shifts, max_total = _index(n_shifts, "n_shifts"), _index(max_total, "max_total")
+    if n_shifts < 1:
+        raise ValueError(f"n_shifts must be positive, got {n_shifts}")
 
     def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if parts == 1:

@@ -118,10 +118,10 @@ def dense_eighs(monkeypatch):
 
 
 class DenseShiftCounter:
-    """Stand-in for ``ShiftMatrix._dense`` that counts the dense shift copies built.
+    """Stand-in for the ``ShiftMatrix.matrix`` property that counts its reads.
 
-    A shift's cached ``matrix`` is built through ``_dense`` too, so
-    ``calls`` counts every N x N shift that is made.
+    ``matrix`` is built on each read, so ``calls`` counts every N x N
+    shift that is made.
     """
 
     def __init__(self, real):
@@ -135,7 +135,7 @@ class DenseShiftCounter:
 
 @pytest.fixture
 def dense_shifts(monkeypatch):
-    """Count the dense copies of shifts (``ShiftMatrix._dense`` calls) that are built."""
-    counter = DenseShiftCounter(gsis.ShiftMatrix._dense)
-    monkeypatch.setattr(gsis.ShiftMatrix, "_dense", lambda shift: counter(shift))
+    """Count the dense copies of shifts (``ShiftMatrix.matrix`` reads) that are built."""
+    counter = DenseShiftCounter(gsis.ShiftMatrix.matrix.fget)
+    monkeypatch.setattr(gsis.ShiftMatrix, "matrix", property(counter))
     return counter

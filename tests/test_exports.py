@@ -33,7 +33,7 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis.graphs, "_entries")
     # a scheme applies itself and a combination of shifts is a shift, so no second path returns
     assert not hasattr(gsis.OrthogonalBasis(4, gsis.subset_sampler(4, [1])), "_rows")
-    assert list(inspect.signature(gsis.ShiftMatrix._dense).parameters) == ["self"]
+    assert not hasattr(gsis.ShiftMatrix, "_dense")
     # a shift applies itself as S @ X or X @ S, and only graphs.py knows how
     assert not hasattr(gsis.ShiftMatrix, "_times")
     assert not hasattr(gsis.ShiftMatrix, "_commutator")

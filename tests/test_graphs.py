@@ -189,8 +189,10 @@ def test_large_circulant_is_built_without_dense_matrices():
         tracemalloc.stop()
     assert all("matrix" not in vars(shift) for shift in shifts)
     assert peak < 16e6  # one dense 2000 x 2000 array alone is 32 MB
-    dense = shifts[0].matrix  # built on first access, then kept
-    assert shifts[0].matrix is dense and not dense.flags.writeable
+    first, second = shifts[0].matrix, shifts[0].matrix  # built on each read, kept by nothing
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert not first.flags.writeable and not second.flags.writeable
+    assert "matrix" not in vars(shifts[0])
 
 
 def test_build_circulant_validation():
@@ -300,3 +302,27 @@ def _edge_file(tmp_path, text):
 def test_graph_builders_reject_each_bad_input(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "build, n, name",
+    [
+        (lambda n: gsis.Graph(n, [(0, 1)]), 4, "n_vertices"),
+        (gsis.path_graph, 4, "n_vertices"),
+        (gsis.cycle_graph, 5, "n_vertices"),
+        (gsis.complete_graph, 4, "n"),
+    ],
+    ids=["Graph", "path_graph", "cycle_graph", "complete_graph"],
+)
+def test_graph_sizes_follow_the_count_rule(build, n, name):
+    graph = build(float(n))
+    assert graph == build(n) and type(graph.n_vertices) is int
+    with pytest.raises(ValueError, match=rf"{name} must be integers, got {n + 0.5}"):
+        build(n + 0.5)
+
+
+def test_a_graph_size_is_a_positive_count():
+    with pytest.raises(ValueError, match="n_vertices must be a positive integer, got 0"):
+        gsis.Graph(0.0)
+    with pytest.raises(ValueError, match="n_vertices must be integers, got None"):
+        gsis.Graph(None)  # a non-number gets the count rule's message, not a bare TypeError

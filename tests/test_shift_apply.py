@@ -144,6 +144,20 @@ def test_the_cost_rule_takes_each_branch():
     assert_same_bits(laplacian @ y, laplacian.matrix @ y)
 
 
+def test_each_dense_shift_is_built_by_one_read_and_kept_by_nothing(dense_shifts):
+    path = gsis.build_standard_shifts(gsis.path_graph(300), "laplacian")
+    assert path._slots_pay()  # the images take the slots, so eigh reads the one dense shift
+    gsis.diagonalize_simultaneously(gsis.ShiftSet((path,)))
+    assert dense_shifts.calls == 1
+    lap = gsis.build_standard_shifts(random_connected_graph(60, np.random.default_rng(15), 120), "laplacian")
+    assert not lap._slots_pay()
+    x = np.random.default_rng(16).standard_normal((60, 5))
+    for k, product in enumerate((lambda: lap @ x, lambda: x.T @ lap, lambda: lap @ x), 2):
+        product()
+        assert dense_shifts.calls == k
+    assert "matrix" not in vars(path) and "matrix" not in vars(lap)
+
+
 @pytest.mark.parametrize("n", [12, 400], ids=["BLAS", "slots"])
 def test_a_complex_block_keeps_its_imaginary_part(n):
     _, (shift, _) = gsis.build_circulant(n, (1, 3))

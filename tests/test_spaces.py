@@ -468,3 +468,10 @@ def test_generator_systems_reject_each_bad_argument(p3, call, message):
     _, shifts, decomp = p3
     with pytest.raises(ValueError, match=message):
         call(shifts, decomp)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_canonical_generator_seed_follows_the_config_rule(p3, seed):
+    _, _, decomp = p3
+    with pytest.raises(ValueError, match=rf"seed must be a nonnegative integer, got {seed!r}"):
+        gsis.canonical_generator(decomp, [0, 1], seed=seed)

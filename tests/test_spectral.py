@@ -249,7 +249,7 @@ def test_the_combined_shift_is_a_shift_on_the_same_graph():
     t = gen.combined_shift
     assert isinstance(t, gsis.ShiftMatrix) and t.graph == graph
     dense = sum(dl * s.matrix for dl, s in zip(gen.direction, shifts))
-    assert t._dense().tobytes() == dense.tobytes()
+    assert t.matrix.tobytes() == dense.tobytes()
     x = np.random.default_rng(14).standard_normal(15)
     assert np.allclose(t @ x, dense @ x, rtol=0, atol=1e-14 * np.linalg.norm(x))
 
@@ -318,3 +318,48 @@ def test_polynomial_coefficients_reject_bad_exponents(coeffs, message):
     _, shifts = gsis.build_circulant(8, [1, 3])
     with pytest.raises(ValueError, match=message):
         gsis.apply_polynomial_filter(shifts, coeffs, np.ones(8))
+
+
+def test_filter_exponents_and_index_counts_follow_the_count_rule(p3):
+    _, (lap,), _ = p3
+    _, two = gsis.build_circulant(8, (1, 2))
+    x = np.arange(8.0)
+    # integral floats pass as their integers, bit for bit
+    assert np.array_equal(gsis.apply_polynomial_filter(two, {(1.0, 2.0): 0.5}, x),
+                          gsis.apply_polynomial_filter(two, {(1, 2): 0.5}, x))
+    single = gsis.ShiftSet((lap,))
+    assert np.array_equal(gsis.apply_polynomial_filter(single, {2.0: 1.0}, np.ones(3)),
+                          gsis.apply_polynomial_filter(single, {2: 1.0}, np.ones(3)))
+    with pytest.raises(ValueError, match=r"exponents must be integers, got 1\.5"):
+        gsis.apply_polynomial_filter(two, {(1.5, 0): 1.0}, x)  # used to act as (1, 0)
+    with pytest.raises(ValueError, match=r"exponents must be integers, got 1\.5"):
+        gsis.apply_polynomial_filter(single, {1.5: 1.0}, np.ones(3))
+    assert gsis.graded_multi_indices(2.0, 2.0) == gsis.graded_multi_indices(2, 2)
+    with pytest.raises(ValueError, match=r"max_total must be integers, got 1\.5"):
+        gsis.graded_multi_indices(2, 1.5)
+    with pytest.raises(ValueError, match=r"n_shifts must be integers, got 1\.5"):
+        gsis.graded_multi_indices(1.5, 2)
+    with pytest.raises(ValueError, match="n_shifts must be positive, got 0"):
+        gsis.graded_multi_indices(0, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sh, d: gsis.gft(d, [1.0, np.nan, 0.0]), "signal must be finite"),
+        (lambda sh, d: gsis.gft(d, np.ones(4)), "signal of length 4, expected 3"),
+        (lambda sh, d: gsis.gft(d, np.ones((4, 2))), r"signal of shape \(4, 2\), expected \(3, any\)"),
+        (lambda sh, d: gsis.gft(d, np.full((3, 2), np.inf)), "signal must be finite"),
+        (lambda sh, d: gsis.igft(d, [0.0, 0.0, np.nan]), "x_hat must be finite"),
+        (lambda sh, d: gsis.igft(d, np.ones(2)), "x_hat of length 2, expected 3"),
+        (lambda sh, d: gsis.apply_polynomial_filter(sh, {1: 1.0}, [np.nan, 0.0, 0.0]), "signal must be finite"),
+        (lambda sh, d: gsis.apply_polynomial_filter(sh, {1: 1.0}, np.ones((2, 3))), r"signal of shape \(2, 3\)"),
+        (lambda sh, d: gsis.apply_polynomial_filter(sh, {1: np.nan}, np.ones(3)), r"coefficient of \(1,\) must be finite"),
+    ],
+    ids=["gft nan", "gft length", "gft block shape", "gft block inf", "igft nan", "igft length",
+         "filter nan signal", "filter block shape", "filter nan coefficient"],
+)
+def test_transforms_and_filters_gate_their_signals(p3, call, message):
+    _, shifts, decomp = p3
+    with pytest.raises(ValueError, match=message):
+        call(shifts, decomp)
