@@ -45,8 +45,12 @@ def damped_cosine_signal(
     ``x(i) = amplitude * exp(-decay * |i - c|) * cos(frequency * |i - c|)``
     with ``c = n_vertices // 2``; symmetric about c with peak ``amplitude``.
     """
+    n_vertices = _index(n_vertices, "n_vertices")
     if n_vertices < 1:
         raise ValueError("n_vertices must be positive")
+    for name, value in (("amplitude", amplitude), ("decay", decay), ("frequency", frequency)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     offsets = np.abs(np.arange(n_vertices) - n_vertices // 2)
     return amplitude * np.exp(-decay * offsets) * np.cos(frequency * offsets)
 
@@ -327,49 +331,21 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
     )
 
 
-def _linf_coordinate_descent(
-    basis: np.ndarray, x0: np.ndarray, coeffs: np.ndarray, sweeps: int = 4
-) -> float:
-    """Refine coefficients toward min ||x0 - basis @ c||_inf, one coordinate at a time.
-
-    Each 1-d slice of the objective is piecewise linear and convex, so a
-    bracketed ternary search nails its minimum; a few sweeps suffice
-    because only an upper bound on the optimum is needed.
-    """
-    c = coeffs.copy()
-    r = x0 - basis @ c
-    for _ in range(sweeps):
-        for j in range(basis.shape[1]):
-            g = basis[:, j]
-            base = r + c[j] * g
-            live = np.abs(g) > 1e-14 * max(float(np.abs(g).max()), 1e-300)
-            if not np.any(live):
-                continue
-            ratios = base[live] / g[live]
-            lo, hi = float(ratios.min()), float(ratios.max())
-            for _ in range(90):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if np.abs(base - m1 * g).max() <= np.abs(base - m2 * g).max():
-                    hi = m2
-                else:
-                    lo = m1
-            t = (lo + hi) / 2.0
-            c[j] = t
-            r = base - t * g
-    return float(np.abs(r).max())
-
-
 def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
     """Relative maximal approximation error of x0 from each listed space.
 
-    ``space_levels`` holds one orthonormal basis per level, such as the
-    column prefixes ``basis[:, :d] for d in dims`` of
-    :func:`~gsis.spaces.krylov_subspace`. Each value is
-    ``min_c ||x0 - basis @ c||_inf / ||x0||_inf`` approximated from above:
-    the least-squares coefficients are refined by coordinate descent and
-    the achieved value reported, clamped to be nonincreasing since the
-    spaces are nested.
+    ``space_levels`` holds one basis B per level, such as the column
+    prefixes ``basis[:, :d] for d in dims`` of
+    :func:`~gsis.spaces.krylov_subspace`; each B must be orthonormal, so
+    that ``B B^T`` is the projection onto its span. Each value is the sup
+    norm of the least-squares residual, ``max |x0 - B B^T x0| / max |x0|``
+    (the quantity :func:`run_model_comparison` reports as ``f_krylov``),
+    clamped to be nonincreasing since the spaces are nested; a basis with
+    no columns gives 1.0. It is an upper bound on
+    ``min_c ||x0 - B c||_inf / ||x0||_inf``, and it is that minimum whenever
+    it equals ``max |x0_i|`` over the rows i where every column of B is
+    zero, since no coefficients change those rows. On a dense basis, with
+    no zero row, it can exceed the minimum.
 
     Raises
     ------
@@ -386,10 +362,7 @@ def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
     out: list[float] = []
     for basis in bases:
         b = _matrix(basis, (n, None), "basis")
-        if b.shape[1] == 0:
-            achieved = 1.0
-        else:
-            achieved = _linf_coordinate_descent(b, vals, b.T @ vals) / scale
+        achieved = float(np.abs(vals - b @ (b.T @ vals)).max()) / scale
         if out and achieved > out[-1]:
             achieved = out[-1]
         out.append(achieved)

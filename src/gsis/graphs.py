@@ -618,11 +618,13 @@ def build_circulant(n_vertices: int, offsets: Sequence[int]) -> tuple[Graph, Shi
 
 def path_graph(n: int) -> Graph:
     """Path on ``n`` vertices: edges (0,1), (1,2), ..."""
+    n = _index(n, "n_vertices")
     return Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on ``n`` vertices."""
+    n = _index(n, "n_vertices")
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return Graph(n, np.column_stack([np.arange(n), np.roll(np.arange(n), -1)]))

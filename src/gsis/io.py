@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import MetricsTable, ModelComparison
+from .experiments import LOG_FLOOR, MetricsTable, ModelComparison
 from .graphs import ShiftMatrix
 from .kernels import ShiftInvariantKernel
 from .sampling import Observation, ReconstructionResult, SamplingScheme
@@ -320,7 +320,7 @@ def save_metrics(table: MetricsTable, outdir: str | Path) -> list[Path]:
                 lines.append(f"{level},{p},{name},{grid[il, ip]:.17g}")
     meta = {
         "config": asdict(table.config),
-        "log_floor": 1e-6,
+        "log_floor": LOG_FLOOR,
         "grids": {name: grid.tolist() for name, grid in grids.items()},
     }
     return _save_table(outdir, "metrics", lines, meta)

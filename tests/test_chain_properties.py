@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gsis
 from conftest import random_connected_graph
@@ -100,6 +100,29 @@ def test_chain_dims_are_monotone_and_stall_once(case, weighted):
     assert not chain.grow_to(n)
     assert chain.stalled and chain.depth == stalls[0] and chain.dims == dims[: chain.depth + 1]
     assert not chain.grow_to(chain.depth + 1) and chain.dims == dims[: chain.depth + 1]
+
+
+# about one window in four is injective for its generator's space, which
+# hypothesis would otherwise report as too much filtering
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=circulant_windows())
+def test_the_rkhs_representer_solution_is_the_chains_reconstruction(case):
+    # with K = U U^T the kernel of the generated space, K[:, S] K[S, S]^+ y
+    # is U U_S^+ y: the least-squares fit in the space, which the finite-step
+    # chain reaches by shift applications alone whenever sampling is injective
+    shifts, scheme, phi, rng = case
+    space = gsis.gsis_from_generators(gsis.diagonalize_simultaneously(shifts), [phi])
+    assume(gsis.check_injective(scheme, space.basis))
+    s = list(scheme.vertices)
+    k = gsis.gsis_to_rkhs_kernel(space).matrix
+    y = rng.standard_normal(len(s))
+    representer = k[:, s] @ np.linalg.pinv(k[np.ix_(s, s)]) @ y
+    chain = gsis.reconstruct_krylov(shifts, [phi], scheme, y).signal
+    # K[S, S] = U_S U_S^T has condition 1 / smin(U_S)^2, which sets the
+    # representer side's error; the chain's is smaller
+    smin = np.linalg.svd(space.basis[s], compute_uv=False)[-1]
+    tol = ROUNDOFF * len(y) * np.finfo(float).eps * max(1.0, float(np.abs(y).max())) / smin**2
+    assert np.allclose(representer, chain, rtol=0, atol=tol)
 
 
 # ---------------------------------------------------------------------------

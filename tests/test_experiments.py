@@ -39,6 +39,24 @@ def test_damped_cosine_extremes():
         gsis.damped_cosine_signal(0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((4.5, 1.0, 0.25, 1.0), "n_vertices must be integers, got 4.5"),
+        ((None, 1.0, 0.25, 1.0), "n_vertices must be integers, got None"),
+        ((5, np.nan, 0.25, 1.0), "amplitude must be finite, got nan"),
+        ((5, 1.0, np.inf, 1.0), "decay must be finite, got inf"),
+        ((5, 1.0, 0.25, -np.inf), "frequency must be finite, got -inf"),
+    ],
+    ids=["fractional size", "no size", "NaN amplitude", "infinite decay", "infinite frequency"],
+)
+def test_damped_cosine_follows_the_count_rule_and_gates_its_parameters(args, message):
+    # 4.5 used to give 5 values, and a NaN amplitude an all-NaN signal
+    with pytest.raises(ValueError, match=message):
+        gsis.damped_cosine_signal(*args)
+    assert np.array_equal(gsis.damped_cosine_signal(5.0, 1.0, 0.25, 1.0), gsis.damped_cosine_signal(5, 1.0, 0.25, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # sweep configuration
 
@@ -380,6 +398,38 @@ def test_approximation_error_decay_bound():
     errs = gsis.approximation_error(spaces, x0)
     for n in range(1, 9):
         assert errs[n] <= np.exp(-(3 * n - 1) * decay) + 1e-12
+
+
+def test_approximation_error_is_exact_where_the_off_support_bound_certifies_it():
+    # acceptance 10's instance: no coefficients change a row where every
+    # basis column is zero, so max |x0| there bounds min_c ||x0 - B c||_inf
+    # from below, and the least-squares sup error meets that bound
+    _, shifts = gsis.build_circulant(100, [1, 3])
+    phi = np.zeros(100)
+    phi[50] = 1.0
+    basis, dims = gsis.krylov_subspace(shifts, [phi], 16)
+    for decay in (0.125, 0.25):
+        x0 = gsis.damped_cosine_signal(100, 1.0, decay, 2.0 * np.pi / 5.0)
+        errs = gsis.approximation_error([basis[:, :d] for d in dims], x0)
+        for n, d in enumerate(dims):
+            off_support = ~basis[:, :d].any(axis=1)
+            assert errs[n] == np.abs(x0[off_support]).max() / np.abs(x0).max()
+
+
+def test_approximation_error_is_the_least_squares_sup_error_on_a_dense_basis():
+    # no row of a random dense basis is zero, so no certificate applies and
+    # the value is the least-squares residual's sup norm, clamped to be
+    # nonincreasing over the nested spans; the empty span gives 1.0
+    rng = np.random.default_rng(2)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 12)))
+    x0 = rng.standard_normal(60)
+    assert q.all()
+    spaces = [q[:, :d] for d in range(13)]
+    ls = [np.abs(x0 - b @ (b.T @ x0)).max() / np.abs(x0).max() for b in spaces]
+    assert np.any(np.diff(ls) > 0)  # the clamp acts
+    errs = gsis.approximation_error(spaces, x0)
+    assert errs[0] == 1.0
+    assert errs == list(np.minimum.accumulate(ls))
 
 
 # ---------------------------------------------------------------------------

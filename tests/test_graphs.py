@@ -321,6 +321,14 @@ def test_graph_sizes_follow_the_count_rule(build, n, name):
         build(n + 0.5)
 
 
+@pytest.mark.parametrize("build", [gsis.path_graph, gsis.cycle_graph], ids=["path_graph", "cycle_graph"])
+@pytest.mark.parametrize("n", [None, "5"], ids=["None", "string"])
+def test_graph_builders_gate_a_non_number_size_first(build, n):
+    # both used to raise a bare TypeError from n - 1 or n < 3
+    with pytest.raises(ValueError, match=f"n_vertices must be integers, got {n!r}"):
+        build(n)
+
+
 def test_a_graph_size_is_a_positive_count():
     with pytest.raises(ValueError, match="n_vertices must be a positive integer, got 0"):
         gsis.Graph(0.0)
