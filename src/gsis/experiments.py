@@ -126,154 +126,53 @@ class MetricsTable:
         return self.config.levels.index(level), self.config.p_values.index(p)
 
 
-# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden gamma, then the finalizer.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative int; 0 gives one word.
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One SplitMix64 step on a uint64 array, wrapping mod 2**64."""
+    z = x + _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
 
-    This is how ``SeedSequence`` splits each integer of its entropy.
+
+def _absorb(h: np.ndarray, value) -> np.ndarray:
+    """Fold ``value`` into the uint64 hashes h: its little-endian 64-bit words, then their count.
+
+    ``value`` is a nonnegative int of any size, or a uint64 array of
+    one-word values that broadcasts against h.  Ending on the count keeps
+    distinct keys from sharing a word sequence.
     """
-    words = []
-    while True:
-        words.append(value & _MASK32)
-        value >>= 32
-        if not value:
-            return words
+    if isinstance(value, np.ndarray):
+        words = [value]
+    else:
+        shifts = range(0, max(value.bit_length(), 1), 64)
+        words = [np.uint64(value >> shift & 0xFFFFFFFFFFFFFFFF) for shift in shifts]
+    for word in words:
+        h = _splitmix64(h ^ word)
+    return _splitmix64(h ^ np.uint64(len(words)))
 
 
-def _mulhi64(a, b):
-    """High 64 bits of the 128-bit products of uint64 arrays, via 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    t = a1 * b0 + ((a0 * b0) >> 32)
-    w = (t & _MASK32) + a0 * b1
-    return a1 * b1 + (t >> 32) + (w >> 32)
+def _cell_noise(config: ExperimentConfig, p: int) -> np.ndarray:
+    """The (2p + 1, levels * trials) noise block of radius p; columns run level-major, then trial.
 
-
-def _mul128(ah, al, bh, bl):
-    """Products mod 2**128 of 128-bit values held as (high, low) uint64 arrays."""
-    return _mulhi64(al, bl) + ah * bl + al * bh, al * bl
-
-
-def _add128(ah, al, bh, bl):
-    """Sums mod 2**128 of 128-bit values held as (high, low) uint64 arrays."""
-    lo = al + bl
-    return ah + bh + (lo < al), lo
-
-
-def _seed_pcg64(entropy: np.ndarray) -> np.ndarray:
-    """PCG64 states of ``np.random.default_rng(key)`` for many keys at once.
-
-    Row r of the (K, L) uint32 ``entropy`` holds the 32-bit words of key r
-    (see :func:`_uint32_words`), at least four of them. This is numpy's
-    ``SeedSequence`` pool mixing and ``generate_state(4, np.uint64)``
-    followed by PCG64's seeding, vectorized over the rows. Returns the
-    (4, K) uint64 array of state high and low words, then increment high
-    and low words, as ``PCG64(key).state`` holds them.
+    Sample s of cell (level, p, trial) is ``-sigma + 2 sigma u`` with u the
+    top 53 bits of the hash of (seed, level, p, trial, s) over 2**53, the map
+    numpy's ``uniform`` uses, so it lies in ``[-sigma, sigma)``.
     """
-    words = np.asarray(entropy, dtype=np.uint32).T
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    with np.errstate(over="ignore"):
-        pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for w in words[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = mix(pool[dst], hashmix(w))
-        hash_const = _INIT_B
-        state = []
-        for i in range(8):
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-        # uint32 pairs to little-endian uint64 words: initstate high, low, initseq high, low
-        init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
-        inc_hi = seq_hi << 1 | seq_lo >> 63
-        inc_lo = seq_lo << 1 | 1
-        mult = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
-        s_hi, s_lo = _mul128(*_add128(inc_hi, inc_lo, init_hi, init_lo), *mult)
-        s_hi, s_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    return np.stack([s_hi, s_lo, inc_hi, inc_lo])
-
-
-def _pcg64_jumps(size: int) -> np.ndarray:
-    """(4, size) uint64 words of ``M**j`` and ``sum(M**i, i < j)`` for j = 1 .. size.
-
-    PCG64 steps ``s <- M s + inc`` before each draw, so draw j - 1 reads
-    the state ``M**j s + sum(M**i, i < j) inc`` (mod 2**128).
-    """
-    table = []
-    a, c = 1, 0
-    for _ in range(size):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        table.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    return np.array(table, dtype=np.uint64).reshape(size, 4).T
-
-
-def _pcg64_uniform(states: np.ndarray, jumps: np.ndarray, low: float, high: float) -> np.ndarray:
-    """The first ``jumps.shape[1]`` ``Generator.uniform(low, high)`` draws of each stream.
-
-    ``states`` is a (4, K) block from :func:`_seed_pcg64` and ``jumps`` a
-    column prefix of :func:`_pcg64_jumps`; the (size, K) result equals,
-    bit for bit, column k's ``default_rng(key_k).uniform(low, high, size)``.
-    """
-    s_hi, s_lo, i_hi, i_lo = states[:, None, :]
-    a_hi, a_lo, c_hi, c_lo = jumps[:, :, None]
-    with np.errstate(over="ignore"):
-        hi, lo = _add128(*_mul128(a_hi, a_lo, s_hi, s_lo), *_mul128(c_hi, c_lo, i_hi, i_lo))
-        # PCG64's XSL-RR output, then next_double's top 53 bits
-        x = hi ^ lo
-        rot = hi >> 58
-        x = x >> rot | x << ((64 - rot) & 63)
-    return low + (high - low) * ((x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0))
-
-
-def _sweep_states(config: ExperimentConfig) -> np.ndarray:
-    """Seeded PCG64 states of every sweep cell's ``default_rng([seed, level, p, trial])``.
-
-    Returns a (4, radii, levels * trials) uint64 array; the cells of a
-    radius run level-major, like the columns of its fit. Levels group by
-    their number of 32-bit words, so each group's keys share one length.
-    """
-    seed = _uint32_words(config.seed)
-    n_p, n_t = len(config.p_values), config.trials
-    states = np.empty((4, n_p, len(config.levels), n_t), dtype=np.uint64)
-    level_words = [_uint32_words(level) for level in config.levels]
-    for width in {len(w) for w in level_words}:
-        rows = [i for i, w in enumerate(level_words) if len(w) == width]
-        entropy = np.empty((n_p, len(rows), n_t, len(seed) + width + 2), dtype=np.uint32)
-        entropy[..., : len(seed)] = seed
-        entropy[..., len(seed) : -2] = np.array([level_words[i] for i in rows])[:, None]
-        entropy[..., -2] = np.array(config.p_values)[:, None, None]
-        entropy[..., -1] = np.arange(n_t)
-        keys = entropy.reshape(-1, entropy.shape[-1])
-        states[:, :, rows] = _seed_pcg64(keys).reshape(4, n_p, len(rows), n_t)
-    return states.reshape(4, n_p, -1)
+    h = _absorb(np.zeros(1, dtype=np.uint64), config.seed)
+    h = _absorb(_absorb(h, np.array(config.levels, dtype=np.uint64)), p)
+    h = _absorb(h[:, None], np.arange(config.trials, dtype=np.uint64)).reshape(-1)
+    h = _absorb(h, np.arange(2 * p + 1, dtype=np.uint64)[:, None])
+    u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return -config.sigma + 2.0 * config.sigma * u
 
 
 def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
@@ -282,16 +181,12 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
     The generator is the delta at the center vertex and the sampling set
     of radius P is the symmetric window of 2P + 1 vertices around it.
     For every (level, radius, trial) cell the observation gets fresh
-    uniform noise on ``[-sigma, sigma]`` from a generator seeded by
-    ``(seed, level, radius, trial)``, and the reconstruction runs capped
-    at the cell's level, so trials are independent and the table is a
-    deterministic function of the config.  Each radius grows one chain
-    and fits all its (level, trial) observations as one block.  The
-    noise block of a radius is the batched form of the per-cell
-    ``np.random.default_rng([seed, level, radius, trial]).uniform(-sigma,
-    sigma, 2 * radius + 1)`` streams, equal to them bit for bit: all
-    cells are seeded in one vectorized pass of numpy's ``SeedSequence``
-    hash, and each radius's draws jump PCG64's LCG ahead in one pass.
+    uniform noise on ``[-sigma, sigma)``, hashed from the cell's key and
+    the sample index (:func:`_cell_noise`) whatever the grid's shape, and
+    the reconstruction runs capped at the cell's level, so trials are
+    independent and the table is a deterministic function of the config.
+    Each radius grows one chain and fits all its (level, trial)
+    observations as one block.
     """
     n = config.n_vertices
     center = n // 2
@@ -305,16 +200,12 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
     re_trials = np.empty(shape)
     se_trials = np.empty(shape)
     caps = np.repeat(config.levels, config.trials)
-    states = _sweep_states(config)
-    jumps = _pcg64_jumps(2 * max(config.p_values) + 1)
     for ip, p in enumerate(config.p_values):
         window = list(range(center - p, center + p + 1))
         scheme = subset_sampler(n, window)
         clean = x0[window]
         clean_scale = float(np.abs(clean).max())
-        y = clean[:, None] + _pcg64_uniform(
-            states[:, ip], jumps[:, : len(window)], -config.sigma, config.sigma
-        )
+        y = clean[:, None] + _cell_noise(config, p)
         # candidates invisible to the window are dropped, as with require_injective=False
         chain = KrylovChain(shifts, [phi0], scheme)
         diff = chain.evaluate(chain.fit(y, caps, config.delta).coefficients) - x0[:, None]

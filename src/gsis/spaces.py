@@ -223,8 +223,11 @@ class KrylovChain(OrthogonalBasis):
         if not gens:
             raise ValueError("at least one generator is required")
         self._on_drop = on_drop if on_drop is not None else lambda status, what: None
+        # offered at unit peak, like the unit columns the shifts act on: DROP_REL is
+        # relative to the largest candidate, which a generator's scale must not set
         for k, g in enumerate(gens):
-            status = self.try_add(g)
+            peak = np.abs(g).max()
+            status = self.try_add(g / peak if peak else g)
             if status != ADDED:
                 self._on_drop(status, f"generator {k}")
         self._tags = [0] * self.dim
@@ -283,7 +286,12 @@ class KrylovChain(OrthogonalBasis):
         the other columns, bit for bit with OpenBLAS's matrix-matrix
         kernels; a lone column takes numpy's matrix-vector path.
         """
-        e = np.array(y, dtype=float)
+        # the norms square each entry, so each column is fitted divided by a power
+        # of two at its largest entry and scaled back: exact, and no norm overflows
+        e = np.asarray(y, dtype=float)
+        _, binade = np.frexp(np.abs(e).max(axis=0, initial=0.0))
+        e = np.ldexp(e, -binade)
+        delta = np.ldexp(delta, -binade)
         caps = np.asarray(caps, dtype=int)
         blocks, norms = [], []
         active = np.ones(e.shape[1], dtype=bool)
@@ -301,7 +309,8 @@ class KrylovChain(OrthogonalBasis):
             e -= new @ blocks[-1]
             norms.append(np.where(active, np.linalg.norm(e, axis=0), np.nan))
             active &= (caps > level) & (norms[-1] > delta)
-        return ChainFit(e, np.concatenate(blocks), depths, np.array(norms))
+        coefficients, norms = np.concatenate(blocks), np.array(norms)
+        return ChainFit(np.ldexp(e, binade), np.ldexp(coefficients, binade), depths, np.ldexp(norms, binade))
 
 
 def krylov_subspace(

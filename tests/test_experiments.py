@@ -6,11 +6,6 @@ import pytest
 import gsis
 from gsis import experiments
 
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # the property test below is then skipped
-    st = None
-
 EXP_MINUS_5_4 = 0.28650479686019009  # exp(-1.25)
 
 
@@ -155,8 +150,8 @@ def test_experiment_deterministic_goldens():
     )
     expected_se_log = np.array(
         [
-            [-1.3938992671381538, -0.5428665865450238],
-            [-1.3755765254893946, -0.9606273526639836],
+            [-1.5452662418462706, -0.5428665865450238],
+            [-1.4506412744328847, -0.9606273526639836],
         ]
     )
     assert np.allclose(table.re_raw, expected_re_raw, rtol=0, atol=1e-13)
@@ -232,14 +227,14 @@ def test_experiment_block_fit_matches_single_fits(delta):
     for p in config.p_values:
         window = list(range(center - p, center + p + 1))
         scheme = gsis.subset_sampler(n, window)
+        noise = experiments._cell_noise(config, p)
         if p == 1:
             with pytest.raises(gsis.DegenerateInnerProductError):
                 gsis.reconstruct_krylov(shifts, [phi0], scheme, x0[window], max_level=12)
         for level in config.levels:
             il, ip = table.cell(level, p)
             for trial in range(config.trials):
-                rng = np.random.default_rng([config.seed, level, p, trial])
-                y = x0[window] + rng.uniform(-config.sigma, config.sigma, size=len(window))
+                y = x0[window] + noise[:, il * config.trials + trial]
                 single = gsis.reconstruct_krylov(
                     shifts, [phi0], scheme, y, delta=delta, max_level=level, require_injective=False
                 )
@@ -253,93 +248,35 @@ def test_experiment_block_fit_matches_single_fits(delta):
 
 
 # ---------------------------------------------------------------------------
-# batched noise streams
+# keyed noise
 
 
-def _key_words(*values):
-    return [w for v in values for w in experiments._uint32_words(v)]
-
-
-def _batched_uniform(seed, keys, size, sigma):
-    """The sweep's batched draws for keys (level, p, trial) under one seed, one column each."""
-    entropy = np.array([_key_words(seed, *key) for key in keys], dtype=np.uint32)
-    states = experiments._seed_pcg64(entropy)
-    return experiments._pcg64_uniform(states, experiments._pcg64_jumps(size), -sigma, sigma)
-
-
-def _assert_default_rng_columns(draws, seed, keys, sigma):
-    assert draws.shape[1] == len(keys)
-    for column, key in zip(draws.T, keys):
-        expected = np.random.default_rng([seed, *key]).uniform(-sigma, sigma, size=len(column))
-        # compare the bits, so that signed zeros count too
-        assert np.array_equal(column.view(np.uint64), expected.view(np.uint64)), key
-
-
-def _as_pcg64_state(column):
-    """A (4,) column of ``_seed_pcg64`` as the dict ``PCG64.state["state"]`` holds."""
-    hi, lo, inc_hi, inc_lo = (int(w) for w in column)
-    return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
-
-
-def test_uint32_words_split_like_seed_sequence():
-    assert experiments._uint32_words(0) == [0]
-    assert experiments._uint32_words(2**32 - 1) == [2**32 - 1]
-    assert experiments._uint32_words(2**32) == [0, 1]
-    assert experiments._uint32_words(2**64 + 3) == [3, 0, 1]
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
-def test_seed_pcg64_matches_numpy_state(seed):
-    keys = [(0, 1, 0), (18, 45, 99), (3, 9, 7)]
-    states = experiments._seed_pcg64(np.array([_key_words(seed, *k) for k in keys], dtype=np.uint32))
-    for column, key in zip(states.T, keys):
-        assert _as_pcg64_state(column) == np.random.PCG64([seed, *key]).state["state"], key
-
-
-@pytest.mark.parametrize("sigma", [0.1, 0.0])
-@pytest.mark.parametrize("size", [1, 201])
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
-def test_batched_noise_matches_default_rng_bit_for_bit(seed, size, sigma):
-    # level 0 and trial 99; seeds of one to three words give keys of four to six
-    keys = [(0, 1, 0), (18, 45, 99), (0, 100, 99), (3, 9, 7)]
-    _assert_default_rng_columns(_batched_uniform(seed, keys, size, sigma), seed, keys, sigma)
-
-
-def test_sweep_states_follow_the_cells_of_each_radius():
-    # a level of 2**40 takes two words, so its keys are hashed in a group of their own
+def test_cell_noise_is_uniform_and_keyed_by_every_part_of_the_cell():
+    # seeds of one to three 64-bit words, two of them alike but for the high
+    # word, and a level past 2**32; every cell's column must be its own
+    columns = set()
+    for seed in (0, 2**32 - 1, 2**64 + 3, 2**65 + 3, 2**80):
+        config = gsis.ExperimentConfig(
+            trials=3, p_values=(2, 7), levels=(0, 1, 2**40), seed=seed, sigma=0.25
+        )
+        for p in config.p_values:
+            noise = experiments._cell_noise(config, p)
+            assert noise.shape == (2 * p + 1, len(config.levels) * config.trials)
+            assert np.all((noise >= -config.sigma) & (noise < config.sigma))
+            columns.update(tuple(column[:5]) for column in noise.T)
+    assert len(columns) == 5 * 2 * 3 * 3
+    silent = experiments._cell_noise(gsis.ExperimentConfig(sigma=0.0, trials=4, p_values=(3,)), 3)
+    # compare the bits, so that a signed zero counts too
+    assert np.array_equal(silent.view(np.uint64), np.zeros_like(silent).view(np.uint64))
+    # 10**6 draws: the mean and variance of uniform noise on [-sigma, sigma]
+    sigma = 0.1
     config = gsis.ExperimentConfig(
-        trials=3, p_values=(2, 7), levels=(1, 2**40, 0), seed=2**33 + 5
+        n_vertices=125, trials=8000, p_values=(62,), levels=(0,), seed=7, sigma=sigma
     )
-    states = experiments._sweep_states(config)
-    assert states.shape == (4, 2, 9)
-    for ip, p in enumerate(config.p_values):
-        for il, level in enumerate(config.levels):
-            for trial in range(config.trials):
-                expected = np.random.PCG64([config.seed, level, p, trial]).state["state"]
-                assert _as_pcg64_state(states[:, ip, il * config.trials + trial]) == expected
-
-
-if st is None:
-
-    @pytest.mark.skip(reason="hypothesis is not installed")
-    def test_batched_noise_property():
-        pass
-
-else:
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**80),
-        keys=st.lists(
-            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-            min_size=1,
-            max_size=4,
-        ),
-        size=st.integers(1, 120),
-        sigma=st.floats(0.0, 1e300),
-    )
-    def test_batched_noise_property(seed, keys, size, sigma):
-        _assert_default_rng_columns(_batched_uniform(seed, keys, size, sigma), seed, keys, sigma)
+    draws = experiments._cell_noise(config, 62).ravel()
+    assert draws.size == 10**6
+    assert abs(draws.mean()) <= 5 * sigma / np.sqrt(3 * draws.size)
+    assert abs(draws.var() - sigma**2 / 3) <= 5 * sigma**2 * np.sqrt(4 / 45 / draws.size)
 
 
 # ---------------------------------------------------------------------------

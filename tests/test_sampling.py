@@ -1,5 +1,6 @@
 """Tests for sampling schemes, injectivity checks, and reconstruction."""
 
+import math
 import re
 
 import numpy as np
@@ -471,6 +472,21 @@ def test_reconstruct_krylov_evaluates_once(keep_iterates, monkeypatch):
     )
     assert len(calls) == 1
     assert calls[0][1] == (len(res.dims_trace) if keep_iterates else 1)
+
+
+def test_the_residual_trace_does_not_overflow_on_huge_observations():
+    # the norm squares each entry, so observations near 1e200 used to report inf
+    shifts = gsis.ShiftSet([gsis.build_standard_shifts(gsis.cycle_graph(50), "adjacency")])
+    phi = np.zeros(50)
+    phi[25] = 1.0
+    scheme = gsis.subset_sampler(50, range(10, 41))
+    y = np.cos(0.3 * np.arange(31))
+    plain = gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=3)
+    assert plain.residual_trace[-1] == np.linalg.norm(plain.residual)
+    huge = gsis.reconstruct_krylov(shifts, [phi], scheme, 1e200 * y, max_level=3)
+    assert np.all(np.isfinite(huge.residual_trace))
+    assert huge.residual_trace[-1] == pytest.approx(math.hypot(*huge.residual), rel=1e-14)
+    assert np.allclose(huge.residual_trace, 1e200 * np.array(plain.residual_trace), rtol=1e-12, atol=0)
 
 
 def test_reconstruct_krylov_generator_span_depth_zero(p3):

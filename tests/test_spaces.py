@@ -121,6 +121,24 @@ def test_krylov_dims_circulant_reference_sequence():
     assert dims == expected
 
 
+@pytest.mark.parametrize("height", [1e-12, 1e-3, 1.0, 1e11, 1e155, 1e200])
+def test_a_generators_scale_does_not_change_the_chains_dimensions(height):
+    # the drop threshold is relative to the largest candidate offered, and
+    # the shifts act on unit basis columns, so a tall generator used to set
+    # it: at height 1e11 the chain stalled at dim 1, from 1e155 it lost the
+    # generator to overflow
+    shifts = gsis.ShiftSet([gsis.build_standard_shifts(gsis.cycle_graph(50), "adjacency")])
+    delta = np.zeros(50)
+    delta[25] = height
+    spread = np.zeros(50)
+    spread[23:28] = height * np.array([0.5, -1.0, 0.25, 1.0, 0.75])
+    for generator in (delta, spread):
+        assert gsis.krylov_subspace(shifts, [generator], 4)[1] == [1, 2, 3, 4, 5]
+    scheme = gsis.subset_sampler(50, range(10, 41))
+    res = gsis.reconstruct_krylov(shifts, [delta], scheme, np.cos(0.3 * np.arange(31)), max_level=4)
+    assert res.dims_trace == (1, 2, 3, 4, 5)
+
+
 def test_canonical_generator_singleton(p3):
     _, _, decomp = p3
     gen = gsis.canonical_generator(decomp, [1])
