@@ -168,7 +168,11 @@ def _cell_noise(config: ExperimentConfig, p: int) -> np.ndarray:
     numpy's ``uniform`` uses, so it lies in ``[-sigma, sigma)``.
     """
     h = _absorb(np.zeros(1, dtype=np.uint64), config.seed)
-    h = _absorb(_absorb(h, np.array(config.levels, dtype=np.uint64)), p)
+    if max(config.levels) < 2**64:  # one word each: folded at once, as the int path folds each
+        h = _absorb(h, np.array(config.levels, dtype=np.uint64))
+    else:
+        h = np.concatenate([_absorb(h, level) for level in config.levels])
+    h = _absorb(h, p)
     h = _absorb(h[:, None], np.arange(config.trials, dtype=np.uint64)).reshape(-1)
     h = _absorb(h, np.arange(2 * p + 1, dtype=np.uint64)[:, None])
     u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -199,7 +203,8 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
     shape = (len(config.levels), len(config.p_values), config.trials)
     re_trials = np.empty(shape)
     se_trials = np.empty(shape)
-    caps = np.repeat(config.levels, config.trials)
+    # Python ints: numpy would hold a level of 2**63 as a uint64, or beside small ones as a float
+    caps = [level for level in config.levels for _ in range(config.trials)]
     for ip, p in enumerate(config.p_values):
         window = list(range(center - p, center + p + 1))
         scheme = subset_sampler(n, window)

@@ -16,6 +16,13 @@ sequence itself was.  Fitting in P-coordinates and solving the small
 triangular system therefore stays accurate even when the candidates are
 nearly dependent, where normalizing n-vectors by their weighted norm would
 amplify roundoff into directions the weight cannot see.
+
+A subset scheme (one with ``vertices``) is an isometry on the signals that
+vanish off its vertices.  While the span and a candidate both do, the
+weighted stream only recomputes the euclidean one: the image of the new
+column is its sampled rows and R gains a column of the identity.  Such a
+candidate runs the euclidean passes alone; the basis runs both streams
+from the first column stored with a nonzero on an unsampled vertex on.
 """
 
 from __future__ import annotations
@@ -41,10 +48,13 @@ INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_
 _BLOCK = 32
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """Column-major copy of ``a`` with twice its columns, the new ones zero."""
+def _doubled(a: np.ndarray, rows: slice) -> np.ndarray:
+    """Column-major copy of ``a``, zero off ``rows``, with twice its columns, the new ones zero.
+
+    Only ``rows`` are written, so the fresh buffer's other pages stay untouched.
+    """
     out = np.zeros((a.shape[0], 2 * a.shape[1]), order="F")
-    out[:, : a.shape[1]] = a
+    out[rows, : a.shape[1]] = a[rows]
     return out
 
 
@@ -53,13 +63,12 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _span(x: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    """Smallest row range of whole ``_BLOCK``-row blocks holding ``[lo, hi)`` and every nonzero of x."""
-    nonzero = x.nonzero()[0]
-    if nonzero.size == 0:
+def _span(rows: np.ndarray, lo: int, hi: int, size: int) -> tuple[int, int]:
+    """Smallest range of whole ``_BLOCK``-row blocks of ``size`` rows holding ``[lo, hi)`` and the sorted ``rows``."""
+    if rows.size == 0:
         return lo, hi
-    first = int(nonzero[0]) // _BLOCK * _BLOCK
-    last = min((int(nonzero[-1]) // _BLOCK + 1) * _BLOCK, x.shape[0])
+    first = int(rows[0]) // _BLOCK * _BLOCK
+    last = min((int(rows[-1]) // _BLOCK + 1) * _BLOCK, size)
     return min(lo, first), max(hi, last)
 
 
@@ -75,6 +84,7 @@ class OrthogonalBasis:
         ``weight @ v``; None means euclidean.  An array-like weight must be a
         finite (M, N) matrix, converted to float once; any other weight (a
         sampling scheme) needs only ``shape`` and ``@`` and applies itself.
+        A weight whose ``shape[1]`` is not n raises ``ValueError``.
 
     Candidates are classified by the thresholds :data:`DROP_REL` and
     :data:`INVISIBLE_REL`.
@@ -93,12 +103,26 @@ class OrthogonalBasis:
     arbitrary labelling, soon makes the range every row.  The range only
     grows, so a column stored after ``dim`` is lowered overwrites every row
     the dropped column could have used.
+
+    One stream: under a weight with ``vertices`` (a subset scheme, sorted
+    distinct vertices), while no stored column is nonzero on an unsampled
+    vertex, a candidate with no nonzero there runs only the euclidean
+    passes.  The weight is an isometry on such signals, so the candidate is
+    dependent exactly when its euclidean remainder drops (it cannot be
+    invisible), its image column is the new basis column's sampled rows and
+    its column of R is the identity's: ``images`` is ``basis[vertices]``
+    and R is I, which the two streams give in exact arithmetic and, on
+    every chain the tests compare, bit for bit.  The first column stored
+    with a nonzero on an unsampled vertex switches the basis to both
+    streams for good.
     """
 
     def __init__(self, n: int, weight=None):
         self.n = _index(n, "n")
         if weight is not None and (isinstance(weight, np.ndarray) or not hasattr(weight, "__matmul__")):
             weight = _matrix(weight, (None, self.n), "weight")
+        if weight is not None and weight.shape[1] != self.n:
+            raise ValueError(f"weight of shape {tuple(weight.shape)}, expected (any, {self.n})")
         self.weight = weight
         m = self.n if weight is None else weight.shape[0]
         self._u = np.zeros((self.n, 8), order="F")
@@ -109,6 +133,12 @@ class OrthogonalBasis:
         self._lo, self._hi, self._plo, self._phi = self.n, 0, m, 0
         self._max_weighted = 0.0
         self._max_euclid = 0.0
+        # a subset scheme's vertices while every stored column vanishes off them, else None
+        vertices = getattr(weight, "vertices", None)
+        self._take = None if vertices is None else np.array(vertices, dtype=np.intp)
+        if self._take is not None:
+            self._unsampled = np.ones(self.n, dtype=bool)
+            self._unsampled[self._take] = False
 
     @property
     def basis(self) -> np.ndarray:
@@ -120,10 +150,11 @@ class OrthogonalBasis:
         """(M, dim) orthonormal basis of the weighted images of the span."""
         return self._p[:, : self.dim]
 
-    def _grow(self) -> None:
+    def _grow(self, rows: slice = slice(None), image_rows: slice = slice(None)) -> None:
+        """Double the full buffers, copying only ``rows`` of U and ``image_rows`` of P, off which they are zero."""
         if self.dim == self._u.shape[1]:
-            self._u = _doubled(self._u)
-            self._p = self._u if self.weight is None else _doubled(self._p)
+            self._u = _doubled(self._u, rows)
+            self._p = self._u if self.weight is None else _doubled(self._p, image_rows)
             if self._r is not None:
                 self._r = np.pad(self._r, (0, self.dim))
 
@@ -133,12 +164,16 @@ class OrthogonalBasis:
         Returns one of ``ADDED``, ``DEPENDENT``, ``INVISIBLE``.
         """
         v = np.array(v, dtype=float)
-        lo, hi = _span(v, self._lo, self._hi)
+        nonzero = v.nonzero()[0]
+        lo, hi = _span(nonzero, self._lo, self._hi, self.n)
         vs = v[lo:hi]  # a view: v is zero outside these rows, and so is every basis column
-        self._max_euclid = max(self._max_euclid, _norm(vs))
+        raw = _norm(vs)
+        self._max_euclid = max(self._max_euclid, raw)
         k = self.dim
-        if self.weight is None:
-            self._max_weighted = self._max_euclid
+        one_stream = self._take is not None and not self._unsampled[nonzero].any()
+        if self.weight is None or one_stream:
+            # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
+            self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
             if k:
                 u = self._u[lo:hi, :k]
                 vs -= u @ (u.T @ vs)
@@ -146,14 +181,20 @@ class OrthogonalBasis:
             norm_v = _norm(vs)
             if norm_v <= DROP_REL * self._max_weighted:
                 return DEPENDENT
-            self._grow()
+            self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
             self._u[lo:hi, k] = vs / norm_v
+            if one_stream:
+                plo, phi = _span(self._take.searchsorted(nonzero), self._plo, self._phi, len(self._take))
+                self._p[plo:phi, k] = self._u[self._take[plo:phi], k]
+                self._r[:k, k] = 0.0  # written, not assumed: column k may hold a dropped column's entries
+                self._r[k, k] = 1.0
+                self._plo, self._phi = plo, phi
             self._lo, self._hi = lo, hi
             self.dim += 1
             return ADDED
 
         w = self.weight @ v
-        plo, phi = _span(w, self._plo, self._phi)
+        plo, phi = _span(w.nonzero()[0], self._plo, self._phi, len(w))
         ws = w[plo:phi]
         self._max_weighted = max(self._max_weighted, _norm(ws))
         gamma = alpha = np.zeros(0)
@@ -176,12 +217,13 @@ class OrthogonalBasis:
         # a weighted-independent candidate is euclidean-independent, since
         # ||W r|| <= ||W|| ||r|| for the orthogonalized remainder r
         norm_v = _norm(vs)
-        self._grow()
+        self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
         self._u[lo:hi, k] = vs / norm_v
         self._p[plo:phi, k] = ws / norm_w
         self._r[:k, k] = (gamma - self._r[:k, :k] @ alpha) / norm_v
         self._r[k, k] = norm_w / norm_v
         self._lo, self._hi, self._plo, self._phi = lo, hi, plo, phi
+        self._take = None  # the new column is nonzero where v was on an unsampled vertex
         self.dim += 1
         return ADDED
 

@@ -292,7 +292,8 @@ class KrylovChain(OrthogonalBasis):
         _, binade = np.frexp(np.abs(e).max(axis=0, initial=0.0))
         e = np.ldexp(e, -binade)
         delta = np.ldexp(delta, -binade)
-        caps = np.asarray(caps, dtype=int)
+        # no chain grows past level N - 1, so a cap of N is as good as any larger one a C long cannot hold
+        caps = np.array([min(int(c), self.n) for c in caps], dtype=int)
         blocks, norms = [], []
         active = np.ones(e.shape[1], dtype=bool)
         depths = np.full(e.shape[1], -1)

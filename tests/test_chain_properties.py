@@ -570,3 +570,94 @@ def test_evaluate_rejects_more_coefficients_than_the_dimension(shape):
     basis.try_add(np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="2 coefficients for a basis of dimension 1"):
         basis.evaluate(np.ones(shape))
+
+
+# ---------------------------------------------------------------------------
+# one stream: a subset scheme is an isometry on a span that vanishes off its vertices
+
+
+def _assert_matches_the_dense_scheme(chain, dense, y, caps):
+    """Bit for bit: the subset scheme's chain against the two-stream chain of its matrix."""
+    assert chain.dims == dense.dims and chain.statuses == dense.statuses
+    assert (chain._lo, chain._hi, chain._plo, chain._phi) == (dense._lo, dense._hi, dense._plo, dense._phi)
+    assert chain.basis.tobytes() == dense.basis.tobytes()
+    assert chain.images.tobytes() == dense.images.tobytes()
+    assert chain._r[: chain.dim, : chain.dim].tobytes() == dense._r[: dense.dim, : dense.dim].tobytes()
+    fit, fit_dense = chain.fit(y, caps), dense.fit(y, caps)
+    for a, b in zip(fit, fit_dense):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert chain.evaluate(fit.coefficients).tobytes() == dense.evaluate(fit_dense.coefficients).tobytes()
+    _assert_rows_outside_the_range_are_zero(chain)
+
+
+def test_a_window_that_covers_the_span_runs_one_stream(monkeypatch):
+    n, center, level = 200, 100, 12
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - 45, center + 46))  # a level-12 span reaches 36 hops
+    applied = []
+    apply = gsis.SamplingScheme.__matmul__
+    monkeypatch.setattr(gsis.SamplingScheme, "__matmul__", lambda s, x: applied.append(x) or apply(s, x))
+    chain = KrylovChain(shifts, [np.eye(n)[center]], scheme)
+    chain.grow_to(level)
+    assert chain.dims == [1] + [3 * k for k in range(1, level + 1)]
+    assert not applied
+    assert np.array_equal(chain._r[: chain.dim, : chain.dim], np.eye(chain.dim))
+    assert chain.images.tobytes() == chain.basis[list(scheme.vertices)].tobytes()
+
+
+@pytest.mark.parametrize(
+    "vertices, centers, inside",
+    [
+        # the window ends 30 hops left of the generator: a level-11 candidate is the first to leave it
+        (range(70, 200), [100], 10),
+        # two blocks; the first ends 20 hops left of its generator, left at level 7
+        ([*range(30, 81), *range(120, 191)], [50, 150], 6),
+    ],
+    ids=["window left mid-level", "two blocks"],
+)
+def test_one_stream_is_bit_identical_to_the_two_streams_of_the_dense_scheme(vertices, centers, inside):
+    n, level = 200, 14
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, vertices)
+    gens = [np.eye(n)[c] for c in centers]
+    chain = _RecordedChain(shifts, gens, scheme)
+    dense = _RecordedChain(shifts, gens, gsis.SamplingScheme(scheme.matrix))
+    chain.grow_to(level)
+    dense.grow_to(level)
+    # one stream through level ``inside``, both streams from a column of the next level on
+    d = chain.dims[inside]
+    r = chain._r[: chain.dim, : chain.dim]
+    assert np.array_equal(r[: d + 1, : d + 1], np.eye(d + 1)) and not np.array_equal(r, np.eye(chain.dim))
+    y = np.random.default_rng(6).standard_normal((scheme.n_samples, 3))
+    _assert_matches_the_dense_scheme(chain, dense, y, [4, inside + 1, level])
+
+
+def test_a_column_off_the_samples_ends_one_stream_for_good():
+    # vertex 5 is not sampled: once the first column holds it, a candidate on
+    # the samples alone no longer has its image in its sampled rows
+    scheme = gsis.subset_sampler(6, [1, 2, 3])
+    basis, dense = OrthogonalBasis(6, scheme), OrthogonalBasis(6, gsis.SamplingScheme(scheme.matrix))
+    for v in ([0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [0, 1, 2, 0, 0, 0], [0, 0, 1, 1, 0, 0]):
+        assert basis.try_add(np.array(v, dtype=float)) == dense.try_add(np.array(v, dtype=float))
+    assert basis.dim == 3
+    assert basis.basis.tobytes() == dense.basis.tobytes() and basis.images.tobytes() == dense.images.tobytes()
+    assert basis._r[:3, :3].tobytes() == dense._r[:3, :3].tobytes()
+
+
+def test_a_level_regrown_after_one_stream_adds_keeps_r_the_identity():
+    # the regrown case above: two level-3 candidates are added on one stream
+    # before an invisible one undoes the pruned level
+    n, center, radius, level = 200, 100, 8, 3
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
+    phi = np.eye(n)[center]
+    reported = []
+    chain = _RecordedChain(shifts, [phi], scheme, on_drop=lambda status, what: reported.append(status))
+    dense = _RecordedChain(shifts, [phi], gsis.SamplingScheme(scheme.matrix))
+    chain.grow_to(level)
+    dense.grow_to(level)
+    assert INVISIBLE in reported and not chain._prune
+    assert np.array_equal(chain._r[: chain.dim, : chain.dim], np.eye(chain.dim))
+    assert chain.images.tobytes() == chain.basis[list(scheme.vertices)].tobytes()
+    y = np.random.default_rng(7).standard_normal((scheme.n_samples, 2))
+    _assert_matches_the_dense_scheme(chain, dense, y, [1, level])

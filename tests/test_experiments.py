@@ -210,6 +210,18 @@ def test_a_cells_errors_do_not_depend_on_the_grid_shape():
             assert np.array_equal(getattr(part, name), getattr(full, name)[cells]), (grid, name)
 
 
+@pytest.mark.parametrize("level", [2**63, 2**64])
+def test_a_level_past_a_c_long_runs_the_converged_chain(level):
+    # 2**63 wrapped to a negative cap and reported the level-0 error (0.4907);
+    # 2**64 raised OverflowError; no chain on 10 vertices grows past level 9
+    small = {"n_vertices": 10, "p_values": (3,), "trials": 1}
+    table = gsis.run_circulant_experiment(gsis.ExperimentConfig(levels=(level,), **small))
+    assert abs(table.re_trials.item() - EXP_MINUS_5_4) <= 1e-15
+    grid = gsis.run_circulant_experiment(gsis.ExperimentConfig(levels=(9, level), **small))
+    assert grid.re_trials[1].tobytes() == table.re_trials[0].tobytes()
+    assert grid.se_trials[1].tobytes() == table.se_trials[0].tobytes()
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_experiment_block_fit_matches_single_fits(delta):
     # radius 1 sees only symmetric signals on three vertices, so its chain

@@ -596,6 +596,28 @@ def test_reconstruct_krylov_rejects_a_nan_delta_and_a_fractional_max_level(p3):
     assert gsis.reconstruct_krylov(shifts, [x0], scheme, y, max_level=1.0).depth == 1
 
 
+def test_a_max_level_past_a_c_long_runs_the_whole_chain():
+    # raised OverflowError when the cap was converted to a C long
+    n, center = 20, 10
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - 5, center + 6))
+    phi, y = np.eye(n)[center], np.random.default_rng(8).standard_normal(11)
+    whole = gsis.reconstruct_krylov(shifts, [phi], scheme, y, require_injective=False)
+    capped = gsis.reconstruct_krylov(shifts, [phi], scheme, y, max_level=2**63, require_injective=False)
+    assert capped.dims_trace == whole.dims_trace
+    assert capped.signal.tobytes() == whole.signal.tobytes()
+
+
+def test_a_weight_on_another_vertex_count_raises_up_front():
+    # a subset weight on 50 vertices would otherwise gather a 100-vertex chain
+    # that stays on its vertices, and report dims [1, 3, 6, 9]
+    _, shifts = gsis.build_circulant(100, (1, 3))
+    phi = np.eye(100)[20]
+    for weight, rows in ((gsis.subset_sampler(50, range(10, 31)), 21), (gsis.SamplingScheme(np.ones((3, 50))), 3)):
+        with pytest.raises(ValueError, match=rf"weight of shape \({rows}, 50\), expected \(any, 100\)"):
+            gsis.krylov_subspace(shifts, [phi], 3, weight=weight)
+
+
 # ---------------------------------------------------------------------------
 # single-shift dimension staircase
 
