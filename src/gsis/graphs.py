@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,6 +232,9 @@ class Signal:
 # entries a row took 0.07 ms by the slots against 0.06 ms by BLAS.
 _SLOT_RATIO = 100  # vertices per entry of the longest row at which the slots stop paying
 _SLOT_BLOCK = 1 << 15  # values gathered per block by the slot apply (256 KB)
+# stored entries a row window must leave out to repay its set-up, which costs about
+# as much as applying 1500-3500 entries (2 cores, numpy 2.4): see ShiftMatrix._window_pays
+_WINDOW_SKIP = 4096
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -262,6 +265,13 @@ class ShiftMatrix:
     slot by slot, one gather of rows of X times that slot's weights, so
     every row adds its terms in the vector apply's order and every column
     equals ``S @ X[:, j]`` bit for bit.
+
+    A vector that vanishes off a row range ``[lo, hi)`` can take the row
+    window (:meth:`_window`): S being symmetric, it reaches only the rows
+    whose stored columns meet the range, and the window sums just those
+    rows' entries, in the vector apply's order, so it too is bit for bit
+    ``S @ x`` in O(entries reached) rather than O(N + 2|E|).  The window
+    rule (:meth:`_window_pays`) says when that repays its set-up.
 
     Raises
     ------
@@ -396,6 +406,36 @@ class ShiftMatrix:
                 else:
                     acc[:, rows] += src[:, cols] * w
         return out.T
+
+    def _window_pays(self, lo: int, hi: int) -> bool:
+        """The row-window rule: whether :meth:`_window` on rows ``[lo, hi)`` repays its set-up.
+
+        True when at least :data:`_WINDOW_SKIP` stored entries lie outside
+        those rows; a shift with fewer entries in all is settled by one length.
+        """
+        total = len(self._rows)
+        return total >= _WINDOW_SKIP and total - (self._ptr[hi] - self._ptr[lo]) >= _WINDOW_SKIP
+
+    def _window(self, lo: int, hi: int) -> tuple[slice, Callable[[np.ndarray], np.ndarray]]:
+        """``S @ x`` for the vectors x that vanish off the rows ``[lo, hi)``, on the rows it can reach.
+
+        Returns ``(rows, apply)``: ``S @ x`` is zero off the slice ``rows``,
+        and ``apply(x)`` is ``(S @ x)[rows]`` for an (N,) x.  S being
+        symmetric, an entry of x in ``[lo, hi)`` reaches exactly the columns
+        stored in those rows, ``_cols[_ptr[lo]:_ptr[hi]]``; ``rows`` runs
+        from the first of them to one past the last.  ``apply`` sums the
+        ``_ptr`` slice of those rows, each row its own entries in the vector
+        apply's order, so it equals the vector apply bit for bit (a row with
+        no entry reads +0.0).  The slices are set up once; each ``apply``
+        then costs O(entries in ``rows``), whatever N is.
+        """
+        reached = self._cols[self._ptr[lo] : self._ptr[hi]]
+        if reached.size == 0:
+            return slice(lo, lo), lambda x: np.zeros(0)
+        first, last = int(reached.min()), int(reached.max()) + 1
+        entries = slice(self._ptr[first], self._ptr[last])
+        rows, cols, weights = self._rows[entries] - first, self._cols[entries], self._weights[entries]
+        return slice(first, last), lambda x: np.bincount(rows, weights * x[cols], minlength=last - first)
 
     # numpy defers ``ndarray @ shift`` to __rmatmul__ instead of broadcasting over the shift
     __array_ufunc__ = None

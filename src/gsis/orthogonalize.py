@@ -115,6 +115,21 @@ class OrthogonalBasis:
     every chain the tests compare, bit for bit.  The first column stored
     with a nonzero on an unsampled vertex switches the basis to both
     streams for good.
+
+    Local first pass: ``try_add(v, start)`` runs the first euclidean pass
+    (weight None, or one stream) over the columns from ``start`` on only;
+    the second pass reads every column.  The caller vouches that v has, in
+    exact arithmetic, no component on the earlier columns, so the first
+    pass skips only roundoff, which the full second pass removes, as in
+    Lanczos with full reorthogonalization (Paige, 1972).  Two streams keep
+    both passes full: their image stream has no such structure.
+
+    Range candidates: ``try_add(v, start, rows)`` takes the candidate as its
+    entries on the rows ``rows`` alone, zero elsewhere, so a candidate on
+    the euclidean passes costs O(rows x dim) and nothing of length N.
+    Every candidate is gated: one of the wrong length, or one that is not
+    finite (NaN, an infinity, or a norm that overflows), raises before the
+    basis changes.
     """
 
     def __init__(self, n: int, weight=None):
@@ -158,30 +173,66 @@ class OrthogonalBasis:
             if self._r is not None:
                 self._r = np.pad(self._r, (0, self.dim))
 
-    def try_add(self, v: np.ndarray) -> str:
+    def try_add(self, v: np.ndarray, start: int = 0, rows: slice | None = None) -> str:
         """Orthogonalize v against the basis and add it if independent.
 
+        ``v`` is an (N,) vector, or, given ``rows`` (a ``first:last`` slice
+        of ``range(N)``), the candidate's entries on those rows, every other
+        row being zero.  ``start`` is the first column the euclidean first
+        pass reads: the caller vouches that, in exact arithmetic, v has no
+        component on the columns before it (see :class:`OrthogonalBasis`).
+
         Returns one of ``ADDED``, ``DEPENDENT``, ``INVISIBLE``.
+
+        Raises
+        ------
+        ValueError
+            If the candidate has the wrong length or rows outside the
+            basis, is not finite, or has a norm that overflows, or if
+            ``start`` is not a column index.
         """
-        v = np.array(v, dtype=float)
-        nonzero = v.nonzero()[0]
-        lo, hi = _span(nonzero, self._lo, self._hi, self.n)
-        vs = v[lo:hi]  # a view: v is zero outside these rows, and so is every basis column
-        raw = _norm(vs)
-        self._max_euclid = max(self._max_euclid, raw)
         k = self.dim
+        if not 0 <= start <= k:
+            raise ValueError(f"first-pass start {start} outside 0..{k}")
+        if rows is None:
+            v = np.array(v, dtype=float)  # a copy: vs, a view of it, is projected in place
+            first, size = 0, self.n
+        else:
+            v = np.asarray(v, dtype=float)
+            first, size = rows.start, rows.stop - rows.start
+            if not 0 <= first <= rows.stop <= self.n:
+                raise ValueError(f"candidate rows {first}:{rows.stop} outside a basis of {self.n} rows")
+        if v.shape != (size,):
+            raise ValueError(f"candidate of shape {v.shape}, expected ({size},)")
+        nonzero = v.nonzero()[0]
+        if first:
+            nonzero += first
+        lo, hi = _span(nonzero, self._lo, self._hi, self.n)
+        # v is zero outside these rows, and so is every basis column
+        if rows is None:
+            vs = v[lo:hi]
+        else:
+            vs = np.zeros(hi - lo)
+            a, b = max(lo, first), min(hi, first + size)
+            vs[a - lo : b - lo] = v[a - first : b - first]
+        raw = _norm(vs)
+        if not math.isfinite(raw):
+            raise ValueError("candidate is not finite, or its norm overflows")
+        self._max_euclid = max(self._max_euclid, raw)
         one_stream = self._take is not None and not self._unsampled[nonzero].any()
         if self.weight is None or one_stream:
             # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
             self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
             if k:
                 u = self._u[lo:hi, :k]
-                vs -= u @ (u.T @ vs)
+                near = u[:, start:] if start else u
+                vs -= near @ (near.T @ vs)
                 vs -= u @ (u.T @ vs)
             norm_v = _norm(vs)
             if norm_v <= DROP_REL * self._max_weighted:
                 return DEPENDENT
-            self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
+            if k == self._u.shape[1]:
+                self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
             self._u[lo:hi, k] = vs / norm_v
             if one_stream:
                 plo, phi = _span(self._take.searchsorted(nonzero), self._plo, self._phi, len(self._take))
@@ -193,6 +244,9 @@ class OrthogonalBasis:
             self.dim += 1
             return ADDED
 
+        if rows is not None:
+            v = np.zeros(self.n)
+            v[lo:hi] = vs
         w = self.weight @ v
         plo, phi = _span(w.nonzero()[0], self._plo, self._phi, len(w))
         ws = w[plo:phi]
@@ -217,7 +271,8 @@ class OrthogonalBasis:
         # a weighted-independent candidate is euclidean-independent, since
         # ||W r|| <= ||W|| ||r|| for the orthogonalized remainder r
         norm_v = _norm(vs)
-        self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
+        if k == self._u.shape[1]:
+            self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
         self._u[lo:hi, k] = vs / norm_v
         self._p[plo:phi, k] = ws / norm_w
         self._r[:k, k] = (gamma - self._r[:k, :k] @ alpha) / norm_v

@@ -17,6 +17,20 @@ MONOMIAL_SPAN_TOL = 1e-7  # chain versus SVD span: about eps / (DROP_REL * CLEAR
 ROUNDOFF = 100.0  # pruned versus unpruned spans: within ROUNDOFF * eps * cond(words)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _every_shift_takes_the_row_window():
+    """Chains here apply a ShiftMatrix through its row window whatever the window saves.
+
+    The rule that weighs the window's set-up (``ShiftMatrix._window_pays``)
+    sends the small graphs below to the full-length apply, so without this
+    the properties that compare a chain with :class:`_FullRowChain` would
+    not see the windowed path.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gsis.graphs, "_WINDOW_SKIP", 0)
+        yield
+
+
 @st.composite
 def circulant_windows(draw):
     """A small circulant, a generator, and a contiguous sampling window."""
@@ -340,16 +354,21 @@ def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invis
 # row ranges: Gram-Schmidt reads only the rows a span can be nonzero on
 
 
-def _full_row_try_add(self, v):
-    """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row."""
+def _full_row_try_add(self, v, start=0):
+    """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row.
+
+    Its first passes read the columns from ``start`` on, as the basis' one stream does.
+    :class:`_FullRowChain` offers no start unless a test sets its ``_local``, so both
+    its passes read every column.
+    """
     v = np.array(v, dtype=float)
     self._max_euclid = max(self._max_euclid, float(np.linalg.norm(v)))
     if self.weight is None:
         self._max_weighted = self._max_euclid
         if self.dim:
             u = self.basis
-            for _ in range(2):
-                v -= u @ (u.T @ v)
+            for first in (start, 0):
+                v -= u[:, first:] @ (u[:, first:].T @ v)
         norm_v = float(np.linalg.norm(v))
         if norm_v <= DROP_REL * self._max_weighted:
             return DEPENDENT
@@ -363,13 +382,13 @@ def _full_row_try_add(self, v):
     gamma, alpha = np.zeros(k), np.zeros(k)
     if k:
         u, p = self.basis, self.images
-        for _ in range(2):
-            c = p.T @ w
-            w -= p @ c
-            gamma += c
-            c = u.T @ v
-            v -= u @ c
-            alpha += c
+        for first in (start, 0):
+            c = p[:, first:].T @ w
+            w -= p[:, first:] @ c
+            gamma[first:] += c
+            c = u[:, first:].T @ v
+            v -= u[:, first:] @ c
+            alpha[first:] += c
     norm_w = float(np.linalg.norm(w))
     if norm_w <= DROP_REL * self._max_weighted:
         if float(np.linalg.norm(v)) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
@@ -402,15 +421,30 @@ class _RecordedChain(KrylovChain):
         self.statuses = []
         super().__init__(*args, **kwargs)
 
-    def try_add(self, v):
-        status = self._offer(v)
+    def try_add(self, v, *args):
+        status = self._offer(v, *args)
         self.statuses.append(status)
         return status
 
 
+class _FullApply:
+    """A matrix seen only through ``shape`` and ``@``, so a chain applies it to whole columns."""
+
+    def __init__(self, matrix):
+        self.shape, self._matrix = matrix.shape, matrix
+
+    def __matmul__(self, x):
+        return self._matrix @ x
+
+
 class _FullRowChain(_RecordedChain):
+    """The reference chain: full-length shift applies and two full Gram-Schmidt passes on every row."""
+
     _offer = _full_row_try_add
     evaluate = _full_row_evaluate
+
+    def __init__(self, matrices, *args, **kwargs):
+        super().__init__([_FullApply(m) for m in matrices], *args, **kwargs)
 
 
 RANGE_TOL = 1e-13  # range versus full rows: only exact-zero terms differ, so roundoff at most
@@ -482,6 +516,7 @@ def test_a_localized_chain_keeps_a_local_range_that_is_bit_identical(weighted):
     phi = np.eye(n)[center]
     scheme = gsis.subset_sampler(n, range(center - 200, center + 201)) if weighted else None
     chain, ref = _RecordedChain(shifts, [phi], scheme), _FullRowChain(shifts, [phi], scheme)
+    ref._local = True  # the chain's local first passes, on every row and through full-length applies
     chain.grow_to(level)
     ref.grow_to(level)
     # a level-20 span of a delta is nonzero only within 3 * 20 hops of it
@@ -564,6 +599,86 @@ def test_permuted_labels_give_the_same_dims_and_projector(weighted):
     _assert_rows_outside_the_range_are_zero(permuted)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_cap_100_chain_with_local_first_passes_matches_full_passes(weighted):
+    # the benchmark's deep chain: a delta on the (1, 3) circulant, and a 601-vertex window
+    n, center, radius, cap = 2000, 1000, 300, 100
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    phi = np.eye(n)[center]
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1)) if weighted else None
+    chain, ref = _RecordedChain(shifts, [phi], scheme), _FullRowChain(shifts, [phi], scheme)
+    m = n if scheme is None else scheme.n_samples
+    y = np.cos(np.arange(m) / 9.0) + np.random.default_rng(8).uniform(-0.01, 0.01, m)
+    fit, fit_ref = chain.fit(y[:, None], [cap]), ref.fit(y[:, None], [cap])
+    assert chain.dims == ref.dims == [1] + [3 * k for k in range(1, cap + 1)]
+    assert chain.statuses == ref.statuses
+    assert fit.residual_norms.tobytes() == fit_ref.residual_norms.tobytes()
+    # every level's iterate, as reconstruct_krylov(keep_iterates=True) evaluates them
+    prefixes = np.where(np.arange(chain.dim)[:, None] < np.asarray(chain.dims), fit.coefficients, 0.0)
+    prefixes_ref = np.where(np.arange(ref.dim)[:, None] < np.asarray(ref.dims), fit_ref.coefficients, 0.0)
+    assert chain.evaluate(prefixes).tobytes() == ref.evaluate(prefixes_ref).tobytes()
+    for basis in (chain.basis, ref.basis):
+        assert np.linalg.norm(basis.T @ basis - np.eye(chain.dim), 2) <= 1e-14
+
+
+class _StartChain(KrylovChain):
+    """KrylovChain that records the first-pass start of every candidate it offers."""
+
+    def __init__(self, *args, **kwargs):
+        self.starts = []
+        super().__init__(*args, **kwargs)
+
+    def try_add(self, v, start=0, rows=None):
+        self.starts.append(start)
+        return super().try_add(v, start, rows)
+
+
+def test_only_shift_matrices_take_the_local_first_pass():
+    n, center, level = 200, 100, 8
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    phi = np.eye(n)[center]
+    local = _StartChain(shifts, [phi])
+    local.grow_to(level)
+    # level n starts at dims[n - 3]: the columns before it are two levels too shallow
+    assert max(local.starts) == local.dims[level - 3] > 0
+    # a dense array carries no symmetry by storage, not even beside a ShiftMatrix
+    for mats in ([s.matrix for s in shifts], [shifts[0], shifts[1].matrix], [_FullApply(s) for s in shifts]):
+        full = _StartChain(mats, [phi])
+        full.grow_to(level)
+        assert full.dims == local.dims and set(full.starts) == {0}
+
+
+def test_an_invisible_drop_ends_the_local_first_passes():
+    # the regrown case above: level 3 meets a candidate the window cannot see
+    n, center, radius = 200, 100, 8
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
+    chain = _StartChain(shifts, [np.eye(n)[center]], scheme, on_drop=lambda status, what: None)
+    chain.grow_to(2)
+    assert chain._local
+    chain.grow_to(3)
+    assert not chain._local and not chain._prune
+    mark = len(chain.starts)
+    chain.grow_to(8)
+    # level 4 would have started at dims[1] = 3; the window's span stalls after it
+    assert chain.depth == 4 and chain.dims[1] == 3 and set(chain.starts[mark:]) == {0}
+
+
+def test_every_chain_candidate_goes_through_try_add(monkeypatch):
+    offered = []
+    try_add = OrthogonalBasis.try_add
+    monkeypatch.setattr(OrthogonalBasis, "try_add", lambda self, v, *args: offered.append(v) or try_add(self, v, *args))
+    # a round of the benchmark's deep chains, one per level cap
+    n, center, radius = 2000, 1000, 300
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
+    y = np.cos(np.arange(scheme.n_samples) / 9.0)
+    for cap in (40, 55, 70, 85, 100):
+        result = gsis.reconstruct_krylov(shifts, [np.eye(n)[center]], scheme, y, max_level=cap)
+        assert result.depth == cap
+    assert len(offered) == 1055
+
+
 @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "block"])
 def test_evaluate_rejects_more_coefficients_than_the_dimension(shape):
     basis = OrthogonalBasis(4)
@@ -620,8 +735,10 @@ def test_one_stream_is_bit_identical_to_the_two_streams_of_the_dense_scheme(vert
     _, shifts = gsis.build_circulant(n, (1, 3))
     scheme = gsis.subset_sampler(n, vertices)
     gens = [np.eye(n)[c] for c in centers]
-    chain = _RecordedChain(shifts, gens, scheme)
-    dense = _RecordedChain(shifts, gens, gsis.SamplingScheme(scheme.matrix))
+    # two streams always take full first passes, so the one stream is given them too
+    mats = [_FullApply(s) for s in shifts]
+    chain = _RecordedChain(mats, gens, scheme)
+    dense = _RecordedChain(mats, gens, gsis.SamplingScheme(scheme.matrix))
     chain.grow_to(level)
     dense.grow_to(level)
     # one stream through level ``inside``, both streams from a column of the next level on

@@ -99,29 +99,85 @@ def test_a_scheme_applies_itself_as_its_matrix_product(kind):
 
 
 class _Weight:
-    """Stand-in weight with nothing but a shape and ``@``."""
+    """Stand-in weight with nothing but a shape, ``@`` and, for a subset scheme, its vertices."""
 
     def __init__(self, scheme):
         self.shape = scheme.shape
         self._apply = scheme.__matmul__
+        self.applied = 0
+        if scheme.provenance == "subset":
+            self.vertices = scheme.vertices
 
     def __matmul__(self, v):
+        self.applied += 1
         return self._apply(v)
 
 
 @pytest.mark.parametrize("kind", ["subset", "dynamic", "custom"])
-def test_an_orthogonal_basis_reads_only_the_shape_and_matmul_of_its_weight(kind):
+def test_an_orthogonal_basis_reads_only_the_shape_matmul_and_vertices_of_its_weight(kind):
     scheme = _schemes()[kind]
     rng = np.random.default_rng(13)
-    candidates = list(rng.standard_normal((6, 9)))
-    candidates.insert(2, candidates[0] - 2.0 * candidates[1])  # dependent
-    candidates.insert(1, np.eye(9)[0])  # vertex 0 is not sampled by the subset scheme
-    real = gsis.OrthogonalBasis(9, scheme)
-    stand_in = gsis.OrthogonalBasis(9, _Weight(scheme))
-    statuses = [(real.try_add(v), stand_in.try_add(v)) for v in candidates]
-    assert all(a == b for a, b in statuses) and real.dim > 0
-    assert np.array_equal(real.basis, stand_in.basis)
-    assert np.array_equal(real.images, stand_in.images)
+    dense = list(rng.standard_normal((6, 9)))
+    dense.insert(2, dense[0] - 2.0 * dense[1])  # dependent
+    dense.insert(1, np.eye(9)[0])  # vertex 0 is not sampled by the subset scheme
+    # nonzero on the subset scheme's vertices alone, so that basis keeps one stream
+    on_samples = list(rng.standard_normal((4, 9)) * np.isin(np.arange(9), [2, 4, 7]))
+    on_samples.insert(2, on_samples[0] - 2.0 * on_samples[1])  # dependent
+    for candidates in (dense, on_samples):
+        weight = _Weight(scheme)
+        real, stand_in = gsis.OrthogonalBasis(9, scheme), gsis.OrthogonalBasis(9, weight)
+        statuses = [(real.try_add(v), stand_in.try_add(v)) for v in candidates]
+        assert all(a == b for a, b in statuses) and real.dim > 0
+        assert np.array_equal(real.basis, stand_in.basis)
+        assert np.array_equal(real.images, stand_in.images)
+        assert np.array_equal(real._r[: real.dim, : real.dim], stand_in._r[: real.dim, : real.dim])
+    # the one stream reads the vertices, never applies the weight and keeps R the identity
+    assert real.dim == 3 and statuses[2] == (gsis.DEPENDENT, gsis.DEPENDENT)
+    assert (weight.applied == 0) is (kind == "subset")
+    assert np.array_equal(stand_in._r[:3, :3], np.eye(3)) is (kind == "subset")
+
+
+@pytest.mark.parametrize("kind", [None, "subset", "custom"])
+def test_an_orthogonal_basis_rejects_a_candidate_that_is_not_finite_or_of_another_length(kind):
+    weight = None if kind is None else _schemes()[kind]
+    basis = gsis.OrthogonalBasis(9, weight)
+    first = np.eye(9)[2]
+    assert basis.try_add(first) == gsis.ADDED
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.eye(9)[4]
+        bad[4] = value
+        with pytest.raises(ValueError, match="candidate is not finite"):
+            basis.try_add(bad)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="candidate is not finite"):
+        basis.try_add(np.full(9, 1e300))  # finite, but its norm overflows
+    for bad in (np.ones(8), np.ones(10), np.ones((9, 1))):
+        with pytest.raises(ValueError, match=rf"candidate of shape \({bad.shape[0]},"):
+            basis.try_add(bad)
+    with pytest.raises(ValueError, match="candidate of shape"):  # a range candidate as long as another range
+        basis.try_add(np.ones(3), rows=slice(4, 8))
+    with pytest.raises(ValueError, match="candidate rows 7:10 outside a basis of 9 rows"):
+        basis.try_add(np.ones(3), rows=slice(7, 10))
+    with pytest.raises(ValueError, match="first-pass start"):
+        basis.try_add(np.eye(9)[4], start=2)
+    # nothing of a rejected candidate was kept: the basis goes on as if none was offered
+    fresh = gsis.OrthogonalBasis(9, weight)
+    fresh.try_add(first)
+    for v in (np.eye(9)[4] + 0.5 * np.eye(9)[7], np.eye(9)[7]):
+        assert basis.try_add(v) == fresh.try_add(v)
+    assert basis.basis.tobytes() == fresh.basis.tobytes() and basis._max_euclid == fresh._max_euclid
+
+
+@pytest.mark.parametrize("kind, dim", [(None, 4), ("subset", 3), ("custom", 4)])
+def test_a_range_candidate_is_the_full_vector_it_stands_for(kind, dim):
+    weight = None if kind is None else _schemes()[kind]
+    rng = np.random.default_rng(14)
+    full, ranged = gsis.OrthogonalBasis(9, weight), gsis.OrthogonalBasis(9, weight)
+    for lo, hi in ((2, 5), (4, 8), (0, 9), (3, 3), (1, 4)):
+        v = np.zeros(9)
+        v[lo:hi] = rng.standard_normal(hi - lo)
+        assert full.try_add(v) == ranged.try_add(v[lo:hi].copy(), rows=slice(lo, hi))
+    assert full.dim == ranged.dim == dim
+    assert full.basis.tobytes() == ranged.basis.tobytes() and full.images.tobytes() == ranged.images.tobytes()
 
 
 def test_non_finite_observations_are_rejected():

@@ -338,6 +338,77 @@ def test_a_shift_without_entries_applies_as_float_zeros(kind):
     assert out.dtype == float and np.array_equal(out, np.zeros(3))
 
 
+def _window_apply(shift, lo, hi, x):
+    """``S @ x`` through the row window of ``[lo, hi)``, zero off the rows the window reaches."""
+    rows, apply = shift._window(lo, hi)
+    out = np.zeros(shift.n_vertices)
+    out[rows] = apply(x)
+    return out
+
+
+@st.composite
+def windowed_operands(draw):
+    """A shift, a row range ``[lo, hi)`` and a vector that vanishes off it, with signed zeros inside."""
+    family = draw(st.sampled_from(["random", "circulant", "irregular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "random":
+        graph, _ = draw(weighted_graphs())
+        # shuffled labels: a range's neighbours lie anywhere, so its window soon spans every row
+        perm = rng.permutation(graph.n_vertices)
+        edges = [tuple(sorted((int(perm[i]), int(perm[j])))) for i, j in zip(graph._i, graph._j)]
+        graph = gsis.Graph(graph.n_vertices, edges, graph._w)
+        # isolated vertices leave rows with no entry in either shift
+        shift = gsis.build_standard_shifts(graph, draw(st.sampled_from(["adjacency", "laplacian"])))
+    elif family == "circulant":
+        n = draw(st.integers(5, 60))
+        offsets = {1} | draw(st.sets(st.integers(2, (n - 1) // 2), max_size=2))
+        shift = gsis.build_circulant(n, sorted(offsets))[1][draw(st.integers(0, len(offsets) - 1))]
+    else:
+        shift = _irregular_shift()  # a kept -0.0 weight, and a vertex with no entry
+    n = shift.n_vertices
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    x = np.zeros(n)
+    x[lo:hi] = rng.standard_normal(hi - lo)
+    zeros = np.flatnonzero(rng.random(n) < 0.2)
+    x[zeros[(zeros >= lo) & (zeros < hi)]] = np.copysign(0.0, rng.standard_normal(1))
+    return shift, lo, hi, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=windowed_operands())
+def test_the_window_apply_is_bit_identical_to_the_vector_apply(case):
+    shift, lo, hi, x = case
+    rows, _ = shift._window(lo, hi)
+    assert 0 <= rows.start <= rows.stop <= shift.n_vertices
+    assert_same_bits(_window_apply(shift, lo, hi, x), shift @ x)
+
+
+def test_a_circulant_window_reaches_its_offsets_and_wraps_past_vertex_zero():
+    _, (s1, s3) = gsis.build_circulant(40, (1, 3))
+    assert s3._window(10, 20)[0] == slice(7, 23)
+    assert s1._window(10, 20)[0] == slice(9, 21)
+    # vertex 0 neighbours 37, and vertex 39 neighbours 0: the window takes every row
+    assert s3._window(0, 4)[0] == slice(0, 40)
+    assert s1._window(39, 40)[0] == slice(0, 40)
+    rows, apply = s1._window(12, 12)
+    assert rows == slice(12, 12) and apply(np.zeros(40)).shape == (0,)
+    x = np.zeros(40)
+    x[[0, 1, 39]] = [1.0, -2.0, 0.5]
+    assert_same_bits(_window_apply(s3, 0, 40, x), s3 @ x)
+    assert_same_bits(_window_apply(s1, 39, 40, np.eye(40)[39]), s1 @ np.eye(40)[39])
+
+
+def test_the_row_window_rule_takes_each_branch():
+    _, (s, _) = gsis.build_circulant(2000, (1, 3))
+    assert set(np.diff(s._ptr)) == {3}
+    # 1366 rows outside the range hold 4098 entries, 1365 rows 4095
+    assert s._window_pays(0, 634) and not s._window_pays(0, 635)
+    assert s._window_pays(700, 1301)  # the deep-chain benchmark's window
+    _, (t, _) = gsis.build_circulant(100, (1, 3))
+    assert not t._window_pays(32, 64) and not t._window_pays(0, 0)  # the sweep's 100-cycle
+
+
 def test_chain_from_shift_matrices_equals_the_dense_chain():
     rng = np.random.default_rng(3)
     n = 201
