@@ -270,8 +270,9 @@ class ShiftMatrix:
     window (:meth:`_window`): S being symmetric, it reaches only the rows
     whose stored columns meet the range, and the window sums just those
     rows' entries, in the vector apply's order, so it too is bit for bit
-    ``S @ x`` in O(entries reached) rather than O(N + 2|E|).  The window
-    rule (:meth:`_window_pays`) says when that repays its set-up.
+    ``S @ x``, in O(entries reached) and a zero fill rather than
+    O(N + 2|E|).  The window rule (:meth:`_window_pays`) says when that
+    repays its set-up.
 
     Raises
     ------
@@ -416,26 +417,32 @@ class ShiftMatrix:
         total = len(self._rows)
         return total >= _WINDOW_SKIP and total - (self._ptr[hi] - self._ptr[lo]) >= _WINDOW_SKIP
 
-    def _window(self, lo: int, hi: int) -> tuple[slice, Callable[[np.ndarray], np.ndarray]]:
-        """``S @ x`` for the vectors x that vanish off the rows ``[lo, hi)``, on the rows it can reach.
+    def _window(self, lo: int, hi: int) -> Callable[[np.ndarray], np.ndarray]:
+        """``S @ x`` for the (N,) vectors x that vanish off the rows ``[lo, hi)``, through the rows x reaches.
 
-        Returns ``(rows, apply)``: ``S @ x`` is zero off the slice ``rows``,
-        and ``apply(x)`` is ``(S @ x)[rows]`` for an (N,) x.  S being
-        symmetric, an entry of x in ``[lo, hi)`` reaches exactly the columns
-        stored in those rows, ``_cols[_ptr[lo]:_ptr[hi]]``; ``rows`` runs
-        from the first of them to one past the last.  ``apply`` sums the
-        ``_ptr`` slice of those rows, each row its own entries in the vector
-        apply's order, so it equals the vector apply bit for bit (a row with
-        no entry reads +0.0).  The slices are set up once; each ``apply``
-        then costs O(entries in ``rows``), whatever N is.
+        S being symmetric, an entry of x in ``[lo, hi)`` reaches exactly the
+        rows stored as columns of those rows, ``_cols[_ptr[lo]:_ptr[hi]]``;
+        every other row of ``S @ x`` is zero.  The returned apply sums the
+        ``_ptr`` slice of the rows from the first of them to the last, each
+        row its own entries in the vector apply's order, so it equals the
+        vector apply bit for bit (a row with no entry reads +0.0).  The
+        slices are set up once; each apply then costs O(entries reached),
+        plus the zero fill of the other rows.
         """
+        n = self.n_vertices
         reached = self._cols[self._ptr[lo] : self._ptr[hi]]
         if reached.size == 0:
-            return slice(lo, lo), lambda x: np.zeros(0)
+            return lambda x: np.zeros(n)
         first, last = int(reached.min()), int(reached.max()) + 1
         entries = slice(self._ptr[first], self._ptr[last])
         rows, cols, weights = self._rows[entries] - first, self._cols[entries], self._weights[entries]
-        return slice(first, last), lambda x: np.bincount(rows, weights * x[cols], minlength=last - first)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(n)
+            out[first:last] = np.bincount(rows, weights * x[cols], minlength=last - first)
+            return out
+
+        return apply
 
     # numpy defers ``ndarray @ shift`` to __rmatmul__ instead of broadcasting over the shift
     __array_ufunc__ = None

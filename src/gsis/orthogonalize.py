@@ -46,6 +46,10 @@ INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_
 # into the same partial sums as those of the full column: the range drops only
 # exact-zero terms and leaves every result bit for bit as the full-row product.
 _BLOCK = 32
+# numpy finds the nonzeros of a bool mask faster than those of floats: from about
+# 300 entries the mask repays its allocation (2.5 against 6.7 us at 2000, 0.59
+# against 1.15 us at 100; numpy 2.4), and the rows found are the same
+_MASK_SCAN = 400
 
 
 def _doubled(a: np.ndarray, rows: slice) -> np.ndarray:
@@ -115,21 +119,6 @@ class OrthogonalBasis:
     every chain the tests compare, bit for bit.  The first column stored
     with a nonzero on an unsampled vertex switches the basis to both
     streams for good.
-
-    Local first pass: ``try_add(v, start)`` runs the first euclidean pass
-    (weight None, or one stream) over the columns from ``start`` on only;
-    the second pass reads every column.  The caller vouches that v has, in
-    exact arithmetic, no component on the earlier columns, so the first
-    pass skips only roundoff, which the full second pass removes, as in
-    Lanczos with full reorthogonalization (Paige, 1972).  Two streams keep
-    both passes full: their image stream has no such structure.
-
-    Range candidates: ``try_add(v, start, rows)`` takes the candidate as its
-    entries on the rows ``rows`` alone, zero elsewhere, so a candidate on
-    the euclidean passes costs O(rows x dim) and nothing of length N.
-    Every candidate is gated: one of the wrong length, or one that is not
-    finite (NaN, an infinity, or a norm that overflows), raises before the
-    basis changes.
     """
 
     def __init__(self, n: int, weight=None):
@@ -171,71 +160,52 @@ class OrthogonalBasis:
             self._u = _doubled(self._u, rows)
             self._p = self._u if self.weight is None else _doubled(self._p, image_rows)
             if self._r is not None:
-                self._r = np.pad(self._r, (0, self.dim))
+                r = np.zeros((2 * self.dim, 2 * self.dim))  # only the old block is written, as in _doubled
+                r[: self.dim, : self.dim] = self._r
+                self._r = r
 
-    def try_add(self, v: np.ndarray, start: int = 0, rows: slice | None = None) -> str:
+    def try_add(self, v: np.ndarray) -> str:
         """Orthogonalize v against the basis and add it if independent.
-
-        ``v`` is an (N,) vector, or, given ``rows`` (a ``first:last`` slice
-        of ``range(N)``), the candidate's entries on those rows, every other
-        row being zero.  ``start`` is the first column the euclidean first
-        pass reads: the caller vouches that, in exact arithmetic, v has no
-        component on the columns before it (see :class:`OrthogonalBasis`).
 
         Returns one of ``ADDED``, ``DEPENDENT``, ``INVISIBLE``.
 
         Raises
         ------
         ValueError
-            If the candidate has the wrong length or rows outside the
-            basis, is not finite, or has a norm that overflows, or if
-            ``start`` is not a column index.
+            If v is not an (N,) vector, or is not finite (a NaN, an
+            infinity, or entries whose norm overflows; numpy may warn of
+            the overflow first), before the basis changes.
         """
-        k = self.dim
-        if not 0 <= start <= k:
-            raise ValueError(f"first-pass start {start} outside 0..{k}")
-        if rows is None:
-            v = np.array(v, dtype=float)  # a copy: vs, a view of it, is projected in place
-            first, size = 0, self.n
-        else:
-            v = np.asarray(v, dtype=float)
-            first, size = rows.start, rows.stop - rows.start
-            if not 0 <= first <= rows.stop <= self.n:
-                raise ValueError(f"candidate rows {first}:{rows.stop} outside a basis of {self.n} rows")
-        if v.shape != (size,):
-            raise ValueError(f"candidate of shape {v.shape}, expected ({size},)")
-        nonzero = v.nonzero()[0]
-        if first:
-            nonzero += first
+        v = np.array(v, dtype=float)
+        if v.shape != (self.n,):
+            raise ValueError(f"candidate of shape {v.shape}, expected ({self.n},)")
+        nonzero = ((v != 0) if self.n >= _MASK_SCAN else v).nonzero()[0]
         lo, hi = _span(nonzero, self._lo, self._hi, self.n)
-        # v is zero outside these rows, and so is every basis column
-        if rows is None:
-            vs = v[lo:hi]
-        else:
-            vs = np.zeros(hi - lo)
-            a, b = max(lo, first), min(hi, first + size)
-            vs[a - lo : b - lo] = v[a - first : b - first]
-        raw = _norm(vs)
+        vs = v[lo:hi]  # a view: v is zero outside these rows, and so is every basis column
+        try:
+            raw = _norm(vs)
+        except (RuntimeWarning, FloatingPointError):  # numpy's overflow, under warnings as errors or np.errstate
+            raw = math.inf
         if not math.isfinite(raw):
             raise ValueError("candidate is not finite, or its norm overflows")
         self._max_euclid = max(self._max_euclid, raw)
+        k = self.dim
         one_stream = self._take is not None and not self._unsampled[nonzero].any()
         if self.weight is None or one_stream:
             # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
             self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
             if k:
                 u = self._u[lo:hi, :k]
-                near = u[:, start:] if start else u
-                vs -= near @ (near.T @ vs)
+                vs -= u @ (u.T @ vs)
                 vs -= u @ (u.T @ vs)
             norm_v = _norm(vs)
             if norm_v <= DROP_REL * self._max_weighted:
                 return DEPENDENT
-            if k == self._u.shape[1]:
-                self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
+            self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
             self._u[lo:hi, k] = vs / norm_v
             if one_stream:
-                plo, phi = _span(self._take.searchsorted(nonzero), self._plo, self._phi, len(self._take))
+                # _span reads only the first and last of the sorted image rows
+                plo, phi = _span(self._take.searchsorted(nonzero[[0, -1]]), self._plo, self._phi, len(self._take))
                 self._p[plo:phi, k] = self._u[self._take[plo:phi], k]
                 self._r[:k, k] = 0.0  # written, not assumed: column k may hold a dropped column's entries
                 self._r[k, k] = 1.0
@@ -244,9 +214,6 @@ class OrthogonalBasis:
             self.dim += 1
             return ADDED
 
-        if rows is not None:
-            v = np.zeros(self.n)
-            v[lo:hi] = vs
         w = self.weight @ v
         plo, phi = _span(w.nonzero()[0], self._plo, self._phi, len(w))
         ws = w[plo:phi]
@@ -271,8 +238,7 @@ class OrthogonalBasis:
         # a weighted-independent candidate is euclidean-independent, since
         # ||W r|| <= ||W|| ||r|| for the orthogonalized remainder r
         norm_v = _norm(vs)
-        if k == self._u.shape[1]:
-            self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
+        self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
         self._u[lo:hi, k] = vs / norm_v
         self._p[plo:phi, k] = ws / norm_w
         self._r[:k, k] = (gamma - self._r[:k, :k] @ alpha) / norm_v
@@ -298,7 +264,7 @@ class OrthogonalBasis:
         k = c.shape[0]
         if k > self.dim:
             raise ValueError(f"{k} coefficients for a basis of dimension {self.dim}")
-        if self.weight is not None:
+        if self.weight is not None and self._take is None:  # on one stream R is the identity: nothing to solve
             c = np.linalg.solve(self._r[:k, :k], c)
         out = np.zeros((self.n,) + c.shape[1:])
         out[self._lo : self._hi] = self._u[self._lo : self._hi, :k] @ c

@@ -207,32 +207,23 @@ class KrylovChain(OrthogonalBasis):
     candidate offered so far, so skipping candidates could in principle
     move a borderline decision.
 
-    Local first pass: a :class:`~gsis.graphs.ShiftMatrix` is symmetric by
-    storage.  For a symmetric S and a column u_j added at level n - 1, which
-    is orthogonal to the level n - 2 span, and any column u_i of the level
-    n - 3 span, ``<u_i, S u_j> = <S u_i, u_j> = 0``, since ``S u_i`` lies in
-    the level n - 2 span.  So a level-n candidate has, in exact arithmetic,
-    no component on the columns before ``dims[n - 3]``, and its first
-    euclidean pass reads only the columns from there on; the second pass
-    reads every column (see :class:`~gsis.orthogonalize.OrthogonalBasis`).
-    The pass stays full when any matrix is not a ShiftMatrix (a dense array
-    carries no symmetry by storage), on two streams, and from the first
-    ``INVISIBLE`` drop on, after which a level span need not hold ``S`` of
-    the one before it.
-
     ``matrices`` are applied as ``S @ v``: a dense ``(N, N)`` array in
-    O(N^2), and a ShiftMatrix (or the shifts of a
-    :class:`~gsis.graphs.ShiftSet`) through its edge list.  Every column of
-    a level vanishes off the basis' row range, so a ShiftMatrix applies to
-    each through its row window (:meth:`~gsis.graphs.ShiftMatrix._window`),
-    set up once per level and shift, which reads only the rows the range
-    reaches and gives the candidate on those rows alone, bit for bit the
-    full apply; a window that would skip too few entries to repay its
-    set-up (:meth:`~gsis.graphs.ShiftMatrix._window_pays`) gives way to the
-    full-length apply.  A candidate then costs one local and one full
-    Gram-Schmidt pass over the rows the span is nonzero on, and one apply
-    over the rows its level reaches: on a circulant, a level-n span of a
-    delta generator covers only its n-hop neighbourhood, whatever N is.
+    O(N^2), and a :class:`~gsis.graphs.ShiftMatrix` (or the shifts of a
+    :class:`~gsis.graphs.ShiftSet`) through its edge list.  Every column
+    of a level vanishes off the basis' row range, so a ShiftMatrix applies
+    to each through its row window
+    (:meth:`~gsis.graphs.ShiftMatrix._window`), set up again only when the
+    range grows: S being symmetric, the window sums only the entries of the rows
+    that range reaches, bit for bit the full apply.  A window that would
+    skip too few entries to repay its set-up
+    (:meth:`~gsis.graphs.ShiftMatrix._window_pays`) gives way to the full
+    apply.  A candidate then costs one apply over the rows its level
+    reaches and O(rows x dim) per Gram-Schmidt pass, where rows is the
+    range of vertex labels the span is nonzero on (see
+    :class:`~gsis.orthogonalize.OrthogonalBasis`): on a circulant, a
+    level-n span of a delta generator covers only its n-hop neighbourhood.
+    Zeroing the candidate's other rows, and finding its nonzeros, still
+    read all N rows once.
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
@@ -251,8 +242,8 @@ class KrylovChain(OrthogonalBasis):
                 self._on_drop(status, f"generator {k}")
         self._tags = [0] * self.dim
         self._prune = True
-        # every matrix symmetric by storage, and no invisible drop yet: the local first pass holds
-        self._local = all(isinstance(m, ShiftMatrix) for m in self._matrices)
+        # each matrix's row window on the basis' row range, None where the full apply runs
+        self._window_rows, self._windows = None, []
         self.dims = [self.dim]
         self.stalled = False
 
@@ -260,30 +251,26 @@ class KrylovChain(OrthogonalBasis):
     def depth(self) -> int:
         return len(self.dims) - 1
 
-    def _grow_level(self, lo: int, hi: int, start: int) -> bool:
-        """Offer one level's candidates; False, with the level undone, on a pruned invisible drop.
-
-        Each candidate's first euclidean pass reads the columns from ``start`` on.
-        """
-        saved = self.dim, self._max_weighted, self._max_euclid
+    def _grow_level(self, lo: int, hi: int) -> bool:
+        """Offer one level's candidates; False, with the level undone, on a pruned invisible drop."""
+        start = self.dim, self._max_weighted, self._max_euclid
         rows = self._lo, self._hi  # every column of the previous level vanishes off these rows
+        if rows != self._window_rows:  # set up again only when the range has grown
+            self._window_rows = rows
+            self._windows = [
+                s._window(*rows) if isinstance(s, ShiftMatrix) and s._window_pays(*rows) else None
+                for s in self._matrices
+            ]
         drops = []
-        for t, s in enumerate(self._matrices, start=1):
-            window = s._window(*rows) if isinstance(s, ShiftMatrix) and s._window_pays(*rows) else None
+        for t, (s, window) in enumerate(zip(self._matrices, self._windows), start=1):
             for j in range(lo, hi):
                 if self._prune and self._tags[j] > t:
                     continue
-                if window is None:
-                    status = self.try_add(s @ self._u[:, j], start)
-                else:
-                    reached, apply = window
-                    status = self.try_add(apply(self._u[:, j]), start, reached)
-                if status == INVISIBLE:
-                    self._local = False  # the span may now miss S u_i for an earlier u_i
-                    if self._prune:
-                        self.dim, self._max_weighted, self._max_euclid = saved
-                        del self._tags[self.dim :]
-                        return False
+                status = self.try_add(s @ self._u[:, j] if window is None else window(self._u[:, j]))
+                if status == INVISIBLE and self._prune:
+                    self.dim, self._max_weighted, self._max_euclid = start
+                    del self._tags[self.dim :]
+                    return False
                 if status == ADDED:
                     self._tags.append(t)
                 else:
@@ -296,10 +283,9 @@ class KrylovChain(OrthogonalBasis):
         """Grow until ``depth`` reaches ``level``; False if the chain stalls first."""
         while self.depth < level and not self.stalled:
             lo, hi = (self.dims[-2] if self.depth else 0), self.dims[-1]
-            start = self.dims[-3] if self._local and self.depth >= 2 else 0
-            if not self._grow_level(lo, hi, start):
+            if not self._grow_level(lo, hi):
                 self._prune = False
-                self._grow_level(lo, hi, 0)
+                self._grow_level(lo, hi)
             self.stalled = self.dim == hi
             if not self.stalled:
                 self.dims.append(self.dim)

@@ -354,21 +354,16 @@ def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invis
 # row ranges: Gram-Schmidt reads only the rows a span can be nonzero on
 
 
-def _full_row_try_add(self, v, start=0):
-    """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row.
-
-    Its first passes read the columns from ``start`` on, as the basis' one stream does.
-    :class:`_FullRowChain` offers no start unless a test sets its ``_local``, so both
-    its passes read every column.
-    """
+def _full_row_try_add(self, v):
+    """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row."""
     v = np.array(v, dtype=float)
     self._max_euclid = max(self._max_euclid, float(np.linalg.norm(v)))
     if self.weight is None:
         self._max_weighted = self._max_euclid
         if self.dim:
             u = self.basis
-            for first in (start, 0):
-                v -= u[:, first:] @ (u[:, first:].T @ v)
+            for _ in range(2):
+                v -= u @ (u.T @ v)
         norm_v = float(np.linalg.norm(v))
         if norm_v <= DROP_REL * self._max_weighted:
             return DEPENDENT
@@ -382,13 +377,13 @@ def _full_row_try_add(self, v, start=0):
     gamma, alpha = np.zeros(k), np.zeros(k)
     if k:
         u, p = self.basis, self.images
-        for first in (start, 0):
-            c = p[:, first:].T @ w
-            w -= p[:, first:] @ c
-            gamma[first:] += c
-            c = u[:, first:].T @ v
-            v -= u[:, first:] @ c
-            alpha[first:] += c
+        for _ in range(2):
+            c = p.T @ w
+            w -= p @ c
+            gamma += c
+            c = u.T @ v
+            v -= u @ c
+            alpha += c
     norm_w = float(np.linalg.norm(w))
     if norm_w <= DROP_REL * self._max_weighted:
         if float(np.linalg.norm(v)) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
@@ -421,8 +416,8 @@ class _RecordedChain(KrylovChain):
         self.statuses = []
         super().__init__(*args, **kwargs)
 
-    def try_add(self, v, *args):
-        status = self._offer(v, *args)
+    def try_add(self, v):
+        status = self._offer(v)
         self.statuses.append(status)
         return status
 
@@ -438,7 +433,7 @@ class _FullApply:
 
 
 class _FullRowChain(_RecordedChain):
-    """The reference chain: full-length shift applies and two full Gram-Schmidt passes on every row."""
+    """The reference chain: full-length shift applies, and Gram-Schmidt on every row."""
 
     _offer = _full_row_try_add
     evaluate = _full_row_evaluate
@@ -516,7 +511,6 @@ def test_a_localized_chain_keeps_a_local_range_that_is_bit_identical(weighted):
     phi = np.eye(n)[center]
     scheme = gsis.subset_sampler(n, range(center - 200, center + 201)) if weighted else None
     chain, ref = _RecordedChain(shifts, [phi], scheme), _FullRowChain(shifts, [phi], scheme)
-    ref._local = True  # the chain's local first passes, on every row and through full-length applies
     chain.grow_to(level)
     ref.grow_to(level)
     # a level-20 span of a delta is nonzero only within 3 * 20 hops of it
@@ -600,7 +594,7 @@ def test_permuted_labels_give_the_same_dims_and_projector(weighted):
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-def test_a_cap_100_chain_with_local_first_passes_matches_full_passes(weighted):
+def test_a_cap_100_chain_through_row_windows_matches_full_applies(weighted):
     # the benchmark's deep chain: a delta on the (1, 3) circulant, and a 601-vertex window
     n, center, radius, cap = 2000, 1000, 300, 100
     _, shifts = gsis.build_circulant(n, (1, 3))
@@ -612,62 +606,30 @@ def test_a_cap_100_chain_with_local_first_passes_matches_full_passes(weighted):
     fit, fit_ref = chain.fit(y[:, None], [cap]), ref.fit(y[:, None], [cap])
     assert chain.dims == ref.dims == [1] + [3 * k for k in range(1, cap + 1)]
     assert chain.statuses == ref.statuses
+    assert chain.basis.tobytes() == ref.basis.tobytes()
     assert fit.residual_norms.tobytes() == fit_ref.residual_norms.tobytes()
     # every level's iterate, as reconstruct_krylov(keep_iterates=True) evaluates them
     prefixes = np.where(np.arange(chain.dim)[:, None] < np.asarray(chain.dims), fit.coefficients, 0.0)
-    prefixes_ref = np.where(np.arange(ref.dim)[:, None] < np.asarray(ref.dims), fit_ref.coefficients, 0.0)
-    assert chain.evaluate(prefixes).tobytes() == ref.evaluate(prefixes_ref).tobytes()
-    for basis in (chain.basis, ref.basis):
-        assert np.linalg.norm(basis.T @ basis - np.eye(chain.dim), 2) <= 1e-14
+    assert chain.evaluate(prefixes).tobytes() == ref.evaluate(prefixes).tobytes()
+    assert np.linalg.norm(chain.basis.T @ chain.basis - np.eye(chain.dim), 2) <= 1e-14
 
 
-class _StartChain(KrylovChain):
-    """KrylovChain that records the first-pass start of every candidate it offers."""
-
-    def __init__(self, *args, **kwargs):
-        self.starts = []
-        super().__init__(*args, **kwargs)
-
-    def try_add(self, v, start=0, rows=None):
-        self.starts.append(start)
-        return super().try_add(v, start, rows)
-
-
-def test_only_shift_matrices_take_the_local_first_pass():
-    n, center, level = 200, 100, 8
-    _, shifts = gsis.build_circulant(n, (1, 3))
-    phi = np.eye(n)[center]
-    local = _StartChain(shifts, [phi])
-    local.grow_to(level)
-    # level n starts at dims[n - 3]: the columns before it are two levels too shallow
-    assert max(local.starts) == local.dims[level - 3] > 0
-    # a dense array carries no symmetry by storage, not even beside a ShiftMatrix
-    for mats in ([s.matrix for s in shifts], [shifts[0], shifts[1].matrix], [_FullApply(s) for s in shifts]):
-        full = _StartChain(mats, [phi])
-        full.grow_to(level)
-        assert full.dims == local.dims and set(full.starts) == {0}
-
-
-def test_an_invisible_drop_ends_the_local_first_passes():
-    # the regrown case above: level 3 meets a candidate the window cannot see
-    n, center, radius = 200, 100, 8
-    _, shifts = gsis.build_circulant(n, (1, 3))
-    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
-    chain = _StartChain(shifts, [np.eye(n)[center]], scheme, on_drop=lambda status, what: None)
-    chain.grow_to(2)
-    assert chain._local
-    chain.grow_to(3)
-    assert not chain._local and not chain._prune
-    mark = len(chain.starts)
-    chain.grow_to(8)
-    # level 4 would have started at dims[1] = 3; the window's span stalls after it
-    assert chain.depth == 4 and chain.dims[1] == 3 and set(chain.starts[mark:]) == {0}
+def test_a_zero_windowed_candidate_off_the_basis_range_is_dependent():
+    # K_{64,64}, side A labelled 0..63: S (e0 - e1) is exactly zero, on rows 64..127 the window
+    # reaches, which are disjoint from the basis range [0, 32)
+    half = 64
+    edges = [(a, half + b) for a in range(half) for b in range(half)]
+    shift = gsis.build_standard_shifts(gsis.Graph(2 * half, edges), "adjacency")
+    phi = np.eye(2 * half)[0] - np.eye(2 * half)[1]
+    chain = _RecordedChain([shift], [phi])
+    assert not chain.grow_to(1) and chain.stalled
+    assert chain.statuses == [ADDED, DEPENDENT] and chain.dims == [1]
 
 
 def test_every_chain_candidate_goes_through_try_add(monkeypatch):
     offered = []
     try_add = OrthogonalBasis.try_add
-    monkeypatch.setattr(OrthogonalBasis, "try_add", lambda self, v, *args: offered.append(v) or try_add(self, v, *args))
+    monkeypatch.setattr(OrthogonalBasis, "try_add", lambda self, v: offered.append(v) or try_add(self, v))
     # a round of the benchmark's deep chains, one per level cap
     n, center, radius = 2000, 1000, 300
     _, shifts = gsis.build_circulant(n, (1, 3))
@@ -735,10 +697,8 @@ def test_one_stream_is_bit_identical_to_the_two_streams_of_the_dense_scheme(vert
     _, shifts = gsis.build_circulant(n, (1, 3))
     scheme = gsis.subset_sampler(n, vertices)
     gens = [np.eye(n)[c] for c in centers]
-    # two streams always take full first passes, so the one stream is given them too
-    mats = [_FullApply(s) for s in shifts]
-    chain = _RecordedChain(mats, gens, scheme)
-    dense = _RecordedChain(mats, gens, gsis.SamplingScheme(scheme.matrix))
+    chain = _RecordedChain(shifts, gens, scheme)
+    dense = _RecordedChain(shifts, gens, gsis.SamplingScheme(scheme.matrix))
     chain.grow_to(level)
     dense.grow_to(level)
     # one stream through level ``inside``, both streams from a column of the next level on

@@ -338,14 +338,6 @@ def test_a_shift_without_entries_applies_as_float_zeros(kind):
     assert out.dtype == float and np.array_equal(out, np.zeros(3))
 
 
-def _window_apply(shift, lo, hi, x):
-    """``S @ x`` through the row window of ``[lo, hi)``, zero off the rows the window reaches."""
-    rows, apply = shift._window(lo, hi)
-    out = np.zeros(shift.n_vertices)
-    out[rows] = apply(x)
-    return out
-
-
 @st.composite
 def windowed_operands(draw):
     """A shift, a row range ``[lo, hi)`` and a vector that vanishes off it, with signed zeros inside."""
@@ -379,24 +371,25 @@ def windowed_operands(draw):
 @given(case=windowed_operands())
 def test_the_window_apply_is_bit_identical_to_the_vector_apply(case):
     shift, lo, hi, x = case
-    rows, _ = shift._window(lo, hi)
-    assert 0 <= rows.start <= rows.stop <= shift.n_vertices
-    assert_same_bits(_window_apply(shift, lo, hi, x), shift @ x)
+    assert_same_bits(shift._window(lo, hi)(x), shift @ x)
 
 
-def test_a_circulant_window_reaches_its_offsets_and_wraps_past_vertex_zero():
+def test_a_circulant_window_reads_only_the_rows_its_range_reaches():
     _, (s1, s3) = gsis.build_circulant(40, (1, 3))
-    assert s3._window(10, 20)[0] == slice(7, 23)
-    assert s1._window(10, 20)[0] == slice(9, 21)
-    # vertex 0 neighbours 37, and vertex 39 neighbours 0: the window takes every row
-    assert s3._window(0, 4)[0] == slice(0, 40)
-    assert s1._window(39, 40)[0] == slice(0, 40)
-    rows, apply = s1._window(12, 12)
-    assert rows == slice(12, 12) and apply(np.zeros(40)).shape == (0,)
     x = np.zeros(40)
-    x[[0, 1, 39]] = [1.0, -2.0, 0.5]
-    assert_same_bits(_window_apply(s3, 0, 40, x), s3 @ x)
-    assert_same_bits(_window_apply(s1, 39, 40, np.eye(40)[39]), s1 @ np.eye(40)[39])
+    x[10:20] = np.random.default_rng(5).standard_normal(10)
+    # [10, 20) reaches rows 7..22 of the offset-3 shift and rows 9..20 of the offset-1 one,
+    # whose entries read x[4:26] and x[8:22]: a NaN anywhere else would show in a wider sum
+    for shift, (a, b) in ((s3, (4, 26)), (s1, (8, 22))):
+        poisoned = np.full(40, np.nan)
+        poisoned[a:b] = x[a:b]
+        assert_same_bits(shift._window(10, 20)(poisoned), shift @ x)
+    # vertex 0 neighbours 37, and vertex 39 neighbours 0: the window reaches both ends
+    x = np.zeros(40)
+    x[[0, 1, 3]] = [1.0, -2.0, 0.5]
+    assert_same_bits(s3._window(0, 4)(x), s3 @ x)
+    assert_same_bits(s1._window(39, 40)(np.eye(40)[39]), s1 @ np.eye(40)[39])
+    assert_same_bits(s3._window(12, 12)(np.full(40, np.nan)), np.zeros(40))  # an empty range reads nothing
 
 
 def test_the_row_window_rule_takes_each_branch():
@@ -407,6 +400,28 @@ def test_the_row_window_rule_takes_each_branch():
     assert s._window_pays(700, 1301)  # the deep-chain benchmark's window
     _, (t, _) = gsis.build_circulant(100, (1, 3))
     assert not t._window_pays(32, 64) and not t._window_pays(0, 0)  # the sweep's 100-cycle
+
+
+def test_a_chain_takes_the_row_window_where_the_rule_says_it_pays(monkeypatch):
+    full, windows = [], []
+    matmul, window = gsis.ShiftMatrix.__matmul__, gsis.ShiftMatrix._window
+    monkeypatch.setattr(gsis.ShiftMatrix, "__matmul__", lambda self, x: full.append(x) or matmul(self, x))
+    monkeypatch.setattr(gsis.ShiftMatrix, "_window", lambda self, *rows: windows.append(rows) or window(self, *rows))
+    # the deep-chain benchmark's circulant: every window skips thousands of entries
+    _, shifts = gsis.build_circulant(2000, (1, 3))
+    chain = KrylovChain(shifts, [np.eye(2000)[1000]])
+    chain.grow_to(20)
+    assert chain.dims[-1] == 60 and not full
+    # set up once per shift for each range the 20 levels start from: with 3 new rows a side per
+    # level, the range crosses into a new 32-row block on one side or the other only 4 times
+    ranges = list(dict.fromkeys(windows))
+    assert windows == [r for r in ranges for _ in range(2)] and ranges[0] == (992, 1024) and len(ranges) == 5
+    # the sweep's 100-cycle: no window repays its set-up, so every candidate takes the full apply
+    windows.clear()
+    _, shifts = gsis.build_circulant(100, (1, 3))
+    chain = KrylovChain(shifts, [np.eye(100)[50]])
+    chain.grow_to(5)
+    assert chain.dims[-1] == 15 and len(full) >= 15 - 1 and not windows
 
 
 def test_chain_from_shift_matrices_equals_the_dense_chain():
