@@ -213,9 +213,9 @@ class KrylovChain(OrthogonalBasis):
     of a level vanishes off the basis' row range, so a ShiftMatrix applies
     to each through its row window
     (:meth:`~gsis.graphs.ShiftMatrix._window`), set up again only when the
-    range grows: S being symmetric, the window sums only the entries of the rows
-    that range reaches, bit for bit the full apply.  A window that would
-    skip too few entries to repay its set-up
+    range grows: S being symmetric, the window sums only the entries of
+    the rows that range reaches, bit for bit the full apply.  A window
+    that would skip too few entries to repay its set-up
     (:meth:`~gsis.graphs.ShiftMatrix._window_pays`) gives way to the full
     apply.  A candidate then costs one apply over the rows its level
     reaches and O(rows x dim) per Gram-Schmidt pass, where rows is the
