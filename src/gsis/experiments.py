@@ -250,7 +250,7 @@ def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
         not of the first basis' length N.
     """
     bases = list(space_levels)
-    n = len(bases[0]) if bases else _values(x0).size
+    n = len(bases[0]) if bases else _values(x0, "x0").size
     vals = _signal(x0, n, "x0")
     scale = float(np.abs(vals).max(initial=0.0))
     if scale == 0.0:

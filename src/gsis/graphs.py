@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,14 +47,21 @@ def frobenius_tol(matrix: np.ndarray, rel: float = MATRIX_REL) -> float:
     return rel * max(1.0, float(np.linalg.norm(matrix)))
 
 
-def _values(x) -> np.ndarray:
-    """Float array of a signal-like input: a Signal's or Observation's ``values``, else ``x``."""
-    return np.asarray(getattr(x, "values", x), dtype=float)
+def _values(x, what: str) -> np.ndarray:
+    """Float array of a signal-like input: a Signal's or Observation's ``values``, else ``x``.
+
+    A complex input raises a ValueError naming ``what``: the cast to float
+    would drop its imaginary part.
+    """
+    a = np.asarray(getattr(x, "values", x))
+    if np.iscomplexobj(a):
+        raise ValueError(f"{what} must be real, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def _signal(x, n: int, what: str) -> np.ndarray:
     """:func:`_values` of ``x`` as one vector, checked to hold ``n`` finite values; errors name ``what``."""
-    v = _values(x).reshape(-1)
+    v = _values(x, what).reshape(-1)
     if v.shape[0] != n:
         raise ValueError(f"{what} of length {v.shape[0]}, expected {n}")
     if not np.all(np.isfinite(v)):
@@ -63,8 +70,8 @@ def _signal(x, n: int, what: str) -> np.ndarray:
 
 
 def _matrix(m, shape: tuple[int | None, int | None], what: str) -> np.ndarray:
-    """Float 2-D array of ``m``, checked to have ``shape`` (None: any length) and finite entries; errors name ``what``."""
-    a = np.asarray(m, dtype=float)
+    """:func:`_values` of ``m``, checked to be 2-D of ``shape`` (None: any length) and finite; errors name ``what``."""
+    a = _values(m, what)
     if a.ndim != 2 or any(k is not None and k != got for k, got in zip(shape, a.shape)):
         expected = ", ".join("any" if k is None else str(k) for k in shape)
         raise ValueError(f"{what} of shape {a.shape}, expected ({expected})")
@@ -232,9 +239,6 @@ class Signal:
 # entries a row took 0.07 ms by the slots against 0.06 ms by BLAS.
 _SLOT_RATIO = 100  # vertices per entry of the longest row at which the slots stop paying
 _SLOT_BLOCK = 1 << 15  # values gathered per block by the slot apply (256 KB)
-# stored entries a row window must leave out to repay its set-up, which costs about
-# as much as applying 1500-3500 entries (2 cores, numpy 2.4): see ShiftMatrix._window_pays
-_WINDOW_SKIP = 4096
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -255,24 +259,24 @@ class ShiftMatrix:
     its support, then keeps each edge weight as ``(S_ij + S_ji) / 2`` and
     the diagonal, so sub-tolerance noise outside the edge set is dropped.
 
-    ``S @ x`` on a vector is ``bincount(_rows, _weights * x[_cols])``,
-    which costs O(N + 2|E|) instead of O(N^2) and equals ``diag * x +
-    bincount`` over the off-diagonal entries alone.  A 2-D operand X takes
-    the slot apply or the product with ``matrix``, as the block-apply cost
-    rule picks (:meth:`_slots_pay`), and a stacked one always takes
-    ``matrix``; ``X @ S`` is ``(S @ X.T).T`` on the slot side, S being
-    symmetric.  Slot k holds each row's k-th stored entry; ``S @ X`` adds,
-    slot by slot, one gather of rows of X times that slot's weights, so
-    every row adds its terms in the vector apply's order and every column
-    equals ``S @ X[:, j]`` bit for bit.
+    ``S @ x`` on a vector is :meth:`_apply` over every stored entry,
+    ``bincount(_rows, _weights * x[_cols], minlength=N)``, which costs
+    O(N + 2|E|) instead of O(N^2) and equals ``diag * x + bincount`` over
+    the off-diagonal entries alone.  A 2-D operand X takes the slot apply
+    or the product with ``matrix``, as the block-apply cost rule picks
+    (:meth:`_slots_pay`), and a stacked one always takes ``matrix``;
+    ``X @ S`` is ``(S @ X.T).T`` on the slot side, S being symmetric.  Slot
+    k holds each row's k-th stored entry; ``S @ X`` adds, slot by slot, one
+    gather of rows of X times that slot's weights, so every row adds its
+    terms in the vector apply's order and every column equals
+    ``S @ X[:, j]`` bit for bit.  The edge-list applies are real: a
+    complex operand takes its real and imaginary parts one after the other.
 
-    A vector that vanishes off a row range ``[lo, hi)`` can take the row
-    window (:meth:`_window`): S being symmetric, it reaches only the rows
-    whose stored columns meet the range, and the window sums just those
-    rows' entries, in the vector apply's order, so it too is bit for bit
-    ``S @ x``, in O(entries reached) and a zero fill rather than
-    O(N + 2|E|).  The window rule (:meth:`_window_pays`) says when that
-    repays its set-up.
+    A vector that vanishes off a row range ``[lo, hi)`` reaches only the
+    rows whose stored columns meet the range, S being symmetric.
+    :meth:`_window` gives those rows' entries, and :meth:`_apply` over them
+    sums each row in the vector apply's order, so it too is bit for bit
+    ``S @ x``, in O(entries reached) plus the N zeros of ``minlength``.
 
     Raises
     ------
@@ -377,16 +381,10 @@ class ShiftMatrix:
         x) enters a sum.  The work runs on ``X.T`` in blocks of about
         :data:`_SLOT_BLOCK` values, so nothing of the result's size is held
         beside it; the result is the transpose of a C-ordered array, and an
-        F-ordered X, such as ``rows.T``, is read without a copy.  A complex X
-        takes its real and imaginary parts one after the other.
+        F-ordered X, such as ``rows.T``, is read without a copy.
         """
-        x = np.asarray(x)
-        if np.iscomplexobj(x):
-            return self._slot_apply(x.real) + 1j * self._slot_apply(x.imag)
         x = x.astype(float, copy=False)
         n, k = self.n_vertices, x.shape[1]
-        if x.shape[0] != n:
-            raise ValueError(f"operand with {x.shape[0]} rows for a shift on {n} vertices")
         counts = np.diff(self._ptr)
         slots = []
         for slot in range(int(counts.max(initial=0))):
@@ -408,41 +406,26 @@ class ShiftMatrix:
                     acc[:, rows] += src[:, cols] * w
         return out.T
 
-    def _window_pays(self, lo: int, hi: int) -> bool:
-        """The row-window rule: whether :meth:`_window` on rows ``[lo, hi)`` repays its set-up.
-
-        True when at least :data:`_WINDOW_SKIP` stored entries lie outside
-        those rows; a shift with fewer entries in all is settled by one length.
-        """
-        total = len(self._rows)
-        return total >= _WINDOW_SKIP and total - (self._ptr[hi] - self._ptr[lo]) >= _WINDOW_SKIP
-
-    def _window(self, lo: int, hi: int) -> Callable[[np.ndarray], np.ndarray]:
-        """``S @ x`` for the (N,) vectors x that vanish off the rows ``[lo, hi)``, through the rows x reaches.
+    def _window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views ``(rows, cols, weights)`` of the entries ``S @ x`` sums for an x vanishing off rows ``[lo, hi)``.
 
         S being symmetric, an entry of x in ``[lo, hi)`` reaches exactly the
         rows stored as columns of those rows, ``_cols[_ptr[lo]:_ptr[hi]]``;
-        every other row of ``S @ x`` is zero.  The returned apply sums the
-        ``_ptr`` slice of the rows from the first of them to the last, each
-        row its own entries in the vector apply's order, so it equals the
-        vector apply bit for bit (a row with no entry reads +0.0).  The
-        slices are set up once; each apply then costs O(entries reached),
-        plus the zero fill of the other rows.
+        every other row of ``S @ x`` is zero.  The entries are the ``_ptr``
+        slice of the rows from the first of them to the last, as views, each
+        row in the vector apply's order, so :meth:`_apply` over them equals
+        the vector apply bit for bit; no row reached gives empty views.
         """
-        n = self.n_vertices
         reached = self._cols[self._ptr[lo] : self._ptr[hi]]
         if reached.size == 0:
-            return lambda x: np.zeros(n)
-        first, last = int(reached.min()), int(reached.max()) + 1
-        entries = slice(self._ptr[first], self._ptr[last])
-        rows, cols, weights = self._rows[entries] - first, self._cols[entries], self._weights[entries]
+            return self._rows[:0], self._cols[:0], self._weights[:0]
+        entries = slice(self._ptr[reached.min()], self._ptr[reached.max() + 1])
+        return self._rows[entries], self._cols[entries], self._weights[entries]
 
-        def apply(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(n)
-            out[first:last] = np.bincount(rows, weights * x[cols], minlength=last - first)
-            return out
-
-        return apply
+    def _apply(self, x: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``S @ x`` for a real (N,) x summed over the given stored entries; a row with none reads +0.0."""
+        # with no entry bincount returns int zeros, whatever the weights' dtype
+        return np.bincount(rows, weights * x[cols], minlength=self.n_vertices).astype(float, copy=False)
 
     # numpy defers ``ndarray @ shift`` to __rmatmul__ instead of broadcasting over the shift
     __array_ufunc__ = None
@@ -450,20 +433,19 @@ class ShiftMatrix:
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         """``S @ x``: edge-list apply for a vector; slots for a 2-D X the cost rule gives them; else ``matrix @ x``."""
         x = np.asarray(other)
-        if x.ndim != 1:
-            return self._slot_apply(x) if x.ndim == 2 and self._slots_pay() else self.matrix @ x
+        if x.ndim != 1 and not (x.ndim == 2 and self._slots_pay()):
+            return self.matrix @ x
+        if np.iscomplexobj(x):
+            return self @ x.real + 1j * (self @ x.imag)
         n = self.n_vertices
         if x.shape[0] != n:
-            raise ValueError(f"vector of length {x.shape[0]} for a shift on {n} vertices")
-        # with no stored entry bincount returns int zeros, whatever the weights' dtype
-        return np.bincount(self._rows, self._weights * x[self._cols], minlength=n).astype(float, copy=False)
+            raise ValueError(f"operand of length {x.shape[0]} for a shift on {n} vertices")
+        return self._apply(x, self._rows, self._cols, self._weights) if x.ndim == 1 else self._slot_apply(x)
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
-        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; off the slots, ``X @ matrix``."""
+        """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; off the edge list, ``X @ matrix``."""
         x = np.asarray(other)
-        if x.ndim == 1:
-            return self @ x
-        return self._slot_apply(x.T).T if x.ndim == 2 and self._slots_pay() else x @ self.matrix
+        return (self @ x.T).T if x.ndim == 1 or x.ndim == 2 and self._slots_pay() else x @ self.matrix
 
 
 class CommutativityCheck(NamedTuple):

@@ -211,19 +211,17 @@ class KrylovChain(OrthogonalBasis):
     O(N^2), and a :class:`~gsis.graphs.ShiftMatrix` (or the shifts of a
     :class:`~gsis.graphs.ShiftSet`) through its edge list.  Every column
     of a level vanishes off the basis' row range, so a ShiftMatrix applies
-    to each through its row window
-    (:meth:`~gsis.graphs.ShiftMatrix._window`), set up again only when the
-    range grows: S being symmetric, the window sums only the entries of
-    the rows that range reaches, bit for bit the full apply.  A window
-    that would skip too few entries to repay its set-up
-    (:meth:`~gsis.graphs.ShiftMatrix._window_pays`) gives way to the full
-    apply.  A candidate then costs one apply over the rows its level
-    reaches and O(rows x dim) per Gram-Schmidt pass, where rows is the
-    range of vertex labels the span is nonzero on (see
+    to each only the entries of the rows that range reaches
+    (:meth:`~gsis.graphs.ShiftMatrix._window`, set up again only when the
+    range grows), S being symmetric, bit for bit the full apply.  A
+    candidate then costs one apply over the rows its level reaches and
+    O(rows x dim) per Gram-Schmidt pass, where rows is the range of vertex
+    labels the span is nonzero on (see
     :class:`~gsis.orthogonalize.OrthogonalBasis`): on a circulant, a
     level-n span of a delta generator covers only its n-hop neighbourhood.
-    Zeroing the candidate's other rows, and finding its nonzeros, still
-    read all N rows once.
+    The apply still writes all N rows, the others being the zeros of
+    ``bincount``'s ``minlength``, and zeroing the candidate's other rows
+    and finding its nonzeros still read all N rows once.
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
@@ -242,7 +240,7 @@ class KrylovChain(OrthogonalBasis):
                 self._on_drop(status, f"generator {k}")
         self._tags = [0] * self.dim
         self._prune = True
-        # each matrix's row window on the basis' row range, None where the full apply runs
+        # each ShiftMatrix's entries that reach the basis' row range, None for a dense matrix
         self._window_rows, self._windows = None, []
         self.dims = [self.dim]
         self.stalled = False
@@ -258,7 +256,7 @@ class KrylovChain(OrthogonalBasis):
         if rows != self._window_rows:  # set up again only when the range has grown
             self._window_rows = rows
             self._windows = [
-                s._window(*rows) if isinstance(s, ShiftMatrix) and s._window_pays(*rows) else None
+                s._window(*rows) if isinstance(s, ShiftMatrix) else None
                 for s in self._matrices
             ]
         drops = []
@@ -266,7 +264,7 @@ class KrylovChain(OrthogonalBasis):
             for j in range(lo, hi):
                 if self._prune and self._tags[j] > t:
                     continue
-                status = self.try_add(s @ self._u[:, j] if window is None else window(self._u[:, j]))
+                status = self.try_add(s @ self._u[:, j] if window is None else s._apply(self._u[:, j], *window))
                 if status == INVISIBLE and self._prune:
                     self.dim, self._max_weighted, self._max_euclid = start
                     del self._tags[self.dim :]

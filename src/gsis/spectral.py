@@ -328,7 +328,7 @@ def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
 
 def _signals(x, n: int, what: str) -> np.ndarray:
     """One signal through :func:`~gsis.graphs._signal`, or an (N, K) block through :func:`~gsis.graphs._matrix`."""
-    v = _values(x)
+    v = _values(x, what)
     return _signal(v, n, what) if v.ndim < 2 else _matrix(v, (n, None), what)
 
 

