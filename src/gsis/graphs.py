@@ -275,8 +275,8 @@ class ShiftMatrix:
     A vector that vanishes off a row range ``[lo, hi)`` reaches only the
     rows whose stored columns meet the range, S being symmetric.
     :meth:`_window` gives those rows' entries, and :meth:`_apply` over them
-    sums each row in the vector apply's order, so it too is bit for bit
-    ``S @ x``, in O(entries reached) plus the N zeros of ``minlength``.
+    sums each row in the vector apply's order, so it gives those rows of
+    ``S @ x`` bit for bit, in O(entries and rows reached), and no others.
 
     Raises
     ------
@@ -406,26 +406,28 @@ class ShiftMatrix:
                     acc[:, rows] += src[:, cols] * w
         return out.T
 
-    def _window(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views ``(rows, cols, weights)`` of the entries ``S @ x`` sums for an x vanishing off rows ``[lo, hi)``.
+    def _window(self, lo: int, hi: int) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """``(first, entries)``: the rows ``S @ x`` reaches from an x vanishing off rows ``[lo, hi)``.
 
         S being symmetric, an entry of x in ``[lo, hi)`` reaches exactly the
         rows stored as columns of those rows, ``_cols[_ptr[lo]:_ptr[hi]]``;
-        every other row of ``S @ x`` is zero.  The entries are the ``_ptr``
-        slice of the rows from the first of them to the last, as views, each
-        row in the vector apply's order, so :meth:`_apply` over them equals
-        the vector apply bit for bit; no row reached gives empty views.
+        every other row of ``S @ x`` is zero.  ``entries`` are the
+        :meth:`_apply` arguments ``(rows, cols, weights, size)`` of the
+        ``_ptr`` slice of the ``size`` rows from the first reached to the
+        last, ``rows`` counted from ``first``, so the apply over them is
+        ``(S @ x)[first : first + size]`` bit for bit (size 0 if none).
         """
         reached = self._cols[self._ptr[lo] : self._ptr[hi]]
         if reached.size == 0:
-            return self._rows[:0], self._cols[:0], self._weights[:0]
-        entries = slice(self._ptr[reached.min()], self._ptr[reached.max() + 1])
-        return self._rows[entries], self._cols[entries], self._weights[entries]
+            return 0, (self._rows[:0], self._cols[:0], self._weights[:0], 0)
+        first, end = int(reached.min()), int(reached.max()) + 1
+        entries = slice(self._ptr[first], self._ptr[end])
+        return first, (self._rows[entries] - first, self._cols[entries], self._weights[entries], end - first)
 
-    def _apply(self, x: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``S @ x`` for a real (N,) x summed over the given stored entries; a row with none reads +0.0."""
+    def _apply(self, x: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+        """``size`` rows of ``S @ x`` for a real (N,) x, summed over the given entries; a row with none reads +0.0."""
         # with no entry bincount returns int zeros, whatever the weights' dtype
-        return np.bincount(rows, weights * x[cols], minlength=self.n_vertices).astype(float, copy=False)
+        return np.bincount(rows, weights * x[cols], minlength=size).astype(float, copy=False)
 
     # numpy defers ``ndarray @ shift`` to __rmatmul__ instead of broadcasting over the shift
     __array_ufunc__ = None
@@ -440,7 +442,7 @@ class ShiftMatrix:
         n = self.n_vertices
         if x.shape[0] != n:
             raise ValueError(f"operand of length {x.shape[0]} for a shift on {n} vertices")
-        return self._apply(x, self._rows, self._cols, self._weights) if x.ndim == 1 else self._slot_apply(x)
+        return self._apply(x, self._rows, self._cols, self._weights, n) if x.ndim == 1 else self._slot_apply(x)
 
     def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
         """``X @ S``, which is ``(S @ X.T).T`` for a symmetric S; off the edge list, ``X @ matrix``."""

@@ -46,10 +46,6 @@ INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_
 # into the same partial sums as those of the full column: the range drops only
 # exact-zero terms and leaves every result bit for bit as the full-row product.
 _BLOCK = 32
-# numpy finds the nonzeros of a bool mask faster than those of floats: from about
-# 300 entries the mask repays its allocation (2.5 against 6.7 us at 2000, 0.59
-# against 1.15 us at 100; numpy 2.4), and the rows found are the same
-_MASK_SCAN = 400
 
 
 def _doubled(a: np.ndarray, rows: slice) -> np.ndarray:
@@ -67,13 +63,13 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _span(rows: np.ndarray, lo: int, hi: int, size: int) -> tuple[int, int]:
-    """Smallest range of whole ``_BLOCK``-row blocks of ``size`` rows holding ``[lo, hi)`` and the sorted ``rows``."""
+def _span(rows: np.ndarray, first: int, lo: int, hi: int, size: int) -> tuple[int, int]:
+    """Smallest whole-``_BLOCK`` range of ``size`` rows holding ``[lo, hi)`` and the sorted ``rows`` from ``first``."""
     if rows.size == 0:
         return lo, hi
-    first = int(rows[0]) // _BLOCK * _BLOCK
-    last = min((int(rows[-1]) // _BLOCK + 1) * _BLOCK, size)
-    return min(lo, first), max(hi, last)
+    start = (first + int(rows[0])) // _BLOCK * _BLOCK
+    end = min(((first + int(rows[-1])) // _BLOCK + 1) * _BLOCK, size)
+    return min(lo, start), max(hi, end)
 
 
 class OrthogonalBasis:
@@ -98,15 +94,16 @@ class OrthogonalBasis:
     storage would stride each row by the buffer's capacity.
 
     Each stream keeps the row range outside which all its columns are
-    exactly zero (the buffers start zeroed).  A candidate first widens the
-    range to cover its own nonzeros; the projections, norms and stores then
-    read only those rows, dropping nothing but exact-zero terms.  A
-    candidate costs O(rows x dim) per pass instead of O(N x dim), which pays
-    off while the span stays local in the vertex labels (a delta generator
-    on a circulant, a path or a row-major grid); a dense candidate, or an
-    arbitrary labelling, soon makes the range every row.  The range only
-    grows, so a column stored after ``dim`` is lowered overwrites every row
-    the dropped column could have used.
+    exactly zero (the buffers start zeroed).  A candidate widens the range
+    to cover its own nonzeros, and the passes, norms and stores read only
+    those rows, dropping nothing but exact-zero terms: O(rows x dim) per
+    pass while the span stays local in the vertex labels (a delta on a
+    circulant, a path or a row-major grid); a dense candidate, or an
+    arbitrary labelling, soon makes it every row.  The range only grows, so
+    a column stored after ``dim`` is lowered overwrites every row the
+    dropped column could have used.  :meth:`_offer` takes just the rows a
+    candidate can be nonzero on (a chain's shift window), :meth:`try_add`
+    an (N,) copy; only a two-stream ``weight @ v`` reads all N rows.
 
     One stream: under a weight with ``vertices`` (a subset scheme, sorted
     distinct vertices), while no stored column is nonzero on an unsampled
@@ -179,9 +176,24 @@ class OrthogonalBasis:
         v = np.array(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"candidate of shape {v.shape}, expected ({self.n},)")
-        nonzero = ((v != 0) if self.n >= _MASK_SCAN else v).nonzero()[0]
-        lo, hi = _span(nonzero, self._lo, self._hi, self.n)
-        vs = v[lo:hi]  # a view: v is zero outside these rows, and so is every basis column
+        return self._offer(v, 0)
+
+    def _offer(self, values: np.ndarray, first: int) -> str:
+        """:meth:`try_add` of the candidate that is ``values`` from row ``first`` on, else zero; may overwrite values."""
+        nonzero = values.nonzero()[0]  # counted from first
+        lo, hi = _span(nonzero, first, self._lo, self._hi, self.n)
+        one_stream = self._take is not None and not self._unsampled[first:][nonzero].any()
+        if self.weight is not None and not one_stream:
+            v = np.zeros(self.n)
+            v[first : first + values.size] = values
+            vs = v[lo:hi]
+        elif first <= lo and hi <= first + values.size:
+            vs = values[lo - first : hi - first]  # a view: the candidate is zero outside these rows
+        else:  # the rows [lo, hi) hold every nonzero; the rest of them are zero
+            vs = np.zeros(hi - lo)
+            a = max(lo, first)
+            b = max(a, min(hi, first + values.size))
+            vs[a - lo : b - lo] = values[a - first : b - first]
         try:
             raw = _norm(vs)
         except (RuntimeWarning, FloatingPointError):  # numpy's overflow, under warnings as errors or np.errstate
@@ -190,7 +202,6 @@ class OrthogonalBasis:
             raise ValueError("candidate is not finite, or its norm overflows")
         self._max_euclid = max(self._max_euclid, raw)
         k = self.dim
-        one_stream = self._take is not None and not self._unsampled[nonzero].any()
         if self.weight is None or one_stream:
             # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
             self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
@@ -204,8 +215,8 @@ class OrthogonalBasis:
             self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
             self._u[lo:hi, k] = vs / norm_v
             if one_stream:
-                # _span reads only the first and last of the sorted image rows
-                plo, phi = _span(self._take.searchsorted(nonzero[[0, -1]]), self._plo, self._phi, len(self._take))
+                ends = self._take.searchsorted((first + nonzero[0], first + nonzero[-1]))
+                plo, phi = _span(ends, 0, self._plo, self._phi, len(self._take))  # the rows' ends are all _span reads
                 self._p[plo:phi, k] = self._u[self._take[plo:phi], k]
                 self._r[:k, k] = 0.0  # written, not assumed: column k may hold a dropped column's entries
                 self._r[k, k] = 1.0
@@ -215,7 +226,7 @@ class OrthogonalBasis:
             return ADDED
 
         w = self.weight @ v
-        plo, phi = _span(w.nonzero()[0], self._plo, self._phi, len(w))
+        plo, phi = _span(w.nonzero()[0], 0, self._plo, self._phi, len(w))
         ws = w[plo:phi]
         self._max_weighted = max(self._max_weighted, _norm(ws))
         gamma = alpha = np.zeros(0)

@@ -208,20 +208,17 @@ class KrylovChain(OrthogonalBasis):
     move a borderline decision.
 
     ``matrices`` are applied as ``S @ v``: a dense ``(N, N)`` array in
-    O(N^2), and a :class:`~gsis.graphs.ShiftMatrix` (or the shifts of a
+    O(N^2), its candidate offered whole, and a
+    :class:`~gsis.graphs.ShiftMatrix` (or the shifts of a
     :class:`~gsis.graphs.ShiftSet`) through its edge list.  Every column
-    of a level vanishes off the basis' row range, so a ShiftMatrix applies
-    to each only the entries of the rows that range reaches
-    (:meth:`~gsis.graphs.ShiftMatrix._window`, set up again only when the
-    range grows), S being symmetric, bit for bit the full apply.  A
-    candidate then costs one apply over the rows its level reaches and
-    O(rows x dim) per Gram-Schmidt pass, where rows is the range of vertex
-    labels the span is nonzero on (see
-    :class:`~gsis.orthogonalize.OrthogonalBasis`): on a circulant, a
+    of a level vanishes off the basis' row range, so a ShiftMatrix sums
+    only the rows that range reaches, S being symmetric, bit for bit as the
+    full apply (:meth:`~gsis.graphs.ShiftMatrix._window`, set up again only
+    when the range grows), and the basis is offered just those rows
+    (:meth:`~gsis.orthogonalize.OrthogonalBasis._offer`).  A candidate
+    thus costs O(rows reached) and O(rows x dim) per Gram-Schmidt pass,
+    rows being the span's range of vertex labels: on a circulant, a
     level-n span of a delta generator covers only its n-hop neighbourhood.
-    The apply still writes all N rows, the others being the zeros of
-    ``bincount``'s ``minlength``, and zeroing the candidate's other rows
-    and finding its nonzeros still read all N rows once.
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
@@ -240,7 +237,7 @@ class KrylovChain(OrthogonalBasis):
                 self._on_drop(status, f"generator {k}")
         self._tags = [0] * self.dim
         self._prune = True
-        # each ShiftMatrix's entries that reach the basis' row range, None for a dense matrix
+        # each ShiftMatrix's (first, entries) reached from the basis' row range, (0, None) for a dense one
         self._window_rows, self._windows = None, []
         self.dims = [self.dim]
         self.stalled = False
@@ -255,16 +252,16 @@ class KrylovChain(OrthogonalBasis):
         rows = self._lo, self._hi  # every column of the previous level vanishes off these rows
         if rows != self._window_rows:  # set up again only when the range has grown
             self._window_rows = rows
-            self._windows = [
-                s._window(*rows) if isinstance(s, ShiftMatrix) else None
-                for s in self._matrices
-            ]
+            self._windows = [s._window(*rows) if isinstance(s, ShiftMatrix) else (0, None) for s in self._matrices]
         drops = []
-        for t, (s, window) in enumerate(zip(self._matrices, self._windows), start=1):
+        for t, (s, (first, entries)) in enumerate(zip(self._matrices, self._windows), start=1):
             for j in range(lo, hi):
                 if self._prune and self._tags[j] > t:
                     continue
-                status = self.try_add(s @ self._u[:, j] if window is None else s._apply(self._u[:, j], *window))
+                if entries is None:
+                    status = self.try_add(s @ self._u[:, j])
+                else:
+                    status = self._offer(s._apply(self._u[:, j], *entries), first)
                 if status == INVISIBLE and self._prune:
                     self.dim, self._max_weighted, self._max_euclid = start
                     del self._tags[self.dim :]

@@ -396,14 +396,14 @@ def _full_row_evaluate(self, coefficients):
 class _RecordedChain(KrylovChain):
     """KrylovChain that records the status of every candidate it offers."""
 
-    _offer = OrthogonalBasis.try_add
+    _orthogonalize = OrthogonalBasis._offer
 
     def __init__(self, *args, **kwargs):
         self.statuses = []
         super().__init__(*args, **kwargs)
 
-    def try_add(self, v):
-        status = self._offer(v)
+    def _offer(self, values, first):
+        status = self._orthogonalize(values, first)
         self.statuses.append(status)
         return status
 
@@ -421,8 +421,12 @@ class _FullApply:
 class _FullRowChain(_RecordedChain):
     """The reference chain: full-length shift applies, and Gram-Schmidt on every row."""
 
-    _offer = _full_row_try_add
     evaluate = _full_row_evaluate
+
+    def _orthogonalize(self, values, first):
+        v = np.zeros(self.n)
+        v[first : first + len(values)] = values
+        return _full_row_try_add(self, v)
 
     def __init__(self, matrices, *args, **kwargs):
         super().__init__([_FullApply(m) for m in matrices], *args, **kwargs)
@@ -621,10 +625,10 @@ def test_a_zero_windowed_candidate_off_the_basis_range_is_dependent():
     assert chain.statuses == [ADDED, DEPENDENT] and chain.dims == [1]
 
 
-def test_every_chain_candidate_goes_through_try_add(monkeypatch):
+def test_every_chain_candidate_goes_through_offer(monkeypatch):
     offered = []
-    try_add = OrthogonalBasis.try_add
-    monkeypatch.setattr(OrthogonalBasis, "try_add", lambda self, v: offered.append(v) or try_add(self, v))
+    offer = OrthogonalBasis._offer
+    monkeypatch.setattr(OrthogonalBasis, "_offer", lambda self, *args: offered.append(args) or offer(self, *args))
     # a round of the benchmark's deep chains, one per level cap
     n, center, radius = 2000, 1000, 300
     _, shifts = gsis.build_circulant(n, (1, 3))
@@ -634,6 +638,62 @@ def test_every_chain_candidate_goes_through_try_add(monkeypatch):
         result = gsis.reconstruct_krylov(shifts, [np.eye(n)[center]], scheme, y, max_level=cap)
         assert result.depth == cap
     assert len(offered) == 1055
+
+
+def test_no_shifted_candidate_is_offered_at_length_n(monkeypatch):
+    # a level-20 span of a delta on the (1, 3) circulant reaches 3 * 20 hops a side, so each
+    # window holds about 130 rows of the 10^5: only the generator comes through try_add whole
+    sizes = []
+    offer = OrthogonalBasis._offer
+    monkeypatch.setattr(OrthogonalBasis, "_offer", lambda self, v, first: sizes.append(v.size) or offer(self, v, first))
+    n = 10**5
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    phi = np.zeros(n)
+    phi[n // 2] = 1.0
+    chain = KrylovChain(shifts, [phi])
+    assert chain.grow_to(20) and chain.dims[-1] == 60
+    assert sizes[0] == n and len(sizes) > 60 and max(sizes[1:]) < 256
+
+
+def _assert_same_bits(a, b):
+    assert a.dim == b.dim and (a._lo, a._hi, a._plo, a._phi) == (b._lo, b._hi, b._plo, b._phi)
+    assert a.basis.tobytes() == b.basis.tobytes() and a.images.tobytes() == b.images.tobytes()
+    if a.weight is not None:
+        assert a._r[: a.dim, : a.dim].tobytes() == b._r[: b.dim, : b.dim].tobytes()
+
+
+def _interval(data, start, stop):
+    a = data.draw(st.integers(start, stop))
+    return a, data.draw(st.integers(a, stop))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 150), weight=st.sampled_from(["none", "subset", "dense"]), data=st.data())
+def test_offering_a_candidates_rows_is_bit_identical_to_try_add(n, weight, data):
+    # twin bases: one takes v whole, the other only the rows [a, b) that v is supported on
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scheme = None
+    if weight != "none":
+        scheme = gsis.subset_sampler(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        scheme = scheme if weight == "subset" else gsis.SamplingScheme(scheme.matrix)
+    whole, rows = OrthogonalBasis(n, scheme), OrthogonalBasis(n, scheme)
+    for _ in range(data.draw(st.integers(1, 10))):
+        lo, hi = whole._lo, whole._hi  # (n, 0) while the basis is empty
+        kinds = ["inside", "around", "disjoint", "anywhere"] if lo < hi else ["anywhere"]
+        where = data.draw(st.sampled_from(kinds))
+        if where == "inside":
+            a, b = _interval(data, lo, hi)
+        elif where == "around":
+            a, b = data.draw(st.integers(0, lo)), data.draw(st.integers(hi, n))
+        elif where == "disjoint":
+            a, b = _interval(data, *data.draw(st.sampled_from([(0, lo), (hi, n)])))
+        else:
+            a, b = _interval(data, 0, n)
+        v = np.zeros(n)
+        if not data.draw(st.booleans(), label="exactly zero"):
+            v[a:b] = rng.standard_normal(b - a) * (rng.random(b - a) < 0.8)  # with exact zeros inside
+        assert whole.try_add(v) == rows._offer(v[a:b].copy(), a)
+        _assert_same_bits(whole, rows)
 
 
 @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "block"])

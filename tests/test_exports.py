@@ -170,3 +170,39 @@ def test_the_benchmark_tracer_records_spans_and_restores_every_binding(monkeypat
     for (cls, methods), saved in zip(classes, members):
         for method in methods:
             assert vars(cls)[method] is saved[method], f"{cls.__name__}.{method}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """A module's private module-level names and private methods (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _reads(node: ast.AST, inside: tuple[str, ...] = ()):
+    """Names and attributes read under node, except within a definition of the same name."""
+    for child in ast.iter_child_nodes(node):
+        scope = inside + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else inside
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id not in scope:
+            yield child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) and child.attr not in scope:
+            yield child.attr
+        yield from _reads(child, scope)
+
+
+def test_every_private_name_is_read_beyond_its_definition():
+    # a private helper, constant or method that nothing in the package reads is
+    # what a refactor left behind
+    modules = [gsis, *(importlib.import_module(f"gsis.{info.name}") for info in pkgutil.iter_modules(gsis.__path__))]
+    trees = [ast.parse(inspect.getsource(module)) for module in modules]
+    defined = set().union(*map(_private_definitions, trees))
+    read = {name for tree in trees for name in _reads(tree)}
+    assert len(defined) > 50
+    assert sorted(defined - read) == []
