@@ -107,9 +107,8 @@ def make_kernel(
     - ``spline``: ``lambda^(-alpha)`` on nonzero eigenvalues, 0 on the
       kernel of the base shift, with ``alpha > 0``.
 
-    A base shift that is one of ``decomp.shifts`` (the same object) takes its
-    row of ``decomp.eigenvalues``; any other is read through
-    ``decomp.eigenvalues_of``.
+    The base spectrum is read through ``decomp.eigenvalues_of``, so a
+    member of ``decomp.shifts`` takes its stored row.
 
     Raises
     ------
@@ -121,10 +120,7 @@ def make_kernel(
         A parameter the family needs is missing, or one it does not take
         is given (a ``TypeError``, as for a bad keyword argument).
     """
-    # a member of the decomposed family has its spectrum stored, checked to DIAGONALIZATION_REL
-    lam = next((lams for s, lams in zip(decomp.shifts, decomp.eigenvalues) if s is base_shift), None)
-    if lam is None:
-        lam = decomp.eigenvalues_of(base_shift, "base shift")
+    lam = decomp.eigenvalues_of(base_shift, "base shift")
     unknown = set(params) - {"sigma", "a", "p", "alpha"}
     if unknown:
         raise KernelParameterError(f"unknown kernel parameters {sorted(unknown)}")

@@ -183,24 +183,24 @@ class KrylovChain(OrthogonalBasis):
     been offered, and may raise to abort the growth.  ``weight`` is as for
     :class:`~gsis.orthogonalize.OrthogonalBasis`.
 
-    Staircase rule: each column is tagged with the 1-based index of the
-    matrix that produced it (generators get 0), and matrix t is applied
-    only to the previous level's columns with tag <= t.  In exact
-    arithmetic this keeps every level's span.  By induction on the level
-    n, the level-n columns with tag <= t span, together with the level
-    n - 1 span, every degree-n monomial ``S_t1 ... S_tn g`` with
-    ``t1 <= ... <= tn <= t``: the Gram-Schmidt prefix up to tag t spans
-    what was offered up to tag t, a dropped candidate lies in the span of
-    the columns before it, and ``S_t`` maps the level n - 2 span into the
-    level n - 1 span.  Since the matrices commute, every degree-(n + 1)
-    monomial is ``S_t`` applied to such a sorted monomial with last index
-    <= t, which is exactly what the rule offers.  The step "a dropped
-    candidate lies in the span" fails for an ``INVISIBLE`` drop: the
-    weight cannot see it although it is outside the span.  So the first
-    invisible drop in a pruned level is not reported; the chain restores
-    its state at the start of that level (dimension, largest offered
-    norms, tags), regrows the level with every candidate, and never
-    prunes again.
+    Staircase rule: a level adds its columns in matrix order, one block
+    per matrix (level 0 is one block, offered to every matrix), and
+    matrix t is applied only to the previous level's prefix that ends
+    with block t.  In exact arithmetic this keeps every level's span.  By
+    induction on the level n, the level-n prefix through block t spans,
+    together with the level n - 1 span, every degree-n monomial
+    ``S_t1 ... S_tn g`` with ``t1 <= ... <= tn <= t``: the Gram-Schmidt
+    prefix through block t spans what was offered up to matrix t, a
+    dropped candidate lies in the span of the columns before it, and
+    ``S_t`` maps the level n - 2 span into the level n - 1 span.  Since
+    the matrices commute, every degree-(n + 1) monomial is ``S_t``
+    applied to such a sorted monomial with last index <= t, which is
+    exactly what the rule offers.  The step "a dropped candidate lies in
+    the span" fails for an ``INVISIBLE`` drop: the weight cannot see it
+    although it is outside the span.  So the first invisible drop in a
+    pruned level is not reported; the chain restores its state at the
+    start of that level (dimension, largest offered norms), regrows the
+    level with every candidate, and never prunes again.
 
     :data:`~gsis.orthogonalize.DROP_REL` and
     :data:`~gsis.orthogonalize.INVISIBLE_REL` are relative to the largest
@@ -235,7 +235,7 @@ class KrylovChain(OrthogonalBasis):
             status = self.try_add(g / peak if peak else g)
             if status != ADDED:
                 self._on_drop(status, f"generator {k}")
-        self._tags = [0] * self.dim
+        self._ends = [self.dim] * len(self._matrices)  # where each matrix's block of the last level ends
         self._prune = True
         # each ShiftMatrix's (first, entries) reached from the basis' row range, (0, None) for a dense one
         self._window_rows, self._windows = None, []
@@ -253,23 +253,20 @@ class KrylovChain(OrthogonalBasis):
         if rows != self._window_rows:  # set up again only when the range has grown
             self._window_rows = rows
             self._windows = [s._window(*rows) if isinstance(s, ShiftMatrix) else (0, None) for s in self._matrices]
-        drops = []
-        for t, (s, (first, entries)) in enumerate(zip(self._matrices, self._windows), start=1):
-            for j in range(lo, hi):
-                if self._prune and self._tags[j] > t:
-                    continue
+        drops, ends = [], []
+        for s, (first, entries), end in zip(self._matrices, self._windows, self._ends):
+            for j in range(lo, end if self._prune else hi):
                 if entries is None:
                     status = self.try_add(s @ self._u[:, j])
                 else:
                     status = self._offer(s._apply(self._u[:, j], *entries), first)
                 if status == INVISIBLE and self._prune:
                     self.dim, self._max_weighted, self._max_euclid = start
-                    del self._tags[self.dim :]
                     return False
-                if status == ADDED:
-                    self._tags.append(t)
-                else:
+                if status != ADDED:
                     drops.append(status)
+            ends.append(self.dim)
+        self._ends = ends
         for status in drops:
             self._on_drop(status, "shifted candidate")
         return True

@@ -46,10 +46,11 @@ _DRAW_SEED = 0  # seeds the random combinations; the tied-group rotation makes t
 class SpectralDecomposition:
     """Common eigenstructure of a commuting shift family.
 
-    :meth:`eigenvalues_of` is the one way to read the spectrum of another
-    matrix that commutes with the family (a combined shift, a state matrix,
-    a kernel base): it checks that the basis diagonalizes the matrix and
-    returns its eigenvalue on each column.
+    :meth:`eigenvalues_of` is the one way to read the spectrum of a matrix
+    that commutes with the family (a member, a combined shift, a state
+    matrix, a kernel base): it checks that the basis diagonalizes the
+    matrix, a member once and for all, and returns its eigenvalue on each
+    column.
 
     Attributes
     ----------
@@ -101,8 +102,10 @@ class SpectralDecomposition:
     def eigenvalues_of(self, matrix: ShiftMatrix | np.ndarray, what: str) -> np.ndarray:
         """Eigenvalue of ``matrix`` on each basis column.
 
-        A shift is applied as ``S @ U`` (see :class:`ShiftMatrix`), and its
-        ``||S||_F`` comes from its edge weights.
+        A member of :attr:`shifts` (the same object) gets a copy of its
+        stored row.  Any other is checked on the rows ``M u_n``, as the
+        decomposition checks its shifts; a shift is applied as ``S @ U``
+        (see :class:`ShiftMatrix`), its ``||S||_F`` from its edge weights.
 
         Raises
         ------
@@ -111,16 +114,19 @@ class SpectralDecomposition:
             ``||M U - U diag(lambda)||_F`` exceeds ``1e-8 * max(1, ||M||_F)``;
             the message names ``what``.
         """
+        for s, lam in zip(self.shifts, self.eigenvalues):
+            if s is matrix:
+                return lam.copy()
         u = self.basis
         if isinstance(matrix, ShiftMatrix):
             norm = matrix._frobenius_norm()
         else:
             matrix = _matrix(matrix, u.shape, what)
             norm = float(np.linalg.norm(matrix))
-        mu = matrix @ u
-        lam = np.einsum("ij,ij->j", u, mu)
+        image = (matrix @ u).T
+        (lam,) = _row_eigenvalues(u.T, [image])
         # for orthogonal U this is the off-diagonal Frobenius norm of U.T M U
-        if np.linalg.norm(mu - u * lam) > 1e-8 * max(1.0, norm):
+        if _residual_norm(image, lam, u.T) > 1e-8 * max(1.0, norm):
             raise ValueError(f"{what} is not diagonalized by the decomposition basis")
         return lam
 

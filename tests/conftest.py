@@ -25,6 +25,9 @@ def pytest_configure(config):
         settings.load_profile("default")
 
 
+INJECTIVE_SMIN = 1e-3  # an injective weight keeps this much of every unit vector of the span
+
+
 def random_connected_graph(n, rng, extra_edges=None):
     """Path backbone plus random extra edges, random positive weights."""
     edges = {(i, i + 1) for i in range(n - 1)}

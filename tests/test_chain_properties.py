@@ -7,12 +7,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gsis
-from conftest import random_connected_graph
+from conftest import INJECTIVE_SMIN, random_connected_graph
 from gsis.orthogonalize import ADDED, DEPENDENT, DROP_REL, INVISIBLE, INVISIBLE_REL, OrthogonalBasis
 from gsis.spaces import KrylovChain
 
 CLEAR = 1e3  # a rank or drop decision is unambiguous this factor away from its threshold
-INJECTIVE_SMIN = 1e-3  # an injective weight keeps this much of every unit vector of the span
 MONOMIAL_SPAN_TOL = 1e-7  # chain versus SVD span: about eps / (DROP_REL * CLEAR), with room
 ROUNDOFF = 100.0  # pruned versus unpruned spans: within ROUNDOFF * eps * cond(words)
 
@@ -300,6 +299,109 @@ def test_subset_gather_is_bit_identical_to_the_product(family):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+class _TaggedChain(KrylovChain):
+    """The staircase kept as per-column tags, the rule the chain's block ends replaced.
+
+    Column j carries the 1-based index of the matrix that made it (0 for a
+    generator), and matrix t is applied to the previous level's columns
+    tagged <= t; an undone level drops its tags.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tags = [0] * self.dim
+
+    def _grow_level(self, lo, hi):
+        start = self.dim, self._max_weighted, self._max_euclid
+        rows = self._lo, self._hi
+        if rows != self._window_rows:
+            self._window_rows = rows
+            self._windows = [s._window(*rows) if isinstance(s, gsis.ShiftMatrix) else (0, None) for s in self._matrices]
+        drops = []
+        for t, (s, (first, entries)) in enumerate(zip(self._matrices, self._windows), start=1):
+            for j in range(lo, hi):
+                if self._prune and self._tags[j] > t:
+                    continue
+                if entries is None:
+                    status = self.try_add(s @ self._u[:, j])
+                else:
+                    status = self._offer(s._apply(self._u[:, j], *entries), first)
+                if status == INVISIBLE and self._prune:
+                    self.dim, self._max_weighted, self._max_euclid = start
+                    del self._tags[self.dim :]
+                    return False
+                if status == ADDED:
+                    self._tags.append(t)
+                else:
+                    drops.append(status)
+        for status in drops:
+            self._on_drop(status, "shifted candidate")
+        return True
+
+
+class _RecordedMatrix:
+    """A dense matrix that reports each ``S @ column`` to ``record``."""
+
+    def __init__(self, matrix, record):
+        self.shape, self._matrix, self._record = matrix.shape, matrix, record
+
+    def __matmul__(self, x):
+        self._record(self, x)
+        return self._matrix @ x
+
+
+def _staircase_run(chain_type, mats, gens, scheme, top):
+    """Grow a chain to ``top``; return it, its reported drops and its offers as (matrix, column) pairs."""
+    pairs, reported, chain = [], [], None
+
+    def record(s, x):
+        u = chain._u  # column-major, so column j starts j strides past column 0
+        offset = x.__array_interface__["data"][0] - u.__array_interface__["data"][0]
+        pairs.append((index[id(s)], offset // u.strides[1]))
+
+    mats = [m if isinstance(m, gsis.ShiftMatrix) else _RecordedMatrix(m, record) for m in mats]
+    index = {id(m): t for t, m in enumerate(mats)}
+    apply = gsis.ShiftMatrix._apply
+
+    def recorded_apply(s, x, *entries):
+        record(s, x)
+        return apply(s, x, *entries)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gsis.ShiftMatrix, "_apply", recorded_apply)
+        chain = chain_type(mats, gens, scheme, on_drop=lambda status, what: reported.append((status, what)))
+        chain.grow_to(top)
+    return chain, reported, pairs
+
+
+def _assert_same_staircase(chain, ref):
+    (a, reported, pairs), (b, reported_ref, pairs_ref) = chain, ref
+    assert pairs == pairs_ref and reported == reported_ref
+    assert a.dims == b.dims and a._prune == b._prune
+    assert a.basis.tobytes() == b.basis.tobytes() and a.images.tobytes() == b.images.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=commuting_families(), top=st.integers(1, 4))
+def test_block_ends_offer_what_per_column_tags_offered(family, top):
+    mats, gens, scheme = family
+    _assert_same_staircase(*(_staircase_run(c, mats, gens, scheme, top) for c in (KrylovChain, _TaggedChain)))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["edge list", "dense"])
+def test_block_ends_offer_what_per_column_tags_offered_through_a_regrown_level(dense):
+    # the regrown radius-8 window of test_a_regrown_level_leaves_the_rows_outside_the_range_zero
+    n, center, radius, level = 200, 100, 8, 4
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    mats = [s.matrix for s in shifts] if dense else list(shifts)
+    scheme = gsis.subset_sampler(n, range(center - radius, center + radius + 1))
+    runs = [_staircase_run(c, mats, [np.eye(n)[center]], scheme, level) for c in (KrylovChain, _TaggedChain)]
+    _assert_same_staircase(*runs)
+    chain, reported, pairs = runs[0]
+    assert not chain._prune and (INVISIBLE, "shifted candidate") in reported  # a pruned level was undone and regrown
+    assert {t for t, _ in pairs} == {0, 1} and len(pairs) > chain.dim
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_chain_bases_stay_column_major_through_every_growth(weighted):
     # 66 columns outgrow the initial capacity of 8 four times
@@ -447,7 +549,7 @@ def _assert_matches_full_rows(chain, ref, y, caps):
         assert a.shape == b.shape and np.allclose(a, b, rtol=0, atol=RANGE_TOL)
     if chain.weight is not None:
         r, r_ref = chain._r[: chain.dim, : chain.dim], ref._r[: ref.dim, : ref.dim]
-        assert np.allclose(r, r_ref, rtol=0, atol=RANGE_TOL * max(1.0, np.abs(r_ref).max()))
+        assert np.allclose(r, r_ref, rtol=0, atol=RANGE_TOL * max(1.0, np.abs(r_ref).max(initial=0.0)))
     fit, fit_ref = chain.fit(y, caps), ref.fit(y, caps)
     assert np.array_equal(fit.depths, fit_ref.depths)
     scale = RANGE_TOL * max(1.0, float(np.abs(y).max()))

@@ -40,6 +40,10 @@ def test_removed_aliases_are_gone():
     assert not hasattr(gsis.spectral, "_norm_and_image")
     # signals pass graphs._signal, so its flattening helper does not return
     assert not hasattr(gsis.graphs, "_vector")
+    # a chain level's columns come in matrix order, so no column carries the matrix that made it
+    chain = gsis.spaces.KrylovChain(gsis.build_circulant(7, (1, 2))[1], [np.eye(7)[0]])
+    chain.grow_to(2)
+    assert not hasattr(chain, "_tags")
     # wrappers of one expression: callers write the expression
     for owner, member in (
         (gsis, "krylov_level_bases"),

@@ -45,6 +45,7 @@ def test_graph_inputs_of_every_form_give_equal_graphs():
     assert gsis.Graph(4, edges, [0.5, 2.0, 1.25]) != g
     assert gsis.Graph(4, edges) != g
     assert gsis.Graph(5, edges, weights) != g
+    assert (g == 4) is False and g != "g"  # a graph equals no other type
 
 
 @pytest.mark.parametrize(
@@ -303,6 +304,7 @@ def _edge_file(tmp_path, text):
             "all shifts in a set must share one graph",
         ),
         (lambda tmp: gsis.build_circulant(2, [1]), "a circulant graph needs at least 3 vertices"),
+        (lambda tmp: gsis.cycle_graph(2), "a cycle needs at least 3 vertices"),
         (lambda tmp: gsis.build_circulant(10, []), "at least one offset is required"),
         (lambda tmp: _edge_file(tmp, "# only a comment\n\n"), "empty edge-list file"),
         (lambda tmp: _edge_file(tmp, "3\n0 1\n"), r"line 1: header must be 'N <edge_count>', got '3'"),
@@ -313,6 +315,7 @@ def _edge_file(tmp_path, text):
         "empty shift set",
         "shifts on two graphs",
         "circulant on 2 vertices",
+        "cycle on 2 vertices",
         "circulant without offsets",
         "empty edge list",
         "header of one field",

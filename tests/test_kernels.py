@@ -53,11 +53,20 @@ def test_a_family_member_reads_its_stored_spectrum(monkeypatch):
     decomp = gsis.diagonalize_simultaneously(shifts)
     twin = gsis.ShiftMatrix(shifts[1].matrix, shifts.graph)  # equal, but not a member
     checked = gsis.make_kernel(decomp, twin, "diffusion", sigma=0.9).spectral_values
-    monkeypatch.setattr(gsis.SpectralDecomposition, "eigenvalues_of", None)  # any call fails
+    twin_report = gsis.check_dynamic_injective(decomp, range(5), twin, 0, 5)
+
+    def recomputed(*args):
+        raise AssertionError("a member's spectrum was recomputed")
+
+    monkeypatch.setattr(gsis.spectral, "_row_eigenvalues", recomputed)
+    monkeypatch.setattr(gsis.spectral, "_residual_norm", recomputed)
     for l in (0, 1):
         k = gsis.make_kernel(decomp, shifts[l], "diffusion", sigma=0.9)
         assert k.spectral_values.tobytes() == np.exp(0.9**2 * decomp.eigenvalues[l] / 2.0).tobytes()
+        lam = decomp.eigenvalues_of(shifts[l], "shift")
+        assert lam.tobytes() == decomp.eigenvalues[l].tobytes() and not np.shares_memory(lam, decomp.eigenvalues)
     assert np.abs(k.spectral_values - checked).max() <= 1e-12 * np.abs(checked).max()
+    assert gsis.check_dynamic_injective(decomp, range(5), shifts[1], 0, 5) == twin_report
 
 
 def test_random_walk_requires_dominating_parameter(p5):
@@ -255,6 +264,16 @@ def test_a_non_finite_spectrum_is_rejected(p5):
         values[2] = bad
         with pytest.raises(ValueError, match="kernel spectral values must be finite"):
             gsis.kernels._kernel_from_spectrum(decomp, values)
+
+
+def test_a_negative_spectrum_is_rejected_beyond_roundoff(p5):
+    _, _, decomp = p5
+    values = np.ones(5)
+    values[2] = -1e-13  # roundoff below 1e-12 times the largest value is clipped to zero
+    assert gsis.kernels._kernel_from_spectrum(decomp, values).omega == (0, 1, 3, 4)
+    values[2] = -1e-6
+    with pytest.raises(ValueError, match="kernel spectral values must be nonnegative"):
+        gsis.kernels._kernel_from_spectrum(decomp, values)
 
 
 @pytest.mark.parametrize(

@@ -310,6 +310,12 @@ def test_uniform_norm_star_identity():
     assert gsis.uniform_norm_star(np.eye(5)) == pytest.approx(1.0)
 
 
+def test_exact_localization_skips_a_row_count_that_no_row_reaches():
+    # orthonormal within the 1e-8 check, but every row falls 4e-9 short of unit
+    # energy, beyond the 1e-9 slack: no single row reaches 1, two rows on two columns do
+    assert gsis.uniform_norm_star((1.0 - 2e-9) * np.eye(3)) == 0.5
+
+
 def test_uniform_norm_star_p3(p3):
     _, _, decomp = p3
     v = gsis.uniform_norm_star(decomp.basis)
@@ -458,6 +464,48 @@ def test_is_shift_invariant_cases(p3):
     assert not gsis.is_shift_invariant(crooked, shifts)
 
 
+def test_an_empty_space_passes_every_check(p3, monkeypatch):
+    _, shifts, decomp = p3
+    space = gsis.bandlimited_space(decomp, [])
+    assert space.dim == 0 and gsis.is_shift_invariant(space, shifts)
+    # numpy before 2.0 fails on the rank of an empty matrix, so none is asked for
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: rank(a) if np.size(a) else pytest.fail("empty rank"))
+    assert gsis.check_bandlimited_injective(decomp, [], [0])
+    kernel = gsis.gsis_to_rkhs_kernel(space)
+    assert kernel.omega == () and gsis.is_reproducing_metric(kernel, gsis.RkhsMetric.from_kernel(kernel))
+
+
+def _two_shift_decomposition():
+    rng = np.random.default_rng(21)
+    return gsis.diagonalize_simultaneously(laplacian_shift_set(random_connected_graph(6, rng), rng=rng))
+
+
+def test_canonical_generator_redraws_a_direction_whose_scalar_eigenvalues_tie(monkeypatch):
+    decomp = _two_shift_decomposition()
+    first = gsis.canonical_generator(decomp, range(6))
+    min_gap, gaps = gsis.spaces._min_gap, []
+
+    def tied_once(values):
+        gaps.append(min_gap(values))
+        return 0.0 if len(gaps) == 1 else gaps[-1]
+
+    monkeypatch.setattr(gsis.spaces, "_min_gap", tied_once)
+    redrawn = gsis.canonical_generator(decomp, range(6))
+    assert len(gaps) == 2
+    assert np.array_equal(redrawn.generator, first.generator)
+    assert not np.array_equal(redrawn.direction, first.direction)
+
+
+def test_canonical_generator_gives_up_after_its_draws(monkeypatch):
+    decomp = _two_shift_decomposition()
+    calls = []
+    monkeypatch.setattr(gsis.spaces, "_min_gap", lambda values: calls.append(1) or 0.0)
+    with pytest.raises(DistinctnessError, match=f"within {gsis.spaces.SCALARIZATION_DRAWS} draws"):
+        gsis.canonical_generator(decomp, range(6))
+    assert len(calls) == gsis.spaces.SCALARIZATION_DRAWS
+
+
 def test_tied_groups_of_a_cycle():
     g, shifts = gsis.build_circulant(10, [1])
     decomp = gsis.diagonalize_simultaneously(shifts)
@@ -479,8 +527,9 @@ def test_tied_groups_of_a_cycle():
         (lambda s, d: gsis.riesz_bounds(d, s[0], np.zeros(3), [0]), "generator is identically zero"),
         (lambda s, d: gsis.frame_bounds(d, np.zeros(3), 2), "generator is identically zero"),
         (lambda s, d: gsis.canonical_generator(d, []), "omega must be nonempty"),
+        (lambda s, d: gsis.gsis_from_generators(d, []), "at least one generator is required"),
     ],
-    ids=["riesz outside omega", "riesz zero generator", "frame zero generator", "canonical empty omega"],
+    ids=["riesz outside omega", "riesz zero generator", "frame zero generator", "canonical empty omega", "no generator"],
 )
 def test_generator_systems_reject_each_bad_argument(p3, call, message):
     _, shifts, decomp = p3

@@ -122,6 +122,28 @@ def test_degenerate_clusters_still_diagonalize():
     assert decomp.max_residual <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "family, patched, draws",
+    [
+        ("two shifts", "_eigenvector_rows", gsis.spectral.DIAGONALIZATION_DRAWS),
+        ("one shift", "_eigenvector_rows", 1),
+        ("circulant", "_fourier_rows", 1),
+    ],
+)
+def test_a_wrong_basis_is_redrawn_only_where_a_draw_can_change_it(family, patched, draws, monkeypatch):
+    if family == "circulant":
+        _, shifts = gsis.build_circulant(8, (1, 3))
+    else:
+        rng = np.random.default_rng(5)
+        shifts = laplacian_shift_set(random_connected_graph(8, rng), rng=rng if family == "two shifts" else None)
+    monkeypatch.setattr(gsis.spectral, patched, lambda *args: np.eye(8))  # diagonalizes none of these shifts
+    tie_groups, calls = gsis.spectral._tie_groups, []
+    monkeypatch.setattr(gsis.spectral, "_tie_groups", lambda lams: calls.append(1) or tie_groups(lams))  # once a draw
+    with pytest.raises(DiagonalizationError, match="no common eigenbasis"):
+        gsis.diagonalize_simultaneously(shifts)
+    assert len(calls) == draws
+
+
 def test_non_commuting_input_rejected():
     tri = gsis.complete_graph(3)
     m1 = np.zeros((3, 3))
@@ -145,7 +167,8 @@ def test_eigenvalues_of_reads_each_shift(kind):
     decomp = gsis.diagonalize_simultaneously(shifts)
     for l, s in enumerate(shifts):
         tol = 1e-12 * max(1.0, np.linalg.norm(s.matrix))
-        for matrix in (s, s.matrix):
+        # a member reads its stored row; an equal shift that is not one, and its array, are checked
+        for matrix in (s, gsis.ShiftMatrix(s.matrix, shifts.graph), s.matrix):
             lam = decomp.eigenvalues_of(matrix, "shift")
             assert np.abs(lam - decomp.eigenvalues[l]).max() <= tol
 
@@ -237,9 +260,10 @@ def test_decomposition_holds_one_dense_shift_at_a_time():
     assert all("matrix" not in vars(s) for s in shifts)
     # the eigenvectors, two images and one transient shift are 8 MB each
     assert peak < 40e6
-    gsis.canonical_generator(decomp, [g.start for g in decomp.groups[:6]])
-    decomp.eigenvalues_of(shifts[1], "shift 1")
-    assert all("matrix" not in vars(s) for s in shifts)
+    # a member's spectrum is stored, so the check runs on a shift that is not one
+    combined = gsis.canonical_generator(decomp, [g.start for g in decomp.groups[:6]]).combined_shift
+    decomp.eigenvalues_of(combined, "combined shift")
+    assert all("matrix" not in vars(s) for s in (*shifts, combined))
 
 
 def test_the_combined_shift_is_a_shift_on_the_same_graph():

@@ -6,17 +6,18 @@ alone, so the seed of the random shift combination changes nothing
 downstream.  The grouping is checked against the pairwise-distance
 single-linkage partition it replaced, kept here as the oracle.  A
 generated space is checked against a group-by-group thin-SVD construction
-that leaves the decomposition as it is.
+that leaves the decomposition as it is, and the finite-step chain against
+the direct solver on spaces with one column per group.
 """
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gsis
-from conftest import laplacian_shift_set, random_connected_graph
+from conftest import INJECTIVE_SMIN, laplacian_shift_set, random_connected_graph
 from gsis.spaces import SUPPORT_REL, _group_ranks
 from gsis.spectral import (
     DIAGONALIZATION_DRAWS,
@@ -217,7 +218,7 @@ def check_generated_space(shifts, gens):
     omega, projector, cut = per_group_thin_svd_space(decomp, gens)
     assert np.array_equal(space.basis, space.decomp.basis[:, list(space.omega)])
     for s in shifts:
-        lam = space.decomp.eigenvalues_of(s, "shift")
+        lam = space.decomp.eigenvalues_of(s.matrix, "shift")  # checked, not the stored row of a member
         assert np.abs(lam - decomp.eigenvalues_of(s, "shift")).max() <= 1e-10
     assert list(space.omega) == omega
     assert np.abs(space.basis @ space.basis.T - projector).max() <= 1e-12
@@ -469,3 +470,21 @@ def test_batched_group_ranks_equal_one_svd_per_group(shifts, n_gens):
     for (group, rank, left), (group_ref, rank_ref, left_ref) in zip(batched, looped):
         assert (group, rank) == (group_ref, rank_ref)
         assert (left is None and left_ref is None) or left.tobytes() == left_ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifts=commuting_families(), data=st.data())
+def test_the_finite_step_chain_equals_the_direct_solver(shifts, data):
+    # one column per tied group, so a single generator describes the space
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    n = decomp.n_vertices
+    omega = sorted(data.draw(st.sets(st.sampled_from([g.start for g in decomp.groups]), min_size=1)))
+    phi0 = gsis.canonical_generator(decomp, omega).generator
+    vertices = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=len(omega))))
+    assume(np.linalg.svd(decomp.basis[np.ix_(vertices, omega)], compute_uv=False)[-1] >= INJECTIVE_SMIN)
+    scheme = gsis.subset_sampler(n, vertices)
+    y = np.random.default_rng(len(vertices)).standard_normal(len(vertices))
+    direct = gsis.reconstruct_direct(decomp, omega, scheme, y)
+    chain = gsis.reconstruct_krylov(shifts, [phi0], scheme, y)
+    # acceptance test 07's agreement
+    assert np.linalg.norm(chain.signal - direct) <= 1e-8 * max(1e-30, np.linalg.norm(direct))
