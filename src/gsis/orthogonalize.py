@@ -151,11 +151,11 @@ class OrthogonalBasis:
         """(M, dim) orthonormal basis of the weighted images of the span."""
         return self._p[:, : self.dim]
 
-    def _grow(self, rows: slice = slice(None), image_rows: slice = slice(None)) -> None:
-        """Double the full buffers, copying only ``rows`` of U and ``image_rows`` of P, off which they are zero."""
+    def _grow(self) -> None:
+        """Double the full buffers, copying only the live row ranges of U and P, off which they are zero."""
         if self.dim == self._u.shape[1]:
-            self._u = _doubled(self._u, rows)
-            self._p = self._u if self.weight is None else _doubled(self._p, image_rows)
+            self._u = _doubled(self._u, slice(self._lo, self._hi))
+            self._p = self._u if self.weight is None else _doubled(self._p, slice(self._plo, self._phi))
             if self._r is not None:
                 r = np.zeros((2 * self.dim, 2 * self.dim))  # only the old block is written, as in _doubled
                 r[: self.dim, : self.dim] = self._r
@@ -182,12 +182,7 @@ class OrthogonalBasis:
         """:meth:`try_add` of the candidate that is ``values`` from row ``first`` on, else zero; may overwrite values."""
         nonzero = values.nonzero()[0]  # counted from first
         lo, hi = _span(nonzero, first, self._lo, self._hi, self.n)
-        one_stream = self._take is not None and not self._unsampled[first:][nonzero].any()
-        if self.weight is not None and not one_stream:
-            v = np.zeros(self.n)
-            v[first : first + values.size] = values
-            vs = v[lo:hi]
-        elif first <= lo and hi <= first + values.size:
+        if first <= lo and hi <= first + values.size:
             vs = values[lo - first : hi - first]  # a view: the candidate is zero outside these rows
         else:  # the rows [lo, hi) hold every nonzero; the rest of them are zero
             vs = np.zeros(hi - lo)
@@ -201,61 +196,45 @@ class OrthogonalBasis:
         if not math.isfinite(raw):
             raise ValueError("candidate is not finite, or its norm overflows")
         self._max_euclid = max(self._max_euclid, raw)
-        k = self.dim
-        if self.weight is None or one_stream:
-            # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
+        k, plo, phi = self.dim, self._plo, self._phi
+        two = self.weight is not None and (self._take is None or self._unsampled[first:][nonzero].any())
+        streams = [(vs, self._u[lo:hi, :k])]
+        if two:
+            v = np.zeros(self.n)
+            v[lo:hi] = vs
+            w = self.weight @ v
+            plo, phi = _span(w.nonzero()[0], 0, plo, phi, len(w))
+            ws = w[plo:phi]
+            streams.insert(0, (ws, self._p[plo:phi, :k]))
+            self._max_weighted = max(self._max_weighted, _norm(ws))
+        else:  # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
             self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
-            if k:
-                u = self._u[lo:hi, :k]
-                vs -= u @ (u.T @ vs)
-                vs -= u @ (u.T @ vs)
-            norm_v = _norm(vs)
-            if norm_v <= DROP_REL * self._max_weighted:
-                return DEPENDENT
-            self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
-            self._u[lo:hi, k] = vs / norm_v
-            if one_stream:
-                ends = self._take.searchsorted((first + nonzero[0], first + nonzero[-1]))
-                plo, phi = _span(ends, 0, self._plo, self._phi, len(self._take))  # the rows' ends are all _span reads
-                self._p[plo:phi, k] = self._u[self._take[plo:phi], k]
-                self._r[:k, k] = 0.0  # written, not assumed: column k may hold a dropped column's entries
-                self._r[k, k] = 1.0
-                self._plo, self._phi = plo, phi
-            self._lo, self._hi = lo, hi
-            self.dim += 1
-            return ADDED
-
-        w = self.weight @ v
-        plo, phi = _span(w.nonzero()[0], 0, self._plo, self._phi, len(w))
-        ws = w[plo:phi]
-        self._max_weighted = max(self._max_weighted, _norm(ws))
-        gamma = alpha = np.zeros(0)
-        if k:
-            u, p = self._u[lo:hi, :k], self._p[plo:phi, :k]
-            g1 = p.T @ ws
-            ws -= p @ g1
-            a1 = u.T @ vs
-            vs -= u @ a1
-            g2 = p.T @ ws
-            ws -= p @ g2
-            a2 = u.T @ vs
-            vs -= u @ a2
-            gamma, alpha = g1 + g2, a1 + a2
-        norm_w = _norm(ws)
+        coefficients = []  # two rounds: g1, a1, g2, a2 on two streams, a1, a2 on one
+        for x, b in streams * 2:
+            coefficients.append(b.T @ x)
+            x -= b @ coefficients[-1]
+        norm_v = _norm(vs)
+        norm_w = _norm(ws) if two else norm_v
         if norm_w <= DROP_REL * self._max_weighted:
-            if _norm(vs) > INVISIBLE_REL * max(self._max_euclid, 1e-300):
-                return INVISIBLE
-            return DEPENDENT
+            # never invisible on one stream: there norm_w is norm_v, and no weighted norm exceeds its euclidean one
+            return INVISIBLE if norm_v > INVISIBLE_REL * max(self._max_euclid, 1e-300) else DEPENDENT
         # a weighted-independent candidate is euclidean-independent, since
         # ||W r|| <= ||W|| ||r|| for the orthogonalized remainder r
-        norm_v = _norm(vs)
-        self._grow(slice(self._lo, self._hi), slice(self._plo, self._phi))
+        self._grow()
         self._u[lo:hi, k] = vs / norm_v
-        self._p[plo:phi, k] = ws / norm_w
-        self._r[:k, k] = (gamma - self._r[:k, :k] @ alpha) / norm_v
-        self._r[k, k] = norm_w / norm_v
+        if two:
+            g1, a1, g2, a2 = coefficients
+            self._p[plo:phi, k] = ws / norm_w
+            self._r[:k, k] = (g1 + g2 - self._r[:k, :k] @ (a1 + a2)) / norm_v
+            self._r[k, k] = norm_w / norm_v
+            self._take = None  # the new column is nonzero where v was on an unsampled vertex
+        elif self.weight is not None:  # one stream: the image is the column's sampled rows, R's column I's
+            ends = self._take.searchsorted((first + nonzero[0], first + nonzero[-1]))
+            plo, phi = _span(ends, 0, plo, phi, len(self._take))  # the rows' ends are all _span reads
+            self._p[plo:phi, k] = self._u[self._take[plo:phi], k]
+            self._r[:k, k] = 0.0  # written, not assumed: column k may hold a dropped column's entries
+            self._r[k, k] = 1.0
         self._lo, self._hi, self._plo, self._phi = lo, hi, plo, phi
-        self._take = None  # the new column is nonzero where v was on an unsampled vertex
         self.dim += 1
         return ADDED
 

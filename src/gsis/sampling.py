@@ -52,7 +52,9 @@ class SamplingScheme:
     :func:`dynamic_sampler` records ``initial_vertex`` and ``n_snapshots``.
     ``scheme @ x`` on an (N,) or (N, K) array gathers the
     rows ``x[vertices]`` of a subset scheme, equal to the product with its
-    0/1 rows, and takes the dense product with ``matrix`` otherwise.
+    0/1 rows, and takes the dense product with ``matrix`` otherwise.  As in
+    numpy's matmul, an operand of three or more axes is a stack of
+    (N, K) blocks, whose axis -2 is gathered or multiplied.
     """
 
     provenance: str
@@ -100,11 +102,14 @@ class SamplingScheme:
         return self.shape[1]
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        """``A @ x`` for an (N,) or (N, K) array (see the class docstring)."""
+        """``A @ x`` for an (N,), (N, K) or stacked (..., N, K) array (see the class docstring)."""
         x = np.asarray(other)
-        if x.shape[:1] != self.shape[1:]:
+        axis = -2 if x.ndim > 2 else 0  # numpy's matmul reads a stack's rows on axis -2
+        if x.shape[axis:][:1] != self.shape[1:]:
             raise ValueError(f"operand of shape {x.shape} under a scheme on {self.n_vertices} vertices")
-        return self.matrix @ x if self._take is None else x[self._take]
+        if self._take is None:
+            return self.matrix @ x
+        return x[self._take] if axis == 0 else x[..., self._take, :]
 
 
 @dataclass(frozen=True)
@@ -363,6 +368,8 @@ def reconstruct_krylov(
     if top_level < 0:
         raise ValueError("max_level must be nonnegative")
 
+    dependent = []  # the generators dropped, warned of once the chain is built
+
     def handle_drop(status: str, what: str) -> None:
         if status == INVISIBLE and require_injective:
             raise DegenerateInnerProductError(
@@ -370,9 +377,11 @@ def reconstruct_krylov(
                 "sampling is not injective on the generated space"
             )
         if status == DEPENDENT and what.startswith("generator"):
-            warnings.warn(f"dependent {what} dropped", stacklevel=5)
+            dependent.append(what)
 
     chain = KrylovChain(shifts, generators, scheme, on_drop=handle_drop)
+    for what in dependent:
+        warnings.warn(f"dependent {what} dropped", stacklevel=2)  # at the caller's line
     fit = chain.fit(obs[:, None], [top_level], delta)
     depth = int(fit.depths[0])
     dims = chain.dims[: depth + 1]

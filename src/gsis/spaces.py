@@ -528,10 +528,7 @@ def _localization(u: np.ndarray, mode: str) -> float:
     if n > 12:
         raise ValueError(f"exact mode enumerates subsets and is limited to 12 columns, got {n}")
     energy = u * u
-    n_subsets = (1 << n) - 1
-    masks = np.zeros((n_subsets, n), dtype=bool)
-    for s in range(1, n_subsets + 1):
-        masks[s - 1] = [(s >> b) & 1 for b in range(n)]
+    masks = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)  # row s - 1: bit b of s
     col_counts = masks.sum(axis=1)
     # rows_energy[k, i] = energy of row i against frequency subset k
     rows_energy = masks @ energy.T

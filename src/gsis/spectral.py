@@ -296,7 +296,7 @@ def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
     worst_seen = np.inf
     fourier = _fourier_rows(shifts)
     norms = np.array([s._frobenius_norm() for s in shifts])
-    for _ in range(DIAGONALIZATION_DRAWS):
+    for draws in range(1, DIAGONALIZATION_DRAWS + 1):
         # row n of `rows` is eigenvector n, and row n of images[l] is S_l u_n
         # (the shifts are symmetric), so a group's vectors are contiguous rows
         rows = fourier if fourier is not None else _eigenvector_rows(shifts, rng)
@@ -327,7 +327,7 @@ def diagonalize_simultaneously(shifts: ShiftSet) -> SpectralDecomposition:
             break
     raise DiagonalizationError(
         f"no common eigenbasis within tolerance {DIAGONALIZATION_REL:.1e} "
-        f"after {DIAGONALIZATION_DRAWS} draws "
+        f"after {draws} draw{'s' if draws > 1 else ''} "
         f"(best relative residual {worst_seen:.3e})"
     )
 

@@ -445,6 +445,7 @@ def test_require_injective_raises_exactly_when_the_unpruned_chain_meets_an_invis
 def _full_row_try_add(self, v):
     """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row."""
     v = np.array(v, dtype=float)
+    self._lo, self._hi, self._plo, self._phi = 0, self.n, 0, self._p.shape[0]  # every row: _grow copies these
     self._max_euclid = max(self._max_euclid, float(np.linalg.norm(v)))
     if self.weight is None:
         self._max_weighted = self._max_euclid

@@ -1,5 +1,6 @@
 """Tests for sampling schemes, injectivity checks, and reconstruction."""
 
+import inspect
 import math
 import re
 import warnings
@@ -92,11 +93,14 @@ def _schemes(n=9):
 def test_a_scheme_applies_itself_as_its_matrix_product(kind):
     scheme = _schemes()[kind]
     rng = np.random.default_rng(12)
-    for x in (rng.standard_normal(9), rng.standard_normal((9, 3))):
+    # numpy's matmul reads an operand of three or more axes as a stack of (N, K) blocks
+    for shape in ((9,), (9, 3), (9, 9, 2), (4, 9, 3), (2, 3, 9, 1)):
+        x = rng.standard_normal(shape)
         got, want = scheme @ x, scheme.matrix @ x
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="shape"):
-        scheme @ np.ones(10)
+    for shape in ((10,), (10, 3), (9, 10, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            scheme @ np.ones(shape)
 
 
 class _Weight:
@@ -619,11 +623,13 @@ def test_reconstruct_krylov_dependent_generator_warns(p3):
     graph, shifts, decomp = p3
     x0 = np.array([1.0, 2.0, 3.0])
     scheme = gsis.subset_sampler(3, [0, 1, 2])
-    with pytest.warns(UserWarning, match="dependent generator"):
-        res = gsis.reconstruct_krylov(
-            shifts, [x0, 2.0 * x0], scheme, scheme @ x0
-        )
+    with pytest.warns(UserWarning, match="dependent generator") as record:
+        res = gsis.reconstruct_krylov(shifts, [x0, 2.0 * x0], scheme, scheme @ x0)
+        call_line = inspect.currentframe().f_lineno - 1
     assert np.allclose(res.signal, x0, atol=1e-10)
+    # the warning points at the line that called reconstruct_krylov
+    (warning,) = record
+    assert (warning.filename, warning.lineno) == (__file__, call_line)
 
 
 def test_reconstruct_krylov_validation(p3):

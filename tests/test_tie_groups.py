@@ -7,7 +7,8 @@ downstream.  The grouping is checked against the pairwise-distance
 single-linkage partition it replaced, kept here as the oracle.  A
 generated space is checked against a group-by-group thin-SVD construction
 that leaves the decomposition as it is, and the finite-step chain against
-the direct solver on spaces with one column per group.
+the direct solver on spaces with one column per group, whose canonical
+generator's chain spans the bandlimited space.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gsis
 from conftest import INJECTIVE_SMIN, laplacian_shift_set, random_connected_graph
-from gsis.spaces import SUPPORT_REL, _group_ranks
+from gsis.spaces import SUPPORT_REL, KrylovChain, _group_ranks
 from gsis.spectral import (
     DIAGONALIZATION_DRAWS,
     DIAGONALIZATION_REL,
@@ -488,3 +489,18 @@ def test_the_finite_step_chain_equals_the_direct_solver(shifts, data):
     chain = gsis.reconstruct_krylov(shifts, [phi0], scheme, y)
     # acceptance test 07's agreement
     assert np.linalg.norm(chain.signal - direct) <= 1e-8 * max(1e-30, np.linalg.norm(direct))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifts=commuting_families(), data=st.data())
+def test_every_bandlimited_space_is_principal(shifts, data):
+    # one column of each chosen tied group: the combined shift's eigenvalues are distinct on omega
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    groups = data.draw(st.lists(st.sampled_from(decomp.groups), min_size=1, unique=True))
+    omega = sorted(data.draw(st.sampled_from(group)) for group in groups)
+    canonical = gsis.canonical_generator(decomp, omega)
+    chain = KrylovChain([canonical.combined_shift], [canonical.generator])
+    chain.grow_to(len(omega) - 1)
+    assert chain.dims[len(omega) - 1] == len(omega)
+    space = gsis.bandlimited_space(decomp, omega)  # contains: within MEMBERSHIP_REL of the space
+    assert all(space.contains(column) for column in chain.basis.T)
