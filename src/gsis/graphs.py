@@ -422,7 +422,8 @@ class ShiftMatrix:
             return 0, (self._rows[:0], self._cols[:0], self._weights[:0], 0)
         first, end = int(reached.min()), int(reached.max()) + 1
         entries = slice(self._ptr[first], self._ptr[end])
-        return first, (self._rows[entries] - first, self._cols[entries], self._weights[entries], end - first)
+        rows = self._rows[entries]  # counted from first: a copy only when first is not 0
+        return first, (rows - first if first else rows, self._cols[entries], self._weights[entries], end - first)
 
     def _apply(self, x: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
         """``size`` rows of ``S @ x`` for a real (N,) x, summed over the given entries; a row with none reads +0.0."""

@@ -97,7 +97,8 @@ class OrthogonalBasis:
     exactly zero (the buffers start zeroed).  A candidate widens the range
     to cover its own nonzeros, and the passes, norms and stores read only
     those rows, dropping nothing but exact-zero terms: O(rows x dim) per
-    pass while the span stays local in the vertex labels (a delta on a
+    pass (rows x the columns from ``_start`` on for a euclidean pass)
+    while the span stays local in the vertex labels (a delta on a
     circulant, a path or a row-major grid); a dense candidate, or an
     arbitrary labelling, soon makes it every row.  The range only grows, so
     a column stored after ``dim`` is lowered overwrites every row the
@@ -112,10 +113,14 @@ class OrthogonalBasis:
     dependent exactly when its euclidean remainder drops (it cannot be
     invisible), its image column is the new basis column's sampled rows and
     its column of R is the identity's: ``images`` is ``basis[vertices]``
-    and R is I, which the two streams give in exact arithmetic and, on
-    every chain the tests compare, bit for bit.  The first column stored
-    with a nonzero on an unsampled vertex switches the basis to both
-    streams for good.
+    and R is I, which the two streams give in exact arithmetic.  The
+    euclidean passes read the same operands on either, so U is bit for bit
+    the two streams' U; the images and R agree to roundoff only, since the
+    weighted passes read every column while a chain level's euclidean
+    passes skip the early ones (``_start``; see
+    :class:`~gsis.spaces.KrylovChain`).  The first column stored with a
+    nonzero on an unsampled vertex switches the basis to both streams for
+    good.
     """
 
     def __init__(self, n: int, weight=None):
@@ -134,6 +139,7 @@ class OrthogonalBasis:
         self._lo, self._hi, self._plo, self._phi = self.n, 0, m, 0
         self._max_weighted = 0.0
         self._max_euclid = 0.0
+        self._start = 0  # the euclidean passes read the columns from here on (set by a chain's level)
         # a subset scheme's vertices while every stored column vanishes off them, else None
         vertices = getattr(weight, "vertices", None)
         self._take = None if vertices is None else np.array(vertices, dtype=np.intp)
@@ -197,8 +203,10 @@ class OrthogonalBasis:
             raise ValueError("candidate is not finite, or its norm overflows")
         self._max_euclid = max(self._max_euclid, raw)
         k, plo, phi = self.dim, self._plo, self._phi
-        two = self.weight is not None and (self._take is None or self._unsampled[first:][nonzero].any())
-        streams = [(vs, self._u[lo:hi, :k])]
+        # count_nonzero, not .any(): the method's Python wrapper costs as much as the gather
+        two = self.weight is not None and (self._take is None or np.count_nonzero(self._unsampled[first:][nonzero]) > 0)
+        start = self._start
+        streams = [(vs, self._u[lo:hi, start:k])]
         if two:
             v = np.zeros(self.n)
             v[lo:hi] = vs
@@ -217,7 +225,12 @@ class OrthogonalBasis:
         norm_w = _norm(ws) if two else norm_v
         if norm_w <= DROP_REL * self._max_weighted:
             # never invisible on one stream: there norm_w is norm_v, and no weighted norm exceeds its euclidean one
-            return INVISIBLE if norm_v > INVISIBLE_REL * max(self._max_euclid, 1e-300) else DEPENDENT
+            invisible = INVISIBLE_REL * max(self._max_euclid, 1e-300)
+            if start and norm_v > invisible:  # what looks invisible may sit on the columns the passes skipped
+                b = self._u[lo:hi, :start]  # one pass: only the remainder's norm is read, against a 1e-6 threshold
+                vs -= b @ (b.T @ vs)
+                norm_v = _norm(vs)
+            return INVISIBLE if norm_v > invisible else DEPENDENT
         # a weighted-independent candidate is euclidean-independent, since
         # ||W r|| <= ||W|| ||r|| for the orthogonalized remainder r
         self._grow()
@@ -225,7 +238,7 @@ class OrthogonalBasis:
         if two:
             g1, a1, g2, a2 = coefficients
             self._p[plo:phi, k] = ws / norm_w
-            self._r[:k, k] = (g1 + g2 - self._r[:k, :k] @ (a1 + a2)) / norm_v
+            self._r[:k, k] = (g1 + g2 - self._r[:k, start:k] @ (a1 + a2)) / norm_v
             self._r[k, k] = norm_w / norm_v
             self._take = None  # the new column is nonzero where v was on an unsampled vertex
         elif self.weight is not None:  # one stream: the image is the column's sampled rows, R's column I's

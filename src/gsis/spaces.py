@@ -36,11 +36,13 @@ __all__ = [
     "SUPPORT_REL",
     "SCALARIZATION_DRAWS",
     "MEMBERSHIP_REL",
+    "ORTHOGONALITY_REL",
 ]
 
 SUPPORT_REL = 1e-10  # an entry is in a generator's support above this times its norm
 MEMBERSHIP_REL = 1e-8  # SignalSpace.contains: projection residual allowed, relative to the norm
 SCALARIZATION_DRAWS = 32  # random directions canonical_generator tries before giving up
+ORTHOGONALITY_REL = 4 * np.finfo(float).eps  # KrylovChain: largest |u_i . u_j| a level's local passes may leave
 
 
 @dataclass(frozen=True)
@@ -215,10 +217,38 @@ class KrylovChain(OrthogonalBasis):
     only the rows that range reaches, S being symmetric, bit for bit as the
     full apply (:meth:`~gsis.graphs.ShiftMatrix._window`, set up again only
     when the range grows), and the basis is offered just those rows
-    (:meth:`~gsis.orthogonalize.OrthogonalBasis._offer`).  A candidate
-    thus costs O(rows reached) and O(rows x dim) per Gram-Schmidt pass,
-    rows being the span's range of vertex labels: on a circulant, a
-    level-n span of a delta generator covers only its n-hop neighbourhood.
+    (:meth:`~gsis.orthogonalize.OrthogonalBasis._offer`).
+
+    Local passes.  The rule rests on the matrices being symmetric and
+    commuting, as the shifts of an undirected graph are.  Then a level-n
+    candidate ``S_t u_j`` has, in exact arithmetic, no component on the
+    columns before ``dims[n - 3]``: ``u_i . S_t u_j = S_t u_i . u_j``, and
+    ``S_t u_i`` lies in the level n - 2 span, to which ``u_j`` is
+    orthogonal (the Lanczos three-term property).  So both euclidean
+    Gram-Schmidt passes of level n read only the columns from
+    ``dims[n - 3]`` on; the weighted passes of a two-stream basis still
+    read every column.  After a level's offers, before its drops are
+    reported, the chain audits the largest ``|u_i . u_j|`` over the
+    columns i it skipped and the level's new columns j (one product and
+    one reduction) and keeps it in ``audits[n]`` (0 for levels 0 to 2).
+    Above :data:`ORTHOGONALITY_REL` the chain undoes the level, as after a
+    pruned invisible drop, regrows it with full passes, records n in
+    ``fallback_level`` (None while it has not fallen back) and uses full
+    passes from then on.  On a circulant the audits read roundoff of
+    roundoff; on an irregular graph the loss grows level by level until
+    the audit trips.  The audit sees only added columns, so a dropped
+    two-stream candidate is judged invisible only after a pass over the
+    skipped columns too: an earlier invisible drop leaves a direction out
+    of the span, and a dependent candidate can then keep more than
+    roundoff on them.
+
+    Cost.  With rows the basis' range of vertex labels (on a circulant, a
+    level-n span of a delta generator covers only its n-hop
+    neighbourhood), a candidate costs O(rows reached) for the shift and
+    O(rows x c) per euclidean pass, c being the columns of levels n - 2
+    and n - 1 and those level n has added so far; two streams add
+    O(rows x dim) per weighted pass, and a level's audit O(rows x
+    dims[n - 3] x its new columns).  With full passes c is the dimension.
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
@@ -240,15 +270,16 @@ class KrylovChain(OrthogonalBasis):
         # each ShiftMatrix's (first, entries) reached from the basis' row range, (0, None) for a dense one
         self._window_rows, self._windows = None, []
         self.dims = [self.dim]
+        self.audits = [0.0]
+        self.fallback_level = None
         self.stalled = False
 
     @property
     def depth(self) -> int:
         return len(self.dims) - 1
 
-    def _grow_level(self, lo: int, hi: int) -> bool:
-        """Offer one level's candidates; False, with the level undone, on a pruned invisible drop."""
-        start = self.dim, self._max_weighted, self._max_euclid
+    def _offer_level(self, lo: int, hi: int) -> list[str] | None:
+        """Offer one level's candidates; their drops, or None at a pruned invisible drop."""
         rows = self._lo, self._hi  # every column of the previous level vanishes off these rows
         if rows != self._window_rows:  # set up again only when the range has grown
             self._window_rows = rows
@@ -261,26 +292,45 @@ class KrylovChain(OrthogonalBasis):
                 else:
                     status = self._offer(s._apply(self._u[:, j], *entries), first)
                 if status == INVISIBLE and self._prune:
-                    self.dim, self._max_weighted, self._max_euclid = start
-                    return False
+                    return None
                 if status != ADDED:
                     drops.append(status)
             ends.append(self.dim)
         self._ends = ends
-        for status in drops:
-            self._on_drop(status, "shifted candidate")
-        return True
+        return drops
+
+    def _audit(self, old: int, hi: int) -> float:
+        """Largest ``|u_i . u_j|`` of a column i before ``old`` and a column j from ``hi`` on."""
+        if not old or self.dim == hi:
+            return 0.0
+        lo, top = self._lo, self._hi
+        return float(abs(self._u[lo:top, :old].T @ self._u[lo:top, hi : self.dim]).max())
 
     def grow_to(self, level: int) -> bool:
         """Grow until ``depth`` reaches ``level``; False if the chain stalls first."""
-        while self.depth < level and not self.stalled:
-            lo, hi = (self.dims[-2] if self.depth else 0), self.dims[-1]
-            if not self._grow_level(lo, hi):
-                self._prune = False
-                self._grow_level(lo, hi)
+        dims = self.dims
+        while len(dims) <= level and not self.stalled:
+            lo, hi = dims[-2:] if len(dims) > 1 else (0, dims[0])
+            # in exact arithmetic no candidate of this level has a component on the columns before old
+            old = dims[-3] if len(dims) > 2 else 0
+            undo = self.dim, self._max_weighted, self._max_euclid, self._ends
+            while True:
+                self._start = old if self.fallback_level is None else 0
+                drops = self._offer_level(lo, hi)
+                if drops is None:  # a pruned invisible drop: regrow with every candidate
+                    self._prune = False
+                elif (audit := self._audit(old, hi)) <= ORTHOGONALITY_REL or not self._start:
+                    break
+                else:  # the local passes lost orthogonality: regrow with full passes, for good
+                    self.fallback_level = len(dims)
+                self.dim, self._max_weighted, self._max_euclid, self._ends = undo
+            self._start = 0
+            for status in drops:
+                self._on_drop(status, "shifted candidate")
             self.stalled = self.dim == hi
             if not self.stalled:
-                self.dims.append(self.dim)
+                dims.append(self.dim)
+                self.audits.append(audit)
         return self.depth >= level
 
     def fit(self, y: np.ndarray, caps: Sequence[int], delta: float = 0.0) -> ChainFit:
@@ -319,7 +369,8 @@ class KrylovChain(OrthogonalBasis):
             padded[:, :-1] = new
             blocks.append((padded.T @ e)[:-1] * active)
             e -= new @ blocks[-1]
-            norms.append(np.where(active, np.linalg.norm(e, axis=0), np.nan))
+            # np.linalg.norm(e, axis=0) is this sum, bit for bit, behind a wrapper that costs as much
+            norms.append(np.where(active, np.sqrt(np.add.reduce(e * e)), np.nan))
             active &= (caps > level) & (norms[-1] > delta)
         coefficients, norms = np.concatenate(blocks), np.array(norms)
         return ChainFit(np.ldexp(e, binade), np.ldexp(coefficients, binade), depths, np.ldexp(norms, binade))

@@ -1,16 +1,17 @@
 """Each named tolerance decides its test exactly at its value.
 
-A candidate or a pair of joint eigenvalues is placed 10 % inside and 10 %
-outside the threshold, so these tests pin the values of
-``orthogonalize.DROP_REL`` (1e-10), ``orthogonalize.INVISIBLE_REL`` (1e-6)
-and ``spectral.DISTINCT_REL`` (1e-8) as well as the comparisons that read
-them.
+A candidate, a pair of joint eigenvalues or a chain column is placed 10 %
+inside and 10 % outside the threshold, so these tests pin the values of
+``orthogonalize.DROP_REL`` (1e-10), ``orthogonalize.INVISIBLE_REL`` (1e-6),
+``spectral.DISTINCT_REL`` (1e-8) and ``spaces.ORTHOGONALITY_REL`` (4 eps) as
+well as the comparisons that read them.
 """
 
 import numpy as np
 import pytest
 
 import gsis
+from gsis.spaces import ORTHOGONALITY_REL, KrylovChain
 
 
 @pytest.mark.parametrize("factor, status", [(1.1, gsis.ADDED), (0.9, gsis.DEPENDENT)])
@@ -44,3 +45,19 @@ def test_distinctness_threshold(factor, distinct):
     assert decomp.assumption1_holds is distinct
     clusters = [list(g) for g in decomp.groups]
     assert clusters == ([[0], [1], [2]] if distinct else [[0], [1, 2]])
+
+
+@pytest.mark.parametrize("factor, fallback", [(0.9, None), (1.1, 3)])
+def test_orthogonality_threshold(factor, fallback):
+    # S maps e0 -> e1 -> e2 -> e3 + c e0.  Level 3's local passes skip e0, so its new
+    # column (c, 0, 0, 1) keeps c on e0: the audit reads c exactly, the norm being 1.0
+    c = factor * ORTHOGONALITY_REL
+    s = np.zeros((4, 4))
+    s[1, 0] = s[2, 1] = s[3, 2] = 1.0
+    s[0, 2] = c
+    chain = KrylovChain([s], [np.eye(4)[0]])
+    chain.grow_to(3)
+    assert chain.dims == [1, 2, 3, 4] and chain.fallback_level == fallback
+    # a level regrown with full passes projects c out
+    assert chain.audits == [0.0, 0.0, 0.0, c if fallback is None else 0.0]
+    assert chain.basis[0, 3] == (c if fallback is None else 0.0)
