@@ -230,13 +230,15 @@ class KrylovChain(OrthogonalBasis):
     read every column.  After a level's offers, before its drops are
     reported, the chain audits the largest ``|u_i . u_j|`` over the
     columns i it skipped and the level's new columns j (one product and
-    one reduction) and keeps it in ``audits[n]`` (0 for levels 0 to 2).
-    Above :data:`ORTHOGONALITY_REL` the chain undoes the level, as after a
+    one reduction) and keeps it in ``audits[n]``.  Above
+    :data:`ORTHOGONALITY_REL` the chain undoes the level, as after a
     pruned invisible drop, regrows it with full passes, records n in
     ``fallback_level`` (None while it has not fallen back) and uses full
-    passes from then on.  On a circulant the audits read roundoff of
-    roundoff; on an irregular graph the loss grows level by level until
-    the audit trips.  The audit sees only added columns, so a dropped
+    passes from then on, which skip nothing and need no audit:
+    ``audits[n]`` is then the audit that tripped, and 0 at the later
+    levels, as at levels 0 to 2.  On a circulant the audits read
+    roundoff of roundoff; on an irregular graph the loss grows level by
+    level until the audit trips.  The audit sees only added columns, so a dropped
     two-stream candidate is judged invisible only after a pass over the
     skipped columns too: an earlier invisible drop leaves a direction out
     of the span, and a dependent candidate can then keep more than
@@ -300,11 +302,9 @@ class KrylovChain(OrthogonalBasis):
         return drops
 
     def _audit(self, old: int, hi: int) -> float:
-        """Largest ``|u_i . u_j|`` of a column i before ``old`` and a column j from ``hi`` on."""
-        if not old or self.dim == hi:
-            return 0.0
+        """Largest ``|u_i . u_j|`` of a column i before ``old`` and a column j from ``hi`` on, 0 if none."""
         lo, top = self._lo, self._hi
-        return float(abs(self._u[lo:top, :old].T @ self._u[lo:top, hi : self.dim]).max())
+        return float(abs(self._u[lo:top, :old].T @ self._u[lo:top, hi : self.dim]).max(initial=0.0))
 
     def grow_to(self, level: int) -> bool:
         """Grow until ``depth`` reaches ``level``; False if the chain stalls first."""
@@ -314,17 +314,20 @@ class KrylovChain(OrthogonalBasis):
             # in exact arithmetic no candidate of this level has a component on the columns before old
             old = dims[-3] if len(dims) > 2 else 0
             undo = self.dim, self._max_weighted, self._max_euclid, self._ends
-            while True:
-                self._start = old if self.fallback_level is None else 0
-                drops = self._offer_level(lo, hi)
-                if drops is None:  # a pruned invisible drop: regrow with every candidate
-                    self._prune = False
-                elif (audit := self._audit(old, hi)) <= ORTHOGONALITY_REL or not self._start:
-                    break
-                else:  # the local passes lost orthogonality: regrow with full passes, for good
-                    self.fallback_level = len(dims)
-                self.dim, self._max_weighted, self._max_euclid, self._ends = undo
-            self._start = 0
+            audit = 0.0  # full passes skip no column: nothing to audit
+            try:
+                while True:
+                    self._start = old if self.fallback_level is None else 0
+                    drops = self._offer_level(lo, hi)
+                    if drops is None:  # a pruned invisible drop: regrow with every candidate
+                        self._prune = False
+                    elif not self._start or (audit := self._audit(old, hi)) <= ORTHOGONALITY_REL:
+                        break
+                    else:  # the local passes lost orthogonality: regrow with full passes, for good
+                        self.fallback_level = len(dims)
+                    self.dim, self._max_weighted, self._max_euclid, self._ends = undo
+            finally:  # a bare try_add reads every column, whatever a level left behind
+                self._start = 0
             for status in drops:
                 self._on_drop(status, "shifted candidate")
             self.stalled = self.dim == hi
@@ -369,8 +372,7 @@ class KrylovChain(OrthogonalBasis):
             padded[:, :-1] = new
             blocks.append((padded.T @ e)[:-1] * active)
             e -= new @ blocks[-1]
-            # np.linalg.norm(e, axis=0) is this sum, bit for bit, behind a wrapper that costs as much
-            norms.append(np.where(active, np.sqrt(np.add.reduce(e * e)), np.nan))
+            norms.append(np.where(active, np.linalg.norm(e, axis=0), np.nan))
             active &= (caps > level) & (norms[-1] > delta)
         coefficients, norms = np.concatenate(blocks), np.array(norms)
         return ChainFit(np.ldexp(e, binade), np.ldexp(coefficients, binade), depths, np.ldexp(norms, binade))

@@ -459,9 +459,28 @@ def test_local_passes_fall_back_to_full_passes_on_an_irregular_graph(n):
     ref, _, _, _ = _unpruned_chain([shift.matrix], [phi], None, n)  # full passes throughout
     assert chain.stalled and chain.dim == ref.dim == n
     assert _orthogonality_loss(chain.basis) <= 4 * _orthogonality_loss(ref.basis)
-    # the chain records where it left the local passes; every audit before that passed
-    assert 3 <= chain.fallback_level <= chain.depth and len(chain.audits) == len(chain.dims)
-    assert max(chain.audits[: chain.fallback_level]) <= ORTHOGONALITY_REL
+    # the chain records where it left the local passes: every audit before that passed,
+    # the audit of that level tripped, and the full passes after it skip nothing to audit
+    level, audits = chain.fallback_level, chain.audits
+    assert 3 <= level <= chain.depth and len(audits) == len(chain.dims)
+    assert max(audits[:level]) <= ORTHOGONALITY_REL < audits[level] and not any(audits[level + 1 :])
+
+
+class _FailingChain(KrylovChain):
+    """A chain whose offers fail on the first level with local passes."""
+
+    def _offer_level(self, lo, hi):
+        if self._start:
+            raise ValueError("the level's offers failed")
+        return super()._offer_level(lo, hi)
+
+
+def test_a_level_that_raises_leaves_try_add_on_full_passes():
+    chain = _FailingChain([_cycle_laplacian(12)], [np.eye(12)[0]])
+    with pytest.raises(ValueError, match="offers failed"):
+        chain.grow_to(3)
+    # column 0 is one the failed level skipped: a later try_add must still project it out
+    assert chain.try_add(chain.basis[:, 0].copy()) == DEPENDENT
 
 
 def test_a_candidate_that_looks_invisible_is_judged_on_every_column():
@@ -501,15 +520,19 @@ def _full_row_try_add(self, v):
     """Reference ``OrthogonalBasis.try_add`` that projects, measures and stores on every row.
 
     As in the basis, the euclidean passes read the columns from ``_start`` on,
-    and a dropped candidate is judged on all of them.
+    a dropped candidate is judged on all of them, and while every column
+    vanishes off a subset scheme's vertices, a candidate that does too takes
+    one stream: its image is the new column's sampled rows, R's column I's.
     """
     v = np.array(v, dtype=float)
     self._lo, self._hi, self._plo, self._phi = 0, self.n, 0, self._p.shape[0]  # every row: _grow copies these
-    self._max_euclid = max(self._max_euclid, float(np.linalg.norm(v)))
+    raw = float(np.linalg.norm(v))
+    self._max_euclid = max(self._max_euclid, raw)
     start, k = self._start, self.dim
     u = self._u[:, start:k]
-    if self.weight is None:
-        self._max_weighted = self._max_euclid
+    one = self._take is not None and not v[self._unsampled].any()
+    if self.weight is None or one:
+        self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
         if k:
             for _ in range(2):
                 v -= u @ (u.T @ v)
@@ -517,7 +540,11 @@ def _full_row_try_add(self, v):
         if norm_v <= DROP_REL * self._max_weighted:
             return DEPENDENT
         self._grow()
-        self._u[:, self.dim] = v / norm_v
+        self._u[:, k] = v / norm_v
+        if one:
+            self._p[:, k] = self._u[self._take, k]
+            self._r[:k, k] = 0.0
+            self._r[k, k] = 1.0
         self.dim += 1
         return ADDED
     w = self.weight @ v
@@ -546,6 +573,7 @@ def _full_row_try_add(self, v):
     self._p[:, k] = w / norm_w
     self._r[:k, k] = (gamma - self._r[:k, start:k] @ alpha) / norm_v
     self._r[k, k] = norm_w / norm_v
+    self._take = None
     self.dim += 1
     return ADDED
 
@@ -670,10 +698,7 @@ def test_a_localized_chain_keeps_a_local_range_that_is_bit_identical(weighted):
     ref.grow_to(level)
     # a level-20 span of a delta is nonzero only within 3 * 20 hops of it
     assert center - 3 * level - 32 <= chain._lo and chain._hi <= center + 3 * level + 1 + 32
-    assert chain.basis.tobytes() == ref.basis.tobytes()
-    if weighted:  # one stream throughout: the images are the basis' sampled rows, and the two streams' to roundoff
-        assert chain.images.tobytes() == ref.basis[list(scheme.vertices)].tobytes()
-        assert np.allclose(chain.images, ref.images, rtol=0, atol=RANGE_TOL)
+    assert chain.basis.tobytes() == ref.basis.tobytes() and chain.images.tobytes() == ref.images.tobytes()
     _assert_rows_outside_the_range_are_zero(chain)
 
 

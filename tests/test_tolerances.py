@@ -58,6 +58,6 @@ def test_orthogonality_threshold(factor, fallback):
     chain = KrylovChain([s], [np.eye(4)[0]])
     chain.grow_to(3)
     assert chain.dims == [1, 2, 3, 4] and chain.fallback_level == fallback
-    # a level regrown with full passes projects c out
-    assert chain.audits == [0.0, 0.0, 0.0, c if fallback is None else 0.0]
+    # the audit is kept either way; a level regrown with full passes projects c out
+    assert chain.audits == [0.0, 0.0, 0.0, c]
     assert chain.basis[0, 3] == (c if fallback is None else 0.0)
