@@ -27,6 +27,7 @@ from the first column stored with a nonzero on an unsampled vertex on.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -121,6 +122,15 @@ class OrthogonalBasis:
     :class:`~gsis.spaces.KrylovChain`).  The first column stored with a
     nonzero on an unsampled vertex switches the basis to both streams for
     good.
+
+    So while every offered candidate vanishes off the scheme's vertices,
+    the basis does not depend on its subset scheme: each decision reads
+    the euclidean stream and the largest offered norm alone, and the scheme
+    only names the rows ``images`` reads.  Under another subset scheme off
+    whose vertices those candidates vanish too, the same offers build the
+    same U, row range and largest norms, with ``images`` that scheme's
+    ``basis[vertices]`` and R the identity; :meth:`_copy_under` builds that
+    basis from this one.
     """
 
     def __init__(self, n: int, weight=None):
@@ -250,6 +260,42 @@ class OrthogonalBasis:
         self._lo, self._hi, self._plo, self._phi = lo, hi, plo, phi
         self.dim += 1
         return ADDED
+
+    def _copy_under(self, weight):
+        """A copy of this one-stream basis as a basis under the subset scheme ``weight`` holds it, or None.
+
+        It is that basis when every candidate offered so far vanished off
+        the vertices of both schemes.  Only the stored columns are checked
+        here, since a dropped candidate leaves none; the caller vouches for
+        the dropped ones (:meth:`gsis.spaces.KrylovChain._copy_under`).
+        None, and this basis unchanged, unless this basis runs one stream
+        under a subset scheme and every stored column vanishes off the
+        vertices of ``weight``, a subset scheme.  The copy shares nothing
+        that either basis writes, and its buffers are written on the stored
+        rows only, as in :meth:`_grow`.
+        """
+        vertices = getattr(weight, "vertices", None)
+        if self._take is None or vertices is None:
+            return None
+        take = np.array(vertices, dtype=np.intp)
+        lo, hi, k = self._lo, self._hi, self.dim
+        rows = lo + np.flatnonzero(self._u[lo:hi, :k].any(axis=1))  # every row a stored column is nonzero on
+        unsampled = np.ones(self.n, dtype=bool)
+        unsampled[take] = False
+        if np.count_nonzero(unsampled[rows]):
+            return None
+        out = copy.copy(self)
+        out.weight, out._take, out._unsampled = weight, take, unsampled
+        out._u = np.zeros(self._u.shape, order="F")
+        out._u[lo:hi, :k] = self._u[lo:hi, :k]
+        # the image range a column-by-column build reaches: it spans the first and last row
+        # of each added candidate, and those rows' extremes are the stored columns' own
+        ends = take.searchsorted(rows[[0, -1]]) if rows.size else rows
+        plo, phi = out._plo, out._phi = _span(ends, 0, len(take), 0, len(take))
+        out._p = np.zeros((len(take), self._u.shape[1]), order="F")
+        out._p[plo:phi, :k] = self._u[take[plo:phi], :k]
+        out._r = np.eye(self._u.shape[1])
+        return out
 
     def expansion_coefficients(self, y: np.ndarray, start: int = 0) -> np.ndarray:
         """Projections of y onto the image columns ``start:`` (fit coordinates)."""

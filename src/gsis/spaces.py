@@ -259,6 +259,7 @@ class KrylovChain(OrthogonalBasis):
         gens = [_signal(g, self.n, "generator") for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
+        self._generators = len(gens)
         self._on_drop = on_drop if on_drop is not None else lambda status, what: None
         # offered at unit peak, like the unit columns the shifts act on: DROP_REL is
         # relative to the largest candidate, which a generator's scale must not set
@@ -335,6 +336,40 @@ class KrylovChain(OrthogonalBasis):
                 dims.append(self.dim)
                 self.audits.append(audit)
         return self.depth >= level
+
+    def _copy_under(self, weight):
+        """This one-stream chain as the chain under the subset scheme ``weight`` stands at its level, or None.
+
+        The chain under ``weight`` made the same offers, and while every
+        offer vanished off the vertices of both schemes it made the same
+        decisions (:class:`~gsis.orthogonalize.OrthogonalBasis`).  So the
+        copy carries the basis, dimensions, audits, block ends and window
+        cache, and grows on as that chain does.  A dropped offer left no
+        column, so it is bounded instead: a dropped generator gives None,
+        and a shifted candidate vanishes off the rows its matrix links to
+        the columns it shifted (those before the last level's, or all of
+        them after a stall).  So each matrix must be a
+        :class:`~gsis.graphs.ShiftMatrix` that links the rows from the first
+        to the last of those columns' rows only to vertices both schemes
+        sample.  Otherwise, or where the basis gives None, the result is
+        None and this chain is unchanged.
+        """
+        out = super()._copy_under(weight) if self.dims[0] == self._generators else None
+        if out is None:
+            return None
+        # the columns shifted so far: those before the last level, or every one once a level stalled
+        shifted = self.dims[-1] if self.stalled else self.dims[-2] if self.depth else 0
+        lo, hi = self._lo, self._hi
+        rows = lo + np.flatnonzero(self._u[lo:hi, :shifted].any(axis=1))
+        unsampled = self._unsampled | out._unsampled
+        for s in self._matrices if rows.size else ():
+            if not isinstance(s, ShiftMatrix):
+                return None
+            # the rows S links to the rows rows[0] .. rows[-1], as ShiftMatrix._window reads them
+            if np.count_nonzero(unsampled[s._cols[s._ptr[rows[0]] : s._ptr[rows[-1] + 1]]]):
+                return None
+        out.dims, out.audits = list(self.dims), list(self.audits)
+        return out
 
     def fit(self, y: np.ndarray, caps: Sequence[int], delta: float = 0.0) -> ChainFit:
         """Least-squares fit of each column of the (M, K) block y, level by level.

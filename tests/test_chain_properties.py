@@ -993,3 +993,143 @@ def test_a_level_regrown_after_one_stream_adds_keeps_r_the_identity():
     assert chain.images.tobytes() == chain.basis[list(scheme.vertices)].tobytes()
     y = np.random.default_rng(7).standard_normal((scheme.n_samples, 2))
     _assert_matches_the_dense_scheme(chain, dense, y, [1, level])
+
+
+# ---------------------------------------------------------------------------
+# a one-stream chain copied under a narrower window is that window's chain
+
+
+@st.composite
+def nested_windows(draw):
+    """A circulant's size and offsets, a delta's vertex, and a narrower and a wider window around it."""
+    n = draw(st.integers(8, 48))
+    # offset 1 keeps the cycle connected
+    offsets = sorted({1} | draw(st.sets(st.integers(2, (n - 1) // 2), max_size=2)))
+    vertex = draw(st.integers(0, n - 1))
+    narrow = draw(st.integers(0, vertex)), draw(st.integers(vertex, n - 1))
+    wide = draw(st.integers(0, narrow[0])), draw(st.integers(narrow[1], n - 1))
+    return n, offsets, vertex, narrow, wide
+
+
+def _window(n, ends):
+    return gsis.subset_sampler(n, range(ends[0], ends[1] + 1))
+
+
+def _assert_same_chain(chain, ref):
+    assert chain.dims == ref.dims and chain.audits == ref.audits
+    assert (chain.fallback_level, chain.stalled) == (ref.fallback_level, ref.stalled)
+    assert chain.basis.tobytes() == ref.basis.tobytes() and chain.images.tobytes() == ref.images.tobytes()
+    assert chain._r[: chain.dim, : chain.dim].tobytes() == ref._r[: ref.dim, : ref.dim].tobytes()
+
+
+def _copy_at_the_deepest_level(n, offsets, vertex, narrow, wide, top):
+    """The wider window's chain, its copy under the narrower one at the deepest level <= top that holds, and its drops.
+
+    The chain is grown to the copy's level and no further, so the drops it
+    reports, and then those of the copy, which reports through the same
+    callback, form the narrower chain's sequence.
+    """
+    _, shifts = gsis.build_circulant(n, offsets)
+    phi = np.eye(n)[vertex]
+    probe = KrylovChain(shifts, [phi], _window(n, wide))
+    level = 0
+    while level < top and probe.grow_to(level + 1) and probe._copy_under(_window(n, narrow)) is not None:
+        level += 1
+    reported = []
+    chain = KrylovChain(shifts, [phi], _window(n, wide), on_drop=lambda status, what: reported.append((status, what)))
+    chain.grow_to(level)
+    return chain, chain._copy_under(_window(n, narrow)), level, reported
+
+
+def _assert_copy_is_the_narrower_chain(n, offsets, vertex, narrow, wide, top, more):
+    """Check the copy against a chain grown under the narrower window, at its level and ``more`` levels on."""
+    chain, copy, level, reported = _copy_at_the_deepest_level(n, offsets, vertex, narrow, wide, top)
+    _, shifts = gsis.build_circulant(n, offsets)
+    reported_ref = []
+    ref = KrylovChain(shifts, [np.eye(n)[vertex]], _window(n, narrow), on_drop=lambda s, w: reported_ref.append((s, w)))
+    ref.grow_to(level)
+    _assert_same_chain(copy, ref)
+    assert reported == reported_ref
+    copy.grow_to(level + more)
+    ref.grow_to(level + more)
+    _assert_same_chain(copy, ref)
+    assert reported == reported_ref and (copy._take is None) == (ref._take is None)
+    y = np.random.default_rng(n * vertex).standard_normal((narrow[1] - narrow[0] + 1, 4))
+    caps = [0, level, level + 1, level + more + 2]
+    fit, fit_ref = copy.fit(y, caps), ref.fit(y, caps)
+    for a, b in zip(fit, fit_ref):
+        assert a.tobytes() == b.tobytes()
+    assert copy.evaluate(fit.coefficients).tobytes() == ref.evaluate(fit_ref.coefficients).tobytes()
+    return copy, level
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=nested_windows(), top=st.integers(0, 8), more=st.integers(1, 6))
+def test_a_copy_under_a_narrower_window_is_that_windows_chain(case, top, more):
+    _assert_copy_is_the_narrower_chain(*case, top, more)
+
+
+def test_a_copy_grows_on_as_the_narrower_chain_when_a_level_leaves_one_side_and_into_two_streams():
+    # the window [12, 30] holds the (1, 3) circulant's level-1 span around 17,
+    # 14..20; level 2 reaches 11..23, which leaves it on the left only
+    n, vertex, narrow = 40, 17, (12, 30)
+    copy, level = _assert_copy_is_the_narrower_chain(n, (1, 3), vertex, narrow, (2, 39), top=6, more=4)
+    assert level == 1 and copy._take is None  # two streams from level 2 on
+    reached = np.flatnonzero(np.any(copy.basis[:, copy.dims[1] : copy.dims[2]], axis=1))
+    assert reached.min() < narrow[0] and reached.max() <= narrow[1]
+
+
+def test_a_stalled_chain_is_copied_with_its_stall():
+    # the 12-cycle's span of a delta is the 7 signals symmetric about it: level 7 stalls
+    n = 12
+    _, shifts = gsis.build_circulant(n, (1,))
+    chain = KrylovChain(shifts, [np.eye(n)[5]], _window(n, (0, n - 1)))
+    ref = KrylovChain(shifts, [np.eye(n)[5]], _window(n, (0, n - 1)))
+    assert not chain.grow_to(9) and not ref.grow_to(9)
+    copy = chain._copy_under(_window(n, (0, n - 1)))
+    assert copy.stalled and copy.depth == 6
+    _assert_same_chain(copy, ref)
+
+
+def _basis_state(chain):
+    return (
+        chain.basis.tobytes(),
+        chain.images.tobytes(),
+        chain._r[: chain.dim, : chain.dim].tobytes(),
+        list(chain.dims),
+        list(chain.audits),
+        (chain._lo, chain._hi, chain._plo, chain._phi, chain._take is None, chain.weight),
+    )
+
+
+@pytest.mark.parametrize(
+    "base, vertices, target, level",
+    [
+        ((5, 35), [20], gsis.subset_sampler(40, range(21, 30)), 0),
+        ((5, 35), [20], gsis.subset_sampler(40, range(14, 27)), 3),  # level 3 reaches 11..29
+        ((19, 24), [20], gsis.subset_sampler(40, range(5, 36)), 3),  # a level-1 column holds vertex 17
+        # no column leaves [17, 23], but candidates that did were dropped as invisible
+        ((17, 23), [20], gsis.subset_sampler(40, range(5, 36)), 3),
+        ((5, 35), [20, 20], gsis.subset_sampler(40, range(5, 36)), 3),
+        ((5, 35), [20], gsis.SamplingScheme(gsis.subset_sampler(40, range(5, 36)).matrix), 3),
+        (None, [20], gsis.subset_sampler(40, range(5, 36)), 3),
+    ],
+    ids=[
+        "the generator off the window",
+        "a column off the window",
+        "two streams",
+        "candidates dropped off the base's window",
+        "a dropped generator",
+        "a dense weight",
+        "a dense base weight",
+    ],
+)
+def test_a_chain_that_a_window_does_not_hold_gives_no_copy_and_stays_as_it_was(base, vertices, target, level):
+    n = 40
+    _, shifts = gsis.build_circulant(n, (1, 3))
+    scheme = gsis.SamplingScheme(_window(n, (5, 35)).matrix) if base is None else _window(n, base)
+    chain = KrylovChain(shifts, np.eye(n)[vertices], scheme)
+    chain.grow_to(level)
+    before = _basis_state(chain)
+    assert chain._copy_under(target) is None
+    assert _basis_state(chain) == before

@@ -5,6 +5,7 @@ import pytest
 
 import gsis
 from gsis import experiments
+from gsis.spaces import KrylovChain
 
 EXP_MINUS_5_4 = 0.28650479686019009  # exp(-1.25)
 
@@ -199,6 +200,7 @@ def test_a_cells_errors_do_not_depend_on_the_grid_shape():
         {"trials": 3},
         {"levels": (4, 11), "p_values": (7, 30)},
         {"levels": (3, 9, 17), "p_values": (2, 20, 44), "trials": 5},
+        {"p_values": (30, 7, 30, 1)},  # unsorted, with a radius twice
     ):
         part = gsis.run_circulant_experiment(gsis.ExperimentConfig(seed=3, **grid))
         cells = np.ix_(
@@ -220,6 +222,65 @@ def test_a_level_past_a_c_long_runs_the_converged_chain(level):
     grid = gsis.run_circulant_experiment(gsis.ExperimentConfig(levels=(9, level), **small))
     assert grid.re_trials[1].tobytes() == table.re_trials[0].tobytes()
     assert grid.se_trials[1].tobytes() == table.se_trials[0].tobytes()
+
+
+def _per_radius_sweep(config):
+    """``(re_trials, se_trials)`` of the sweep as it ran with one chain per radius, grown from its generator."""
+    n, center = config.n_vertices, config.n_vertices // 2
+    _, shifts = gsis.build_circulant(n, config.offsets)
+    x0 = gsis.damped_cosine_signal(n, config.amplitude, config.decay, config.frequency)
+    phi0 = np.zeros(n)
+    phi0[center] = 1.0
+    shape = (len(config.levels), len(config.p_values), config.trials)
+    re_trials, se_trials = np.empty(shape), np.empty(shape)
+    caps = [level for level in config.levels for _ in range(config.trials)]
+    for ip, p in enumerate(config.p_values):
+        window = list(range(center - p, center + p + 1))
+        y = x0[window][:, None] + experiments._cell_noise(config, p)
+        chain = KrylovChain(shifts, [phi0], gsis.subset_sampler(n, window))
+        diff = chain.evaluate(chain.fit(y, caps, config.delta).coefficients) - x0[:, None]
+        re_trials[:, ip] = (np.abs(diff).max(axis=0) / np.abs(x0).max()).reshape(shape[0], -1)
+        se_trials[:, ip] = (np.abs(diff[window]).max(axis=0) / np.abs(x0[window]).max()).reshape(shape[0], -1)
+    return re_trials, se_trials
+
+
+BENCHMARK_GRID = {"p_values": (1, 9, 16, 25, 34, 45), "trials": 2}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        *({**BENCHMARK_GRID, "seed": seed} for seed in (1, 12345, 2**30 + 7)),
+        {**BENCHMARK_GRID, "delta": 0.3},
+        {**BENCHMARK_GRID, "levels": (9, 2**63)},
+        # radius 2 is below the offset 9: the first shifted level leaves its window
+        {"offsets": (1, 4, 9), "p_values": (2, 5, 9, 20, 45), "trials": 2, "seed": 6},
+    ],
+    ids=["benchmark seed 1", "benchmark seed 12345", "benchmark seed 2**30 + 7", "delta 0.3", "levels 9, 2**63",
+         "radius below an offset"],
+)
+def test_the_shared_chain_sweep_is_bit_identical_to_one_chain_per_radius(grid):
+    config = gsis.ExperimentConfig(**grid)
+    table = gsis.run_circulant_experiment(config)
+    re_trials, se_trials = _per_radius_sweep(config)
+    assert table.re_trials.tobytes() == re_trials.tobytes()
+    assert table.se_trials.tobytes() == se_trials.tobytes()
+
+
+def test_a_benchmark_sweep_offers_each_level_once(monkeypatch):
+    # the widest window's chain offers its 18 levels once, and each narrower
+    # window only the levels past the one its copy was made at: 33 offers,
+    # where one chain per radius, grown from the generator, offered 60
+    offered = []
+    offer_level = KrylovChain._offer_level
+
+    def counted(self, lo, hi):
+        offered.append(lo)
+        return offer_level(self, lo, hi)
+
+    monkeypatch.setattr(KrylovChain, "_offer_level", counted)
+    gsis.run_circulant_experiment(gsis.ExperimentConfig(**BENCHMARK_GRID))
+    assert len(offered) <= 33
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])

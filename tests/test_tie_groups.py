@@ -491,6 +491,56 @@ def test_the_finite_step_chain_equals_the_direct_solver(shifts, data):
     assert np.linalg.norm(chain.signal - direct) <= 1e-8 * max(1e-30, np.linalg.norm(direct))
 
 
+# Two weighted Laplacians on which the property above fails (drawn with
+# --hypothesis-seed=5): the chain of the canonical generator of omega = 0..5
+# reconstructs far from the direct solver, or meets an invisible candidate
+# although the samples are injective on the space (CHANGES.md, FOUND note on
+# test_the_finite_step_chain_equals_the_direct_solver).  Strict, so a mend shows.
+_FAILING_LAPLACIANS = [
+    pytest.param(
+        12,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (3, 9), (4, 5), (5, 6), (5, 10), (6, 7), (6, 10), (7, 8), (8, 9), (9, 10),
+         (9, 11), (10, 11)],
+        [0.9945975747486382, 1.6826430551426066, 0.9547922439374674, 1.1802468342209773, 0.7010625458707471,
+         1.1046694796706937, 0.8051828610142244, 0.8934700106627742, 1.625547008945079, 0.9206131369790599,
+         1.2277864616474525, 1.971105799701858, 1.94248579049568, 1.5871849111603005, 1.3118402833211513],
+        range(12),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="signal 1.62 from the direct solver's"),
+        id="12 vertices, far from the direct solver",
+    ),
+    pytest.param(
+        14,
+        [(0, 1), (0, 4), (0, 7), (0, 9), (1, 2), (2, 3), (2, 11), (3, 4), (3, 7), (3, 11), (4, 5), (5, 6), (5, 12),
+         (6, 7), (7, 8), (7, 13), (8, 9), (8, 11), (9, 10), (9, 12), (10, 11), (10, 13), (11, 12), (12, 13)],
+        [1.5944831696449162, 0.7634834309038385, 1.7947683835248298, 1.3121918303736375, 0.9495678358060772,
+         1.1340308317964878, 0.5424795067181944, 0.686424914749346, 1.5059366220404455, 1.4707842673613751,
+         1.4230776672218808, 1.075516331392825, 1.9958149036838164, 1.9712530081643451, 1.528312976721042,
+         1.4756889144017244, 1.5326700958564101, 1.0833821359686557, 0.7026447575336168, 1.5822325102911226,
+         1.2880314837135889, 0.9653628133384335, 1.2287530382476837, 1.8342317515235003],
+        range(8),
+        marks=pytest.mark.xfail(
+            strict=True, raises=gsis.DegenerateInnerProductError, reason="an invisible shifted candidate"
+        ),
+        id="14 vertices, an invisible candidate",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, edges, weights, vertices", _FAILING_LAPLACIANS)
+def test_the_finite_step_chain_equals_the_direct_solver_on_two_weighted_laplacians(n, edges, weights, vertices):
+    shifts = laplacian_shift_set(gsis.Graph(n, edges, weights))
+    decomp = gsis.diagonalize_simultaneously(shifts)
+    omega, vertices = list(range(6)), list(vertices)
+    assert all(len(group) == 1 for group in decomp.groups)
+    assert np.linalg.svd(decomp.basis[np.ix_(vertices, omega)], compute_uv=False)[-1] >= INJECTIVE_SMIN
+    phi0 = gsis.canonical_generator(decomp, omega).generator
+    scheme = gsis.subset_sampler(n, vertices)
+    y = np.random.default_rng(len(vertices)).standard_normal(len(vertices))
+    direct = gsis.reconstruct_direct(decomp, omega, scheme, y)
+    chain = gsis.reconstruct_krylov(shifts, [phi0], scheme, y)
+    assert np.linalg.norm(chain.signal - direct) <= 1e-8 * max(1e-30, np.linalg.norm(direct))
+
+
 @settings(max_examples=60, deadline=None)
 @given(shifts=commuting_families(), data=st.data())
 def test_every_bandlimited_space_is_principal(shifts, data):
