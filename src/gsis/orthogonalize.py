@@ -27,7 +27,6 @@ from the first column stored with a nonzero on an unsampled vertex on.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -42,10 +41,11 @@ INVISIBLE = "invisible"
 
 DROP_REL = 1e-10  # dependent: orthogonalized weighted norm <= DROP_REL * largest raw one
 INVISIBLE_REL = 1e-6  # invisible: dropped, yet euclidean remainder > INVISIBLE_REL * largest norm
-# Row ranges start and end on multiples of _BLOCK (or at the last row), so the
-# BLAS kernels, which unroll by up to 32 rows, group the nonzeros of a range
-# into the same partial sums as those of the full column: the range drops only
-# exact-zero terms and leaves every result bit for bit as the full-row product.
+# The basis' row range starts and ends on multiples of _BLOCK (or at the last
+# row), so the BLAS kernels, which unroll by up to 32 rows, group the nonzeros
+# of the range into the same partial sums as those of the full column: the
+# range drops only exact-zero terms and leaves every result bit for bit as the
+# full-row product.
 _BLOCK = 32
 
 
@@ -94,18 +94,19 @@ class OrthogonalBasis:
     contiguous blocks that every projection reads with unit stride; row-major
     storage would stride each row by the buffer's capacity.
 
-    Each stream keeps the row range outside which all its columns are
-    exactly zero (the buffers start zeroed).  A candidate widens the range
-    to cover its own nonzeros, and the passes, norms and stores read only
-    those rows, dropping nothing but exact-zero terms: O(rows x dim) per
-    pass (rows x the columns from ``_start`` on for a euclidean pass)
+    The basis keeps the row range outside which all its columns are exactly
+    zero (the buffer starts zeroed).  A candidate widens the range to cover
+    its own nonzeros, and the euclidean passes, norms and stores read only
+    those rows, dropping nothing but exact-zero terms: O(rows x c) per pass,
+    c the columns from ``start`` on (every column for :meth:`try_add`),
     while the span stays local in the vertex labels (a delta on a
     circulant, a path or a row-major grid); a dense candidate, or an
     arbitrary labelling, soon makes it every row.  The range only grows, so
     a column stored after ``dim`` is lowered overwrites every row the
     dropped column could have used.  :meth:`_offer` takes just the rows a
     candidate can be nonzero on (a chain's shift window), :meth:`try_add`
-    an (N,) copy; only a two-stream ``weight @ v`` reads all N rows.
+    an (N,) copy; only a two-stream ``weight @ v`` reads all N rows.  The
+    images have M rows, one per sample, and are read and written whole.
 
     One stream: under a weight with ``vertices`` (a subset scheme, sorted
     distinct vertices), while no stored column is nonzero on an unsampled
@@ -118,7 +119,7 @@ class OrthogonalBasis:
     euclidean passes read the same operands on either, so U is bit for bit
     the two streams' U; the images and R agree to roundoff only, since the
     weighted passes read every column while a chain level's euclidean
-    passes skip the early ones (``_start``; see
+    passes skip the early ones (``start``; see
     :class:`~gsis.spaces.KrylovChain`).  The first column stored with a
     nonzero on an unsampled vertex switches the basis to both streams for
     good.
@@ -129,8 +130,8 @@ class OrthogonalBasis:
     only names the rows ``images`` reads.  Under another subset scheme off
     whose vertices those candidates vanish too, the same offers build the
     same U, row range and largest norms, with ``images`` that scheme's
-    ``basis[vertices]`` and R the identity; :meth:`_copy_under` builds that
-    basis from this one.
+    ``basis[vertices]`` and R the identity
+    (:meth:`gsis.spaces.KrylovChain._copy_under`).
     """
 
     def __init__(self, n: int, weight=None):
@@ -145,11 +146,9 @@ class OrthogonalBasis:
         self._p = self._u if self.weight is None else np.zeros((m, 8), order="F")
         self._r = None if self.weight is None else np.zeros((8, 8))
         self.dim = 0
-        # no basis column is nonzero outside the rows [lo, hi), nor, under a weight, an image column outside [plo, phi)
-        self._lo, self._hi, self._plo, self._phi = self.n, 0, m, 0
+        self._lo, self._hi = self.n, 0  # no basis column is nonzero outside the rows [lo, hi)
         self._max_weighted = 0.0
         self._max_euclid = 0.0
-        self._start = 0  # the euclidean passes read the columns from here on (set by a chain's level)
         # a subset scheme's vertices while every stored column vanishes off them, else None
         vertices = getattr(weight, "vertices", None)
         self._take = None if vertices is None else np.array(vertices, dtype=np.intp)
@@ -168,10 +167,10 @@ class OrthogonalBasis:
         return self._p[:, : self.dim]
 
     def _grow(self) -> None:
-        """Double the full buffers, copying only the live row ranges of U and P, off which they are zero."""
+        """Double the full buffers, copying U's live row range, off which it is zero, and P whole."""
         if self.dim == self._u.shape[1]:
             self._u = _doubled(self._u, slice(self._lo, self._hi))
-            self._p = self._u if self.weight is None else _doubled(self._p, slice(self._plo, self._phi))
+            self._p = self._u if self.weight is None else _doubled(self._p, slice(None))
             if self._r is not None:
                 r = np.zeros((2 * self.dim, 2 * self.dim))  # only the old block is written, as in _doubled
                 r[: self.dim, : self.dim] = self._r
@@ -194,8 +193,13 @@ class OrthogonalBasis:
             raise ValueError(f"candidate of shape {v.shape}, expected ({self.n},)")
         return self._offer(v, 0)
 
-    def _offer(self, values: np.ndarray, first: int) -> str:
-        """:meth:`try_add` of the candidate that is ``values`` from row ``first`` on, else zero; may overwrite values."""
+    def _offer(self, values: np.ndarray, first: int, start: int = 0) -> str:
+        """:meth:`try_add` of the candidate that is ``values`` from row ``first`` on, else zero; may overwrite values.
+
+        The euclidean passes read the columns from ``start`` on (a chain
+        level's local passes); the weighted ones, and the judgement of a
+        dropped candidate, read every column.
+        """
         nonzero = values.nonzero()[0]  # counted from first
         lo, hi = _span(nonzero, first, self._lo, self._hi, self.n)
         if first <= lo and hi <= first + values.size:
@@ -212,18 +216,15 @@ class OrthogonalBasis:
         if not math.isfinite(raw):
             raise ValueError("candidate is not finite, or its norm overflows")
         self._max_euclid = max(self._max_euclid, raw)
-        k, plo, phi = self.dim, self._plo, self._phi
+        k = self.dim
         # count_nonzero, not .any(): the method's Python wrapper costs as much as the gather
         two = self.weight is not None and (self._take is None or np.count_nonzero(self._unsampled[first:][nonzero]) > 0)
-        start = self._start
         streams = [(vs, self._u[lo:hi, start:k])]
         if two:
             v = np.zeros(self.n)
             v[lo:hi] = vs
-            w = self.weight @ v
-            plo, phi = _span(w.nonzero()[0], 0, plo, phi, len(w))
-            ws = w[plo:phi]
-            streams.insert(0, (ws, self._p[plo:phi, :k]))
+            ws = self.weight @ v
+            streams.insert(0, (ws, self._p[:, :k]))
             self._max_weighted = max(self._max_weighted, _norm(ws))
         else:  # the weighted norm of a candidate that vanishes off the samples is its euclidean norm
             self._max_weighted = self._max_euclid if self.weight is None else max(self._max_weighted, raw)
@@ -247,55 +248,17 @@ class OrthogonalBasis:
         self._u[lo:hi, k] = vs / norm_v
         if two:
             g1, a1, g2, a2 = coefficients
-            self._p[plo:phi, k] = ws / norm_w
+            self._p[:, k] = ws / norm_w
             self._r[:k, k] = (g1 + g2 - self._r[:k, start:k] @ (a1 + a2)) / norm_v
             self._r[k, k] = norm_w / norm_v
             self._take = None  # the new column is nonzero where v was on an unsampled vertex
         elif self.weight is not None:  # one stream: the image is the column's sampled rows, R's column I's
-            ends = self._take.searchsorted((first + nonzero[0], first + nonzero[-1]))
-            plo, phi = _span(ends, 0, plo, phi, len(self._take))  # the rows' ends are all _span reads
-            self._p[plo:phi, k] = self._u[self._take[plo:phi], k]
+            self._p[:, k] = self._u[self._take, k]
             self._r[:k, k] = 0.0  # written, not assumed: column k may hold a dropped column's entries
             self._r[k, k] = 1.0
-        self._lo, self._hi, self._plo, self._phi = lo, hi, plo, phi
+        self._lo, self._hi = lo, hi
         self.dim += 1
         return ADDED
-
-    def _copy_under(self, weight):
-        """A copy of this one-stream basis as a basis under the subset scheme ``weight`` holds it, or None.
-
-        It is that basis when every candidate offered so far vanished off
-        the vertices of both schemes.  Only the stored columns are checked
-        here, since a dropped candidate leaves none; the caller vouches for
-        the dropped ones (:meth:`gsis.spaces.KrylovChain._copy_under`).
-        None, and this basis unchanged, unless this basis runs one stream
-        under a subset scheme and every stored column vanishes off the
-        vertices of ``weight``, a subset scheme.  The copy shares nothing
-        that either basis writes, and its buffers are written on the stored
-        rows only, as in :meth:`_grow`.
-        """
-        vertices = getattr(weight, "vertices", None)
-        if self._take is None or vertices is None:
-            return None
-        take = np.array(vertices, dtype=np.intp)
-        lo, hi, k = self._lo, self._hi, self.dim
-        rows = lo + np.flatnonzero(self._u[lo:hi, :k].any(axis=1))  # every row a stored column is nonzero on
-        unsampled = np.ones(self.n, dtype=bool)
-        unsampled[take] = False
-        if np.count_nonzero(unsampled[rows]):
-            return None
-        out = copy.copy(self)
-        out.weight, out._take, out._unsampled = weight, take, unsampled
-        out._u = np.zeros(self._u.shape, order="F")
-        out._u[lo:hi, :k] = self._u[lo:hi, :k]
-        # the image range a column-by-column build reaches: it spans the first and last row
-        # of each added candidate, and those rows' extremes are the stored columns' own
-        ends = take.searchsorted(rows[[0, -1]]) if rows.size else rows
-        plo, phi = out._plo, out._phi = _span(ends, 0, len(take), 0, len(take))
-        out._p = np.zeros((len(take), self._u.shape[1]), order="F")
-        out._p[plo:phi, :k] = self._u[take[plo:phi], :k]
-        out._r = np.eye(self._u.shape[1])
-        return out
 
     def expansion_coefficients(self, y: np.ndarray, start: int = 0) -> np.ndarray:
         """Projections of y onto the image columns ``start:`` (fit coordinates)."""

@@ -9,6 +9,7 @@ computes the stability constants of the resulting generator systems.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -249,13 +250,21 @@ class KrylovChain(OrthogonalBasis):
     neighbourhood), a candidate costs O(rows reached) for the shift and
     O(rows x c) per euclidean pass, c being the columns of levels n - 2
     and n - 1 and those level n has added so far; two streams add
-    O(rows x dim) per weighted pass, and a level's audit O(rows x
-    dims[n - 3] x its new columns).  With full passes c is the dimension.
+    O(M x dim) per weighted pass, M the number of samples, and a level's
+    audit O(rows x dims[n - 3] x its new columns).  With full passes c is
+    the dimension.
+
+    Raises ``ValueError`` unless there is at least one matrix and every
+    matrix has the shape ``(N, N)`` of the first.
     """
 
     def __init__(self, matrices, generators, weight=None, *, on_drop=None):
         self._matrices = list(matrices)
-        super().__init__(self._matrices[0].shape[0], weight)
+        shapes = [tuple(s.shape) for s in self._matrices]
+        n = shapes[0][0] if shapes and shapes[0] else -1
+        if n < 0 or any(shape != (n, n) for shape in shapes):
+            raise ValueError(f"matrices of shapes {shapes}, expected at least one, each (N, N)")
+        super().__init__(n, weight)
         gens = [_signal(g, self.n, "generator") for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
@@ -281,8 +290,8 @@ class KrylovChain(OrthogonalBasis):
     def depth(self) -> int:
         return len(self.dims) - 1
 
-    def _offer_level(self, lo: int, hi: int) -> list[str] | None:
-        """Offer one level's candidates; their drops, or None at a pruned invisible drop."""
+    def _offer_level(self, lo: int, hi: int, start: int) -> list[str] | None:
+        """Offer one level's candidates, passing over the columns from ``start`` on; their drops, or None at a pruned invisible drop."""
         rows = self._lo, self._hi  # every column of the previous level vanishes off these rows
         if rows != self._window_rows:  # set up again only when the range has grown
             self._window_rows = rows
@@ -291,9 +300,9 @@ class KrylovChain(OrthogonalBasis):
         for s, (first, entries), end in zip(self._matrices, self._windows, self._ends):
             for j in range(lo, end if self._prune else hi):
                 if entries is None:
-                    status = self.try_add(s @ self._u[:, j])
+                    status = self._offer(s @ self._u[:, j], 0, start)
                 else:
-                    status = self._offer(s._apply(self._u[:, j], *entries), first)
+                    status = self._offer(s._apply(self._u[:, j], *entries), first, start)
                 if status == INVISIBLE and self._prune:
                     return None
                 if status != ADDED:
@@ -316,19 +325,16 @@ class KrylovChain(OrthogonalBasis):
             old = dims[-3] if len(dims) > 2 else 0
             undo = self.dim, self._max_weighted, self._max_euclid, self._ends
             audit = 0.0  # full passes skip no column: nothing to audit
-            try:
-                while True:
-                    self._start = old if self.fallback_level is None else 0
-                    drops = self._offer_level(lo, hi)
-                    if drops is None:  # a pruned invisible drop: regrow with every candidate
-                        self._prune = False
-                    elif not self._start or (audit := self._audit(old, hi)) <= ORTHOGONALITY_REL:
-                        break
-                    else:  # the local passes lost orthogonality: regrow with full passes, for good
-                        self.fallback_level = len(dims)
-                    self.dim, self._max_weighted, self._max_euclid, self._ends = undo
-            finally:  # a bare try_add reads every column, whatever a level left behind
-                self._start = 0
+            while True:
+                start = old if self.fallback_level is None else 0
+                drops = self._offer_level(lo, hi, start)
+                if drops is None:  # a pruned invisible drop: regrow with every candidate
+                    self._prune = False
+                elif not start or (audit := self._audit(old, hi)) <= ORTHOGONALITY_REL:
+                    break
+                else:  # the local passes lost orthogonality: regrow with full passes, for good
+                    self.fallback_level = len(dims)
+                self.dim, self._max_weighted, self._max_euclid, self._ends = undo
             for status in drops:
                 self._on_drop(status, "shifted candidate")
             self.stalled = self.dim == hi
@@ -342,32 +348,49 @@ class KrylovChain(OrthogonalBasis):
 
         The chain under ``weight`` made the same offers, and while every
         offer vanished off the vertices of both schemes it made the same
-        decisions (:class:`~gsis.orthogonalize.OrthogonalBasis`).  So the
-        copy carries the basis, dimensions, audits, block ends and window
-        cache, and grows on as that chain does.  A dropped offer left no
-        column, so it is bounded instead: a dropped generator gives None,
-        and a shifted candidate vanishes off the rows its matrix links to
-        the columns it shifted (those before the last level's, or all of
-        them after a stall).  So each matrix must be a
+        decisions, with ``images`` its scheme's rows of the basis and R the
+        identity (:class:`~gsis.orthogonalize.OrthogonalBasis`).  So the copy
+        carries the basis, dimensions, audits, block ends and window cache,
+        and grows on as that chain does.  An added offer left a column, which
+        must vanish off the vertices either scheme leaves unsampled.  A
+        dropped offer left none, so it is bounded instead: a dropped
+        generator gives None, and a shifted candidate vanishes off the rows
+        its matrix links to the columns it shifted (those before the last
+        level's, or all of them after a stall).  So each matrix must be a
         :class:`~gsis.graphs.ShiftMatrix` that links the rows from the first
         to the last of those columns' rows only to vertices both schemes
-        sample.  Otherwise, or where the basis gives None, the result is
-        None and this chain is unchanged.
+        sample.  Otherwise, or unless this chain runs one stream under a
+        subset scheme and ``weight`` is one, the result is None and this
+        chain is unchanged.  The copy shares nothing that either chain
+        writes.
         """
-        out = super()._copy_under(weight) if self.dims[0] == self._generators else None
-        if out is None:
+        vertices = getattr(weight, "vertices", None)
+        if self._take is None or vertices is None or self.dims[0] != self._generators:
             return None
+        take = np.array(vertices, dtype=np.intp)
+        own = np.ones(self.n, dtype=bool)
+        own[take] = False
+        unsampled = self._unsampled | own
+        lo, hi, k = self._lo, self._hi, self.dim
         # the columns shifted so far: those before the last level, or every one once a level stalled
         shifted = self.dims[-1] if self.stalled else self.dims[-2] if self.depth else 0
-        lo, hi = self._lo, self._hi
+        stored = self._u[lo:hi, :k].any(axis=1)  # every row a stored column is nonzero on
+        if np.count_nonzero(unsampled[lo:hi][stored]):
+            return None
         rows = lo + np.flatnonzero(self._u[lo:hi, :shifted].any(axis=1))
-        unsampled = self._unsampled | out._unsampled
         for s in self._matrices if rows.size else ():
             if not isinstance(s, ShiftMatrix):
                 return None
             # the rows S links to the rows rows[0] .. rows[-1], as ShiftMatrix._window reads them
             if np.count_nonzero(unsampled[s._cols[s._ptr[rows[0]] : s._ptr[rows[-1] + 1]]]):
                 return None
+        out = copy.copy(self)
+        out.weight, out._take, out._unsampled = weight, take, own
+        out._u = np.zeros(self._u.shape, order="F")
+        out._u[lo:hi, :k] = self._u[lo:hi, :k]
+        out._p = np.zeros((len(take), self._u.shape[1]), order="F")
+        out._p[:, :k] = self._u[take, :k]
+        out._r = np.eye(self._u.shape[1])
         out.dims, out.audits = list(self.dims), list(self.audits)
         return out
 

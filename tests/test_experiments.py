@@ -274,9 +274,9 @@ def test_a_benchmark_sweep_offers_each_level_once(monkeypatch):
     offered = []
     offer_level = KrylovChain._offer_level
 
-    def counted(self, lo, hi):
+    def counted(self, lo, hi, start):
         offered.append(lo)
-        return offer_level(self, lo, hi)
+        return offer_level(self, lo, hi, start)
 
     monkeypatch.setattr(KrylovChain, "_offer_level", counted)
     gsis.run_circulant_experiment(gsis.ExperimentConfig(**BENCHMARK_GRID))

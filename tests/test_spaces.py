@@ -452,6 +452,13 @@ def test_non_finite_generators_are_rejected():
             call()
 
 
+def test_a_chain_needs_at_least_one_matrix_and_each_n_by_n():
+    # a (3, 5) matrix would otherwise shift a column into a short candidate, and the chain be wrong
+    for mats in ([], [np.eye(5), np.ones((3, 5))]):
+        with pytest.raises(ValueError, match=r"expected at least one, each \(N, N\)"):
+            KrylovChain(mats, [np.eye(5)[0]])
+
+
 def test_is_shift_invariant_cases(p3):
     _, shifts, decomp = p3
     assert gsis.is_shift_invariant(gsis.bandlimited_space(decomp, [0, 1]), shifts)
