@@ -182,27 +182,25 @@ def _cell_noise(config: ExperimentConfig, p: int) -> np.ndarray:
 def _window_chains(shifts: ShiftSet, phi0: np.ndarray, schemes: dict, deepest: int):
     """Yield every radius of ``schemes`` with the chain of its window, grown at most to ``deepest``.
 
-    The narrower windows share the widest one's chain until a level leaves
-    them: ``held`` is its copy under the narrowest waiting window, at the
-    deepest level that window holds so far (level 0, the delta at the
-    center, lies in every window).  The windows a level leaves, or all of
-    them once the chain stops, get held's level: each a copy of held made
-    before held itself is handed out and grows.
+    The narrower windows share the widest one's chain.  Taken in increasing
+    order, each narrower window holds the chain's level so far (level 0,
+    the delta at the center, lies in every window), and the chain grows
+    while its next level stays in that window too: while the shifts link
+    the rows of its columns only to vertices the window samples, which is
+    what a copy one level deeper would check
+    (:meth:`~gsis.spaces.KrylovChain._copy_under`).  Then the radius gets
+    the chain's copy under its window, at the deepest level the window
+    holds: one copy per narrower radius, none made ahead.  The widest
+    radius gets the chain itself.
     """
     radii = sorted(schemes)
     wide = KrylovChain(shifts, [phi0], schemes[radii[-1]])
-    waiting = radii[:-1]
-    held = wide._copy_under(schemes[waiting[0]]) if waiting else None
-    while waiting:
-        grown = wide.depth < deepest and wide.grow_to(wide.depth + 1)
-        leaving = []
-        while waiting and (ahead := wide._copy_under(schemes[waiting[0]]) if grown else None) is None:
-            leaving.append(waiting.pop(0))
-        for p in leaving[1:]:
-            yield p, held._copy_under(schemes[p])
-        if leaving:
-            yield leaving[0], held
-        held = ahead
+    for p in radii[:-1]:
+        unsampled = np.ones(wide.n, dtype=bool)
+        unsampled[list(schemes[p].vertices)] = False
+        while wide.depth < deepest and wide._links_only_sampled(wide.dim, unsampled) and wide.grow_to(wide.depth + 1):
+            pass
+        yield p, wide._copy_under(schemes[p])
     yield radii[-1], wide
 
 
@@ -222,9 +220,10 @@ def run_circulant_experiment(config: ExperimentConfig) -> MetricsTable:
     chain is the one-stream euclidean chain whatever the window
     (:meth:`~gsis.spaces.KrylovChain._copy_under`).  So the widest window's
     chain grows level by level, and each narrower radius, taken in
-    increasing order, gets its copy at the deepest level its window holds
-    and grows only the levels past it; the table is bit for bit that of a
-    chain per radius grown from the generator.
+    increasing order, gets one copy of it, made once the next level would
+    leave its window (:func:`_window_chains`), and grows only the levels
+    past it; the table is bit for bit that of a chain per radius grown from
+    the generator.
     """
     n = config.n_vertices
     center = n // 2
@@ -287,7 +286,8 @@ def approximation_error(space_levels: Sequence[np.ndarray], x0) -> list[float]:
         not of the first basis' length N.
     """
     bases = list(space_levels)
-    n = len(bases[0]) if bases else _values(x0, "x0").size
+    x0 = _values(x0, "x0")  # read once: x0 may be an iterator
+    n = len(bases[0]) if bases else x0.size
     vals = _signal(x0, n, "x0")
     scale = float(np.abs(vals).max(initial=0.0))
     if scale == 0.0:

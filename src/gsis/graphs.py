@@ -50,10 +50,13 @@ def frobenius_tol(matrix: np.ndarray, rel: float = MATRIX_REL) -> float:
 def _values(x, what: str) -> np.ndarray:
     """Float array of a signal-like input: a Signal's or Observation's ``values``, else ``x``.
 
-    A complex input raises a ValueError naming ``what``: the cast to float
-    would drop its imaginary part.
+    A one-shot iterator, such as a generator, is read into a list first, so
+    it gives what the list of its values gives.  A complex input raises a
+    ValueError naming ``what``: the cast to float would drop its imaginary
+    part.
     """
-    a = np.asarray(getattr(x, "values", x))
+    x = getattr(x, "values", x)
+    a = np.asarray(list(x) if isinstance(x, Iterator) else x)
     if np.iscomplexobj(a):
         raise ValueError(f"{what} must be real, got dtype {a.dtype}")
     return a.astype(float, copy=False)
@@ -406,18 +409,25 @@ class ShiftMatrix:
                     acc[:, rows] += src[:, cols] * w
         return out.T
 
-    def _window(self, lo: int, hi: int) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-        """``(first, entries)``: the rows ``S @ x`` reaches from an x vanishing off rows ``[lo, hi)``.
+    def _reached(self, lo: int, hi: int) -> np.ndarray:
+        """The rows ``S @ x`` can reach from an x vanishing off rows ``[lo, hi)``, a row once per entry.
 
         S being symmetric, an entry of x in ``[lo, hi)`` reaches exactly the
         rows stored as columns of those rows, ``_cols[_ptr[lo]:_ptr[hi]]``;
-        every other row of ``S @ x`` is zero.  ``entries`` are the
-        :meth:`_apply` arguments ``(rows, cols, weights, size)`` of the
-        ``_ptr`` slice of the ``size`` rows from the first reached to the
-        last, ``rows`` counted from ``first``, so the apply over them is
-        ``(S @ x)[first : first + size]`` bit for bit (size 0 if none).
+        every other row of ``S @ x`` is zero.
         """
-        reached = self._cols[self._ptr[lo] : self._ptr[hi]]
+        return self._cols[self._ptr[lo] : self._ptr[hi]]
+
+    def _window(self, lo: int, hi: int) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """``(first, entries)``: the rows ``S @ x`` reaches from an x vanishing off rows ``[lo, hi)``.
+
+        ``entries`` are the :meth:`_apply` arguments ``(rows, cols, weights,
+        size)`` of the ``_ptr`` slice of the ``size`` rows from the first
+        row :meth:`_reached` to the last, ``rows`` counted from ``first``, so
+        the apply over them is ``(S @ x)[first : first + size]`` bit for bit
+        (size 0 if none).
+        """
+        reached = self._reached(lo, hi)
         if reached.size == 0:
             return 0, (self._rows[:0], self._cols[:0], self._weights[:0], 0)
         first, end = int(reached.min()), int(reached.max()) + 1

@@ -138,19 +138,24 @@ def subset_sampler(n_vertices: int, vertices: Sequence[int]) -> SamplingScheme:
 
 def dynamic_sampler(
     decomp: SpectralDecomposition,
-    state_matrix: np.ndarray,
+    state_matrix: ShiftMatrix | np.ndarray,
     initial_vertex: int,
     n_snapshots: int,
 ) -> SamplingScheme:
     """Scheme observing one vertex of ``D^m x`` for m = 0 .. n_snapshots - 1.
 
-    The state matrix must be diagonalized by the decomposition basis (any
-    polynomial in the shifts qualifies), so each row is
-    ``sum_n lambda_D(n)^m u_n(i0) u_n`` on the transform side.
+    The state matrix, a square array or a :class:`~gsis.graphs.ShiftMatrix`,
+    must be diagonalized by the decomposition basis (any polynomial in the
+    shifts qualifies), so each row is ``sum_n lambda_D(n)^m u_n(i0) u_n`` on
+    the transform side.
     """
-    d_mat = _matrix(state_matrix, (decomp.n_vertices,) * 2, "state matrix")
-    decomp.eigenvalues_of(d_mat, "state matrix")  # raises unless the basis diagonalizes it
-    return _dynamic_scheme(d_mat.T, initial_vertex, n_snapshots)  # row m + 1 is D.T @ row m
+    if isinstance(state_matrix, ShiftMatrix):
+        state = step = state_matrix  # a shift is its own transpose
+    else:
+        state = _matrix(state_matrix, (decomp.n_vertices,) * 2, "state matrix")
+        step = state.T  # row m + 1 is D.T @ row m
+    decomp.eigenvalues_of(state, "state matrix")  # raises unless the basis diagonalizes it
+    return _dynamic_scheme(step, initial_vertex, n_snapshots)
 
 
 def _dynamic_scheme(step: ShiftMatrix | np.ndarray, initial_vertex: int, n_snapshots: int) -> SamplingScheme:

@@ -343,6 +343,22 @@ class KrylovChain(OrthogonalBasis):
                 self.audits.append(audit)
         return self.depth >= level
 
+    def _links_only_sampled(self, columns: int, unsampled: np.ndarray) -> bool:
+        """Whether every matrix links the rows of the first ``columns`` columns only to vertices off ``unsampled``.
+
+        The rows are those from the first to the last that one of the
+        columns is nonzero on, and each matrix must be a
+        :class:`~gsis.graphs.ShiftMatrix`, whose reach is read from its
+        entries (:meth:`~gsis.graphs.ShiftMatrix._reached`).  True when the
+        columns are zero, or there are none.
+        """
+        lo, hi = self._lo, self._hi
+        rows = lo + np.flatnonzero(self._u[lo:hi, :columns].any(axis=1))
+        return not rows.size or all(
+            isinstance(s, ShiftMatrix) and not np.count_nonzero(unsampled[s._reached(rows[0], rows[-1] + 1)])
+            for s in self._matrices
+        )
+
     def _copy_under(self, weight):
         """This one-stream chain as the chain under the subset scheme ``weight`` stands at its level, or None.
 
@@ -375,15 +391,8 @@ class KrylovChain(OrthogonalBasis):
         # the columns shifted so far: those before the last level, or every one once a level stalled
         shifted = self.dims[-1] if self.stalled else self.dims[-2] if self.depth else 0
         stored = self._u[lo:hi, :k].any(axis=1)  # every row a stored column is nonzero on
-        if np.count_nonzero(unsampled[lo:hi][stored]):
+        if np.count_nonzero(unsampled[lo:hi][stored]) or not self._links_only_sampled(shifted, unsampled):
             return None
-        rows = lo + np.flatnonzero(self._u[lo:hi, :shifted].any(axis=1))
-        for s in self._matrices if rows.size else ():
-            if not isinstance(s, ShiftMatrix):
-                return None
-            # the rows S links to the rows rows[0] .. rows[-1], as ShiftMatrix._window reads them
-            if np.count_nonzero(unsampled[s._cols[s._ptr[rows[0]] : s._ptr[rows[-1] + 1]]]):
-                return None
         out = copy.copy(self)
         out.weight, out._take, out._unsampled = weight, take, own
         out._u = np.zeros(self._u.shape, order="F")

@@ -475,6 +475,8 @@ def test_dynamic_outputs_match_the_checked_sampler_byte_for_byte(source, tmp_pat
     reference = _dynamic_scheme(shifts[0], i0, k)  # the cli's unchecked path, byte for byte
     save_scheme(reference, tmp_path / "sample_ref")
     _same_files(tmp_path / "sample", tmp_path / "sample_ref")
+    # given the shift itself, the checked sampler steps through the entry list too
+    assert gsis.dynamic_sampler(decomp, shifts[0], i0, k).matrix.tobytes() == rows.tobytes()
 
     y = np.linspace(-1.0, 1.0, k)
     y_file = tmp_path / "y.csv"

@@ -270,17 +270,28 @@ def test_the_shared_chain_sweep_is_bit_identical_to_one_chain_per_radius(grid):
 def test_a_benchmark_sweep_offers_each_level_once(monkeypatch):
     # the widest window's chain offers its 18 levels once, and each narrower
     # window only the levels past the one its copy was made at: 33 offers,
-    # where one chain per radius, grown from the generator, offered 60
-    offered = []
-    offer_level = KrylovChain._offer_level
+    # where one chain per radius, grown from the generator, offered 60.
+    # Each of the 5 narrower windows gets one copy, made once the chain
+    # goes no deeper in it, and the shifts' windows are set up 10 times,
+    # 5 for each of the 2 shifts
+    calls = {"_offer_level": 0, "_copy_under": 0, "_window": 0}
 
-    def counted(self, lo, hi, start):
-        offered.append(lo)
-        return offer_level(self, lo, hi, start)
+    def count(owner, name):
+        method = getattr(owner, name)
 
-    monkeypatch.setattr(KrylovChain, "_offer_level", counted)
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(KrylovChain, "_offer_level")
+    count(KrylovChain, "_copy_under")
+    count(gsis.ShiftMatrix, "_window")
     gsis.run_circulant_experiment(gsis.ExperimentConfig(**BENCHMARK_GRID))
-    assert len(offered) <= 33
+    assert calls["_offer_level"] <= 33
+    assert calls["_copy_under"] <= 5
+    assert calls["_window"] <= 10
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])

@@ -270,6 +270,30 @@ def test_a_complex_input_is_rejected_by_name(k):
         call()
 
 
+def _signal_calls():
+    """Each library call that takes one signal, with a list of values to give it."""
+    graph, shifts = gsis.build_circulant(12, (1, 3))
+    x = np.cos(np.arange(12.0)).tolist()
+    scheme = gsis.subset_sampler(12, range(7))
+    return [
+        (lambda v: gsis.reconstruct_krylov(shifts, [np.eye(12)[3]], scheme, v, max_level=1).signal, x[:7]),
+        (lambda v: gsis.apply_polynomial_filter(shifts, {(1, 0): 1.0, (0, 2): -0.5}, v), x),
+        (lambda v: gsis.gft(gsis.diagonalize_simultaneously(shifts), v), x),
+        (lambda v: gsis.Signal(v, graph).values, x),
+        # with no basis to give the length, x0's own is read, and x0 is checked
+        (lambda v: np.array(gsis.approximation_error([], v)), x),
+    ]
+
+
+@pytest.mark.parametrize(
+    "k", range(5), ids=["reconstruct_krylov", "apply_polynomial_filter", "gft", "Signal", "approximation_error"]
+)
+@pytest.mark.parametrize("one_shot", [iter, lambda v: (a for a in v)], ids=["iterator", "generator"])
+def test_a_signal_given_as_an_iterator_is_read_as_its_values(k, one_shot):
+    call, values = _signal_calls()[k]
+    assert call(one_shot(values)).tobytes() == call(values).tobytes()
+
+
 def test_frobenius_tol_scales():
     assert gsis.frobenius_tol(np.zeros((3, 3))) == 1e-10
     assert gsis.frobenius_tol(np.full((2, 2), 50.0)) == pytest.approx(1e-8)
